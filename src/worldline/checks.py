@@ -33,7 +33,7 @@ from .geometry import (
     measure_terms,
     seeley_reference,
 )
-from .integrands import IntegrandTerm, product
+from .integrands import product
 from .integration import DIMREG, RuleSet, integrate
 from .polynomials import Poly
 from .propagators import Kind
@@ -575,19 +575,7 @@ def _ring_value(profile: MassProfile, n: int) -> RegValue:
         for i in range(n):
             a, b = i, (i + 1) % n
             factors.append((Kind.DOT_DOT, min(a, b), max(a, b)))
-    weight = Poly.const(n, Fraction(1))
-    for index in range(n):
-        embedded: Dict[tuple, Fraction] = {}
-        for (beta_power, exps), coefficient in profile.density.terms().items():
-            key_exps = [0] * n
-            key_exps[index] = exps[0]
-            embedded[(beta_power, tuple(key_exps))] = coefficient
-        weight = weight * Poly(n, embedded)
-    ring_terms = [
-        IntegrandTerm(term.coefficient, n, term.poly * weight, term.atoms)
-        for term in product(factors, n)
-    ]
-    return integrate(ring_terms, DIMREG)
+    return integrate(product(factors, n), DIMREG, weight=profile.density)
 
 
 def measure_cancellation(

@@ -27,7 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .integrands import IntegrandTerm, SingularAtom, canonicalize, named_integral_text, product, terms_from_text
+from .integrands import (
+    IntegrandTerm,
+    SingularAtom,
+    _map_one_var,
+    canonicalize,
+    named_integral_text,
+    product,
+    terms_from_text,
+)
 from .polynomials import Poly
 from .propagators import Kind, boundary_value
 from .values import RegValue
@@ -98,8 +106,11 @@ def _renumber_atom(atom: SingularAtom, removed: int, target: int) -> tuple[int, 
 
 def _collapse_once(
     term: IntegrandTerm, rules: RuleSet, notes: list[str] | None
-) -> tuple[Fraction, RegValue, IntegrandTerm]:
-    """Resolve one delta edge; returns (rational factor, delta0 factor, rest)."""
+) -> tuple[Fraction, RegValue, tuple[int, int], IntegrandTerm]:
+    """Resolve one delta edge by setting tau_j := tau_i, with i < j.
+
+    Returns (rational factor, delta0 factor, (i, j), rest).
+    """
     deltas = [a for a in term.atoms if a.kind == "delta"]
     target_atom = None
     extra_delta0 = RegValue.one()
@@ -157,7 +168,7 @@ def _collapse_once(
             kept.append(atom)
     if factor == 0:
         empty = IntegrandTerm(RegValue.one(), 0, Poly.const(0, 0), ())
-        return Fraction(0), RegValue.one(), empty
+        return Fraction(0), RegValue.one(), (i, j), empty
 
     poly = term.poly.substitute_var(j, i).drop_var(j)
     atoms: list[SingularAtom] = []
@@ -167,7 +178,7 @@ def _collapse_once(
         sign *= s
         atoms.append(renamed)
     rest = IntegrandTerm(term.coefficient, term.nvars - 1, poly, tuple(sorted(atoms)))
-    return factor * sign, extra_delta0, rest
+    return factor * sign, extra_delta0, (i, j), rest
 
 
 # ---------------------------------------------------------------------------
@@ -192,32 +203,94 @@ def _integrate_regular(term: IntegrandTerm) -> RegValue:
     return term.coefficient * total
 
 
-def integrate_term(
-    term: IntegrandTerm, rules: RuleSet, notes: list[str] | None = None
+def _weight_power(
+    weight: Poly, m: int, powers: dict[int, tuple[Poly, RegValue]]
+) -> tuple[Poly, RegValue]:
+    """(w**m, int_0^beta w**m dt), memoized in ``powers``."""
+    if m not in powers:
+        power = weight
+        for _ in range(m - 1):
+            power = power * weight
+        powers[m] = (power, power.integrate_cube())
+    return powers[m]
+
+
+def _integrate_weighted(
+    term: IntegrandTerm,
+    multiplicity: list[int],
+    weight: Poly,
+    powers: dict[int, tuple[Poly, RegValue]],
 ) -> RegValue:
+    """Integrate a delta-free term times prod_v w(tau_v)**multiplicity[v].
+
+    A variable that neither the polynomial nor an eps atom touches separates:
+    it contributes the one-dimensional factor int w**m.  The weight powers of
+    the remaining variables are embedded into the polynomial.
+    """
+    touched = {v for atom in term.atoms for v in (atom.i, atom.j)}
+    kept = [v for v in range(term.nvars) if v in touched or term.poly.depends_on(v)]
+    index = {v: k for k, v in enumerate(kept)}
+    factor = RegValue.one()
+    for v in range(term.nvars):
+        if v not in index:
+            factor = factor * _weight_power(weight, multiplicity[v], powers)[1]
+    nvars = len(kept)
+    poly = Poly(nvars, {(b, tuple(e[v] for v in kept)): c for (b, e), c in term.poly.terms().items()})
+    for v in kept:
+        power = _weight_power(weight, multiplicity[v], powers)[0]
+        poly = poly * _map_one_var(power, index[v], nvars)
+    atoms = tuple(SingularAtom(a.kind, index[a.i], index[a.j], a.power) for a in term.atoms)
+    return factor * _integrate_regular(IntegrandTerm(term.coefficient, nvars, poly, atoms))
+
+
+def integrate_term(
+    term: IntegrandTerm,
+    rules: RuleSet,
+    notes: list[str] | None = None,
+    weight: Poly | None = None,
+    powers: dict[int, tuple[Poly, RegValue]] | None = None,
+) -> RegValue:
+    """Integrate one term, times w(tau_1)...w(tau_n) when a weight is given.
+
+    Collapsing tau_j := tau_i merges the weight of tau_j into tau_i, so each
+    surviving variable carries w to the number of variables it absorbed.
+    ``powers`` memoizes the weight powers across the terms of one call.
+    """
+    multiplicity = [1] * term.nvars
     factor = RegValue.one()
     while any(atom.kind == "delta" for atom in term.atoms):
-        rational, delta0, term = _collapse_once(term, rules, notes)
+        rational, delta0, (i, j), term = _collapse_once(term, rules, notes)
         if rational == 0:
             return RegValue.zero()
+        multiplicity[i] += multiplicity.pop(j)
         factor = factor * rational * delta0
         term = canonicalize([term])[0] if term.poly else term
         if term.poly.is_zero():
             return RegValue.zero()
-    return factor * _integrate_regular(term)
+    if weight is None:
+        return factor * _integrate_regular(term)
+    return factor * _integrate_weighted(term, multiplicity, weight, {} if powers is None else powers)
 
 
 def integrate(
     terms: list[IntegrandTerm] | IntegrandTerm,
     rules: RuleSet = DIMREG,
     notes: list[str] | None = None,
+    weight: Poly | None = None,
 ) -> RegValue:
-    """Exact integral of the given terms over [0, beta]**n."""
+    """Exact integral of the given terms over [0, beta]**n.
+
+    ``weight`` is an optional one-variable polynomial w; the integrand is
+    then  terms * w(tau_1) * ... * w(tau_n).
+    """
     if isinstance(terms, IntegrandTerm):
         terms = [terms]
+    if weight is not None and weight.nvars != 1:
+        raise ValueError("the weight must be a polynomial in one variable")
+    powers: dict[int, tuple[Poly, RegValue]] = {}
     total = RegValue.zero()
     for term in canonicalize(list(terms)):
-        total = total + integrate_term(term, rules, notes)
+        total = total + integrate_term(term, rules, notes, weight, powers)
     return total
 
 

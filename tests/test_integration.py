@@ -5,10 +5,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from worldline import (
     DIMREG,
     MODEREG,
+    PROFILES,
+    IntegrandTerm,
+    Kind,
+    Poly,
     RegValue,
     RuleSet,
     UnreducedSingularStructureError,
@@ -16,6 +21,7 @@ from worldline import (
     integrate,
     integrate_text,
     naive_disagreement,
+    product,
     terms_from_text,
 )
 
@@ -152,3 +158,83 @@ def test_naive_unknown_name_and_strategy():
         evaluate_naive_1d("I2", "partial_integration")
     with pytest.raises(ValueError):
         evaluate_naive_1d("I14", "guesswork")
+
+
+# -- one-variable weights applied after delta collapse ----------------------
+
+
+def integrate_dense(terms, rules, weight):
+    """Reference route: multiply w(tau_1)...w(tau_n) into every polynomial."""
+    dense = []
+    for term in terms:
+        n = term.nvars
+        full = Poly.const(n, 1)
+        for v in range(n):
+            embedded = {
+                (b, tuple(e if k == v else 0 for k in range(n))): c
+                for (b, (e,)), c in weight.terms().items()
+            }
+            full = full * Poly(n, embedded)
+        dense.append(IntegrandTerm(term.coefficient, n, term.poly * full, term.atoms))
+    return integrate(dense, rules)
+
+
+def ring_factors(n):
+    if n == 1:
+        return [(Kind.DOT_DOT, 0, 0)]
+    return [(Kind.DOT_DOT, min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_weighted_rings_match_dense_weight(profile, n):
+    terms = product(ring_factors(n), n)
+    weight = PROFILES[profile].density
+    assert integrate(terms, DIMREG, weight=weight) == integrate_dense(terms, DIMREG, weight)
+
+
+@pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda r: r.name)
+@pytest.mark.parametrize("profile", ["tau/beta", "tau*(beta-tau)/beta^2"])
+@pytest.mark.parametrize("text", ["Dl(1,2)*Dr(1,2)*DD(1,2)", "D(1,2)*Dl(1,2)*Dr(1,2)"])
+def test_weight_on_eps_touched_variables_matches_dense(text, profile, rules):
+    terms = terms_from_text(text)
+    weight = PROFILES[profile].density
+    weighted = integrate(terms, rules, weight=weight)
+    assert weighted == integrate_dense(terms, rules, weight)
+    assert weighted != integrate(terms, rules)
+
+
+_KIND_LIST = [Kind.D, Kind.DOT_LEFT, Kind.DOT_RIGHT, Kind.DOT_DOT]
+
+
+@st.composite
+def weighted_products(draw):
+    nvars = draw(st.integers(2, 3))
+    variable = st.integers(0, nvars - 1)
+    factors = draw(
+        st.lists(st.tuples(st.sampled_from(_KIND_LIST), variable, variable), min_size=1, max_size=4)
+    )
+    factors = [(kind, min(i, j), max(i, j)) for kind, i, j in factors]
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    weight = Poly(
+        1,
+        {(draw(st.integers(-2, 0)), (e,)): draw(rational) for e in range(draw(st.integers(0, 2)) + 1)},
+    )
+    return product(factors, nvars), weight
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except UnreducedSingularStructureError:
+        return UnreducedSingularStructureError
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_products(), st.sampled_from([DIMREG, MODEREG]))
+def test_weighted_integral_equals_dense_integral(drawn, rules):
+    terms, weight = drawn
+    weighted = _outcome(lambda: integrate(terms, rules, weight=weight))
+    assert weighted == _outcome(lambda: integrate_dense(terms, rules, weight))
+    assume(weighted is not UnreducedSingularStructureError)
+    assert integrate(terms, rules, weight=Poly.const(1, 1)) == integrate(terms, rules)
