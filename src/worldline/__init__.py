@@ -9,181 +9,8 @@ coefficients, sphere spectra), and consistency checks between all routes.
 
 Values live in the exact ring of rationals times integer powers of the
 total time ``beta`` and the formal equal-time divergence ``delta0``.
+The package re-exports nothing; import from its modules, e.g.
+``from worldline.integration import integrate``.
 """
-
-from __future__ import annotations
-
-from .values import RegValue, assert_equal
-from .polynomials import Poly
-from .propagators import Kind, PiecewiseRep, boundary_value, diagonal, eval_numeric, symbolic_rep
-from .integrands import (
-    IntegrandTerm,
-    ParsedProduct,
-    SingularAtom,
-    NAMED_INTEGRALS,
-    FINITE_ALIASES,
-    canonicalize,
-    named_integral_text,
-    parse,
-    product,
-    terms_from_text,
-)
-from .integration import (
-    DIMREG,
-    MODEREG,
-    RULESETS,
-    RuleSet,
-    UnreducedSingularStructureError,
-    evaluate_naive_1d,
-    integrate,
-    integrate_text,
-    naive_disagreement,
-)
-from .reduction import (
-    ReductionError,
-    Reducer,
-    TDelta,
-    TProp,
-    TTerm,
-    divergence_split,
-    equal_time_substitute,
-    evaluate_named,
-    field_equation,
-    forbidden_one_dimensional_return,
-    lift,
-    partial_integration,
-    reduce_terms,
-    return_to_1d,
-    tag,
-)
-from .tensors import PATTERNS, Pattern, contraction_value, invariant_coefficients
-from .diagrams import (
-    Diagram,
-    Vertex,
-    catalog,
-    classify,
-    evaluate_diagram,
-    perfect_matchings,
-    sum_order,
-    wick,
-)
-from .geometry import (
-    CURVATURE_DICTIONARY,
-    GAMMA_PATTERNS,
-    GAMMA_SQUARED_LINES,
-    SECOND_DERIVATIVE_TERMS,
-    SEELEY,
-    ArbitraryCoords,
-    FlatTransform,
-    MetricModel,
-    NormalCoords,
-    SeeleyCoefficients,
-    Sphere,
-    measure_terms,
-    metric_series,
-    seeley_reference,
-    sphere_tensors,
-    vertices,
-)
-from .checks import (
-    PROFILES,
-    CheckReport,
-    MassProfile,
-    check_constraints,
-    check_flat,
-    check_seeley,
-    measure_cancellation,
-    resolve_profile,
-    run_standard_checks,
-    sphere_scaling_check,
-    sphere_spectral_check,
-    zeta_series_check,
-)
-
-__all__ = [
-    "RegValue",
-    "assert_equal",
-    "Poly",
-    "Kind",
-    "PiecewiseRep",
-    "boundary_value",
-    "diagonal",
-    "eval_numeric",
-    "symbolic_rep",
-    "IntegrandTerm",
-    "ParsedProduct",
-    "SingularAtom",
-    "NAMED_INTEGRALS",
-    "FINITE_ALIASES",
-    "canonicalize",
-    "named_integral_text",
-    "parse",
-    "product",
-    "terms_from_text",
-    "DIMREG",
-    "MODEREG",
-    "RULESETS",
-    "RuleSet",
-    "UnreducedSingularStructureError",
-    "evaluate_naive_1d",
-    "integrate",
-    "integrate_text",
-    "naive_disagreement",
-    "ReductionError",
-    "Reducer",
-    "TDelta",
-    "TProp",
-    "TTerm",
-    "divergence_split",
-    "equal_time_substitute",
-    "evaluate_named",
-    "field_equation",
-    "forbidden_one_dimensional_return",
-    "lift",
-    "partial_integration",
-    "reduce_terms",
-    "return_to_1d",
-    "tag",
-    "PATTERNS",
-    "Pattern",
-    "contraction_value",
-    "invariant_coefficients",
-    "Diagram",
-    "Vertex",
-    "catalog",
-    "classify",
-    "evaluate_diagram",
-    "perfect_matchings",
-    "sum_order",
-    "wick",
-    "CURVATURE_DICTIONARY",
-    "GAMMA_PATTERNS",
-    "GAMMA_SQUARED_LINES",
-    "SECOND_DERIVATIVE_TERMS",
-    "SEELEY",
-    "ArbitraryCoords",
-    "FlatTransform",
-    "MetricModel",
-    "NormalCoords",
-    "SeeleyCoefficients",
-    "Sphere",
-    "measure_terms",
-    "metric_series",
-    "seeley_reference",
-    "sphere_tensors",
-    "vertices",
-    "PROFILES",
-    "CheckReport",
-    "MassProfile",
-    "check_constraints",
-    "check_flat",
-    "check_seeley",
-    "measure_cancellation",
-    "resolve_profile",
-    "run_standard_checks",
-    "sphere_scaling_check",
-    "sphere_spectral_check",
-    "zeta_series_check",
-]
 
 __version__ = "0.1.0"

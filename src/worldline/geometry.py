@@ -49,16 +49,6 @@ class NormalCoords:
 
 
 @dataclass(frozen=True)
-class ArbitraryCoords:
-    """Curved target in a general coordinate system.
-
-    The first-order total is assembled from precomputed contraction
-    patterns of metric derivatives rather than by Wick enumeration; see
-    the pattern tables below and the constraint check that consumes them.
-    """
-
-
-@dataclass(frozen=True)
 class Sphere:
     """Round sphere of dimension ``dimension - 1`` embedded in ``dimension``.
 
@@ -77,7 +67,7 @@ class Sphere:
             raise ValueError("the sphere radius must be positive")
 
 
-MetricModel = Union[FlatTransform, NormalCoords, ArbitraryCoords, Sphere]
+MetricModel = Union[FlatTransform, NormalCoords, Sphere]
 
 
 # ---------------------------------------------------------------------------
@@ -221,62 +211,6 @@ def _normal_vertices(max_order: int) -> List[Vertex]:
     return listing
 
 
-def _arbitrary_vertices(max_order: int) -> List[Vertex]:
-    # Descriptive listing only; the contraction patterns these vertices
-    # produce are tabulated below and assembled by the constraint check.
-    listing = [
-        Vertex(
-            name="metric_slope_kinetic",
-            order_in_eps=1,
-            q_power=1,
-            qdot_power=2,
-            delta0_power=0,
-            coefficient=Fraction(1, 2),
-            tensor_label="dg",
-        ),
-        Vertex(
-            name="metric_slope_measure",
-            order_in_eps=1,
-            q_power=1,
-            qdot_power=0,
-            delta0_power=1,
-            coefficient=Fraction(-1, 2),
-            tensor_label="dg",
-        ),
-    ]
-    if max_order == 2:
-        listing += [
-            Vertex(
-                name="metric_curvature_kinetic",
-                order_in_eps=2,
-                q_power=2,
-                qdot_power=2,
-                delta0_power=0,
-                coefficient=Fraction(1, 4),
-                tensor_label="ddg",
-            ),
-            Vertex(
-                name="metric_curvature_measure",
-                order_in_eps=2,
-                q_power=2,
-                qdot_power=0,
-                delta0_power=1,
-                coefficient=Fraction(-1, 4),
-                tensor_label="ddg",
-            ),
-            Vertex(
-                name="metric_slope_squared_measure",
-                order_in_eps=2,
-                q_power=2,
-                qdot_power=0,
-                delta0_power=1,
-                coefficient=Fraction(1, 4),
-                tensor_label="dgdg",
-            ),
-        ]
-    return listing
-
-
 def vertices(model: MetricModel, max_order: int = 2) -> List[Vertex]:
     """Interaction vertices of a model through the requested order."""
 
@@ -286,8 +220,6 @@ def vertices(model: MetricModel, max_order: int = 2) -> List[Vertex]:
         return _flat_vertices(model, max_order)
     if isinstance(model, NormalCoords):
         return _normal_vertices(max_order)
-    if isinstance(model, ArbitraryCoords):
-        return _arbitrary_vertices(max_order)
     if isinstance(model, Sphere):
         raise ValueError(
             "the sphere model supplies spectra and reference values, not vertices"

@@ -59,27 +59,6 @@ class IntegrandTerm:
         return replace(self, coefficient=self.coefficient * factor)
 
 
-def _map_two_var(poly: Poly, i: int, j: int, nvars: int) -> Poly:
-    """Embed a (t, t') polynomial with t -> tau_i, t' -> tau_j."""
-    acc: dict = {}
-    for (beta_pow, (e1, e2)), coeff in poly.terms().items():
-        exps = [0] * nvars
-        exps[i] += e1
-        exps[j] += e2
-        key = (beta_pow, tuple(exps))
-        acc[key] = acc.get(key, Fraction(0)) + coeff
-    return Poly(nvars, acc)
-
-
-def _map_one_var(poly: Poly, i: int, nvars: int) -> Poly:
-    acc: dict = {}
-    for (beta_pow, (e,)), coeff in poly.terms().items():
-        exps = [0] * nvars
-        exps[i] = e
-        acc[(beta_pow, tuple(exps))] = coeff
-    return Poly(nvars, acc)
-
-
 def expand_factor(
     kind: Kind, i: int, j: int, nvars: int
 ) -> list[tuple[RegValue, Poly, tuple[SingularAtom, ...]]]:
@@ -95,15 +74,15 @@ def expand_factor(
         diag = diagonal(kind)
         if isinstance(diag, RegValue):
             return [(diag, Poly.const(nvars, 1), ())]
-        return [(one, _map_one_var(diag, i, nvars), ())]
+        return [(one, diag.remap((i,), nvars), ())]
 
     lo, hi = (i, j) if i < j else (j, i)
     flip = i > j  # eps(tau_i - tau_j) = -eps(tau_lo - tau_hi) when i > j
     out: list[tuple[RegValue, Poly, tuple[SingularAtom, ...]]] = []
-    smooth = _map_two_var(smooth_part(kind), i, j, nvars)
+    smooth = smooth_part(kind).remap((i, j), nvars)
     if smooth:
         out.append((one, smooth, ()))
-    eps_poly = _map_two_var(eps_coefficient(kind), i, j, nvars)
+    eps_poly = eps_coefficient(kind).remap((i, j), nvars)
     if eps_poly:
         if flip:
             eps_poly = -eps_poly

@@ -10,8 +10,6 @@ Products of distributions at coincident points have no unique value.  A
 
 * ``value_eps_delta``   -- the value assigned to  int eps(t) delta(t) dt
 * ``value_eps2_delta``  -- the value assigned to  int eps(t)^2 delta(t) dt
-* ``delta_squared_rule`` -- whether  int delta(t)^2 f(t) dt = delta0 f(0)
-* ``delta_chain_rule``   -- whether chains of deltas collapse stepwise
 
 ``DIMREG`` assigns zero to both eps integrals, the values forced by
 continuing the time coordinate to d dimensions.  ``MODEREG`` keeps the
@@ -30,7 +28,6 @@ from itertools import permutations
 from .integrands import (
     IntegrandTerm,
     SingularAtom,
-    _map_one_var,
     canonicalize,
     named_integral_text,
     product,
@@ -50,8 +47,6 @@ class RuleSet:
     name: str
     value_eps2_delta: Fraction
     value_eps_delta: Fraction
-    delta_squared_rule: bool = True
-    delta_chain_rule: bool = True
 
     def eps_power_delta_value(self, power: int, notes: list[str] | None = None) -> Fraction:
         """Value of  int eps(t)**power delta(t) dt  under this rule set."""
@@ -129,11 +124,6 @@ def _collapse_once(
             if atom.power == 2 and degree[atom.i] == 2 and degree[atom.j] == 2:
                 # An isolated squared delta (possibly the residue of a closed
                 # chain): one factor of delta0, then a plain collapse.
-                if not rules.delta_squared_rule:
-                    raise UnreducedSingularStructureError(
-                        "unreduced singular structure: delta^2 with the "
-                        f"squared-delta rule disabled in {rules.name}"
-                    )
                 target_atom = atom
                 extra_delta0 = RegValue.delta0()
                 break
@@ -146,11 +136,6 @@ def _collapse_once(
         raise UnreducedSingularStructureError(
             "unreduced singular structure: delta powers beyond 2 or branching "
             "delta graphs have no assigned value"
-        )
-    if len(deltas) > 1 and not rules.delta_chain_rule:
-        raise UnreducedSingularStructureError(
-            "unreduced singular structure: delta chains with the chain rule "
-            f"disabled in {rules.name}"
         )
 
     i, j = target_atom.i, target_atom.j
@@ -170,7 +155,8 @@ def _collapse_once(
         empty = IntegrandTerm(RegValue.one(), 0, Poly.const(0, 0), ())
         return Fraction(0), RegValue.one(), (i, j), empty
 
-    poly = term.poly.substitute_var(j, i).drop_var(j)
+    targets = [i if v == j else v - (v > j) for v in range(term.nvars)]
+    poly = term.poly.remap(targets, term.nvars - 1)
     atoms: list[SingularAtom] = []
     sign = Fraction(1)
     for atom in kept:
@@ -235,10 +221,10 @@ def _integrate_weighted(
         if v not in index:
             factor = factor * _weight_power(weight, multiplicity[v], powers)[1]
     nvars = len(kept)
-    poly = Poly(nvars, {(b, tuple(e[v] for v in kept)): c for (b, e), c in term.poly.terms().items()})
+    poly = term.poly.remap([index.get(v) for v in range(term.nvars)], nvars)
     for v in kept:
         power = _weight_power(weight, multiplicity[v], powers)[0]
-        poly = poly * _map_one_var(power, index[v], nvars)
+        poly = poly * power.remap((index[v],), nvars)
     atoms = tuple(SingularAtom(a.kind, index[a.i], index[a.j], a.power) for a in term.atoms)
     return factor * _integrate_regular(IntegrandTerm(term.coefficient, nvars, poly, atoms))
 
@@ -287,6 +273,8 @@ def integrate(
         terms = [terms]
     if weight is not None and weight.nvars != 1:
         raise ValueError("the weight must be a polynomial in one variable")
+    if weight is not None and weight.is_zero():
+        return RegValue.zero()  # a zero weight makes every term vanish, deltas or not
     powers: dict[int, tuple[Poly, RegValue]] = {}
     total = RegValue.zero()
     for term in canonicalize(list(terms)):
@@ -313,12 +301,7 @@ def _boundary_cubed_integral() -> tuple[RegValue, RegValue]:
     values = []
     for pinned in (at_zero, at_beta):
         cubed = pinned * pinned * pinned
-        one_var: dict = {}
-        for (beta_pow, (e, zero)), coeff in cubed.terms().items():
-            assert zero == 0
-            key = (beta_pow, (e,))
-            one_var[key] = one_var.get(key, Fraction(0)) + coeff
-        values.append(Poly(1, one_var).integrate_cube())
+        values.append(cubed.remap((0, None), 1).integrate_cube())
     return values[0], values[1]
 
 

@@ -1,10 +1,12 @@
 """Exact polynomials in several time variables.
 
 A ``Poly`` is a polynomial in ``nvars`` time variables with coefficients in
-Q[beta, 1/beta].  Monomials are keyed by (beta_power, per-variable exponents).
-All integration in the package reduces to two exact primitives on these
-polynomials: integration of each variable independently over [0, beta], and
-integration over an ordered sector tau_{s1} < tau_{s2} < ... < tau_{sn}.
+Q[beta, 1/beta].  Monomials are keyed by the flat exponent tuple
+(beta_power, e_0, ..., e_{nvars-1}), and the arithmetic is the sparse kernel
+of ``values``.  All integration in the package reduces to two exact
+primitives on these polynomials: integration of each variable independently
+over [0, beta], and integration over an ordered sector
+tau_{s1} < tau_{s2} < ... < tau_{sn}.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .values import RegValue
+from .values import RegValue, add_terms, merge, mul_terms
 
 Rational = Union[int, Fraction]
 
-# Monomial key: (beta_power, exponents per variable).
-Key = tuple[int, tuple[int, ...]]
+# Monomial key: (beta_power, exponent of variable 0, ..., of variable n-1).
+Key = tuple[int, ...]
 
 
 class Poly:
@@ -31,62 +33,38 @@ class Poly:
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Key, Fraction] = {}
-        for (beta_pow, exps), coeff in items:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars:
+        checked = []
+        for key, coeff in items:
+            key = tuple(int(e) for e in key)
+            if len(key) != nvars + 1:
                 raise ValueError("exponent tuple length does not match nvars")
-            if any(e < 0 for e in exps):
+            if any(e < 0 for e in key[1:]):
                 raise ValueError("variable exponents must be non-negative")
-            key = (int(beta_pow), exps)
-            total = acc.get(key, Fraction(0)) + Fraction(coeff)
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
+            checked.append((key, Fraction(coeff)))
         self.nvars = nvars
-        self._terms = acc
+        self._terms = merge({}, checked)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def const(cls, nvars: int, coeff: Rational, beta_power: int = 0) -> "Poly":
-        return cls(nvars, {(beta_power, (0,) * nvars): coeff})
-
-    @classmethod
-    def var(cls, nvars: int, index: int, coeff: Rational = 1) -> "Poly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {(0, tuple(exps)): coeff})
+        return cls(nvars, {(beta_power,) + (0,) * nvars: coeff})
 
     @classmethod
     def monomial(
         cls, nvars: int, coeff: Rational, beta_power: int, exps: Sequence[int]
     ) -> "Poly":
-        return cls(nvars, {(beta_power, tuple(exps)): coeff})
+        return cls(nvars, {(beta_power, *exps): coeff})
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_compatible(self, other: "Poly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials over different variable counts")
-
     def __add__(self, other: "Poly | Rational") -> "Poly":
-        other = self._coerce(other)
-        self._check_compatible(other)
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = merged.get(key, Fraction(0)) + coeff
-            if total:
-                merged[key] = total
-            else:
-                merged.pop(key, None)
-        return self._make(self.nvars, merged)
+        return _make(self.nvars, add_terms(self._terms, self._coerce(other)._terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return self._make(self.nvars, {k: -c for k, c in self._terms.items()})
+        return _make(self.nvars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "Poly | Rational") -> "Poly":
         return self + (-self._coerce(other))
@@ -95,34 +73,18 @@ class Poly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other: "Poly | Rational") -> "Poly":
-        other = self._coerce(other)
-        self._check_compatible(other)
-        acc: dict[Key, Fraction] = {}
-        for (b1, e1), c1 in self._terms.items():
-            for (b2, e2), c2 in other._terms.items():
-                key = (b1 + b2, tuple(a + b for a, b in zip(e1, e2)))
-                total = acc.get(key, Fraction(0)) + c1 * c2
-                if total:
-                    acc[key] = total
-                else:
-                    acc.pop(key, None)
-        return self._make(self.nvars, acc)
+        return _make(self.nvars, mul_terms(self._terms, self._coerce(other)._terms))
 
     __rmul__ = __mul__
 
     def _coerce(self, value: "Poly | Rational") -> "Poly":
-        if isinstance(value, Poly):
-            return value
         if isinstance(value, (int, Fraction)):
             return Poly.const(self.nvars, value)
-        raise TypeError(f"cannot combine Poly with {type(value).__name__}")
-
-    @staticmethod
-    def _make(nvars: int, terms: dict[Key, Fraction]) -> "Poly":
-        out = Poly.__new__(Poly)
-        out.nvars = nvars
-        out._terms = {k: c for k, c in terms.items() if c}
-        return out
+        if not isinstance(value, Poly):
+            raise TypeError(f"cannot combine Poly with {type(value).__name__}")
+        if value.nvars != self.nvars:
+            raise ValueError("polynomials over different variable counts")
+        return value
 
     # -- comparisons ---------------------------------------------------------
 
@@ -151,81 +113,68 @@ class Poly:
     # -- variable manipulation ------------------------------------------------
 
     def depends_on(self, index: int) -> bool:
-        return any(exps[index] for (_, exps) in self._terms)
+        return any(key[index + 1] for key in self._terms)
 
-    def substitute_var(self, index: int, target: int) -> "Poly":
-        """Set tau_index := tau_target (both stay in the variable list)."""
-        if index == target:
-            return self
-        acc: dict[Key, Fraction] = {}
-        for (beta_pow, exps), coeff in self._terms.items():
-            new = list(exps)
-            new[target] += new[index]
-            new[index] = 0
-            key = (beta_pow, tuple(new))
-            total = acc.get(key, Fraction(0)) + coeff
-            if total:
-                acc[key] = total
+    def remap(self, targets: Sequence[int | None], nvars: int) -> "Poly":
+        """Move variable v to slot ``targets[v]`` of an ``nvars``-variable poly.
+
+        Variables sent to one slot multiply, so their exponents add.  A
+        ``None`` target drops a variable the polynomial must not depend on.
+        """
+        if len(targets) != self.nvars:
+            raise ValueError("remap needs one target per variable")
+        moves = []
+        for v, target in enumerate(targets):
+            if target is None:
+                if self.depends_on(v):
+                    raise ValueError("cannot drop a variable the polynomial depends on")
+            elif 0 <= target < nvars:
+                moves.append((v + 1, target + 1))
             else:
-                acc.pop(key, None)
-        return self._make(self.nvars, acc)
+                raise ValueError(f"remap target {target} is outside {nvars} variables")
 
-    def drop_var(self, index: int) -> "Poly":
-        """Remove an unused variable slot, reindexing the ones above it."""
-        if self.depends_on(index):
-            raise ValueError("cannot drop a variable the polynomial depends on")
-        acc: dict[Key, Fraction] = {}
-        for (beta_pow, exps), coeff in self._terms.items():
-            key = (beta_pow, exps[:index] + exps[index + 1 :])
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        return self._make(self.nvars - 1, acc)
+        def move(key: Key) -> Key:
+            new = [key[0]] + [0] * nvars
+            for source, slot in moves:
+                new[slot] += key[source]
+            return tuple(new)
 
-    def insert_var(self, index: int) -> "Poly":
-        """Add a fresh unused variable slot at the given position."""
-        acc: dict[Key, Fraction] = {}
-        for (beta_pow, exps), coeff in self._terms.items():
-            key = (beta_pow, exps[:index] + (0,) + exps[index:])
-            acc[key] = coeff
-        return self._make(self.nvars + 1, acc)
+        return _make(nvars, merge({}, ((move(k), c) for k, c in self._terms.items())))
 
     def set_boundary(self, index: int, at_beta: bool) -> "Poly":
         """Pin tau_index to 0 or to beta (exponents convert to beta powers)."""
-        acc: dict[Key, Fraction] = {}
-        for (beta_pow, exps), coeff in self._terms.items():
-            e = exps[index]
-            if e and not at_beta:
-                continue
-            new = list(exps)
-            new[index] = 0
-            key = (beta_pow + (e if at_beta else 0), tuple(new))
-            total = acc.get(key, Fraction(0)) + coeff
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        return self._make(self.nvars, acc)
+        slot = index + 1
+        return _make(
+            self.nvars,
+            merge(
+                {},
+                (
+                    ((key[0] + key[slot],) + key[1:slot] + (0,) + key[slot + 1 :], coeff)
+                    for key, coeff in self._terms.items()
+                    if at_beta or not key[slot]
+                ),
+            ),
+        )
 
     def derivative(self, index: int) -> "Poly":
-        acc: dict[Key, Fraction] = {}
-        for (beta_pow, exps), coeff in self._terms.items():
-            e = exps[index]
-            if not e:
-                continue
-            new = list(exps)
-            new[index] = e - 1
-            key = (beta_pow, tuple(new))
-            total = acc.get(key, Fraction(0)) + coeff * e
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        return self._make(self.nvars, acc)
+        slot = index + 1
+        return _make(
+            self.nvars,
+            merge(
+                {},
+                (
+                    (key[:slot] + (key[slot] - 1,) + key[slot + 1 :], coeff * key[slot])
+                    for key, coeff in self._terms.items()
+                    if key[slot]
+                ),
+            ),
+        )
 
     # -- evaluation -------------------------------------------------------------
 
     def eval_float(self, taus: Sequence[float], beta: float) -> float:
         total = 0.0
-        for (beta_pow, exps), coeff in self._terms.items():
+        for (beta_pow, *exps), coeff in self._terms.items():
             term = float(coeff) * beta**beta_pow
             for tau, e in zip(taus, exps):
                 if e:
@@ -237,16 +186,13 @@ class Poly:
 
     def integrate_cube(self) -> RegValue:
         """Integrate every variable independently over [0, beta]."""
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (beta_pow, exps), coeff in self._terms.items():
-            value = coeff
-            power = beta_pow
+        items = []
+        for (power, *exps), value in self._terms.items():
             for e in exps:
                 value /= e + 1
                 power += e + 1
-            key = (power, 0)
-            acc[key] = acc.get(key, Fraction(0)) + value
-        return RegValue(acc)
+            items.append(((power, 0), value))
+        return RegValue(items)
 
     def integrate_sector(self, order: Sequence[int]) -> RegValue:
         """Integrate over 0 < tau_{order[0]} < tau_{order[1]} < ... < beta.
@@ -255,31 +201,27 @@ class Poly:
         """
         if sorted(order) != list(range(self.nvars)):
             raise ValueError("order must be a permutation of all variables")
-        terms = {k: c for k, c in self._terms.items()}
+        terms = self._terms
         # Integrate variables from the innermost (smallest) outwards; each
         # integral runs from 0 to the next variable in the ordering, the last
-        # from 0 to beta.
+        # from 0 to beta, whose exponent is slot 0 of the key.
         for pos, var in enumerate(order):
-            upper = order[pos + 1] if pos + 1 < len(order) else None
-            acc: dict[Key, Fraction] = {}
-            for (beta_pow, exps), coeff in terms.items():
-                e = exps[var]
-                value = coeff / (e + 1)
-                new = list(exps)
-                new[var] = 0
-                if upper is None:
-                    key = (beta_pow + e + 1, tuple(new))
-                else:
-                    new[upper] += e + 1
-                    key = (beta_pow, tuple(new))
-                total = acc.get(key, Fraction(0)) + value
-                if total:
-                    acc[key] = total
-                else:
-                    acc.pop(key, None)
-            terms = acc
-        out: dict[tuple[int, int], Fraction] = {}
-        for (beta_pow, exps), coeff in terms.items():
-            assert not any(exps), "all variables should have been integrated"
-            out[(beta_pow, 0)] = out.get((beta_pow, 0), Fraction(0)) + coeff
-        return RegValue(out)
+            slot = var + 1
+            upper = order[pos + 1] + 1 if pos + 1 < len(order) else 0
+            items = []
+            for key, coeff in terms.items():
+                e = key[slot] + 1
+                new = list(key)
+                new[slot] = 0
+                new[upper] += e
+                items.append((tuple(new), coeff / e))
+            terms = merge({}, items)
+        return RegValue(((key[0], 0), coeff) for key, coeff in terms.items())
+
+
+def _make(nvars: int, terms: dict[Key, Fraction]) -> Poly:
+    """Wrap a dict whose coefficients are all nonzero."""
+    out = Poly.__new__(Poly)
+    out.nvars = nvars
+    out._terms = terms
+    return out

@@ -17,7 +17,6 @@ formal combination delta0 - 1/beta.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import Poly
@@ -33,60 +32,22 @@ class Kind(enum.Enum):
 
 # -- two-variable building blocks (variable 0 is t, variable 1 is t') --------
 
-def _p(terms) -> Poly:
-    return Poly(2, terms)
-
-
 _HALF = Fraction(1, 2)
 
-# Smooth part and eps-coefficient of each kind, as 2-variable polynomials.
+# Smooth part and eps-coefficient of each kind, keyed (beta, t, t' exponents).
 _SMOOTH: dict[Kind, Poly] = {
-    Kind.D: _p({(0, (1, 0)): _HALF, (0, (0, 1)): _HALF, (-1, (1, 1)): -1}),
-    Kind.DOT_LEFT: _p({(0, (0, 0)): _HALF, (-1, (0, 1)): -1}),
-    Kind.DOT_RIGHT: _p({(0, (0, 0)): _HALF, (-1, (1, 0)): -1}),
-    Kind.DOT_DOT: _p({(-1, (0, 0)): -1}),
+    Kind.D: Poly(2, {(0, 1, 0): _HALF, (0, 0, 1): _HALF, (-1, 1, 1): -1}),
+    Kind.DOT_LEFT: Poly(2, {(0, 0, 0): _HALF, (-1, 0, 1): -1}),
+    Kind.DOT_RIGHT: Poly(2, {(0, 0, 0): _HALF, (-1, 1, 0): -1}),
+    Kind.DOT_DOT: Poly(2, {(-1, 0, 0): -1}),
 }
 
 _EPS_COEFF: dict[Kind, Poly] = {
-    Kind.D: _p({(0, (1, 0)): -_HALF, (0, (0, 1)): _HALF}),
-    Kind.DOT_LEFT: _p({(0, (0, 0)): -_HALF}),
-    Kind.DOT_RIGHT: _p({(0, (0, 0)): _HALF}),
+    Kind.D: Poly(2, {(0, 1, 0): -_HALF, (0, 0, 1): _HALF}),
+    Kind.DOT_LEFT: Poly(2, {(0, 0, 0): -_HALF}),
+    Kind.DOT_RIGHT: Poly(2, {(0, 0, 0): _HALF}),
     Kind.DOT_DOT: Poly(2),
 }
-
-_HAS_DELTA: dict[Kind, bool] = {
-    Kind.D: False,
-    Kind.DOT_LEFT: False,
-    Kind.DOT_RIGHT: False,
-    Kind.DOT_DOT: True,
-}
-
-_TEXT: dict[Kind, str] = {
-    Kind.D: "-eps(t - t')*(t - t')/2 + (t + t')/2 - t*t'/beta",
-    Kind.DOT_LEFT: "-eps(t - t')/2 + 1/2 - t'/beta",
-    Kind.DOT_RIGHT: "eps(t - t')/2 + 1/2 - t/beta",
-    Kind.DOT_DOT: "delta(t - t') - 1/beta",
-}
-
-
-@dataclass(frozen=True)
-class PiecewiseRep:
-    """Regionwise closed form plus the singular content.
-
-    ``region_less`` is the polynomial valid for t < t', ``region_greater``
-    for t > t'.  ``singular_atoms`` lists (kind, weight) pairs: the delta
-    atom of DD, and the eps atoms of Dl and Dr whose discontinuity the two
-    regions already display.  D is continuous and carries no atoms.
-    """
-
-    kind: Kind
-    region_less: Poly
-    region_greater: Poly
-    singular_atoms: tuple[tuple[str, Fraction], ...]
-
-    def text(self) -> str:
-        return _TEXT[self.kind]
-
 
 def smooth_part(kind: Kind) -> Poly:
     """The eps- and delta-free part of the kind's decomposition."""
@@ -99,27 +60,11 @@ def eps_coefficient(kind: Kind) -> Poly:
 
 
 def has_delta(kind: Kind) -> bool:
-    return _HAS_DELTA[kind]
+    return kind is Kind.DOT_DOT
 
 
 def _region(kind: Kind, eps_sign: int) -> Poly:
     return _SMOOTH[kind] + Fraction(eps_sign) * _EPS_COEFF[kind]
-
-
-def symbolic_rep(kind: Kind) -> PiecewiseRep:
-    atoms: list[tuple[str, Fraction]] = []
-    if kind is Kind.DOT_LEFT:
-        atoms.append(("eps", Fraction(-1, 2)))
-    elif kind is Kind.DOT_RIGHT:
-        atoms.append(("eps", Fraction(1, 2)))
-    elif kind is Kind.DOT_DOT:
-        atoms.append(("delta", Fraction(1)))
-    return PiecewiseRep(
-        kind=kind,
-        region_less=_region(kind, -1),
-        region_greater=_region(kind, +1),
-        singular_atoms=tuple(atoms),
-    )
 
 
 def diagonal(kind: Kind) -> Poly | RegValue:
@@ -130,12 +75,7 @@ def diagonal(kind: Kind) -> Poly | RegValue:
     """
     if kind is Kind.DOT_DOT:
         return RegValue.delta0() - RegValue.beta(-1)
-    two_var = _SMOOTH[kind]  # eps(0) = 0 drops the eps part
-    one_var: dict = {}
-    for (beta_pow, (e1, e2)), coeff in two_var.terms().items():
-        key = (beta_pow, (e1 + e2,))
-        one_var[key] = one_var.get(key, Fraction(0)) + coeff
-    return Poly(1, one_var)
+    return _SMOOTH[kind].remap((0, 0), 1)  # eps(0) = 0 drops the eps part
 
 
 def boundary_value(kind: Kind, slot: int, at_beta: bool) -> Poly:

@@ -10,12 +10,50 @@ algebraically until it cancels or is reported as a divergent grade.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 Rational = Union[int, Fraction]
 
 # A term key is (beta_power, delta0_power).
 Key = tuple[int, int]
+
+
+# -- the sparse kernel ----------------------------------------------------------
+#
+# Both exact rings of the package, RegValue here and Poly in polynomials.py,
+# store a dict from flat integer exponent tuples to nonzero Fractions.  These
+# three functions are their only addition and multiplication loops.
+
+
+def merge(acc: dict, items: Iterable[tuple[tuple[int, ...], Fraction]]) -> dict:
+    """Add (key, coeff) pairs into ``acc``, dropping keys that cancel."""
+    for key, coeff in items:
+        if key in acc:
+            total = acc[key] + coeff
+            if total:
+                acc[key] = total
+            else:
+                del acc[key]
+        elif coeff:
+            acc[key] = coeff
+    return acc
+
+
+def add_terms(left: dict, right: dict) -> dict:
+    return merge(dict(left), right.items())
+
+
+def mul_terms(left: dict, right: dict) -> dict:
+    """Product of two term dicts: keys add entrywise, coefficients multiply."""
+    return merge(
+        {},
+        (
+            (tuple(map(add, k1, k2)), c1 * c2)
+            for k1, c1 in left.items()
+            for k2, c2 in right.items()
+        ),
+    )
 
 
 def _as_fraction(value: Rational) -> Fraction:
@@ -36,17 +74,12 @@ class RegValue:
         terms: Mapping[Key, Rational] | Iterable[tuple[Key, Rational]] = (),
     ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Key, Fraction] = {}
+        checked = []
         for (beta_pow, delta0_pow), coeff in items:
             if delta0_pow < 0:
                 raise ValueError("delta0 power must be non-negative")
-            key = (int(beta_pow), int(delta0_pow))
-            total = acc.get(key, Fraction(0)) + _as_fraction(coeff)
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        self._terms = acc
+            checked.append(((int(beta_pow), int(delta0_pow)), _as_fraction(coeff)))
+        self._terms = merge({}, checked)
 
     # -- constructors -----------------------------------------------------
 
@@ -80,14 +113,7 @@ class RegValue:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = merged.get(key, Fraction(0)) + coeff
-            if total:
-                merged[key] = total
-            else:
-                merged.pop(key, None)
-        return _make(merged)
+        return _make(add_terms(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -110,16 +136,7 @@ class RegValue:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[Key, Fraction] = {}
-        for (b1, d1), c1 in self._terms.items():
-            for (b2, d2), c2 in other._terms.items():
-                key = (b1 + b2, d1 + d2)
-                total = acc.get(key, Fraction(0)) + c1 * c2
-                if total:
-                    acc[key] = total
-                else:
-                    acc.pop(key, None)
-        return _make(acc)
+        return _make(mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -158,13 +175,7 @@ class RegValue:
 
     def grade(self, delta0_power: int) -> "RegValue":
         """The part of the value proportional to delta0**delta0_power."""
-        return _make(
-            {
-                (b, d): c
-                for (b, d), c in self._terms.items()
-                if d == delta0_power
-            }
-        )
+        return _make({key: c for key, c in self._terms.items() if key[1] == delta0_power})
 
     def finite_part(self) -> "RegValue":
         return self.grade(0)
@@ -175,7 +186,7 @@ class RegValue:
 
     def eval_float(self, beta: float) -> float:
         """Numeric value at a concrete beta.  Requires no delta0 content."""
-        if self.delta0_degree() > 0 and any(d > 0 for (_, d) in self._terms):
+        if self.delta0_degree() > 0:
             raise ValueError("value contains delta0 and has no numeric meaning")
         return sum(float(c) * beta**b for (b, _), c in self._terms.items())
 
@@ -222,15 +233,7 @@ def _coerce(value: "RegValue | Rational") -> "RegValue":
 
 
 def _make(terms: dict[Key, Fraction]) -> RegValue:
+    """Wrap a dict whose coefficients are all nonzero."""
     out = RegValue.__new__(RegValue)
-    out._terms = {key: coeff for key, coeff in terms.items() if coeff}
+    out._terms = terms
     return out
-
-
-ZERO = RegValue.zero()
-ONE = RegValue.one()
-
-
-def assert_equal(left: RegValue, right: RegValue | Rational) -> bool:
-    """Exact ring equality, the comparison used throughout the checks."""
-    return left == _coerce(right)

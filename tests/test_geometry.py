@@ -15,7 +15,6 @@ from worldline.geometry import (
     GAMMA_SQUARED_LINES,
     SECOND_DERIVATIVE_TERMS,
     SEELEY,
-    ArbitraryCoords,
     FlatTransform,
     NormalCoords,
     Sphere,
@@ -97,18 +96,6 @@ def test_vertices_validation():
         vertices(FlatTransform(), 3)
     with pytest.raises(ValueError):
         vertices(Sphere(3))
-
-
-def test_arbitrary_vertices_are_descriptive():
-    listing = vertices(ArbitraryCoords(), 2)
-    assert [v.name for v in listing] == [
-        "metric_slope_kinetic",
-        "metric_slope_measure",
-        "metric_curvature_kinetic",
-        "metric_curvature_measure",
-        "metric_slope_squared_measure",
-    ]
-    assert all(not v.tensors for v in listing)
 
 
 # ---------------------------------------------------------------------------

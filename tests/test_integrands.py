@@ -6,11 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from worldline import (
+from worldline.integrands import (
     FINITE_ALIASES,
     NAMED_INTEGRALS,
-    Kind,
-    RegValue,
     SingularAtom,
     canonicalize,
     named_integral_text,
@@ -19,6 +17,8 @@ from worldline import (
     terms_from_text,
 )
 from worldline.polynomials import Poly
+from worldline.propagators import Kind
+from worldline.values import RegValue
 
 
 def test_singular_atom_validation():

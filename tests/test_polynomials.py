@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from worldline import Poly, RegValue
+from worldline.polynomials import Poly
+from worldline.values import RegValue
 
 
 def test_monomial_cube_oracle():
@@ -67,12 +68,42 @@ def test_derivative_then_integrate(p):
 
 def test_substitute_and_drop():
     p = Poly.monomial(2, 1, 0, (1, 2))
-    diag = p.substitute_var(1, 0)
+    diag = p.remap((0, 0), 2)
     assert diag == Poly.monomial(2, 1, 0, (3, 0))
-    reduced = diag.drop_var(1)
+    reduced = diag.remap((0, None), 1)
     assert reduced == Poly.monomial(1, 1, 0, (3,))
     with pytest.raises(ValueError):
-        p.drop_var(0)
+        p.remap((None, 0), 1)
+
+
+@st.composite
+def remaps(draw):
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    p = draw(polys(nvars))
+    n = draw(st.integers(min_value=1, max_value=3))
+    slot = st.integers(min_value=0, max_value=n - 1)
+    targets = [draw(st.one_of(st.none(), slot)) for _ in range(nvars)]
+    return p, targets, n
+
+
+@given(
+    remaps(),
+    st.lists(st.floats(min_value=0.1, max_value=2.0), min_size=3, max_size=3),
+    st.floats(min_value=0.5, max_value=2.0),
+)
+def test_remap_matches_evaluation_at_moved_points(case, taus, beta):
+    # Variable v of p lands in slot targets[v]: evaluating the remapped poly
+    # at taus is evaluating p with tau_v = taus[targets[v]].  Variables that
+    # share a slot share a point, so their exponents must add.
+    p, targets, n = case
+    if any(t is None and p.depends_on(v) for v, t in enumerate(targets)):
+        with pytest.raises(ValueError):
+            p.remap(targets, n)
+        return
+    moved = [0.0 if t is None else taus[t] for t in targets]
+    assert p.remap(targets, n).eval_float(taus[:n], beta) == pytest.approx(
+        p.eval_float(moved, beta), rel=1e-9, abs=1e-9
+    )
 
 
 def test_set_boundary():
@@ -81,13 +112,6 @@ def test_set_boundary():
     assert at_beta == Poly.monomial(2, 1, 2, (0, 1))
     at_zero = p.set_boundary(0, at_beta=False)
     assert at_zero.is_zero()
-
-
-def test_insert_var():
-    p = Poly.monomial(2, 1, 0, (1, 2))
-    q = p.insert_var(1)
-    assert q.nvars == 3
-    assert q == Poly.monomial(3, 1, 0, (1, 0, 2))
 
 
 def test_eval_float_matches_exact():

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from worldline import Kind, RegValue, boundary_value, diagonal, eval_numeric, symbolic_rep
 from worldline.polynomials import Poly
+from worldline.propagators import Kind, _region, boundary_value, diagonal, eval_numeric
+from worldline.values import RegValue
 
 
 BETA = 1.9
@@ -46,27 +47,6 @@ def test_numeric_guards():
     assert eval_numeric(Kind.D, 0.5, 0.5, BETA) == pytest.approx(
         0.5 - 0.25 / BETA
     )
-
-
-def test_symbolic_regions_match_numeric():
-    rng = random.Random(5)
-    for kind in (Kind.D, Kind.DOT_LEFT, Kind.DOT_RIGHT):
-        rep = symbolic_rep(kind)
-        for _ in range(200):
-            t, s = rng.uniform(0, BETA), rng.uniform(0, BETA)
-            if t == s:
-                continue
-            region = rep.region_greater if t > s else rep.region_less
-            assert region.eval_float((t, s), BETA) == pytest.approx(
-                _reference(kind, t, s, BETA)
-            )
-
-
-def test_symbolic_atoms():
-    assert symbolic_rep(Kind.D).singular_atoms == ()
-    assert symbolic_rep(Kind.DOT_LEFT).singular_atoms == (("eps", Fraction(-1, 2)),)
-    assert symbolic_rep(Kind.DOT_RIGHT).singular_atoms == (("eps", Fraction(1, 2)),)
-    assert symbolic_rep(Kind.DOT_DOT).singular_atoms == (("delta", Fraction(1)),)
 
 
 def test_diagonals():
@@ -126,12 +106,6 @@ def test_boundary_value_rejects_distributional():
 
 def test_average_of_regions_on_diagonal():
     # eps(0) = 0 means the diagonal value is the average of the two regions.
-    rep = symbolic_rep(Kind.DOT_LEFT)
-    avg = (rep.region_less + rep.region_greater) * Fraction(1, 2)
-    collapsed = avg.substitute_var(1, 0).drop_var(1)
+    avg = (_region(Kind.DOT_LEFT, -1) + _region(Kind.DOT_LEFT, 1)) * Fraction(1, 2)
+    collapsed = avg.remap((0, 0), 1)
     assert collapsed == diagonal(Kind.DOT_LEFT)
-
-
-def test_piecewise_text():
-    text = symbolic_rep(Kind.DOT_DOT).text()
-    assert "delta" in text

@@ -6,21 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from worldline import (
-    DIMREG,
-    MODEREG,
-    Kind,
+from worldline.integrands import parse
+from worldline.integration import DIMREG, MODEREG
+from worldline.reduction import (
     ReductionError,
-    RegValue,
     TProp,
     evaluate_named,
     forbidden_one_dimensional_return,
     lift,
-    parse,
     reduce_terms,
     return_to_1d,
     tag,
 )
+from worldline.values import RegValue
 
 
 def beta(power, coeff):

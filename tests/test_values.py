@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from worldline import RegValue, assert_equal
+from worldline.values import RegValue
 
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=100)
@@ -87,9 +87,9 @@ def test_items_sorted():
 
 
 def test_assert_equal():
-    assert assert_equal(RegValue.beta(1) / 24, RegValue.beta(1, Fraction(1, 24)))
-    assert not assert_equal(RegValue.beta(1), RegValue.beta(2))
-    assert assert_equal(RegValue.rational(Fraction(2, 3)), Fraction(2, 3))
+    assert RegValue.beta(1) / 24 == RegValue.beta(1, Fraction(1, 24))
+    assert RegValue.beta(1) != RegValue.beta(2)
+    assert RegValue.rational(Fraction(2, 3)) == Fraction(2, 3)
 
 
 @given(values())
