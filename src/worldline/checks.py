@@ -329,6 +329,10 @@ def _spectral_deviation_decimal(
         return float(deviation), float(normalized), float(reference)
 
 
+def _arithmetic_detail(dimension: int, error: ArithmeticError) -> str:
+    return f"the spectral sum for dimension {dimension} is out of numeric range: {error}"
+
+
 def _truncation_bound(radius: Fraction, beta: Fraction) -> int:
     return math.isqrt(int(80 * radius * radius / beta)) + 1
 
@@ -353,6 +357,8 @@ def sphere_spectral_check(
         sphere = Sphere(dimension, radius)
         if beta <= 0:
             raise ValueError("beta must be positive")
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
     except (ValueError, ZeroDivisionError, TypeError) as error:
         return CheckReport(name, "error", {}, {}, tolerance, (str(error),))
     bound = _truncation_bound(radius, beta)
@@ -368,15 +374,19 @@ def sphere_spectral_check(
                 f"for beta {beta} and radius {radius}",
             ),
         )
-    deviation, normalized, reference = _spectral_deviation_float(
-        sphere.dimension, radius, beta, l_max
-    )
-    precision_note = "double precision"
-    if tolerance / 10 <= deviation <= tolerance * 10:
-        deviation, normalized, reference = _spectral_deviation_decimal(
+    try:
+        deviation, normalized, reference = _spectral_deviation_float(
             sphere.dimension, radius, beta, l_max
         )
-        precision_note = "recomputed at 50 digits"
+        precision_note = "double precision"
+        if tolerance / 10 <= deviation <= tolerance * 10:
+            deviation, normalized, reference = _spectral_deviation_decimal(
+                sphere.dimension, radius, beta, l_max
+            )
+            precision_note = "recomputed at 50 digits"
+    except ArithmeticError as error:
+        detail = _arithmetic_detail(dimension, error)
+        return CheckReport(name, "error", {}, {}, tolerance, (detail,))
     expected = {"relative_deviation": f"<= {tolerance:.1e}"}
     actual = {
         "relative_deviation": f"{deviation:.3e}",
@@ -435,10 +445,27 @@ def sphere_scaling_check(
                 str(band),
                 (f"l_max {l_max} is below the truncation bound {bound} for beta {beta}",),
             )
-    deviations = [
-        _spectral_deviation_float(sphere.dimension, radius, beta, l_max)[0]
-        for beta in beta_values
-    ]
+    try:
+        deviations = [
+            _spectral_deviation_float(sphere.dimension, radius, beta, l_max)[0]
+            for beta in beta_values
+        ]
+    except ArithmeticError as error:
+        detail = _arithmetic_detail(dimension, error)
+        return CheckReport(name, "error", {}, {}, str(band), (detail,))
+    for beta, deviation in zip(beta_values, deviations):
+        if deviation == 0:
+            return CheckReport(
+                name,
+                "error",
+                {},
+                {},
+                str(band),
+                (
+                    f"the deviation at beta {beta} is 0 at double precision, "
+                    "so the scaling ratio is undefined",
+                ),
+            )
     expected: Dict[str, str] = {}
     actual: Dict[str, str] = {}
     ok = True

@@ -157,9 +157,12 @@ def canonicalize(terms: list[IntegrandTerm]) -> list[IntegrandTerm]:
     for term in terms:
         atoms = _merge_atoms(term.atoms)
         for (beta_pow, delta0_pow), coeff in term.coefficient.items():
-            scaled = term.poly * Poly.monomial(
-                term.nvars, coeff, beta_pow, (0,) * term.nvars
-            )
+            if beta_pow == 0 and coeff == 1:
+                scaled = term.poly
+            else:
+                scaled = term.poly * Poly.monomial(
+                    term.nvars, coeff, beta_pow, (0,) * term.nvars
+                )
             key = (term.nvars, delta0_pow, atoms)
             if key in buckets:
                 buckets[key] = buckets[key] + scaled

@@ -21,13 +21,14 @@ way; they differ only at coincident eps factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 
 from .integrands import (
     IntegrandTerm,
     SingularAtom,
+    _merge_atoms,
     canonicalize,
     named_integral_text,
     product,
@@ -250,9 +251,9 @@ def integrate_term(
             return RegValue.zero()
         multiplicity[i] += multiplicity.pop(j)
         factor = factor * rational * delta0
-        term = canonicalize([term])[0] if term.poly else term
         if term.poly.is_zero():
             return RegValue.zero()
+        term = replace(term, atoms=_merge_atoms(term.atoms))
     if weight is None:
         return factor * _integrate_regular(term)
     return factor * _integrate_weighted(term, multiplicity, weight, {} if powers is None else powers)

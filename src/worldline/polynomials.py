@@ -11,8 +11,9 @@ tau_{s1} < tau_{s2} < ... < tau_{sn}.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from .values import RegValue, add_terms, merge, mul_terms
 

@@ -19,6 +19,7 @@ maximally symmetric target at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,16 +106,11 @@ def _cycle_count(edges: Sequence[Edge], nslots: int) -> int:
     return len({find(slot) for slot in range(nslots)})
 
 
-def contraction_value(
-    factors: Sequence[str], pairing: Sequence[Edge], dimension: int
-) -> int:
-    """Value of the fully contracted product at unit scale.
-
-    ``factors`` names the tensor patterns in order; their external slots
-    are numbered globally and contiguously, factor by factor.  ``pairing``
-    lists the delta contractions among those global external slots, one
-    edge per Wick pair or internal vertex contraction.
-    """
+@functools.cache
+def _cycle_terms(
+    factors: Tuple[str, ...], pairing: Tuple[Edge, ...]
+) -> Tuple[Tuple[int, int], ...]:
+    """(sign, cycle count) of every branch combination; the same for all n."""
 
     patterns = []
     for name in factors:
@@ -141,7 +137,7 @@ def contraction_value(
             return ext_offsets[which] + slot
         return aux_offsets[which] + (slot - pat.externals)
 
-    total = 0
+    terms = []
     for combo in itertools.product(*(pat.branches for pat in patterns)):
         sign = 1
         edges = list(pairing)
@@ -149,8 +145,32 @@ def contraction_value(
             sign *= branch_sign
             for a, b in branch_edges:
                 edges.append((shift(which, a), shift(which, b)))
-        total += sign * dimension ** _cycle_count(edges, nslots)
-    return total
+        terms.append((sign, _cycle_count(edges, nslots)))
+    return tuple(terms)
+
+
+def _key(
+    factors: Sequence[str], pairing: Sequence[Edge]
+) -> Tuple[Tuple[str, ...], Tuple[Edge, ...]]:
+    return tuple(factors), tuple((a, b) for a, b in pairing)
+
+
+def _evaluate(terms: Tuple[Tuple[int, int], ...], dimension: int) -> int:
+    return sum(sign * dimension**cycles for sign, cycles in terms)
+
+
+def contraction_value(
+    factors: Sequence[str], pairing: Sequence[Edge], dimension: int
+) -> int:
+    """Value of the fully contracted product at unit scale.
+
+    ``factors`` names the tensor patterns in order; their external slots
+    are numbered globally and contiguously, factor by factor.  ``pairing``
+    lists the delta contractions among those global external slots, one
+    edge per Wick pair or internal vertex contraction.
+    """
+
+    return _evaluate(_cycle_terms(*_key(factors, pairing)), dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +193,11 @@ def _quadratic_row(n: int) -> Tuple[int, int, int]:
     )
 
 
-def _solve_three(
-    rows: Sequence[Tuple[int, int, int]], rhs: Sequence[int]
-) -> Tuple[Fraction, Fraction, Fraction]:
-    """Exact 3x3 linear solve by Gaussian elimination."""
+def _inverse_three(rows: Sequence[Tuple[int, int, int]]) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Exact inverse of a 3x3 matrix by Gauss-Jordan elimination."""
 
     work = [
-        [Fraction(rows[i][0]), Fraction(rows[i][1]), Fraction(rows[i][2]), Fraction(rhs[i])]
+        [Fraction(entry) for entry in rows[i]] + [Fraction(int(i == k)) for k in range(3)]
         for i in range(3)
     ]
     for col in range(3):
@@ -191,7 +209,12 @@ def _solve_three(
             if r != col and work[r][col] != 0:
                 factor = work[r][col]
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return work[0][3], work[1][3], work[2][3]
+    return tuple(tuple(row[3:]) for row in work)
+
+
+# The quadratic basis is fitted at n = 2, 3, 4 and verified at n = 5, 6, 7.
+_FIT_DIMENSIONS = (2, 3, 4)
+_FIT_INVERSE = _inverse_three([_quadratic_row(n) for n in _FIT_DIMENSIONS])
 
 
 def invariant_coefficients(
@@ -203,41 +226,46 @@ def invariant_coefficients(
     factor), or ``Rsq``/``RicciSq``/``RiemannSq`` (two factors), dropping
     zero entries.  Raises ``ValueError`` when the sampled values do not
     lie in the corresponding basis, which would mean the pairing is
-    inconsistent with the patterns.
+    inconsistent with the patterns.  Each decomposition is computed once
+    per process; every call returns a fresh dict.
     """
 
+    return dict(_decompose(*_key(factors, pairing)))
+
+
+@functools.cache
+def _decompose(
+    factors: Tuple[str, ...], pairing: Tuple[Edge, ...]
+) -> Dict[str, Fraction]:
     count = len(factors)
     if count == 0:
         if pairing:
             raise ValueError("a contraction without tensor factors takes no pairing")
         return {"one": Fraction(1)}
+    if count > 2:
+        raise ValueError(
+            "contractions with more than two curvature factors exceed second order"
+        )
+    terms = _cycle_terms(factors, pairing)
+    samples = {n: _evaluate(terms, n) for n in range(2, 8)}
     if count == 1:
-        coefficient = None
-        for n in range(2, 8):
-            fitted = Fraction(contraction_value(factors, pairing, n), _scalar_value(n))
-            if coefficient is None:
-                coefficient = fitted
-            elif coefficient != fitted:
-                raise ValueError(
-                    "single-factor contraction is not proportional to the scalar curvature"
-                )
-        assert coefficient is not None
+        coefficient = Fraction(samples[2], _scalar_value(2))
+        if any(Fraction(samples[n], _scalar_value(n)) != coefficient for n in range(3, 8)):
+            raise ValueError(
+                "single-factor contraction is not proportional to the scalar curvature"
+            )
         return {"R": coefficient} if coefficient else {}
-    if count == 2:
-        samples = {n: contraction_value(factors, pairing, n) for n in range(2, 8)}
-        rows = [_quadratic_row(n) for n in (2, 3, 4)]
-        rhs = [samples[n] for n in (2, 3, 4)]
-        r_sq, ricci_sq, riemann_sq = _solve_three(rows, rhs)
-        for n in (5, 6, 7):
-            row = _quadratic_row(n)
-            predicted = r_sq * row[0] + ricci_sq * row[1] + riemann_sq * row[2]
-            if predicted != samples[n]:
-                raise ValueError(
-                    "two-factor contraction values do not lie in the "
-                    "quadratic curvature-invariant basis"
-                )
-        decomposition = {"Rsq": r_sq, "RicciSq": ricci_sq, "RiemannSq": riemann_sq}
-        return {label: value for label, value in decomposition.items() if value}
-    raise ValueError(
-        "contractions with more than two curvature factors exceed second order"
+    rhs = [samples[n] for n in _FIT_DIMENSIONS]
+    r_sq, ricci_sq, riemann_sq = (
+        sum(entry * value for entry, value in zip(row, rhs)) for row in _FIT_INVERSE
     )
+    for n in (5, 6, 7):
+        row = _quadratic_row(n)
+        predicted = r_sq * row[0] + ricci_sq * row[1] + riemann_sq * row[2]
+        if predicted != samples[n]:
+            raise ValueError(
+                "two-factor contraction values do not lie in the "
+                "quadratic curvature-invariant basis"
+            )
+    decomposition = {"Rsq": r_sq, "RicciSq": ricci_sq, "RiemannSq": riemann_sq}
+    return {label: value for label, value in decomposition.items() if value}

@@ -9,9 +9,10 @@ algebraically until it cancels or is reported as a divergent grade.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 Rational = Union[int, Fraction]
 

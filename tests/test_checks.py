@@ -189,6 +189,32 @@ def test_sphere_spectral_errors_on_bad_input(kwargs: dict) -> None:
     assert sphere_spectral_check(**kwargs).status == "error"
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), -1.0, 0.0, float("inf")])
+def test_sphere_spectral_rejects_invalid_tolerances(tolerance: float) -> None:
+    report = sphere_spectral_check(tolerance=tolerance)
+    assert report.status == "error"
+    assert len(report.details) == 1
+    assert "tolerance must be a positive finite number" in report.details[0]
+
+
+def test_sphere_checks_report_out_of_range_dimensions() -> None:
+    for report in (
+        sphere_spectral_check(dimension=400, l_max=100),
+        sphere_scaling_check(dimension=400, l_max=100),
+    ):
+        assert report.status == "error"
+        assert len(report.details) == 1
+        assert "out of numeric range" in report.details[0]
+
+
+def test_sphere_scaling_on_the_circle_has_no_ratio() -> None:
+    # The truncated series is exact on the circle, so every deviation is 0.
+    report = sphere_scaling_check(dimension=2)
+    assert report.status == "error"
+    assert len(report.details) == 1
+    assert "scaling ratio is undefined" in report.details[0]
+
+
 def test_sphere_scaling_ratios_sit_in_the_band() -> None:
     report = sphere_scaling_check()
     assert report.passed

@@ -161,6 +161,25 @@ def test_sphere_rejects_non_rational_beta(capsys: pytest.CaptureFixture) -> None
     assert "not a rational number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dimension", "2"],
+        ["--dimension", "400", "--lmax", "100"],
+        ["--tolerance", "nan"],
+        ["--tolerance", "-1"],
+        ["--tolerance", "inf"],
+    ],
+)
+def test_sphere_bad_input_is_an_error_not_a_traceback(
+    argv: list, capsys: pytest.CaptureFixture
+) -> None:
+    assert main(["sphere", *argv]) == 2
+    out = capsys.readouterr().out
+    assert "[ERROR] sphere_" in out
+    assert "[FAIL]" not in out
+
+
 # ---------------------------------------------------------------------------
 # measure-cancel verb
 # ---------------------------------------------------------------------------

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import math
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import worldline
+from worldline.checks import run_standard_checks
 from worldline.diagrams import (
     Diagram,
     Vertex,
@@ -20,8 +29,10 @@ from worldline.diagrams import (
     wick,
 )
 from worldline.geometry import FlatTransform, NormalCoords, vertices
+from worldline.integrands import ParsedProduct
 from worldline.integration import DIMREG, MODEREG
 from worldline.propagators import Kind
+from worldline.reduction import reduce_terms
 from worldline.values import RegValue
 
 
@@ -311,6 +322,79 @@ def test_evaluate_diagram_applies_weight():
     assert value == (RegValue.delta0() - RegValue.beta(-1)) * RegValue.beta(
         2, Fraction(1, 6)
     ) * 6
+
+
+def _random_weight(rng: random.Random) -> RegValue:
+    weight = RegValue.zero()
+    while weight.is_zero():
+        for _ in range(rng.randint(1, 3)):
+            coefficient = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            weight = weight + RegValue.term(coefficient, rng.randint(-2, 2), rng.randint(0, 2))
+    return weight
+
+
+@pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda r: r.name)
+@pytest.mark.parametrize(
+    "model", [FlatTransform(), NormalCoords()], ids=lambda m: type(m).__name__
+)
+def test_evaluate_diagram_equals_direct_weighted_reduction(model, rules):
+    rng = random.Random(f"{type(model).__name__}/{rules.name}")
+    for diagram in wick(vertices(model, 2), order=2):
+        for weight in (diagram.weight, _random_weight(rng), _random_weight(rng)):
+            weighted = dataclasses.replace(diagram, weight=weight)
+            direct_log: list = []
+            direct = reduce_terms(
+                [
+                    ParsedProduct(
+                        coefficient=weight,
+                        factors=tuple((kind, a, b) for (a, b), kind in diagram.edges),
+                        nvars=len(diagram.vertices),
+                    )
+                ],
+                rules,
+                log=direct_log,
+            )
+            log: list = []
+            value, label = evaluate_diagram(weighted, rules, log=log)
+            assert value == direct, (diagram.edges, weight)
+            assert label == diagram.tensor_label
+            assert log == direct_log
+            # The caller owns its copy of the move log.
+            for entry in log:
+                entry["move"] = "edited"
+                for item in entry.values():
+                    if isinstance(item, list):
+                        item.append("edited")
+            again: list = []
+            evaluate_diagram(weighted, rules, log=again)
+            assert again == direct_log
+
+
+def _report_json(reports) -> str:
+    return json.dumps([dataclasses.asdict(r) for r in reports], sort_keys=True, default=str)
+
+
+def test_battery_reports_do_not_leak_across_rulesets():
+    fresh = {}
+    for rules in ("DIMREG", "MODEREG"):
+        script = (
+            "import dataclasses, json\n"
+            "from worldline.checks import run_standard_checks\n"
+            f"from worldline.integration import {rules}\n"
+            f"print(json.dumps([dataclasses.asdict(r) for r in run_standard_checks({rules})],"
+            " sort_keys=True, default=str))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(worldline.__file__).parents[1])},
+        )
+        fresh[rules] = run.stdout.strip()
+    for rules, name in ((DIMREG, "DIMREG"), (MODEREG, "MODEREG"), (DIMREG, "DIMREG")):
+        assert _report_json(run_standard_checks(rules)) == fresh[name], name
+    assert fresh["DIMREG"] != fresh["MODEREG"]
 
 
 def test_sum_order_rejects_higher_orders():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -154,3 +155,69 @@ def test_factor_swap_leaves_coefficients_unchanged(order):
     left = invariant_coefficients(("riem", "riem"), pairing)
     right = invariant_coefficients(("riem", "riem"), swapped)
     assert left == right
+
+
+# ---------------------------------------------------------------------------
+# memoized decompositions
+# ---------------------------------------------------------------------------
+
+
+def test_mutating_a_result_leaves_the_next_call_intact():
+    pairing = [(0, 4), (1, 5), (2, 6), (3, 7)]
+    first = invariant_coefficients(["riem", "riem"], pairing)
+    first["RiemannSq"] = Fraction(99)
+    first["Rsq"] = Fraction(7)
+    assert invariant_coefficients(("riem", "riem"), tuple(pairing)) == {
+        "RiemannSq": Fraction(1)
+    }
+    assert invariant_coefficients(["riem", "riem"], pairing) is not first
+
+
+def _components(name, n):
+    """Explicit components at unit scale on an n-dimensional target."""
+    if name == "riem":
+        return lambda a, b, c, d: (a == c) * (b == d) - (a == d) * (b == c)
+    return lambda a, b: -(n - 1) * (a == b)
+
+
+def _brute_force_value(factors, pairing, n):
+    """Sum the contracted product over every index assignment."""
+    arity = {"riem": 4, "ric": 2}
+    slot_edge = {}
+    for edge, (a, b) in enumerate(pairing):
+        slot_edge[a] = slot_edge[b] = edge
+    components = [_components(name, n) for name in factors]
+    total = 0
+    for values in itertools.product(range(n), repeat=len(pairing)):
+        term, slot = 1, 0
+        for name, component in zip(factors, components):
+            indices = [values[slot_edge[s]] for s in range(slot, slot + arity[name])]
+            slot += arity[name]
+            term *= component(*indices)
+            if not term:
+                break
+        total += term
+    return total
+
+
+def _perfect_matchings(slots):
+    if not slots:
+        yield ()
+        return
+    first, rest = slots[0], slots[1:]
+    for index, partner in enumerate(rest):
+        for tail in _perfect_matchings(rest[:index] + rest[index + 1 :]):
+            yield ((first, partner),) + tail
+
+
+@pytest.mark.parametrize(
+    "factors", [("riem",), ("ric",), ("ric", "ric"), ("ric", "riem"), ("riem", "riem")]
+)
+def test_contraction_value_matches_a_brute_force_recount(factors):
+    nslots = sum({"riem": 4, "ric": 2}[name] for name in factors)
+    # The cycle list of a pairing is computed once and reused for every n.
+    for pairing in _perfect_matchings(tuple(range(nslots))):
+        for n in range(2, 8):
+            assert contraction_value(factors, pairing, n) == _brute_force_value(
+                factors, pairing, n
+            ), (factors, pairing, n)
