@@ -267,15 +267,17 @@ def _series_reference_coefficients(sphere: Sphere) -> Tuple[Fraction, Fraction]:
 def _spectral_deviation_float(
     dimension: int, radius: Fraction, beta: Fraction, l_max: int
 ) -> Tuple[float, float, float]:
+    r = float(radius)
+    b = float(beta)
+    # The volume overflows for every dimension above 343; computing it first
+    # spares such an input the exact degeneracies of the level sum.
+    volume = (
+        2 * math.pi ** (dimension / 2) * r ** (dimension - 1) / math.gamma(dimension / 2)
+    )
     x = float(beta / (2 * radius * radius))
     partition = math.fsum(
         float(_degeneracy(dimension, l)) * math.exp(-l * (l + dimension - 2) * x)
         for l in range(l_max + 1)
-    )
-    r = float(radius)
-    b = float(beta)
-    volume = (
-        2 * math.pi ** (dimension / 2) * r ** (dimension - 1) / math.gamma(dimension / 2)
     )
     normalized = partition / volume * (2 * math.pi * b) ** ((dimension - 1) / 2)
     c1, c2 = _series_reference_coefficients(Sphere(dimension, radius))

@@ -403,14 +403,14 @@ def sum_order(model, order: int, rules: RuleSet = DIMREG) -> Dict[str, RegValue]
     return dict(sorted(totals.items()))
 
 
-def catalog(model, order: int, rules: Optional[RuleSet] = DIMREG) -> List[dict]:
+def catalog(model, order: int, rules: RuleSet = DIMREG) -> List[dict]:
     """JSON-ready listing of the order-``order`` diagram catalog."""
 
     from .geometry import vertices as model_vertices
 
     entries = []
     for diagram in wick(model_vertices(model, max_order=order), order=order):
-        entry = {
+        entries.append({
             "shape": classify(diagram),
             "vertices": [v.name for v in diagram.vertices],
             "edges": [
@@ -420,9 +420,6 @@ def catalog(model, order: int, rules: Optional[RuleSet] = DIMREG) -> List[dict]:
             "tensor_label": diagram.tensor_label,
             "local": diagram.local,
             "order_in_eps": diagram.order_in_eps,
-        }
-        if rules is not None:
-            value, _ = evaluate_diagram(diagram, rules)
-            entry["value"] = value.text()
-        entries.append(entry)
+            "value": evaluate_diagram(diagram, rules)[0].text(),
+        })
     return entries

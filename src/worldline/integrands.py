@@ -11,7 +11,7 @@ prefactors, and ``d0`` for an explicit delta(0).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import Poly
@@ -54,9 +54,6 @@ class IntegrandTerm:
         for atom in self.atoms:
             if atom.j >= self.nvars:
                 raise ValueError("atom refers to a variable outside the term")
-
-    def scaled(self, factor: RegValue | int | Fraction) -> "IntegrandTerm":
-        return replace(self, coefficient=self.coefficient * factor)
 
 
 def expand_factor(

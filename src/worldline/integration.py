@@ -21,7 +21,7 @@ way; they differ only at coincident eps factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -81,35 +81,18 @@ RULESETS = {"dimreg": DIMREG, "modereg": MODEREG}
 # ---------------------------------------------------------------------------
 
 
-def _renumber_atom(atom: SingularAtom, removed: int, target: int) -> tuple[int, SingularAtom]:
-    """Rewrite an atom after tau_removed := tau_target; returns (sign, atom)."""
-
-    def rename(v: int) -> int:
-        if v == removed:
-            v = target
-        return v - 1 if v > removed else v
-
-    i, j = rename(atom.i), rename(atom.j)
-    if i == j:
-        raise AssertionError("same-pair atoms must be resolved before renaming")
-    sign = 1
-    if i > j:
-        i, j = j, i
-        if atom.kind == "eps" and atom.power % 2 == 1:
-            sign = -1
-    return sign, SingularAtom(atom.kind, i, j, atom.power)
-
-
 def _collapse_once(
-    term: IntegrandTerm, rules: RuleSet, notes: list[str] | None
-) -> tuple[Fraction, RegValue, tuple[int, int], IntegrandTerm]:
+    atoms: tuple[SingularAtom, ...], rules: RuleSet, notes: list[str] | None
+) -> tuple[Fraction, int, tuple[int, int], tuple[SingularAtom, ...]] | None:
     """Resolve one delta edge by setting tau_j := tau_i, with i < j.
 
-    Returns (rational factor, delta0 factor, (i, j), rest).
+    Variables keep their indices; j just stops occurring in the atoms.
+    Returns (rational factor, delta0 power, (i, j), remaining atoms), or
+    None when no delta edge has an assigned resolution.
     """
-    deltas = [a for a in term.atoms if a.kind == "delta"]
+    deltas = [a for a in atoms if a.kind == "delta"]
     target_atom = None
-    extra_delta0 = RegValue.one()
+    squared = 0
 
     degree: dict[int, int] = {}
     for atom in deltas:
@@ -126,7 +109,7 @@ def _collapse_once(
                 # An isolated squared delta (possibly the residue of a closed
                 # chain): one factor of delta0, then a plain collapse.
                 target_atom = atom
-                extra_delta0 = RegValue.delta0()
+                squared = 1
                 break
     if target_atom is None:
         for atom in deltas:
@@ -134,38 +117,24 @@ def _collapse_once(
                 target_atom = atom  # an edge of a closed chain
                 break
     if target_atom is None:
-        raise UnreducedSingularStructureError(
-            "unreduced singular structure: delta powers beyond 2 or branching "
-            "delta graphs have no assigned value"
-        )
+        return None
 
     i, j = target_atom.i, target_atom.j
     factor = Fraction(1)
-    kept: list[SingularAtom] = []
-    for atom in term.atoms:
+    renamed: list[SingularAtom] = []
+    for atom in atoms:
         if atom is target_atom:
             continue
-        if (atom.i, atom.j) == (i, j):
-            if atom.kind == "eps":
-                factor *= rules.eps_power_delta_value(atom.power, notes)
-            else:
-                kept.append(atom)  # remaining parallel delta: collapses next round
-        else:
-            kept.append(atom)
-    if factor == 0:
-        empty = IntegrandTerm(RegValue.one(), 0, Poly.const(0, 0), ())
-        return Fraction(0), RegValue.one(), (i, j), empty
-
-    targets = [i if v == j else v - (v > j) for v in range(term.nvars)]
-    poly = term.poly.remap(targets, term.nvars - 1)
-    atoms: list[SingularAtom] = []
-    sign = Fraction(1)
-    for atom in kept:
-        s, renamed = _renumber_atom(atom, removed=j, target=i)
-        sign *= s
-        atoms.append(renamed)
-    rest = IntegrandTerm(term.coefficient, term.nvars - 1, poly, tuple(sorted(atoms)))
-    return factor * sign, extra_delta0, (i, j), rest
+        if atom.kind == "eps" and (atom.i, atom.j) == (i, j):
+            factor *= rules.eps_power_delta_value(atom.power, notes)
+            continue
+        a, b = (i if v == j else v for v in (atom.i, atom.j))
+        if a > b:
+            a, b = b, a
+            if atom.kind == "eps" and atom.power % 2 == 1:
+                factor = -factor
+        renamed.append(SingularAtom(atom.kind, a, b, atom.power))
+    return factor, squared, (i, j), _merge_atoms(tuple(renamed))
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +142,20 @@ def _collapse_once(
 # ---------------------------------------------------------------------------
 
 
-def _integrate_regular(term: IntegrandTerm) -> RegValue:
+def _integrate_regular(poly: Poly, atoms: tuple[SingularAtom, ...]) -> RegValue:
     """Integrate a delta-free term, resolving eps factors sector by sector."""
-    eps_atoms = [a for a in term.atoms if a.kind == "eps"]
-    if not eps_atoms:
-        return term.coefficient * term.poly.integrate_cube()
+    if not atoms:
+        return poly.integrate_cube()
     total = RegValue.zero()
-    for order in permutations(range(term.nvars)):
+    for order in permutations(range(poly.nvars)):
         position = {var: rank for rank, var in enumerate(order)}
         sign = 1
-        for atom in eps_atoms:
+        for atom in atoms:
             s = 1 if position[atom.i] > position[atom.j] else -1
             sign *= s**atom.power
-        value = term.poly.integrate_sector(order)
+        value = poly.integrate_sector(order)
         total = total + (value * sign if sign != 1 else value)
-    return term.coefficient * total
+    return total
 
 
 def _weight_power(
@@ -202,65 +170,63 @@ def _weight_power(
     return powers[m]
 
 
-def _integrate_weighted(
-    term: IntegrandTerm,
-    multiplicity: list[int],
-    weight: Poly,
-    powers: dict[int, tuple[Poly, RegValue]],
-) -> RegValue:
-    """Integrate a delta-free term times prod_v w(tau_v)**multiplicity[v].
-
-    A variable that neither the polynomial nor an eps atom touches separates:
-    it contributes the one-dimensional factor int w**m.  The weight powers of
-    the remaining variables are embedded into the polynomial.
-    """
-    touched = {v for atom in term.atoms for v in (atom.i, atom.j)}
-    kept = [v for v in range(term.nvars) if v in touched or term.poly.depends_on(v)]
-    index = {v: k for k, v in enumerate(kept)}
-    factor = RegValue.one()
-    for v in range(term.nvars):
-        if v not in index:
-            factor = factor * _weight_power(weight, multiplicity[v], powers)[1]
-    nvars = len(kept)
-    poly = term.poly.remap([index.get(v) for v in range(term.nvars)], nvars)
-    for v in kept:
-        power = _weight_power(weight, multiplicity[v], powers)[0]
-        poly = poly * power.remap((index[v],), nvars)
-    atoms = tuple(SingularAtom(a.kind, index[a.i], index[a.j], a.power) for a in term.atoms)
-    return factor * _integrate_regular(IntegrandTerm(term.coefficient, nvars, poly, atoms))
-
-
 def integrate_term(
     term: IntegrandTerm,
     rules: RuleSet,
-    notes: list[str] | None = None,
-    weight: Poly | None = None,
-    powers: dict[int, tuple[Poly, RegValue]] | None = None,
+    notes: list[str] | None,
+    weight: Poly,
+    powers: dict[int, tuple[Poly, RegValue]],
 ) -> RegValue:
-    """Integrate one term, times w(tau_1)...w(tau_n) when a weight is given.
+    """Integrate one term times w(tau_1)...w(tau_n).
 
-    Collapsing tau_j := tau_i merges the weight of tau_j into tau_i, so each
-    surviving variable carries w to the number of variables it absorbed.
+    Collapsing tau_j := tau_i keeps every index and records root[v], the
+    variable that tau_v now equals, so each survivor carries w to the size
+    of its block.  After the last delta one remap moves the polynomial from
+    the original variables to the survivors that the polynomial or an eps
+    atom touches; every other survivor separates into int w**m.
     ``powers`` memoizes the weight powers across the terms of one call.
     """
-    multiplicity = [1] * term.nvars
-    factor = RegValue.one()
-    while any(atom.kind == "delta" for atom in term.atoms):
-        rational, delta0, (i, j), term = _collapse_once(term, rules, notes)
-        if rational == 0:
+    nvars = term.nvars
+    root = list(range(nvars))
+    atoms = term.atoms
+    rational = Fraction(1)
+    delta0 = 0
+    while any(atom.kind == "delta" for atom in atoms):
+        step = _collapse_once(atoms, rules, notes)
+        if step is None:
+            if term.poly.remap(root, nvars).is_zero():
+                return RegValue.zero()  # the polynomial vanished on an earlier collapse
+            raise UnreducedSingularStructureError(
+                "unreduced singular structure: delta powers beyond 2 or branching "
+                "delta graphs have no assigned value"
+            )
+        factor, squared, (i, j), atoms = step
+        if factor == 0:
             return RegValue.zero()
-        multiplicity[i] += multiplicity.pop(j)
-        factor = factor * rational * delta0
-        if term.poly.is_zero():
-            return RegValue.zero()
-        term = replace(term, atoms=_merge_atoms(term.atoms))
-    if weight is None:
-        return factor * _integrate_regular(term)
-    return factor * _integrate_weighted(term, multiplicity, weight, {} if powers is None else powers)
+        rational *= factor
+        delta0 += squared
+        root = [i if r == j else r for r in root]
+
+    touched = {v for atom in atoms for v in (atom.i, atom.j)}
+    touched.update(root[v] for v in range(nvars) if term.poly.depends_on(v))
+    value = term.coefficient * RegValue.delta0(delta0) * rational
+    kept: list[int] = []
+    for s in sorted(set(root)):
+        if s in touched:
+            kept.append(s)
+        else:
+            value = value * _weight_power(weight, root.count(s), powers)[1]
+    slot = {s: k for k, s in enumerate(kept)}
+    poly = term.poly.remap([slot.get(r) for r in root], len(kept))
+    for s in kept:
+        power = _weight_power(weight, root.count(s), powers)[0]
+        poly = poly * power.remap((slot[s],), len(kept))
+    atoms = tuple(SingularAtom(a.kind, slot[a.i], slot[a.j], a.power) for a in atoms)
+    return value * _integrate_regular(poly, atoms)
 
 
 def integrate(
-    terms: list[IntegrandTerm] | IntegrandTerm,
+    terms: list[IntegrandTerm],
     rules: RuleSet = DIMREG,
     notes: list[str] | None = None,
     weight: Poly | None = None,
@@ -268,13 +234,13 @@ def integrate(
     """Exact integral of the given terms over [0, beta]**n.
 
     ``weight`` is an optional one-variable polynomial w; the integrand is
-    then  terms * w(tau_1) * ... * w(tau_n).
+    then  terms * w(tau_1) * ... * w(tau_n).  No weight is the unit weight.
     """
-    if isinstance(terms, IntegrandTerm):
-        terms = [terms]
-    if weight is not None and weight.nvars != 1:
+    if weight is None:
+        weight = Poly.const(1, 1)
+    if weight.nvars != 1:
         raise ValueError("the weight must be a polynomial in one variable")
-    if weight is not None and weight.is_zero():
+    if weight.is_zero():
         return RegValue.zero()  # a zero weight makes every term vanish, deltas or not
     powers: dict[int, tuple[Poly, RegValue]] = {}
     total = RegValue.zero()

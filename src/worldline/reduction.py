@@ -47,8 +47,6 @@ class ReductionError(ValueError):
     """Raised when no legal sequence of moves reduces a term."""
 
 
-MOVE_NAMES = ("EqualTimeSubstitute", "FieldEquation", "PartialIntegration", "ReturnTo1D")
-
 _LABELS = ("mu", "nu", "rho", "sigma", "lam", "kap")
 
 # ---------------------------------------------------------------------------
@@ -230,25 +228,18 @@ def _boundary_is_zero(term: TTerm, var: int) -> bool:
     endpoint; a single-differentiated factor vanishes when the undotted
     argument is pinned.  One vanishing factor kills the endpoint term.
     """
-    for b_at_beta in (False, True):
-        vanishes = False
-        for prop in term.props:
-            if var not in (prop.i, prop.j):
-                continue
-            nl, nr = len(prop.left), len(prop.right)
-            if nl == 0 and nr == 0:
-                vanishes = True  # D pinned at an endpoint is zero
-                break
-            if prop.i != prop.j:
-                if nl == 1 and nr == 0 and prop.j == var:
-                    vanishes = True
-                    break
-                if nl == 0 and nr == 1 and prop.i == var:
-                    vanishes = True
-                    break
-        if not vanishes:
-            return False
-    return True
+    for prop in term.props:
+        if var not in (prop.i, prop.j):
+            continue
+        nl, nr = len(prop.left), len(prop.right)
+        if nl == 0 and nr == 0:
+            return True  # D pinned at an endpoint is zero
+        if prop.i != prop.j:
+            if nl == 1 and nr == 0 and prop.j == var:
+                return True
+            if nl == 0 and nr == 1 and prop.i == var:
+                return True
+    return False
 
 
 def partial_integration(term: TTerm, index: int, side: int) -> list[TTerm]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from worldline import checks
 from worldline.checks import (
     PROFILES,
     CheckReport,
@@ -201,6 +202,22 @@ def test_sphere_checks_report_out_of_range_dimensions() -> None:
     for report in (
         sphere_spectral_check(dimension=400, l_max=100),
         sphere_scaling_check(dimension=400, l_max=100),
+    ):
+        assert report.status == "error"
+        assert len(report.details) == 1
+        assert "out of numeric range" in report.details[0]
+
+
+def test_sphere_checks_fail_fast_for_a_huge_dimension(monkeypatch) -> None:
+    # The volume overflows before any degeneracy is needed; building the
+    # exact degeneracies at this dimension would run for minutes.
+    def unreachable(dimension: int, level: int) -> None:
+        raise AssertionError("the level sum ran for an out-of-range dimension")
+
+    monkeypatch.setattr(checks, "_degeneracy", unreachable)
+    for report in (
+        sphere_spectral_check(dimension=100000, l_max=100),
+        sphere_scaling_check(dimension=100000, l_max=100),
     ):
         assert report.status == "error"
         assert len(report.details) == 1

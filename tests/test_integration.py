@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from worldline.checks import PROFILES
-from worldline.integrands import IntegrandTerm, product, terms_from_text
+from worldline.integrands import (
+    IntegrandTerm,
+    SingularAtom,
+    _merge_atoms,
+    canonicalize,
+    product,
+    terms_from_text,
+)
 from worldline.integration import (
     DIMREG,
     MODEREG,
     RuleSet,
     UnreducedSingularStructureError,
+    _integrate_regular,
     evaluate_naive_1d,
     integrate,
     integrate_text,
@@ -237,3 +246,197 @@ def test_weighted_integral_equals_dense_integral(drawn, rules):
     unweighted = _outcome(lambda: integrate(terms, rules))
     assume(unweighted is not UnreducedSingularStructureError)
     assert integrate(terms, rules, weight=Poly.const(1, 1)) == unweighted
+
+
+# -- the in-place delta collapse against the renumbering loop ---------------
+#
+# The reference below renumbers the variables after every collapse, remaps
+# the polynomial each time and multiplies the weight into every surviving
+# variable; it is the sequential loop that the in-place collapse replaced.
+
+
+def _reference_renumber(atom, removed, target):
+    def rename(v):
+        if v == removed:
+            v = target
+        return v - 1 if v > removed else v
+
+    i, j = rename(atom.i), rename(atom.j)
+    if i == j:
+        raise AssertionError("same-pair atoms must be resolved before renaming")
+    sign = 1
+    if i > j:
+        i, j = j, i
+        if atom.kind == "eps" and atom.power % 2 == 1:
+            sign = -1
+    return sign, SingularAtom(atom.kind, i, j, atom.power)
+
+
+def _reference_collapse_once(term, rules):
+    deltas = [a for a in term.atoms if a.kind == "delta"]
+    degree = {}
+    for atom in deltas:
+        degree[atom.i] = degree.get(atom.i, 0) + atom.power
+        degree[atom.j] = degree.get(atom.j, 0) + atom.power
+    target, extra_delta0 = None, RegValue.one()
+    for atom in deltas:
+        if atom.power == 1 and (degree[atom.i] == 1 or degree[atom.j] == 1):
+            target = atom
+            break
+    if target is None:
+        for atom in deltas:
+            if atom.power == 2 and degree[atom.i] == 2 and degree[atom.j] == 2:
+                target, extra_delta0 = atom, RegValue.delta0()
+                break
+    if target is None:
+        for atom in deltas:
+            if atom.power == 1 and degree[atom.i] == 2 and degree[atom.j] == 2:
+                target = atom
+                break
+    if target is None:
+        raise UnreducedSingularStructureError("no assigned resolution")
+
+    i, j = target.i, target.j
+    factor = Fraction(1)
+    kept = []
+    for atom in term.atoms:
+        if atom is target:
+            continue
+        if (atom.i, atom.j) == (i, j) and atom.kind == "eps":
+            factor *= rules.eps_power_delta_value(atom.power)
+        else:
+            kept.append(atom)
+    if factor == 0:
+        return Fraction(0), extra_delta0, (i, j), None
+    targets = [i if v == j else v - (v > j) for v in range(term.nvars)]
+    poly = term.poly.remap(targets, term.nvars - 1)
+    atoms = []
+    for atom in kept:
+        s, renamed = _reference_renumber(atom, removed=j, target=i)
+        factor *= s
+        atoms.append(renamed)
+    rest = IntegrandTerm(term.coefficient, term.nvars - 1, poly, tuple(sorted(atoms)))
+    return factor, extra_delta0, (i, j), rest
+
+
+def reference_integrate_term(term, rules, weight=None):
+    multiplicity = [1] * term.nvars
+    factor = RegValue.one()
+    while any(atom.kind == "delta" for atom in term.atoms):
+        rational, delta0, (i, j), term = _reference_collapse_once(term, rules)
+        if rational == 0:
+            return RegValue.zero()
+        multiplicity[i] += multiplicity.pop(j)
+        factor = factor * rational * delta0
+        if term.poly.is_zero():
+            return RegValue.zero()
+        term = replace(term, atoms=_merge_atoms(term.atoms))
+    poly = term.poly
+    if weight is not None:
+        n = term.nvars
+        for v in range(n):
+            power = Poly.const(1, 1)
+            for _ in range(multiplicity[v]):
+                power = power * weight
+            poly = poly * power.remap((v,), n)
+    return factor * term.coefficient * _integrate_regular(poly, term.atoms)
+
+
+PROBE = RuleSet("probe", value_eps2_delta=Fraction(1, 3), value_eps_delta=Fraction(1, 5))
+
+
+def _pair(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+@st.composite
+def delta_terms(draw):
+    """Terms over 2..5 variables with a delta graph, eps atoms and a polynomial.
+
+    The delta graph is a chain along a random vertex order, optionally closed
+    into a loop, with some edges squared and sometimes one random edge that
+    makes the graph branch.
+    """
+    n = draw(st.integers(2, 5))
+    order = draw(st.permutations(range(n)))
+    length = draw(st.integers(1, n - 1))
+    edges = [_pair(order[k], order[k + 1]) for k in range(length)]
+    if length >= 2 and draw(st.booleans()):
+        edges.append(_pair(order[length], order[0]))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    ).map(lambda p: _pair(*p))
+    if draw(st.integers(0, 3)) == 0:
+        edges.append(draw(pair))
+    atoms = [
+        SingularAtom("delta", i, j, draw(st.sampled_from([1, 1, 1, 2]))) for i, j in edges
+    ]
+    eps_pairs = draw(st.lists(pair, max_size=3))
+    i, j = draw(st.sampled_from(edges))
+    if j - i > 1 and draw(st.booleans()):
+        # eps(tau_a - tau_j) with i < a < j flips its sign when tau_j := tau_i.
+        eps_pairs.append((draw(st.integers(i + 1, j - 1)), j))
+    for i, j in eps_pairs:
+        atoms.append(SingularAtom("eps", i, j, draw(st.integers(1, 3))))
+
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    monomials = draw(st.lists(st.tuples(st.integers(-1, 1), exponents), min_size=1, max_size=3))
+    poly = Poly(n, {(b, *e): draw(rational) for b, e in monomials})
+    if draw(st.integers(0, 3)) == 0:
+        # A factor tau_i - tau_j on a delta pair vanishes once i and j merge.
+        i, j = edges[draw(st.integers(0, len(edges) - 1))]
+        difference = Poly.monomial(n, 1, 0, [int(v == i) for v in range(n)])
+        poly = poly * (difference - Poly.monomial(n, 1, 0, [int(v == j) for v in range(n)]))
+    return IntegrandTerm(RegValue.one(), n, poly, tuple(atoms))
+
+
+@st.composite
+def nonzero_weights(draw):
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    degree = draw(st.integers(0, 2))
+    return Poly(1, {(draw(st.integers(-1, 0)), e): draw(rational) for e in range(degree + 1)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delta_terms(),
+    st.sampled_from([DIMREG, MODEREG, PROBE]),
+    st.one_of(st.none(), nonzero_weights()),
+)
+def test_in_place_collapse_matches_the_renumbering_loop(term, rules, weight):
+    canonical = canonicalize([term])
+    if weight is None:
+        collapsed = _outcome(lambda: integrate(canonical, rules))
+    else:
+        collapsed = _outcome(lambda: integrate(canonical, rules, weight=weight))
+    expected = _outcome(
+        lambda: sum(
+            (reference_integrate_term(t, rules, weight) for t in canonical), RegValue.zero()
+        )
+    )
+    assert collapsed == expected
+
+
+def test_chain_eps_merge_order_under_modereg():
+    # delta(1,2) delta(2,3): the loose end (1,2) collapses first.  eps(1,2)
+    # meets its delta alone and gives int eps delta = 0; eps(1,3) eps(2,3)
+    # merge into eps(1,3)**2 first and give int eps**2 delta = 1/3.
+    chain = (SingularAtom("delta", 0, 1), SingularAtom("delta", 1, 2))
+    one = Poly.const(3, 1)
+
+    def value(*eps):
+        atoms = chain + tuple(SingularAtom("eps", i, j) for i, j in eps)
+        return integrate([IntegrandTerm(RegValue.one(), 3, one, atoms)], MODEREG)
+
+    assert value((0, 1), (1, 2)) == RegValue.zero()
+    assert value((0, 2), (1, 2)) == beta(1, "1/3")
+
+
+def test_collapse_flips_an_eps_that_changes_order():
+    # delta(1,3) eps(2,3) t1: tau_3 := tau_1 turns eps(t2 - t3) into
+    # eps(t2 - t1) = -eps(t1 - t2), and int int t1 eps(t2 - t1) = -beta^3/6.
+    atoms = (SingularAtom("delta", 0, 2), SingularAtom("eps", 1, 2))
+    t1 = Poly.monomial(3, 1, 0, (1, 0, 0))
+    value = integrate([IntegrandTerm(RegValue.one(), 3, t1, atoms)], DIMREG)
+    assert value == beta(3, "-1/6")
