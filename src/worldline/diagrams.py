@@ -64,7 +64,6 @@ class Vertex:
     qdot_power: int
     delta0_power: int
     coefficient: Fraction
-    tensor_label: str
     tensors: Tuple[str, ...] = ()
     q_slots: Tuple[int, ...] = ()
     qdot_slots: Tuple[int, ...] = ()
@@ -275,7 +274,7 @@ def _diagram_sort_key(diagram: Diagram):
     )
 
 
-def wick(vertex_set: Sequence[Vertex], order: Optional[int] = None) -> List[Diagram]:
+def wick(vertex_set: Sequence[Vertex], order: int) -> List[Diagram]:
     """Catalog of connected vacuum diagrams from a vertex set.
 
     Every vertex is contracted with itself, and every unordered pair of
@@ -288,13 +287,13 @@ def wick(vertex_set: Sequence[Vertex], order: Optional[int] = None) -> List[Diag
 
     accumulator: Dict[Tuple[Tuple[Vertex, ...], Tuple[Edge, ...], str], RegValue] = {}
     for vertex in vertex_set:
-        if order is not None and vertex.order_in_eps != order:
+        if vertex.order_in_eps != order:
             continue
         prefactor = RegValue.rational(-vertex.coefficient) * RegValue.delta0(
             vertex.delta0_power
         )
         _contract(accumulator, (vertex,), prefactor, connected_only=False)
-    if order is None or order == 2:
+    if order == 2:
         first_order = [v for v in vertex_set if v.order_in_eps == 1]
         for i, left in enumerate(first_order):
             for right in first_order[i:]:

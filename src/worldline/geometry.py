@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .diagrams import Vertex
 from .values import RegValue
@@ -41,11 +41,8 @@ class NormalCoords:
     """Curved target in normal coordinates around the expansion point.
 
     The metric expansion is organized through quartic order in the
-    fluctuation; results are polynomial in the curvature labels, so the
-    dimension is informational only.
+    fluctuation; results are polynomial in the curvature labels.
     """
-
-    dimension: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,6 @@ def _flat_vertices(model: FlatTransform, max_order: int) -> List[Vertex]:
             qdot_power=2,
             delta0_power=0,
             coefficient=g[2] / 2,
-            tensor_label="one",
         ),
         Vertex(
             name="logdet_quadratic",
@@ -123,7 +119,6 @@ def _flat_vertices(model: FlatTransform, max_order: int) -> List[Vertex]:
             qdot_power=0,
             delta0_power=1,
             coefficient=-log_g[2] / 2,
-            tensor_label="one",
         ),
     ]
     if max_order == 2:
@@ -135,7 +130,6 @@ def _flat_vertices(model: FlatTransform, max_order: int) -> List[Vertex]:
                 qdot_power=2,
                 delta0_power=0,
                 coefficient=g[4] / 2,
-                tensor_label="one",
             ),
             Vertex(
                 name="logdet_quartic",
@@ -144,7 +138,6 @@ def _flat_vertices(model: FlatTransform, max_order: int) -> List[Vertex]:
                 qdot_power=0,
                 delta0_power=1,
                 coefficient=-log_g[4] / 2,
-                tensor_label="one",
             ),
         ]
     return listing
@@ -163,7 +156,6 @@ def _normal_vertices(max_order: int) -> List[Vertex]:
             qdot_power=2,
             delta0_power=0,
             coefficient=Fraction(-1, 6),
-            tensor_label="riemann",
             tensors=("riem",),
             q_slots=(1, 3),
             qdot_slots=(0, 2),
@@ -175,7 +167,6 @@ def _normal_vertices(max_order: int) -> List[Vertex]:
             qdot_power=0,
             delta0_power=1,
             coefficient=Fraction(-1, 6),
-            tensor_label="ricci",
             tensors=("ric",),
             q_slots=(0, 1),
         ),
@@ -189,7 +180,6 @@ def _normal_vertices(max_order: int) -> List[Vertex]:
                 qdot_power=2,
                 delta0_power=0,
                 coefficient=Fraction(1, 45),
-                tensor_label="riemann_riemann",
                 tensors=("riem", "riem"),
                 q_slots=(0, 2, 4, 6),
                 qdot_slots=(1, 5),
@@ -202,7 +192,6 @@ def _normal_vertices(max_order: int) -> List[Vertex]:
                 qdot_power=0,
                 delta0_power=1,
                 coefficient=Fraction(1, 180),
-                tensor_label="riemann_riemann",
                 tensors=("riem", "riem"),
                 q_slots=(0, 2, 4, 6),
                 internal=((3, 5), (1, 7)),

@@ -1,6 +1,6 @@
 """Products of propagator factors with their singular content made explicit.
 
-An ``IntegrandTerm`` is  coefficient * poly(tau_1..tau_n) * product of atoms,
+An ``IntegrandTerm`` is  delta0**k * poly(tau_1..tau_n) * product of atoms,
 where each atom is a power of eps(tau_i - tau_j) or delta(tau_i - tau_j).
 Products of the four propagator kinds expand into sums of such terms; the
 text grammar accepted by :func:`parse` writes them the way they are tabled,
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import Poly
-from .propagators import Kind, eps_coefficient, has_delta, smooth_part
+from .propagators import Kind, diagonal, eps_coefficient, has_delta, smooth_part
 from .values import RegValue
 
 # ---------------------------------------------------------------------------
@@ -43,49 +43,67 @@ class SingularAtom:
 
 @dataclass(frozen=True)
 class IntegrandTerm:
-    coefficient: RegValue
+    """delta0 to the power ``delta0``, times ``poly``, times the atoms.
+
+    Beta and the rationals live in ``poly``.  The atoms are stored merged
+    and sorted, because delta collapse depends on their order.
+    """
+
+    delta0: int
     nvars: int
     poly: Poly
     atoms: tuple[SingularAtom, ...]
 
     def __post_init__(self) -> None:
+        if self.delta0 < 0:
+            raise ValueError("delta0 power must be non-negative")
         if self.poly.nvars != self.nvars:
             raise ValueError("polynomial variable count does not match nvars")
         for atom in self.atoms:
             if atom.j >= self.nvars:
                 raise ValueError("atom refers to a variable outside the term")
+        object.__setattr__(self, "atoms", _merge_atoms(self.atoms))
 
 
-def expand_factor(
-    kind: Kind, i: int, j: int, nvars: int
-) -> list[tuple[RegValue, Poly, tuple[SingularAtom, ...]]]:
-    """One propagator factor as a sum of (coefficient, poly, atoms) pieces.
+_Piece = tuple[int, Poly, tuple[SingularAtom, ...]]
+
+
+def _grade_pieces(
+    value: RegValue, nvars: int, atoms: tuple[SingularAtom, ...] = ()
+) -> list[_Piece]:
+    """A ring value times ``atoms``, one constant-polynomial piece per delta0 grade."""
+    grades: dict[int, Poly] = {}
+    for (beta_pow, delta0_pow), coeff in value.items():
+        const = Poly.const(nvars, coeff, beta_pow)
+        grades[delta0_pow] = grades[delta0_pow] + const if delta0_pow in grades else const
+    return [(k, poly, atoms) for k, poly in grades.items()]
+
+
+def expand_factor(kind: Kind, i: int, j: int, nvars: int) -> list[_Piece]:
+    """One propagator factor as a sum of (delta0 power, poly, atoms) pieces.
 
     Equal arguments use the diagonal values directly, with DD(i,i) becoming
     the formal substitute delta0 - 1/beta.
     """
-    from .propagators import diagonal
-
-    one = RegValue.one()
     if i == j:
         diag = diagonal(kind)
         if isinstance(diag, RegValue):
-            return [(diag, Poly.const(nvars, 1), ())]
-        return [(one, diag.remap((i,), nvars), ())]
+            return _grade_pieces(diag, nvars)
+        return [(0, diag.remap((i,), nvars), ())]
 
     lo, hi = (i, j) if i < j else (j, i)
     flip = i > j  # eps(tau_i - tau_j) = -eps(tau_lo - tau_hi) when i > j
-    out: list[tuple[RegValue, Poly, tuple[SingularAtom, ...]]] = []
+    out: list[_Piece] = []
     smooth = smooth_part(kind).remap((i, j), nvars)
     if smooth:
-        out.append((one, smooth, ()))
+        out.append((0, smooth, ()))
     eps_poly = eps_coefficient(kind).remap((i, j), nvars)
     if eps_poly:
         if flip:
             eps_poly = -eps_poly
-        out.append((one, eps_poly, (SingularAtom("eps", lo, hi),)))
+        out.append((0, eps_poly, (SingularAtom("eps", lo, hi),)))
     if has_delta(kind):
-        out.append((one, Poly.const(nvars, 1), (SingularAtom("delta", lo, hi),)))
+        out.append((0, Poly.const(nvars, 1), (SingularAtom("delta", lo, hi),)))
     return out
 
 
@@ -95,29 +113,23 @@ def product(
     coefficient: RegValue | int | Fraction = 1,
     extra_atoms: tuple[SingularAtom, ...] = (),
 ) -> list[IntegrandTerm]:
-    """Expand a product of propagator factors into integrand terms.
+    """Expand a product of propagator factors into canonical integrand terms.
 
-    ``extra_atoms`` join the expansion before canonicalization; this matters
+    ``extra_atoms`` join the expansion before the atoms merge; this matters
     because an even eps power may only be simplified away when no delta on
     the same pair is present.
     """
     if not isinstance(coefficient, RegValue):
         coefficient = RegValue.rational(coefficient)
-    pieces: list[tuple[RegValue, Poly, tuple[SingularAtom, ...]]] = [
-        (coefficient, Poly.const(nvars, 1), extra_atoms)
-    ]
+    pieces = _grade_pieces(coefficient, nvars, extra_atoms)
     for kind, i, j in factors:
         expanded = expand_factor(kind, i, j, nvars)
         pieces = [
-            (c1 * c2, p1 * p2, a1 + a2)
-            for (c1, p1, a1) in pieces
-            for (c2, p2, a2) in expanded
+            (k1 + k2, p1 * p2, a1 + a2)
+            for (k1, p1, a1) in pieces
+            for (k2, p2, a2) in expanded
         ]
-    terms = [
-        IntegrandTerm(coefficient=c, nvars=nvars, poly=p, atoms=a)
-        for (c, p, a) in pieces
-    ]
-    return canonicalize(terms)
+    return canonicalize([IntegrandTerm(k, nvars, p, a) for (k, p, a) in pieces])
 
 
 # ---------------------------------------------------------------------------
@@ -144,42 +156,16 @@ def _merge_atoms(atoms: tuple[SingularAtom, ...]) -> tuple[SingularAtom, ...]:
 
 
 def canonicalize(terms: list[IntegrandTerm]) -> list[IntegrandTerm]:
-    """Merge atom powers, split delta0 grades, and combine like terms.
-
-    The canonical form carries all beta-rational content in the polynomial
-    and keeps only a pure delta0 power in the coefficient, so terms with the
-    same atoms and delta0 grade combine by adding polynomials.
-    """
+    """Combine terms with the same atoms and delta0 grade by adding polynomials."""
     buckets: dict[tuple[int, int, tuple[SingularAtom, ...]], Poly] = {}
     for term in terms:
-        atoms = _merge_atoms(term.atoms)
-        for (beta_pow, delta0_pow), coeff in term.coefficient.items():
-            if beta_pow == 0 and coeff == 1:
-                scaled = term.poly
-            else:
-                scaled = term.poly * Poly.monomial(
-                    term.nvars, coeff, beta_pow, (0,) * term.nvars
-                )
-            key = (term.nvars, delta0_pow, atoms)
-            if key in buckets:
-                buckets[key] = buckets[key] + scaled
-            else:
-                buckets[key] = scaled
-    out: list[IntegrandTerm] = []
-    for (nvars, delta0_pow, atoms), poly in sorted(
-        buckets.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-    ):
-        if poly.is_zero():
-            continue
-        out.append(
-            IntegrandTerm(
-                coefficient=RegValue.delta0(delta0_pow) if delta0_pow else RegValue.one(),
-                nvars=nvars,
-                poly=poly,
-                atoms=atoms,
-            )
-        )
-    return out
+        key = (term.nvars, term.delta0, term.atoms)
+        buckets[key] = buckets[key] + term.poly if key in buckets else term.poly
+    return [
+        IntegrandTerm(delta0, nvars, poly, atoms)
+        for (nvars, delta0, atoms), poly in sorted(buckets.items())
+        if not poly.is_zero()
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .integrands import (
     IntegrandTerm,
     SingularAtom,
     _merge_atoms,
-    canonicalize,
     named_integral_text,
     product,
     terms_from_text,
@@ -209,7 +208,7 @@ def integrate_term(
 
     touched = {v for atom in atoms for v in (atom.i, atom.j)}
     touched.update(root[v] for v in range(nvars) if term.poly.depends_on(v))
-    value = term.coefficient * RegValue.delta0(delta0) * rational
+    value = RegValue.term(rational, 0, term.delta0 + delta0)
     kept: list[int] = []
     for s in sorted(set(root)):
         if s in touched:
@@ -244,7 +243,7 @@ def integrate(
         return RegValue.zero()  # a zero weight makes every term vanish, deltas or not
     powers: dict[int, tuple[Poly, RegValue]] = {}
     total = RegValue.zero()
-    for term in canonicalize(list(terms)):
+    for term in terms:
         total = total + integrate_term(term, rules, notes, weight, powers)
     return total
 

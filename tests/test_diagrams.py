@@ -422,7 +422,6 @@ def test_vertex_validation():
             qdot_power=0,
             delta0_power=0,
             coefficient=Fraction(1),
-            tensor_label="one",
         )
     with pytest.raises(ValueError):
         Vertex(
@@ -432,7 +431,6 @@ def test_vertex_validation():
             qdot_power=0,
             delta0_power=0,
             coefficient=Fraction(1),
-            tensor_label="riemann",
             tensors=("riem",),
             q_slots=(0,),
         )

@@ -39,7 +39,7 @@ def test_expand_equal_time_double_dot():
     total = RegValue.zero()
     for term in terms:
         assert term.atoms == ()
-        total = total + term.coefficient * term.poly.integrate_cube()
+        total = total + RegValue.delta0(term.delta0) * term.poly.integrate_cube()
     # integral of delta0 - 1/beta over [0, beta]
     assert total == RegValue.delta0() * RegValue.beta(1) - RegValue.one()
 
@@ -96,8 +96,19 @@ def test_canonicalize_merges_like_terms():
 def test_canonicalize_moves_beta_content_to_poly():
     term_list = product([(Kind.D, 0, 1)], 2, coefficient=RegValue.beta(2, 3))
     for term in term_list:
-        assert term.coefficient == RegValue.one()
+        assert term.delta0 == 0
 
+
+
+def test_product_scales_the_polys_by_a_ring_coefficient():
+    # 3*beta^2 - delta0: the beta part scales the polys of grade 0, the
+    # delta0 part becomes grade 1 with the polys negated.
+    plain = product([(Kind.D, 0, 1)], 2)
+    scaled = product([(Kind.D, 0, 1)], 2, RegValue.beta(2, 3) - RegValue.delta0())
+    factor = Poly.const(2, 3, 2)
+    assert [(t.delta0, t.poly, t.atoms) for t in scaled] == [
+        (0, t.poly * factor, t.atoms) for t in plain
+    ] + [(1, -t.poly, t.atoms) for t in plain]
 
 def test_parse_simple_product():
     parsed = parse("Dl(1,2)*Dr(1,2)*DD(1,2)")

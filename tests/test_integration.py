@@ -182,7 +182,7 @@ def integrate_dense(terms, rules, weight):
                 for (b, e), c in weight.terms().items()
             }
             full = full * Poly(n, embedded)
-        dense.append(IntegrandTerm(term.coefficient, n, term.poly * full, term.atoms))
+        dense.append(IntegrandTerm(term.delta0, n, term.poly * full, term.atoms))
     return integrate(dense, rules)
 
 
@@ -315,7 +315,7 @@ def _reference_collapse_once(term, rules):
         s, renamed = _reference_renumber(atom, removed=j, target=i)
         factor *= s
         atoms.append(renamed)
-    rest = IntegrandTerm(term.coefficient, term.nvars - 1, poly, tuple(sorted(atoms)))
+    rest = IntegrandTerm(term.delta0, term.nvars - 1, poly, tuple(sorted(atoms)))
     return factor, extra_delta0, (i, j), rest
 
 
@@ -339,7 +339,7 @@ def reference_integrate_term(term, rules, weight=None):
             for _ in range(multiplicity[v]):
                 power = power * weight
             poly = poly * power.remap((v,), n)
-    return factor * term.coefficient * _integrate_regular(poly, term.atoms)
+    return factor * RegValue.delta0(term.delta0) * _integrate_regular(poly, term.atoms)
 
 
 PROBE = RuleSet("probe", value_eps2_delta=Fraction(1, 3), value_eps_delta=Fraction(1, 5))
@@ -388,7 +388,7 @@ def delta_terms(draw):
         i, j = edges[draw(st.integers(0, len(edges) - 1))]
         difference = Poly.monomial(n, 1, 0, [int(v == i) for v in range(n)])
         poly = poly * (difference - Poly.monomial(n, 1, 0, [int(v == j) for v in range(n)]))
-    return IntegrandTerm(RegValue.one(), n, poly, tuple(atoms))
+    return IntegrandTerm(0, n, poly, tuple(atoms))
 
 
 @st.composite
@@ -427,7 +427,7 @@ def test_chain_eps_merge_order_under_modereg():
 
     def value(*eps):
         atoms = chain + tuple(SingularAtom("eps", i, j) for i, j in eps)
-        return integrate([IntegrandTerm(RegValue.one(), 3, one, atoms)], MODEREG)
+        return integrate([IntegrandTerm(0, 3, one, atoms)], MODEREG)
 
     assert value((0, 1), (1, 2)) == RegValue.zero()
     assert value((0, 2), (1, 2)) == beta(1, "1/3")
@@ -438,5 +438,33 @@ def test_collapse_flips_an_eps_that_changes_order():
     # eps(t2 - t1) = -eps(t1 - t2), and int int t1 eps(t2 - t1) = -beta^3/6.
     atoms = (SingularAtom("delta", 0, 2), SingularAtom("eps", 1, 2))
     t1 = Poly.monomial(3, 1, 0, (1, 0, 0))
-    value = integrate([IntegrandTerm(RegValue.one(), 3, t1, atoms)], DIMREG)
+    value = integrate([IntegrandTerm(0, 3, t1, atoms)], DIMREG)
     assert value == beta(3, "-1/6")
+
+
+# -- the term invariant: merged atoms and a non-negative delta0 grade --------
+
+
+def test_repeated_delta_atoms_merge_into_a_square():
+    # delta(1,2) delta(1,2) is delta(1,2)**2: one delta0 and a plain collapse.
+    atoms = (SingularAtom("delta", 0, 1), SingularAtom("delta", 0, 1))
+    value = integrate([IntegrandTerm(0, 2, Poly.const(2, 1), atoms)], DIMREG)
+    assert value == RegValue.term(1, 1, 1)
+
+
+def test_unsorted_chain_atoms_collapse_in_canonical_order():
+    # The ModeReg chain of test_chain_eps_merge_order_under_modereg, given
+    # with its atoms out of order: the loose end (1,2) still collapses first.
+    atoms = (
+        SingularAtom("eps", 1, 2),
+        SingularAtom("eps", 0, 2),
+        SingularAtom("delta", 1, 2),
+        SingularAtom("delta", 0, 1),
+    )
+    value = integrate([IntegrandTerm(0, 3, Poly.const(3, 1), atoms)], MODEREG)
+    assert value == beta(1, "1/3")
+
+
+def test_integrand_term_rejects_a_negative_delta0_power():
+    with pytest.raises(ValueError, match="delta0"):
+        IntegrandTerm(-1, 1, Poly.const(1, 1), ())

@@ -214,3 +214,14 @@ def test_parameter_dependence_matches_rule_value():
     # e = 1/3: the single place the regularization choice enters.
     gap = evaluate_named("I14", MODEREG) - evaluate_named("I14", DIMREG)
     assert gap == beta(1, Fraction(1, 3) / 8)
+
+
+@pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda r: r.name)
+def test_move_search_falls_back_to_a_later_candidate(rules):
+    # Pins current behaviour: this product reduces only because the move
+    # search backtracks past its first partial-integration candidate; a
+    # search that stops after the first candidate raises ReductionError.
+    # There is no independent oracle, because the direct integral is the
+    # naive route.
+    value = reduce_terms("Dl(1,1)*Dr(1,2)*DD(1,3)*DD(2,3)", rules)
+    assert value == beta(1, "1/6")
