@@ -93,6 +93,11 @@ def _finish(
     )
 
 
+def _error(name: str, tolerance: Union[str, float], detail: str) -> CheckReport:
+    """A check that could not run, with the one-line reason."""
+    return CheckReport(name, "error", {}, {}, tolerance, (detail,))
+
+
 # ---------------------------------------------------------------------------
 # flat cancellation
 # ---------------------------------------------------------------------------
@@ -362,19 +367,14 @@ def sphere_spectral_check(
         if not (math.isfinite(tolerance) and tolerance > 0):
             raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
     except (ValueError, ZeroDivisionError, TypeError) as error:
-        return CheckReport(name, "error", {}, {}, tolerance, (str(error),))
+        return _error(name, tolerance, str(error))
     bound = _truncation_bound(radius, beta)
     if l_max < bound:
-        return CheckReport(
+        return _error(
             name,
-            "error",
-            {},
-            {},
             tolerance,
-            (
-                f"l_max {l_max} is below the truncation bound {bound} "
-                f"for beta {beta} and radius {radius}",
-            ),
+            f"l_max {l_max} is below the truncation bound {bound} "
+            f"for beta {beta} and radius {radius}",
         )
     try:
         deviation, normalized, reference = _spectral_deviation_float(
@@ -387,8 +387,7 @@ def sphere_spectral_check(
             )
             precision_note = "recomputed at 50 digits"
     except ArithmeticError as error:
-        detail = _arithmetic_detail(dimension, error)
-        return CheckReport(name, "error", {}, {}, tolerance, (detail,))
+        return _error(name, tolerance, _arithmetic_detail(dimension, error))
     expected = {"relative_deviation": f"<= {tolerance:.1e}"}
     actual = {
         "relative_deviation": f"{deviation:.3e}",
@@ -435,17 +434,14 @@ def sphere_scaling_check(
         if sorted(beta_values, reverse=True) != beta_values:
             raise ValueError("beta values must be strictly decreasing")
     except (ValueError, ZeroDivisionError, TypeError) as error:
-        return CheckReport(name, "error", {}, {}, str(band), (str(error),))
+        return _error(name, str(band), str(error))
     for beta in beta_values:
         bound = _truncation_bound(radius, beta)
         if l_max < bound:
-            return CheckReport(
+            return _error(
                 name,
-                "error",
-                {},
-                {},
                 str(band),
-                (f"l_max {l_max} is below the truncation bound {bound} for beta {beta}",),
+                f"l_max {l_max} is below the truncation bound {bound} for beta {beta}",
             )
     try:
         deviations = [
@@ -453,20 +449,14 @@ def sphere_scaling_check(
             for beta in beta_values
         ]
     except ArithmeticError as error:
-        detail = _arithmetic_detail(dimension, error)
-        return CheckReport(name, "error", {}, {}, str(band), (detail,))
+        return _error(name, str(band), _arithmetic_detail(dimension, error))
     for beta, deviation in zip(beta_values, deviations):
         if deviation == 0:
-            return CheckReport(
+            return _error(
                 name,
-                "error",
-                {},
-                {},
                 str(band),
-                (
-                    f"the deviation at beta {beta} is 0 at double precision, "
-                    "so the scaling ratio is undefined",
-                ),
+                f"the deviation at beta {beta} is 0 at double precision, "
+                "so the scaling ratio is undefined",
             )
     expected: Dict[str, str] = {}
     actual: Dict[str, str] = {}

@@ -185,11 +185,7 @@ def _run_measure_cancel(args: argparse.Namespace) -> int:
     if args.profile is None:
         profiles = list(PROFILES.values())
     else:
-        try:
-            profiles = [resolve_profile(args.profile)]
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
+        profiles = [resolve_profile(args.profile)]
     reports = [
         measure_cancellation(profile, max_order=args.max_order)
         for profile in profiles

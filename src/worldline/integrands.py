@@ -177,7 +177,7 @@ _KINDS = {"D": Kind.D, "Dl": Kind.DOT_LEFT, "Dr": Kind.DOT_RIGHT, "DD": Kind.DOT
 _TOKEN = re.compile(
     r"\s*(?:(?P<prop>DD|Dl|Dr|D)\((?P<i>\d+),(?P<j>\d+)\)"
     r"|(?P<d0>d0)(?:\^(?P<d0pow>\d+))?"
-    r"|(?P<rat>\d+(?:/\d+)?)"
+    r"|(?P<rat>\d+(?:/\d*[1-9]\d*)?)"
     r"|(?P<op>[+*-]))"
 )
 

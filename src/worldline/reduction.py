@@ -165,10 +165,7 @@ def _used_labels(term: TTerm) -> set[str]:
 
 def _next_label(term: TTerm) -> str:
     used = _used_labels(term)
-    for label in _fresh_labels():
-        if label not in used:
-            return label
-    raise AssertionError("unreachable")
+    return next(label for label in _fresh_labels() if label not in used)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +218,28 @@ def _with_label(prop: TProp, side: int, label: str) -> TProp | None:
     return out
 
 
+def _product_rule(
+    props: tuple[TProp, ...], var: int, label: str, refusal: str, skip: int | None = None
+) -> list[tuple[TProp, ...]]:
+    """Every props tuple with ``label`` added to one end at ``var``.
+
+    Factor ``skip`` is left alone.  An end that cannot take the label makes
+    the whole rule illegal; ``refusal`` names that factor via ``{}``.
+    """
+    out: list[tuple[TProp, ...]] = []
+    for idx, prop in enumerate(props):
+        if idx == skip:
+            continue
+        for side, arg in ((0, prop.i), (1, prop.j)):
+            if arg != var:
+                continue
+            grown = _with_label(prop, side, label)
+            if grown is None:
+                raise ReductionError("no legal reduction: " + refusal.format(prop.describe()))
+            out.append(props[:idx] + (grown,) + props[idx + 1 :])
+    return out
+
+
 def _boundary_is_zero(term: TTerm, var: int) -> bool:
     """True when every endpoint evaluation of the product vanishes.
 
@@ -248,7 +267,9 @@ def partial_integration(term: TTerm, index: int, side: int) -> list[TTerm]:
     Returns the product-rule terms.  The endpoint terms must vanish: chains
     whose boundary contributions survive are outside the move table and are
     rejected (the straight one-dimensional evaluations handle their own
-    boundary terms separately).
+    boundary terms separately).  With nothing left to differentiate the
+    integrand was a total derivative with zero boundary terms, so the list
+    is empty: the whole term vanishes.
     """
     source = term.props[index]
     labels = source.left if side == 0 else source.right
@@ -271,33 +292,10 @@ def partial_integration(term: TTerm, index: int, side: int) -> list[TTerm]:
             "no legal reduction: a partial integration in variable "
             f"{var + 1} leaves a nonzero endpoint term"
         )
-    out: list[TTerm] = []
-    for t_idx, prop in enumerate(reduced.props):
-        if t_idx == index:
-            continue
-        for t_side, arg in ((0, prop.i), (1, prop.j)):
-            if arg != var:
-                continue
-            grown = _with_label(prop, t_side, label)
-            if grown is None:
-                raise ReductionError(
-                    "no legal reduction: partial integration would pile a "
-                    f"third derivative onto {prop.describe()}"
-                )
-            props = list(reduced.props)
-            props[t_idx] = grown
-            out.append(
-                replace(
-                    reduced,
-                    coefficient=reduced.coefficient * Fraction(-1),
-                    props=tuple(props),
-                )
-            )
-    if not out:
-        # d/dtau of nothing: the integrand was a total derivative with zero
-        # boundary terms, so the whole term vanishes.
-        return []
-    return out
+    refusal = "partial integration would pile a third derivative onto {}"
+    grown = _product_rule(reduced.props, var, label, refusal, skip=index)
+    negated = term.coefficient * Fraction(-1)
+    return [replace(reduced, coefficient=negated, props=props) for props in grown]
 
 
 def divergence_split(term: TTerm, first: int, second: int) -> list[TTerm]:
@@ -319,52 +317,22 @@ def divergence_split(term: TTerm, first: int, second: int) -> list[TTerm]:
     mu = a.left[0]
     nu = a.right[0]
     rest = tuple(p for idx, p in enumerate(term.props) if idx not in (first, second))
+    refusal = "the split cannot differentiate {} again"
+    mu_side = _product_rule(rest, i, mu, refusal)
+    nu_side = _product_rule(rest, j, nu, refusal)
 
-    out: list[TTerm] = [
-        replace(
-            term,
-            props=rest,
-            deltas=term.deltas + (TDelta(i, j), TDelta(i, j)),
-        )
-    ]
     plain_nu = TProp(i, j, (), (nu,))
-    for g_idx, g in enumerate(rest):
-        for g_side, arg in ((0, g.i), (1, g.j)):
-            if arg != i:
-                continue
-            grown = _with_label(g, g_side, mu)
-            if grown is None:
-                raise ReductionError(
-                    "no legal reduction: the split cannot differentiate "
-                    f"{g.describe()} again"
-                )
-            props = list(rest)
-            props[g_idx] = grown
-            out.append(
-                replace(
-                    term,
-                    coefficient=term.coefficient * Fraction(-1),
-                    props=tuple(props) + (plain_nu, a),
-                )
-            )
     lap_label = _next_label(term)
     laplacian = TProp(i, j, (), (lap_label, lap_label))
-    for g_idx, g in enumerate(rest):
-        for g_side, arg in ((0, g.i), (1, g.j)):
-            if arg != j:
-                continue
-            grown = _with_label(g, g_side, nu)
-            if grown is None:
-                raise ReductionError(
-                    "no legal reduction: the split cannot differentiate "
-                    f"{g.describe()} again"
-                )
-            props = list(rest)
-            props[g_idx] = grown
-            out.append(
-                replace(term, props=tuple(props) + (plain_nu, laplacian))
-            )
-    return out
+    negated = term.coefficient * Fraction(-1)
+    return (
+        [replace(term, props=rest, deltas=term.deltas + (TDelta(i, j), TDelta(i, j)))]
+        + [replace(term, coefficient=negated, props=props + (plain_nu, a)) for props in mu_side]
+        + [replace(term, props=props + (plain_nu, laplacian)) for props in nu_side]
+    )
+
+
+_ONE_D_KINDS = {"None": Kind.D, "SingleLeft": Kind.DOT_LEFT, "SingleRight": Kind.DOT_RIGHT}
 
 
 def return_to_1d(term: TTerm) -> list[IntegrandTerm]:
@@ -378,18 +346,12 @@ def return_to_1d(term: TTerm) -> list[IntegrandTerm]:
                 f"mixed-derivative factor {prop.describe()} (tag MuNu) "
                 "remains; it has no one-dimensional value"
             )
-        if t in ("MuMuEqualTime", "Laplacian", "Unknown"):
+        if t not in _ONE_D_KINDS:
             raise ReductionError(
                 f"no legal reduction: ReturnTo1D cannot map {prop.describe()} "
                 f"(tag {t})"
             )
-        nl, nr = len(prop.left), len(prop.right)
-        if (nl, nr) == (0, 0):
-            factors.append((Kind.D, prop.i, prop.j))
-        elif (nl, nr) == (1, 0):
-            factors.append((Kind.DOT_LEFT, prop.i, prop.j))
-        else:
-            factors.append((Kind.DOT_RIGHT, prop.i, prop.j))
+        factors.append((_ONE_D_KINDS[t], prop.i, prop.j))
     extra = tuple(
         SingularAtom("delta", min(d.i, d.j), max(d.i, d.j)) for d in term.deltas
     )
@@ -404,8 +366,9 @@ def return_to_1d(term: TTerm) -> list[IntegrandTerm]:
 def _signature(term: TTerm) -> tuple:
     """Canonical structure key, invariant under label renaming."""
     labels = sorted(_used_labels(term))
-    best = None
-    for perm in itertools.permutations(range(len(labels))):
+    deltas = tuple(sorted((d.i, d.j) for d in term.deltas))
+
+    def key(perm: tuple[int, ...]) -> tuple:
         mapping = {lab: f"c{perm[pos]}" for pos, lab in enumerate(labels)}
         props = tuple(
             sorted(
@@ -413,10 +376,10 @@ def _signature(term: TTerm) -> tuple:
                 for p in term.props
             )
         )
-        key = (term.nvars, props, tuple(sorted((d.i, d.j) for d in term.deltas)))
-        if best is None or key < best:
-            best = key
-    return best if best is not None else (term.nvars, (), ())
+        return (term.nvars, props, deltas)
+
+    # permutations(range(0)) yields one empty permutation, so min has input.
+    return min(map(key, itertools.permutations(range(len(labels)))))
 
 
 def _ratio(num: RegValue, den: RegValue) -> Fraction | None:
@@ -467,26 +430,26 @@ class Reducer:
         if term.coefficient.is_zero():
             return RegValue.zero()
 
-        for idx, prop in enumerate(term.props):
-            if tag(prop) == "MuMuEqualTime":
-                self._record(
-                    "EqualTimeSubstitute", factor=prop.describe(), tag="MuMuEqualTime"
-                )
-                return self._resolve(equal_time_substitute(term, idx), depth)
+        tags = [tag(prop) for prop in term.props]
+        # Moves that apply whenever their tag is present, in this order.  The
+        # table is built per call, so a wrapper installed on the module is seen.
+        for forced, move, name in (
+            ("MuMuEqualTime", equal_time_substitute, "EqualTimeSubstitute"),
+            ("Laplacian", field_equation, "FieldEquation"),
+        ):
+            if forced in tags:
+                idx = tags.index(forced)
+                self._record(name, factor=term.props[idx].describe(), tag=forced)
+                return self._resolve(move(term, idx), depth)
 
-        for idx, prop in enumerate(term.props):
-            if tag(prop) == "Laplacian":
-                self._record("FieldEquation", factor=prop.describe(), tag="Laplacian")
-                return self._resolve(field_equation(term, idx), depth)
+        if "Unknown" in tags:
+            prop = term.props[tags.index("Unknown")]
+            raise ReductionError(
+                f"no legal reduction: factor {prop.describe()} is outside "
+                "the move table"
+            )
 
-        for idx, prop in enumerate(term.props):
-            if tag(prop) == "Unknown":
-                raise ReductionError(
-                    f"no legal reduction: factor {prop.describe()} is outside "
-                    "the move table"
-                )
-
-        munu = [idx for idx, prop in enumerate(term.props) if tag(prop) == "MuNu"]
+        munu = [idx for idx, t in enumerate(tags) if t == "MuNu"]
         if not munu:
             self._record(
                 "ReturnTo1D",
@@ -514,9 +477,18 @@ class Reducer:
                 "no legal reduction: move search exceeded its depth budget"
             )
 
+        # Prefer moving the derivative of a mixed factor itself: that is the
+        # move that shortens every tabled chain.
+        candidates = sorted(
+            (var, t != "MuNu", idx, side)
+            for idx, (prop, t) in enumerate(zip(term.props, tags))
+            for side, labels, var in ((0, prop.left, prop.i), (1, prop.right, prop.j))
+            if len(labels) == 1
+        )
         base_sig = _signature(term)
         failures: list[str] = []
-        for idx, side, prop in self._pi_candidates(term):
+        for var, _, idx, side in candidates:
+            prop = term.props[idx]
             try:
                 pieces = partial_integration(term, idx, side)
             except ReductionError as err:
@@ -527,7 +499,7 @@ class Reducer:
                 "PartialIntegration",
                 factor=prop.describe(),
                 side="left" if side == 0 else "right",
-                variable=(prop.i if side == 0 else prop.j) + 1,
+                variable=var + 1,
             )
             try:
                 ratio_sum = Fraction(0)
@@ -563,19 +535,6 @@ class Reducer:
             "no legal reduction: every candidate move failed; tried "
             f"{len(failures)}: " + "; ".join(sorted(set(failures))[:3])
         )
-
-    def _pi_candidates(self, term: TTerm):
-        order = []
-        for idx, prop in enumerate(term.props):
-            for side, labels in ((0, prop.left), (1, prop.right)):
-                if len(labels) == 1:
-                    var = prop.i if side == 0 else prop.j
-                    order.append((var, tag(prop) != "MuNu", idx, side, prop))
-        # Prefer moving the derivative of a mixed factor itself: that is the
-        # move that shortens every tabled chain.
-        order.sort(key=lambda entry: (entry[0], entry[1], entry[2], entry[3]))
-        for _, _, idx, side, prop in order:
-            yield idx, side, prop
 
 
 # ---------------------------------------------------------------------------

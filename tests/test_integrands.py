@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from worldline.integrands import (
     FINITE_ALIASES,
@@ -16,8 +17,10 @@ from worldline.integrands import (
     product,
     terms_from_text,
 )
+from worldline.integration import integrate_text
 from worldline.polynomials import Poly
 from worldline.propagators import Kind
+from worldline.reduction import reduce_terms
 from worldline.values import RegValue
 
 
@@ -129,6 +132,8 @@ def test_parse_signs_and_rationals():
     assert parsed[0].coefficient == RegValue.rational(Fraction(-3, 2))
     assert parsed[1].coefficient == RegValue.delta0(2)
     assert parsed[2].coefficient == -RegValue.delta0()
+    assert parse("3/05*D(1,2)")[0].coefficient == RegValue.rational(Fraction(3, 5))
+    assert parse("0/7*D(1,2)")[0].coefficient == RegValue.zero()
 
 
 def test_parse_remaps_variables_per_summand():
@@ -142,6 +147,35 @@ def test_parse_rejects_garbage():
         parse("Dq(1,2)")
     with pytest.raises(ValueError):
         parse("D(1,2) *")
+
+
+@pytest.mark.parametrize("route", [parse, reduce_terms, integrate_text], ids=lambda f: f.__name__)
+def test_zero_denominator_is_a_parse_error(route):
+    # A zero denominator is not a rational token, so the text stops parsing
+    # at the slash instead of dividing by zero.
+    with pytest.raises(ValueError, match=r"^cannot parse integrand text at: '/0\*D\(1,2\)'$"):
+        route("1/0*D(1,2)")
+
+
+_GRAMMAR_ALPHABET = ["D", "Dl", "Dr", "DD", "d0", "^", "(", ")", ",", "/", "+", "-", "*", " "]
+_NUMBER = st.integers(0, 12).map(str)
+# Whole rationals and factors as well as loose symbols, so that drawn text
+# often gets past its first token and reaches the later ones.
+_RATIONAL = st.builds("{}/{}".format, _NUMBER, _NUMBER)
+_FACTOR = st.builds(
+    "{}({},{})".format, st.sampled_from(["D", "Dl", "Dr", "DD"]), _NUMBER, _NUMBER
+)
+_PIECE = st.one_of(st.sampled_from(_GRAMMAR_ALPHABET), _NUMBER, _RATIONAL, _FACTOR)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_PIECE, max_size=24))
+def test_parse_returns_or_raises_value_error(pieces):
+    # Only ValueError subclasses may escape the library, whatever the text.
+    try:
+        parse("".join(pieces))
+    except ValueError:
+        pass
 
 
 def test_named_registry_contents():

@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from worldline.integrands import parse
+from worldline.integrands import ParsedProduct, parse
 from worldline.integration import DIMREG, MODEREG
+from worldline.propagators import Kind
 from worldline.reduction import (
+    Reducer,
     ReductionError,
     TProp,
+    TTerm,
+    divergence_split,
+    equal_time_substitute,
     evaluate_named,
+    field_equation,
     forbidden_one_dimensional_return,
     lift,
+    partial_integration,
     reduce_terms,
     return_to_1d,
     tag,
@@ -225,3 +233,126 @@ def test_move_search_falls_back_to_a_later_candidate(rules):
     # naive route.
     value = reduce_terms("Dl(1,1)*Dr(1,2)*DD(1,3)*DD(2,3)", rules)
     assert value == beta(1, "1/6")
+
+
+# -- refusals of the public moves ----------------------------------------------
+
+MU_NU = TProp(0, 1, ("mu",), ("nu",))
+
+
+def lifted(*props):
+    return TTerm(RegValue.one(), 2, props, ())
+
+
+@pytest.mark.parametrize(
+    "move,args,message",
+    [
+        (
+            partial_integration,
+            (lifted(TProp(0, 1, (), ())), 0, 0),
+            "PartialIntegration needs a single derivative on the chosen side of []D[](1,2)",
+        ),
+        (
+            partial_integration,
+            (lifted(TProp(0, 0, ("mu",), ("nu",)), MU_NU), 0, 0),
+            "a partial integration in variable 1 leaves a nonzero endpoint term",
+        ),
+        (
+            partial_integration,
+            (lifted(TProp(0, 1, ("mu",), ()), TProp(0, 1, ("nu",), ())), 0, 0),
+            "partial integration would pile a third derivative onto [nu]D[](1,2)",
+        ),
+        (
+            divergence_split,
+            (lifted(MU_NU, TProp(0, 1, ("nu",), ("mu",))), 0, 1),
+            "the add-and-subtract split needs an identical pair of mixed-derivative factors",
+        ),
+        (
+            divergence_split,
+            (lifted(MU_NU, MU_NU, TProp(0, 1, ("rho",), ())), 0, 1),
+            "the split cannot differentiate [rho]D[](1,2) again",
+        ),
+        (
+            divergence_split,
+            (lifted(MU_NU, MU_NU, TProp(0, 1, (), ("rho",))), 0, 1),
+            "the split cannot differentiate []D[rho](1,2) again",
+        ),
+        (
+            equal_time_substitute,
+            (lifted(TProp(0, 1, (), ())), 0),
+            "EqualTimeSubstitute applies only to the self-contracted equal-time factor, "
+            "not []D[](1,2)",
+        ),
+        (
+            field_equation,
+            (lifted(MU_NU), 0),
+            "FieldEquation applies only to a Laplacian factor, not [mu]D[nu](1,2) (tag MuNu)",
+        ),
+    ],
+    ids=[
+        "pi-no-single-derivative",
+        "pi-nonzero-endpoint",
+        "pi-third-derivative",
+        "split-not-identical",
+        "split-i-side",
+        "split-j-side",
+        "equal-time-wrong-tag",
+        "field-equation-wrong-tag",
+    ],
+)
+def test_move_refusals(move, args, message):
+    # These texts can appear inside "every candidate move failed; tried N:",
+    # so they are pinned word for word.
+    with pytest.raises(ReductionError) as info:
+        move(*args)
+    assert str(info.value) == "no legal reduction: " + message
+
+
+# -- exhaustive audit of small products -----------------------------------------
+
+KINDS = (Kind.D, Kind.DOT_LEFT, Kind.DOT_RIGHT, Kind.DOT_DOT)
+
+
+def small_liftable_products():
+    """Every multiset of factors (kind, i, j), i <= j, that uses each variable
+    and gives each one zero or two dotted ends: up to four factors on one or
+    two variables, up to three on three."""
+    for nvars, most in ((1, 4), (2, 4), (3, 3)):
+        pairs = [(i, j) for i in range(nvars) for j in range(i, nvars)]
+        factors = [(kind, i, j) for i, j in pairs for kind in KINDS]
+        for size in range(1, most + 1):
+            for combo in itertools.combinations_with_replacement(factors, size):
+                ends = [0] * nvars
+                used = set()
+                for kind, i, j in combo:
+                    used.update((i, j))
+                    ends[i] += kind in (Kind.DOT_LEFT, Kind.DOT_DOT)
+                    ends[j] += kind in (Kind.DOT_RIGHT, Kind.DOT_DOT)
+                if len(used) == nvars and all(e in (0, 2) for e in ends):
+                    yield ParsedProduct(RegValue.one(), combo, nvars)
+
+
+@pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda r: r.name)
+def test_every_small_liftable_product_reduces_or_refuses(rules):
+    triangle = (
+        (Kind.DOT_DOT, 0, 1),
+        (Kind.DOT_DOT, 0, 2),
+        (Kind.DOT_DOT, 1, 2),
+    )
+    products = list(small_liftable_products())
+    assert len(products) == 537
+    refused = []
+    for parsed in products:
+        log = []
+        try:
+            value = Reducer(rules, log).reduce_product(parsed)
+        except ReductionError:
+            refused.append(parsed.factors)
+        else:
+            assert isinstance(value, RegValue)
+            assert any(entry["move"] == "ReturnTo1D" for entry in log), parsed.factors
+        assert log[0]["move"] == "Lift", parsed.factors
+        for entry in log:
+            if entry["move"] in ("FieldEquation", "EqualTimeSubstitute"):
+                assert entry["tag"] != "MuNu", parsed.factors
+    assert refused == [triangle]
