@@ -15,6 +15,7 @@ actual values, so failures show the residual rather than a bare flag.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -249,17 +250,15 @@ def _to_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
     return Fraction(value)
 
 
-def _degeneracy(dimension: int, level: int) -> Fraction:
-    """Multiplicity of the sphere spectrum at a given level."""
+def _degeneracy(dimension: int, level: int) -> int:
+    """Multiplicity of the sphere spectrum at a level; it never falls as the level grows."""
 
     if level == 0:
-        return Fraction(1)
+        return 1
     if dimension == 2:
-        return Fraction(2)
+        return 2
     rising = math.prod(range(level + 1, level + dimension - 2))
-    return Fraction(
-        (2 * level + dimension - 2) * rising, math.factorial(dimension - 2)
-    )
+    return (2 * level + dimension - 2) * rising // math.factorial(dimension - 2)
 
 
 def _series_reference_coefficients(sphere: Sphere) -> Tuple[Fraction, Fraction]:
@@ -280,9 +279,14 @@ def _spectral_deviation_float(
         2 * math.pi ** (dimension / 2) * r ** (dimension - 1) / math.gamma(dimension / 2)
     )
     x = float(beta / (2 * radius * radius))
+    # Degeneracies never fall, so the one at l_max raises the full loop's
+    # OverflowError text, if any.  Decays only shrink: from the first that
+    # underflows to 0.0 on, every term adds exactly nothing.
+    _degeneracy(dimension, l_max) / 1
+    decays = (math.exp(-l * (l + dimension - 2) * x) for l in range(l_max + 1))
     partition = math.fsum(
-        float(_degeneracy(dimension, l)) * math.exp(-l * (l + dimension - 2) * x)
-        for l in range(l_max + 1)
+        _degeneracy(dimension, l) * decay
+        for l, decay in enumerate(itertools.takewhile(bool, decays))
     )
     normalized = partition / volume * (2 * math.pi * b) ** ((dimension - 1) / 2)
     c1, c2 = _series_reference_coefficients(Sphere(dimension, radius))
@@ -319,10 +323,16 @@ def _spectral_deviation_decimal(
         b = _decimal(beta)
         r = _decimal(radius)
         x = b / (2 * r * r)
+        # No later term exceeds top * decay, and the partition only grows;
+        # once that bound is below half an ulp of the partition, every
+        # remaining addition rounds back to it (ROUND_HALF_EVEN).
+        top = +Decimal(_degeneracy(dimension, l_max))
         partition = Decimal(0)
         for level in range(l_max + 1):
-            weight = _decimal(_degeneracy(dimension, level))
-            partition += weight * (-x * (level * (level + dimension - 2))).exp()
+            decay = (-x * (level * (level + dimension - 2))).exp()
+            if top * decay < (partition.next_plus() - partition) / 2:
+                break
+            partition += +Decimal(_degeneracy(dimension, level)) * decay
         volume = (
             2
             * _half_power(_PI, dimension)
@@ -421,7 +431,9 @@ def sphere_scaling_check(
     """Deviation from the truncated series must shrink like the next power.
 
     Halving beta should cut the deviation by roughly eight; the observed
-    ratios must fall inside the accepted band.
+    ratios must fall inside the accepted band.  A double-precision
+    deviation below 1e-10 is recomputed at fifty digits, and one below
+    1e-40 there is noise, so no ratio exists.
     """
 
     name = "sphere_scaling"
@@ -443,21 +455,24 @@ def sphere_scaling_check(
                 str(band),
                 f"l_max {l_max} is below the truncation bound {bound} for beta {beta}",
             )
+    deviations = []
+    details = [f"dimension {dimension}, radius {radius}, l_max {l_max}"]
     try:
-        deviations = [
-            _spectral_deviation_float(sphere.dimension, radius, beta, l_max)[0]
-            for beta in beta_values
-        ]
+        for beta in beta_values:
+            deviation = _spectral_deviation_float(sphere.dimension, radius, beta, l_max)[0]
+            if deviation < 1e-10:
+                deviation = _spectral_deviation_decimal(sphere.dimension, radius, beta, l_max)[0]
+                details.append(f"beta {beta} recomputed at 50 digits")
+                if deviation < 1e-40:
+                    return _error(
+                        name,
+                        str(band),
+                        f"the deviation at beta {beta} is below the 50-digit "
+                        "precision floor, so the scaling ratio is undefined",
+                    )
+            deviations.append(deviation)
     except ArithmeticError as error:
         return _error(name, str(band), _arithmetic_detail(dimension, error))
-    for beta, deviation in zip(beta_values, deviations):
-        if deviation == 0:
-            return _error(
-                name,
-                str(band),
-                f"the deviation at beta {beta} is 0 at double precision, "
-                "so the scaling ratio is undefined",
-            )
     expected: Dict[str, str] = {}
     actual: Dict[str, str] = {}
     ok = True
@@ -474,7 +489,7 @@ def sphere_scaling_check(
         expected,
         actual,
         tolerance=str(band),
-        details=(f"dimension {dimension}, radius {radius}, l_max {l_max}",),
+        details=details,
         ok=ok,
     )
 

@@ -204,7 +204,7 @@ def field_equation(term: TTerm, index: int) -> TTerm:
 
 
 def _with_label(prop: TProp, side: int, label: str) -> TProp | None:
-    """Add a derivative label to one side; None when the result is illegal."""
+    """Add a derivative label to one side; None when that side cannot take it."""
     labels = prop.left if side == 0 else prop.right
     if len(labels) >= 2:
         return None
@@ -214,7 +214,10 @@ def _with_label(prop: TProp, side: int, label: str) -> TProp | None:
     new = tuple(sorted(labels + (label,)))
     out = TProp(prop.i, prop.j, new if side == 0 else prop.left, prop.right if side == 0 else new)
     if label in other and len(new) == 1 and prop.i != prop.j:
-        return None  # self-contracted mixed derivative at distinct times
+        raise ReductionError(
+            f"no legal reduction: the product rule would turn {prop.describe()} into "
+            f"{out.describe()}, a self-contracted mixed derivative at distinct times"
+        )
     return out
 
 

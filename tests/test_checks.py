@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from worldline.checks import (
     zeta_series_check,
 )
 from worldline.diagrams import perfect_matchings
+from worldline.geometry import Sphere
 from worldline.integration import DIMREG, MODEREG
 from worldline.values import RegValue
 
@@ -235,6 +237,7 @@ def test_sphere_scaling_on_the_circle_has_no_ratio() -> None:
 def test_sphere_scaling_ratios_sit_in_the_band() -> None:
     report = sphere_scaling_check()
     assert report.passed
+    assert report.details == ("dimension 3, radius 1, l_max 1000",)
     for key, value in report.actual.items():
         if key.startswith("ratio"):
             assert 6.0 <= float(value) <= 10.0
@@ -243,6 +246,175 @@ def test_sphere_scaling_ratios_sit_in_the_band() -> None:
 def test_sphere_scaling_requires_decreasing_betas() -> None:
     report = sphere_scaling_check(betas=("0.01", "0.02"))
     assert report.status == "error"
+
+
+def test_sphere_scaling_recomputes_small_deviations_at_50_digits() -> None:
+    # In double precision these deviations (down to 1.3e-15) carry noise of
+    # about 2.5e-16 and their ratios read 8.035 and 9.500.
+    report = sphere_scaling_check(betas=("1/2500", "1/5000", "1/10000"), l_max=3000)
+    assert report.passed
+    assert report.actual["ratio[0.0004/0.0002]"] == "8.000"
+    assert report.actual["ratio[0.0002/0.0001]"] == "8.000"
+    assert report.details[1:] == tuple(
+        f"beta {beta} recomputed at 50 digits" for beta in ("1/2500", "1/5000", "1/10000")
+    )
+
+
+def test_sphere_scaling_on_a_large_radius_passes_at_50_digits() -> None:
+    # At double precision the deviation at beta 1/50 is exactly 0.
+    report = sphere_scaling_check(radius=20, l_max=2000)
+    assert report.passed
+    assert report.actual["deviation[0.02]"] == "1.984e-16"
+    assert "beta 1/50 recomputed at 50 digits" in report.details
+
+
+@pytest.fixture
+def degeneracy_levels(monkeypatch) -> list:
+    """The level of every ``_degeneracy`` call the checks make."""
+    levels = []
+    degeneracy = checks._degeneracy
+
+    def counted(dimension: int, level: int) -> int:
+        levels.append(level)
+        return degeneracy(dimension, level)
+
+    monkeypatch.setattr(checks, "_degeneracy", counted)
+    return levels
+
+
+def test_sphere_checks_do_bounded_work_for_a_huge_cutoff(degeneracy_levels) -> None:
+    # Both level sums stop once no later level can change them; summing to
+    # l_max = 10**9 would take hours.
+    spectral = sphere_spectral_check(l_max=10**9, tolerance=1e-8)
+    assert spectral.passed
+    assert "recomputed at 50 digits" in spectral.details
+    assert sphere_scaling_check(l_max=10**9).passed
+    assert len(degeneracy_levels) < 2000
+
+
+# Oracles: the two level sums as they stood before they stopped early, with
+# the degeneracy as an exact Fraction and every level up to l_max visited.
+
+
+def _fraction_degeneracy(dimension: int, level: int) -> Fraction:
+    if level == 0:
+        return Fraction(1)
+    if dimension == 2:
+        return Fraction(2)
+    rising = math.prod(range(level + 1, level + dimension - 2))
+    return Fraction((2 * level + dimension - 2) * rising, math.factorial(dimension - 2))
+
+
+def _full_float_sum(dimension, radius, beta, l_max):
+    r = float(radius)
+    b = float(beta)
+    volume = (
+        2 * math.pi ** (dimension / 2) * r ** (dimension - 1) / math.gamma(dimension / 2)
+    )
+    x = float(beta / (2 * radius * radius))
+    partition = math.fsum(
+        float(_fraction_degeneracy(dimension, l)) * math.exp(-l * (l + dimension - 2) * x)
+        for l in range(l_max + 1)
+    )
+    normalized = partition / volume * (2 * math.pi * b) ** ((dimension - 1) / 2)
+    c1, c2 = checks._series_reference_coefficients(Sphere(dimension, radius))
+    reference = 1.0 + float(c1) * b + float(c2) * b * b
+    return abs(normalized / reference - 1.0), normalized, reference
+
+
+def _full_decimal_sum(dimension, radius, beta, l_max):
+    with localcontext() as context:
+        context.prec = 50
+        b = checks._decimal(beta)
+        r = checks._decimal(radius)
+        x = b / (2 * r * r)
+        partition = Decimal(0)
+        for level in range(l_max + 1):
+            weight = checks._decimal(_fraction_degeneracy(dimension, level))
+            partition += weight * (-x * (level * (level + dimension - 2))).exp()
+        volume = (
+            2
+            * checks._half_power(checks._PI, dimension)
+            * checks._half_power(r * r, dimension - 1)
+            / checks._gamma_half_integer(dimension)
+        )
+        normalized = partition / volume * checks._half_power(2 * checks._PI * b, dimension - 1)
+        c1, c2 = checks._series_reference_coefficients(Sphere(dimension, radius))
+        reference = Decimal(1) + checks._decimal(c1) * b + checks._decimal(c2) * b * b
+        deviation = abs(normalized / reference - 1)
+        return float(deviation), float(normalized), float(reference)
+
+
+def _outcome(routine, *args):
+    try:
+        values = routine(*args)
+    except ArithmeticError as error:
+        return type(error).__name__, str(error)
+    # NaN != NaN, so map it to a marker that compares equal to itself.
+    return tuple("nan" if math.isnan(v) else v for v in values)
+
+
+def test_integer_degeneracy_equals_the_fraction() -> None:
+    for dimension in (2, 3, 4, 5, 11, 200, 343):
+        for level in (0, 1, 2, 7, 100, 2999):
+            got = _degeneracy(dimension, level)
+            assert type(got) is int
+            assert got == _fraction_degeneracy(dimension, level)
+
+
+@pytest.mark.parametrize(
+    "dimension,radius,beta,l_max",
+    [
+        (2, 1, Fraction(1, 100), 1000),
+        (2, Fraction(3, 2), Fraction(1, 5), 300),
+        (3, 1, Fraction(1, 100), 1000),
+        (3, 1, Fraction(1, 100), 3000),
+        (3, 10, Fraction(1, 10000), 3000),
+        (3, Fraction(1, 3), Fraction(1, 25), 400),
+        (4, 5, Fraction(1, 50), 2000),
+        (4, 2, Fraction(1, 1000), 3000),
+        (7, Fraction(5, 2), Fraction(1, 100), 1500),
+        (30, 1, Fraction(1, 10), 500),
+        (200, 1, Fraction(1, 100), 400),
+        (250, 3, Fraction(1, 25), 600),
+        (300, 1, Fraction(1, 100), 2000),
+        (343, 1, Fraction(1, 100), 100),
+        (400, 1, Fraction(1, 100), 100),
+    ],
+)
+def test_float_sum_equals_the_full_loop(dimension, radius, beta, l_max) -> None:
+    radius = Fraction(radius)
+    args = (dimension, radius, beta, l_max)
+    assert _outcome(checks._spectral_deviation_float, *args) == _outcome(
+        _full_float_sum, *args
+    )
+
+
+@pytest.mark.parametrize(
+    "dimension,radius,beta,l_max,stops_early",
+    [
+        # On the circle the deviation is 50-digit noise, so these three see
+        # a stop that drops even one ulp of the partition.
+        (2, 1, Fraction(1, 50), 1000, True),
+        (2, Fraction(3, 2), Fraction(1, 25), 1000, True),
+        (2, 2, Fraction(1, 10), 1000, True),
+        (3, 1, Fraction(1, 100), 1000, True),
+        (3, 1, Fraction(1, 100), 60, False),
+        (3, 20, Fraction(1, 50), 2000, False),
+        (4, Fraction(3, 2), Fraction(1, 10), 800, True),
+        (10, 1, Fraction(1, 50), 600, True),
+        (60, 2, Fraction(1, 5), 400, True),
+    ],
+)
+def test_decimal_sum_equals_the_full_loop(
+    degeneracy_levels, dimension, radius, beta, l_max, stops_early
+) -> None:
+    radius = Fraction(radius)
+    args = (dimension, radius, beta, l_max)
+    want = _outcome(_full_decimal_sum, *args)
+    assert _outcome(checks._spectral_deviation_decimal, *args) == want
+    # The first call is the bound at l_max; the rest are the visited levels.
+    assert (max(degeneracy_levels[1:]) < l_max) == stops_early
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,19 @@ def test_sphere_bad_input_is_an_error_not_a_traceback(
     assert "[FAIL]" not in out
 
 
+def test_sphere_degeneracy_overflow_keeps_its_text(capsys: pytest.CaptureFixture) -> None:
+    # The level sum stops early, but a degeneracy at l_max that no float can
+    # hold still ends both sphere checks with the full loop's message.
+    assert main(["sphere", "--dimension", "300", "--lmax", "2000"]) == 2
+    out = capsys.readouterr().out
+    detail = (
+        "the spectral sum for dimension 300 is out of numeric range: "
+        "integer division result too large for a float"
+    )
+    assert f"[ERROR] sphere_spectral\n    {detail}\n" in out
+    assert f"[ERROR] sphere_scaling\n    {detail}\n" in out
+
+
 # ---------------------------------------------------------------------------
 # measure-cancel verb
 # ---------------------------------------------------------------------------

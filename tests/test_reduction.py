@@ -263,6 +263,12 @@ def lifted(*props):
             "partial integration would pile a third derivative onto [nu]D[](1,2)",
         ),
         (
+            partial_integration,
+            (lifted(TProp(0, 1, ("mu",), ()), TProp(0, 1, (), ("mu",))), 0, 0),
+            "the product rule would turn []D[mu](1,2) into [mu]D[mu](1,2), "
+            "a self-contracted mixed derivative at distinct times",
+        ),
+        (
             divergence_split,
             (lifted(MU_NU, TProp(0, 1, ("nu",), ("mu",))), 0, 1),
             "the add-and-subtract split needs an identical pair of mixed-derivative factors",
@@ -293,6 +299,7 @@ def lifted(*props):
         "pi-no-single-derivative",
         "pi-nonzero-endpoint",
         "pi-third-derivative",
+        "pi-self-contracted-mixed",
         "split-not-identical",
         "split-i-side",
         "split-j-side",
