@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .diagrams import sum_order
 from .geometry import (
@@ -221,7 +221,7 @@ def check_seeley(order: int) -> CheckReport:
     model = NormalCoords()
     totals = dict(sum_order(model, order, DIMREG))
     if order == 1:
-        for label, value in measure_terms(model, 1).items():
+        for label, value in measure_terms(model).items():
             totals[label] = totals.get(label, RegValue.zero()) + value
     reference = seeley_reference(model, order)
 
@@ -350,8 +350,35 @@ def _arithmetic_detail(dimension: int, error: ArithmeticError) -> str:
     return f"the spectral sum for dimension {dimension} is out of numeric range: {error}"
 
 
-def _truncation_bound(radius: Fraction, beta: Fraction) -> int:
-    return math.isqrt(int(80 * radius * radius / beta)) + 1
+# A double-precision deviation below _DOUBLE_FLOOR is mostly rounding noise
+# (about 2.5e-16 per sum), so it is recomputed at fifty digits; below
+# _DECIMAL_FLOOR the fifty-digit deviation is noise too.
+_DOUBLE_FLOOR = 1e-10
+_DECIMAL_FLOOR = 1e-40
+_SCALING_BETAS = (Fraction(1, 25), Fraction(1, 50), Fraction(1, 100))
+_SCALING_BAND = (6.0, 10.0)
+
+
+def _sphere_inputs(
+    dimension: int,
+    radius: Union[int, Fraction],
+    betas: Iterable[Union[float, str, Fraction]],
+    l_max: int,
+) -> Tuple[Fraction, Tuple[Fraction, ...]]:
+    """Exact radius and betas of a sphere check, or the one-line reason they are unusable."""
+
+    radius = Sphere(dimension, radius).radius
+    betas = tuple(map(_to_fraction, betas))
+    for beta in betas:
+        if beta <= 0:
+            raise ValueError("beta must be positive")
+        bound = math.isqrt(int(80 * radius * radius / beta)) + 1
+        if l_max < bound:
+            raise ValueError(
+                f"l_max {l_max} is below the truncation bound {bound} "
+                f"for beta {beta} and radius {radius}"
+            )
+    return radius, betas
 
 
 def sphere_spectral_check(
@@ -364,36 +391,25 @@ def sphere_spectral_check(
     """Summed sphere spectrum against the truncated series, numerically.
 
     The deviation is recomputed at fifty digits whenever the double
-    precision value lands within a decade of the tolerance.
+    precision value lands within a decade of the tolerance, or the
+    tolerance is below the double-precision floor.
     """
 
     name = "sphere_spectral"
     try:
-        radius = Fraction(radius)
-        beta = _to_fraction(beta)
-        sphere = Sphere(dimension, radius)
-        if beta <= 0:
-            raise ValueError("beta must be positive")
+        radius, (beta,) = _sphere_inputs(dimension, radius, (beta,), l_max)
         if not (math.isfinite(tolerance) and tolerance > 0):
             raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
     except (ValueError, ZeroDivisionError, TypeError) as error:
         return _error(name, tolerance, str(error))
-    bound = _truncation_bound(radius, beta)
-    if l_max < bound:
-        return _error(
-            name,
-            tolerance,
-            f"l_max {l_max} is below the truncation bound {bound} "
-            f"for beta {beta} and radius {radius}",
-        )
     try:
         deviation, normalized, reference = _spectral_deviation_float(
-            sphere.dimension, radius, beta, l_max
+            dimension, radius, beta, l_max
         )
         precision_note = "double precision"
-        if tolerance / 10 <= deviation <= tolerance * 10:
+        if tolerance / 10 <= deviation <= tolerance * 10 or tolerance < _DOUBLE_FLOOR:
             deviation, normalized, reference = _spectral_deviation_decimal(
-                sphere.dimension, radius, beta, l_max
+                dimension, radius, beta, l_max
             )
             precision_note = "recomputed at 50 digits"
     except ArithmeticError as error:
@@ -418,80 +434,53 @@ def sphere_spectral_check(
 
 
 def sphere_scaling_check(
-    dimension: int = 3,
-    radius: Union[int, Fraction] = 1,
-    betas: Sequence[Union[float, str, Fraction]] = (
-        Fraction(1, 25),
-        Fraction(1, 50),
-        Fraction(1, 100),
-    ),
-    l_max: int = 1000,
-    band: Tuple[float, float] = (6.0, 10.0),
+    dimension: int = 3, radius: Union[int, Fraction] = 1, l_max: int = 1000
 ) -> CheckReport:
     """Deviation from the truncated series must shrink like the next power.
 
     Halving beta should cut the deviation by roughly eight; the observed
     ratios must fall inside the accepted band.  A double-precision
-    deviation below 1e-10 is recomputed at fifty digits, and one below
-    1e-40 there is noise, so no ratio exists.
+    deviation below the double floor is recomputed at fifty digits, and
+    one below the fifty-digit floor there is noise, so no ratio exists.
     """
 
     name = "sphere_scaling"
+    band = str(_SCALING_BAND)
     try:
-        radius = Fraction(radius)
-        sphere = Sphere(dimension, radius)
-        beta_values = [_to_fraction(b) for b in betas]
-        if any(b <= 0 for b in beta_values):
-            raise ValueError("beta values must be positive")
-        if sorted(beta_values, reverse=True) != beta_values:
-            raise ValueError("beta values must be strictly decreasing")
+        radius, betas = _sphere_inputs(dimension, radius, _SCALING_BETAS, l_max)
     except (ValueError, ZeroDivisionError, TypeError) as error:
-        return _error(name, str(band), str(error))
-    for beta in beta_values:
-        bound = _truncation_bound(radius, beta)
-        if l_max < bound:
-            return _error(
-                name,
-                str(band),
-                f"l_max {l_max} is below the truncation bound {bound} for beta {beta}",
-            )
+        return _error(name, band, str(error))
     deviations = []
     details = [f"dimension {dimension}, radius {radius}, l_max {l_max}"]
     try:
-        for beta in beta_values:
-            deviation = _spectral_deviation_float(sphere.dimension, radius, beta, l_max)[0]
-            if deviation < 1e-10:
-                deviation = _spectral_deviation_decimal(sphere.dimension, radius, beta, l_max)[0]
+        for beta in betas:
+            deviation = _spectral_deviation_float(dimension, radius, beta, l_max)[0]
+            if deviation < _DOUBLE_FLOOR:
+                deviation = _spectral_deviation_decimal(dimension, radius, beta, l_max)[0]
                 details.append(f"beta {beta} recomputed at 50 digits")
-                if deviation < 1e-40:
+                if deviation < _DECIMAL_FLOOR:
                     return _error(
                         name,
-                        str(band),
+                        band,
                         f"the deviation at beta {beta} is below the 50-digit "
                         "precision floor, so the scaling ratio is undefined",
                     )
             deviations.append(deviation)
     except ArithmeticError as error:
-        return _error(name, str(band), _arithmetic_detail(dimension, error))
+        return _error(name, band, _arithmetic_detail(dimension, error))
+    low, high = _SCALING_BAND
     expected: Dict[str, str] = {}
     actual: Dict[str, str] = {}
     ok = True
-    for index in range(len(beta_values) - 1):
+    for index in range(len(betas) - 1):
         ratio = deviations[index] / deviations[index + 1]
-        key = f"ratio[{float(beta_values[index]):g}/{float(beta_values[index + 1]):g}]"
-        expected[key] = f"in [{band[0]:g}, {band[1]:g}]"
+        key = f"ratio[{float(betas[index]):g}/{float(betas[index + 1]):g}]"
+        expected[key] = f"in [{low:g}, {high:g}]"
         actual[key] = f"{ratio:.3f}"
-        ok = ok and band[0] <= ratio <= band[1]
-    for beta, deviation in zip(beta_values, deviations):
+        ok = ok and low <= ratio <= high
+    for beta, deviation in zip(betas, deviations):
         actual[f"deviation[{float(beta):g}]"] = f"{deviation:.3e}"
-    return _finish(
-        name,
-        expected,
-        actual,
-        tolerance=str(band),
-        details=details,
-        ok=ok,
-    )
+    return _finish(name, expected, actual, tolerance=band, details=details, ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -568,81 +557,65 @@ def zeta_series_check() -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MassProfile:
-    """Kinetic weight 1 + u p(tau) with a rational one-variable profile."""
-
-    name: str
-    density: Poly
-
-
-PROFILES: Dict[str, MassProfile] = {
-    "1": MassProfile("1", Poly.const(1, Fraction(1))),
-    "tau/beta": MassProfile("tau/beta", Poly.monomial(1, Fraction(1), -1, (1,))),
-    "tau*(beta-tau)/beta^2": MassProfile(
-        "tau*(beta-tau)/beta^2",
-        Poly.monomial(1, Fraction(1), -1, (1,))
-        - Poly.monomial(1, Fraction(1), -2, (2,)),
-    ),
+# Kinetic weights 1 + u p(tau): each rational one-variable profile p,
+# keyed by its formula.
+PROFILES: Dict[str, Poly] = {
+    "1": Poly.const(1, Fraction(1)),
+    "tau/beta": Poly.monomial(1, Fraction(1), -1, (1,)),
+    "tau*(beta-tau)/beta^2": Poly.monomial(1, Fraction(1), -1, (1,))
+    - Poly.monomial(1, Fraction(1), -2, (2,)),
 }
 
 
-def resolve_profile(text: str) -> MassProfile:
-    """Look up a mass profile by its formula, ignoring whitespace."""
+def resolve_profile(text: str) -> str:
+    """The key of a mass profile given by its formula, ignoring whitespace."""
 
     key = "".join(text.split()).lower()
     if key == "constant":
         key = "1"
     if key in PROFILES:
-        return PROFILES[key]
+        return key
     known = ", ".join(sorted(PROFILES))
     raise ValueError(f"unknown mass profile {text!r}; known profiles: {known}")
 
 
-def _ring_value(profile: MassProfile, n: int) -> RegValue:
+def _ring_value(density: Poly, n: int) -> RegValue:
     """Cyclic product of double-derivative propagators weighted by the profile."""
 
-    if n == 1:
-        factors = [(Kind.DOT_DOT, 0, 0)]
-    else:
-        factors = []
-        for i in range(n):
-            a, b = i, (i + 1) % n
-            factors.append((Kind.DOT_DOT, min(a, b), max(a, b)))
-    return integrate(product(factors, n), DIMREG, weight=profile.density)
+    factors = [(Kind.DOT_DOT, *sorted((i, (i + 1) % n))) for i in range(n)]
+    return integrate(product(factors, n), DIMREG, weight=density)
 
 
-def measure_cancellation(
-    profile: Union[MassProfile, str], max_order: int = 6
-) -> CheckReport:
+def measure_cancellation(profile: str, max_order: int = 6) -> CheckReport:
     """Divergent ring terms against the measure expansion, order by order.
 
     The divergent grade of the order-n connected ring must equal the u^n
     term that the square-root measure of the weighted kinetic operator
     provides, with the same rational prefactor, so the two cancel in the
-    combined partition function.
+    combined partition function.  ``profile`` is a formula that
+    :func:`resolve_profile` knows.
     """
 
-    if isinstance(profile, str):
-        profile = resolve_profile(profile)
+    profile = resolve_profile(profile)
+    density = PROFILES[profile]
     if not 1 <= max_order <= 8:
         raise ValueError("the ring expansion is implemented through order u^8")
     expected: Dict[str, str] = {}
     actual: Dict[str, str] = {}
     power = Poly.const(1, Fraction(1))
     for n in range(1, max_order + 1):
-        power = power * profile.density
+        power = power * density
         prefactor = Fraction((-1) ** n, 2 * n)
-        ring = _ring_value(profile, n)
+        ring = _ring_value(density, n)
         divergent = ring.grade(1) * prefactor
         measure = RegValue.delta0() * power.integrate_cube() * prefactor
         expected[f"u^{n}"] = measure.text()
         actual[f"u^{n}"] = divergent.text()
     return _finish(
-        f"measure_cancellation[{profile.name}]",
+        f"measure_cancellation[{profile}]",
         expected,
         actual,
-        details=(f"profile {profile.name}",),
+        details=(f"profile {profile}",),
     )
 
 
@@ -669,5 +642,5 @@ def run_standard_checks(rules: RuleSet = DIMREG) -> List[CheckReport]:
         sphere_spectral_check(),
         sphere_scaling_check(),
     ]
-    reports.extend(measure_cancellation(profile) for profile in PROFILES.values())
+    reports.extend(measure_cancellation(profile) for profile in PROFILES)
     return reports

@@ -28,7 +28,6 @@ from .checks import (
     check_flat,
     check_seeley,
     measure_cancellation,
-    resolve_profile,
     run_standard_checks,
     sphere_scaling_check,
     sphere_spectral_check,
@@ -182,10 +181,7 @@ def _run_sphere(args: argparse.Namespace) -> int:
 
 
 def _run_measure_cancel(args: argparse.Namespace) -> int:
-    if args.profile is None:
-        profiles = list(PROFILES.values())
-    else:
-        profiles = [resolve_profile(args.profile)]
+    profiles = PROFILES if args.profile is None else [args.profile]
     reports = [
         measure_cancellation(profile, max_order=args.max_order)
         for profile in profiles

@@ -385,12 +385,12 @@ def sum_order(model, order: int, rules: RuleSet = DIMREG) -> Dict[str, RegValue]
     if order not in (1, 2):
         raise ValueError("diagram totals are implemented through second order")
     totals: Dict[str, RegValue] = {}
-    for diagram in wick(model_vertices(model, max_order=order), order=order):
+    for diagram in wick(model_vertices(model), order=order):
         value, label = evaluate_diagram(diagram, rules)
         totals[label] = totals.get(label, RegValue.zero()) + value
     if order == 2:
         first = sum_order(model, 1, rules)
-        for label, value in measure_terms(model, 1).items():
+        for label, value in measure_terms(model).items():
             first[label] = first.get(label, RegValue.zero()) + value
         items = list(first.items())
         for label_a, value_a in items:
@@ -408,7 +408,7 @@ def catalog(model, order: int, rules: RuleSet = DIMREG) -> List[dict]:
     from .geometry import vertices as model_vertices
 
     entries = []
-    for diagram in wick(model_vertices(model, max_order=order), order=order):
+    for diagram in wick(model_vertices(model), order=order):
         entries.append({
             "shape": classify(diagram),
             "vertices": [v.name for v in diagram.vertices],

@@ -72,8 +72,8 @@ MetricModel = Union[FlatTransform, NormalCoords, Sphere]
 # ---------------------------------------------------------------------------
 
 
-def metric_series(model: FlatTransform, max_power: int = 4) -> Dict[int, Fraction]:
-    """Coefficients of the metric as an even power series in q."""
+def metric_series(model: FlatTransform) -> Dict[int, Fraction]:
+    """Coefficients of the metric as an even power series in q, through q^4."""
 
     slope: Dict[int, Fraction] = {0: Fraction(1)}
     for index, coefficient in enumerate(model.f_coefficients):
@@ -82,7 +82,7 @@ def metric_series(model: FlatTransform, max_power: int = 4) -> Dict[int, Fractio
     for pa, ca in slope.items():
         for pb, cb in slope.items():
             power = pa + pb
-            if power <= max_power:
+            if power <= 4:
                 series[power] = series.get(power, Fraction(0)) + ca * cb
     return dict(sorted(series.items()))
 
@@ -100,10 +100,10 @@ def _log_series(series: Dict[int, Fraction]) -> Dict[int, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _flat_vertices(model: FlatTransform, max_order: int) -> List[Vertex]:
+def _flat_vertices(model: FlatTransform) -> List[Vertex]:
     g = metric_series(model)
     log_g = _log_series(g)
-    listing = [
+    return [
         Vertex(
             name="kinetic_quadratic",
             order_in_eps=1,
@@ -120,35 +120,31 @@ def _flat_vertices(model: FlatTransform, max_order: int) -> List[Vertex]:
             delta0_power=1,
             coefficient=-log_g[2] / 2,
         ),
+        Vertex(
+            name="kinetic_quartic",
+            order_in_eps=2,
+            q_power=4,
+            qdot_power=2,
+            delta0_power=0,
+            coefficient=g[4] / 2,
+        ),
+        Vertex(
+            name="logdet_quartic",
+            order_in_eps=2,
+            q_power=4,
+            qdot_power=0,
+            delta0_power=1,
+            coefficient=-log_g[4] / 2,
+        ),
     ]
-    if max_order == 2:
-        listing += [
-            Vertex(
-                name="kinetic_quartic",
-                order_in_eps=2,
-                q_power=4,
-                qdot_power=2,
-                delta0_power=0,
-                coefficient=g[4] / 2,
-            ),
-            Vertex(
-                name="logdet_quartic",
-                order_in_eps=2,
-                q_power=4,
-                qdot_power=0,
-                delta0_power=1,
-                coefficient=-log_g[4] / 2,
-            ),
-        ]
-    return listing
 
 
-def _normal_vertices(max_order: int) -> List[Vertex]:
+def _normal_vertices() -> List[Vertex]:
     # The quadratic coefficients are stored with the sign that combines
     # with the curvature measure term into the heat-kernel value; the
     # quartic vertices enter results squared or alone, with the written
     # sign.
-    listing = [
+    return [
         Vertex(
             name="curvature_kinetic",
             order_in_eps=1,
@@ -170,45 +166,39 @@ def _normal_vertices(max_order: int) -> List[Vertex]:
             tensors=("ric",),
             q_slots=(0, 1),
         ),
+        Vertex(
+            name="curvature_kinetic_quartic",
+            order_in_eps=2,
+            q_power=4,
+            qdot_power=2,
+            delta0_power=0,
+            coefficient=Fraction(1, 45),
+            tensors=("riem", "riem"),
+            q_slots=(0, 2, 4, 6),
+            qdot_slots=(1, 5),
+            internal=((3, 7),),
+        ),
+        Vertex(
+            name="curvature_measure_quartic",
+            order_in_eps=2,
+            q_power=4,
+            qdot_power=0,
+            delta0_power=1,
+            coefficient=Fraction(1, 180),
+            tensors=("riem", "riem"),
+            q_slots=(0, 2, 4, 6),
+            internal=((3, 5), (1, 7)),
+        ),
     ]
-    if max_order == 2:
-        listing += [
-            Vertex(
-                name="curvature_kinetic_quartic",
-                order_in_eps=2,
-                q_power=4,
-                qdot_power=2,
-                delta0_power=0,
-                coefficient=Fraction(1, 45),
-                tensors=("riem", "riem"),
-                q_slots=(0, 2, 4, 6),
-                qdot_slots=(1, 5),
-                internal=((3, 7),),
-            ),
-            Vertex(
-                name="curvature_measure_quartic",
-                order_in_eps=2,
-                q_power=4,
-                qdot_power=0,
-                delta0_power=1,
-                coefficient=Fraction(1, 180),
-                tensors=("riem", "riem"),
-                q_slots=(0, 2, 4, 6),
-                internal=((3, 5), (1, 7)),
-            ),
-        ]
-    return listing
 
 
-def vertices(model: MetricModel, max_order: int = 2) -> List[Vertex]:
-    """Interaction vertices of a model through the requested order."""
+def vertices(model: MetricModel) -> List[Vertex]:
+    """Interaction vertices of a model through second order, first order first."""
 
-    if max_order not in (1, 2):
-        raise ValueError("the vertex expansion is implemented through second order only")
     if isinstance(model, FlatTransform):
-        return _flat_vertices(model, max_order)
+        return _flat_vertices(model)
     if isinstance(model, NormalCoords):
-        return _normal_vertices(max_order)
+        return _normal_vertices()
     if isinstance(model, Sphere):
         raise ValueError(
             "the sphere model supplies spectra and reference values, not vertices"
@@ -216,19 +206,17 @@ def vertices(model: MetricModel, max_order: int = 2) -> List[Vertex]:
     raise TypeError(f"unknown model {model!r}")
 
 
-def measure_terms(model: MetricModel, order: int) -> Dict[str, RegValue]:
-    """Finite measure contributions at a given order, by tensor label.
+def measure_terms(model: MetricModel) -> Dict[str, RegValue]:
+    """Finite first-order measure contributions, by tensor label.
 
     The flat models keep their measure inside the log-det vertices, so
-    only the normal-coordinate model has a nonvanishing entry, at first
-    order.
+    only the normal-coordinate model has a nonvanishing entry; no model
+    has one at second order.
     """
 
-    if order not in (1, 2):
-        raise ValueError("measure terms are tabulated through second order only")
     if isinstance(model, Sphere):
         raise ValueError("the sphere model is reference-only and has no measure terms")
-    if isinstance(model, NormalCoords) and order == 1:
+    if isinstance(model, NormalCoords):
         return {"R": RegValue.beta(1, Fraction(1, 24))}
     return {}
 
@@ -238,22 +226,15 @@ def measure_terms(model: MetricModel, order: int) -> Dict[str, RegValue]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeeleyCoefficients:
-    """Heat-kernel expansion coefficients in the curvature-label basis."""
-
-    a1: Dict[str, Fraction]
-    a2: Dict[str, Fraction]
-
-
-SEELEY = SeeleyCoefficients(
-    a1={"R": Fraction(1, 12)},
-    a2={
+# Heat-kernel expansion coefficients in the curvature-label basis, by order.
+SEELEY: Dict[int, Dict[str, Fraction]] = {
+    1: {"R": Fraction(1, 12)},
+    2: {
         "Rsq": Fraction(1, 288),
         "RiemannSq": Fraction(1, 720),
         "RicciSq": Fraction(-1, 720),
     },
-)
+}
 
 
 def sphere_tensors(model: Sphere) -> Dict[str, Fraction]:
@@ -274,15 +255,12 @@ def sphere_tensors(model: Sphere) -> Dict[str, Fraction]:
 def seeley_reference(model: MetricModel, order: int) -> Dict[str, RegValue]:
     """Expected heat-kernel term of a model at a given order."""
 
-    if order == 0:
-        return {"one": RegValue.one()}
-    if order not in (1, 2):
+    if order not in SEELEY:
         raise ValueError("the heat-kernel reference is tabulated through second order")
     if isinstance(model, NormalCoords):
-        table = SEELEY.a1 if order == 1 else SEELEY.a2
         return {
             label: RegValue.beta(order, coefficient)
-            for label, coefficient in sorted(table.items())
+            for label, coefficient in sorted(SEELEY[order].items())
         }
     if isinstance(model, Sphere):
         d = model.dimension

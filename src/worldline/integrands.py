@@ -79,7 +79,7 @@ def _grade_pieces(
     return [(k, poly, atoms) for k, poly in grades.items()]
 
 
-def expand_factor(kind: Kind, i: int, j: int, nvars: int) -> list[_Piece]:
+def _expand_factor(kind: Kind, i: int, j: int, nvars: int) -> list[_Piece]:
     """One propagator factor as a sum of (delta0 power, poly, atoms) pieces.
 
     Equal arguments use the diagonal values directly, with DD(i,i) becoming
@@ -123,7 +123,7 @@ def product(
         coefficient = RegValue.rational(coefficient)
     pieces = _grade_pieces(coefficient, nvars, extra_atoms)
     for kind, i, j in factors:
-        expanded = expand_factor(kind, i, j, nvars)
+        expanded = _expand_factor(kind, i, j, nvars)
         pieces = [
             (k1 + k2, p1 * p2, a1 + a2)
             for (k1, p1, a1) in pieces

@@ -256,7 +256,7 @@ def integrate_text(text: str, rules: RuleSet = DIMREG) -> RegValue:
 # straight one-dimensional evaluations
 # ---------------------------------------------------------------------------
 
-STRATEGIES = ("partial_integration", "equation_of_motion", "mixed")
+_STRATEGIES = ("partial_integration", "equation_of_motion", "mixed")
 
 
 def _boundary_cubed_integral() -> tuple[RegValue, RegValue]:
@@ -293,8 +293,8 @@ def evaluate_naive_1d(name: str, strategy: str, rules: RuleSet = DIMREG) -> RegV
       delta - 1/beta immediately and integrate what results.
     * ``mixed``: one partial integration, then the equation of motion.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; pick one of {_STRATEGIES}")
     finite_only = False
     if name in ("I15R", "I2R", "I8R"):
         finite_only = name == "I15R"
@@ -348,4 +348,4 @@ def _naive_i15(strategy: str, rules: RuleSet) -> RegValue:
 
 def naive_disagreement(name: str, rules: RuleSet = DIMREG) -> dict[str, RegValue]:
     """The three route values side by side; equal iff the rules force it."""
-    return {strategy: evaluate_naive_1d(name, strategy, rules) for strategy in STRATEGIES}
+    return {strategy: evaluate_naive_1d(name, strategy, rules) for strategy in _STRATEGIES}

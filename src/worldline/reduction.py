@@ -400,7 +400,7 @@ def _ratio(num: RegValue, den: RegValue) -> Fraction | None:
 # the reducer
 # ---------------------------------------------------------------------------
 
-MAX_DEPTH = 6
+_MAX_DEPTH = 6
 
 
 class Reducer:
@@ -427,7 +427,7 @@ class Reducer:
             factors=[p.describe() for p in term.props],
             variables=term.nvars,
         )
-        return self._resolve(term, MAX_DEPTH)
+        return self._resolve(term, _MAX_DEPTH)
 
     def _resolve(self, term: TTerm, depth: int) -> RegValue:
         if term.coefficient.is_zero():

@@ -14,7 +14,6 @@ from typing import Sequence
 import pytest
 
 from worldline.checks import (
-    PROFILES,
     check_flat,
     check_seeley,
     measure_cancellation,
@@ -257,7 +256,7 @@ def test_criterion_07_zeta_series() -> None:
 def test_criterion_08_measure_cancellation() -> None:
     problems = []
     for name in ("1", "tau/beta", "tau*(beta-tau)/beta^2"):
-        report = measure_cancellation(PROFILES[name], max_order=6)
+        report = measure_cancellation(name, max_order=6)
         if len(report.actual) != 6:
             problems.append(f"profile {name}: {len(report.actual)} orders checked")
         for key in report.mismatches():

@@ -243,20 +243,16 @@ def test_sphere_scaling_ratios_sit_in_the_band() -> None:
             assert 6.0 <= float(value) <= 10.0
 
 
-def test_sphere_scaling_requires_decreasing_betas() -> None:
-    report = sphere_scaling_check(betas=("0.01", "0.02"))
-    assert report.status == "error"
-
-
 def test_sphere_scaling_recomputes_small_deviations_at_50_digits() -> None:
-    # In double precision these deviations (down to 1.3e-15) carry noise of
-    # about 2.5e-16 and their ratios read 8.035 and 9.500.
-    report = sphere_scaling_check(betas=("1/2500", "1/5000", "1/10000"), l_max=3000)
+    # Radius 10 puts beta / r^2 at 1/2500, 1/5000 and 1/10000.  In double
+    # precision these deviations (down to 1.3e-15) carry noise of about
+    # 2.5e-16 and their ratios read 8.035 and 9.500.
+    report = sphere_scaling_check(radius=10, l_max=3000)
     assert report.passed
-    assert report.actual["ratio[0.0004/0.0002]"] == "8.000"
-    assert report.actual["ratio[0.0002/0.0001]"] == "8.000"
+    assert report.actual["ratio[0.04/0.02]"] == "8.000"
+    assert report.actual["ratio[0.02/0.01]"] == "8.000"
     assert report.details[1:] == tuple(
-        f"beta {beta} recomputed at 50 digits" for beta in ("1/2500", "1/5000", "1/10000")
+        f"beta {beta} recomputed at 50 digits" for beta in ("1/25", "1/50", "1/100")
     )
 
 
@@ -266,6 +262,24 @@ def test_sphere_scaling_on_a_large_radius_passes_at_50_digits() -> None:
     assert report.passed
     assert report.actual["deviation[0.02]"] == "1.984e-16"
     assert "beta 1/50 recomputed at 50 digits" in report.details
+
+
+def test_sphere_spectral_recomputes_below_the_double_floor() -> None:
+    # In double precision this deviation rounds to 0.0, which would pass
+    # any tolerance; a tolerance below 1e-10 always takes 50 digits.
+    report = sphere_spectral_check(radius=20, beta="1/50", l_max=2000, tolerance=1e-17)
+    assert report.status == "fail"
+    assert report.actual["relative_deviation"] == "1.984e-16"
+    assert report.details[1] == "recomputed at 50 digits"
+
+
+def test_sphere_checks_name_the_truncation_bound_alike() -> None:
+    assert sphere_spectral_check(l_max=50).details == (
+        "l_max 50 is below the truncation bound 90 for beta 1/100 and radius 1",
+    )
+    assert sphere_scaling_check(l_max=50).details == (
+        "l_max 50 is below the truncation bound 64 for beta 1/50 and radius 1",
+    )
 
 
 @pytest.fixture
@@ -470,7 +484,7 @@ def _profile_moment(name: str, n: int) -> Fraction:
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_measure_cancellation_through_order_six(name: str) -> None:
-    report = measure_cancellation(PROFILES[name])
+    report = measure_cancellation(name)
     assert report.passed
     for n in range(1, 7):
         moment = _profile_moment(name, n) * Fraction((-1) ** n, 2 * n)
@@ -492,8 +506,8 @@ def test_measure_cancellation_order_bounds(bad_order: int) -> None:
 
 
 def test_resolve_profile_normalizes_and_rejects() -> None:
-    assert resolve_profile("constant").name == "1"
-    assert resolve_profile("tau * (beta - tau) / beta^2").name == (
+    assert resolve_profile("constant") == "1"
+    assert resolve_profile("tau * (beta - tau) / beta^2") == (
         "tau*(beta-tau)/beta^2"
     )
     with pytest.raises(ValueError, match="known profiles"):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from worldline.cli import main
+from worldline.integrands import FINITE_ALIASES, NAMED_INTEGRALS
 
 # ---------------------------------------------------------------------------
 # integral verb
@@ -193,6 +197,14 @@ def test_sphere_degeneracy_overflow_keeps_its_text(capsys: pytest.CaptureFixture
     assert f"[ERROR] sphere_scaling\n    {detail}\n" in out
 
 
+def test_sphere_spectral_fails_below_the_double_floor(capsys: pytest.CaptureFixture) -> None:
+    argv = ["sphere", "--radius", "20", "--lmax", "2000", "--beta", "1/50"]
+    assert main([*argv, "--tolerance", "1e-17"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] sphere_spectral\n" in out
+    assert "relative_deviation: expected <= 1.0e-17, got 1.984e-16\n" in out
+
+
 # ---------------------------------------------------------------------------
 # measure-cancel verb
 # ---------------------------------------------------------------------------
@@ -234,3 +246,79 @@ def test_missing_verb_is_invalid_input(capsys: pytest.CaptureFixture) -> None:
 def test_help_exits_cleanly(capsys: pytest.CaptureFixture) -> None:
     assert main(["--help"]) == 0
     assert "worldline" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing
+# ---------------------------------------------------------------------------
+
+_GARBAGE = ("", "x", "-1", "0", "1/0", "nan", "inf", "1e999")
+
+
+def _values(*valid: str) -> st.SearchStrategy[str]:
+    # Three draws in four are valid, so most command lines reach real work.
+    return st.one_of(*[st.sampled_from(valid)] * 3, st.sampled_from(_GARBAGE))
+
+
+_RULESET_VALUES = _values("dimreg", "modereg")
+
+# Per verb: the words it starts with, and each option with the values it
+# draws (None for a flag).  Sphere inputs stay small: radius <= 20 and
+# --lmax <= 20000 keep every level sum well under a second.
+_VERBS = {
+    "integral": (
+        ["integral"],
+        {"--ruleset": _RULESET_VALUES, "--json": None, "--dump-moves": None},
+    ),
+    "sphere": (
+        ["sphere"],
+        {
+            "--dimension": _values("2", "3", "4", "7", "300", "400"),
+            "--radius": _values("1", "1/2", "3", "20", "0.7"),
+            "--beta": _values("1/100", "1/50", "1/7", "0.03", "1/1000", "2"),
+            "--lmax": _values("50", "1000", "3000", "20000"),
+            "--tolerance": _values("1e-6", "1e-8", "1e-11", "1e-17", "0.5"),
+            "--json": None,
+        },
+    ),
+    "measure-cancel": (
+        ["measure-cancel"],
+        {
+            "--profile": _values("1", "constant", "tau / beta", "tau*(beta-tau)/beta^2", "sin"),
+            "--max-order": _values("1", "2", "3", "9"),
+            "--json": None,
+        },
+    ),
+    "catalog": (
+        ["catalog", "--order", "1"],
+        {"--model": _values("flat", "normal"), "--ruleset": _RULESET_VALUES, "--json": None},
+    ),
+    "verify": (
+        ["verify", "--case", "flat", "--order", "1"],
+        {"--ruleset": _RULESET_VALUES, "--json": None, "--dump-moves": None},
+    ),
+}
+
+
+@st.composite
+def command_lines(draw) -> list:
+    verb = draw(st.sampled_from(sorted(_VERBS)))
+    words, options = _VERBS[verb]
+    argv = list(words)
+    if verb == "integral":
+        argv.append(draw(_values(*sorted(NAMED_INTEGRALS), *sorted(FINITE_ALIASES))))
+    for option in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        argv.append(option)
+        if options[option] is not None:
+            argv.append(draw(options[option]))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(("--bogus", "x"))))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+def test_main_returns_an_exit_code_and_never_raises(argv: list) -> None:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

@@ -68,7 +68,7 @@ def test_matching_counts_are_double_factorials(nfields, count):
 
 
 def test_flat_first_order_catalog():
-    diagrams = wick(vertices(FlatTransform(), 1), order=1)
+    diagrams = wick(vertices(FlatTransform()), order=1)
     assert len(diagrams) == 3
     weights = {diagram.edges: diagram.weight for diagram in diagrams}
     loop = ((0, 0), Kind.D)
@@ -89,7 +89,7 @@ def test_flat_first_order_sum_vanishes():
 
 
 def test_flat_second_order_shape_counts():
-    diagrams = wick(vertices(FlatTransform(), 2), order=2)
+    diagrams = wick(vertices(FlatTransform()), order=2)
     counts = Counter(classify(diagram) for diagram in diagrams)
     assert counts == {
         "single_vertex": 3,
@@ -139,7 +139,7 @@ def test_flat_pairs_match_independent_enumeration(
     # joins its two fields pairwise in 2 ways.  The delta0 pairs therefore
     # give 3 + 1 = 4 measure_pair topologies; K x K gives 10 (the 7
     # three_bubble and 3 watermelon entries).
-    by_name = {v.name: v for v in vertices(FlatTransform(), 1)}
+    by_name = {v.name: v for v in vertices(FlatTransform())}
     pair = tuple(by_name[name] for name in names)
     identical = pair[0] == pair[1]
     fields = [
@@ -165,7 +165,7 @@ def test_flat_pairs_match_independent_enumeration(
     assert len(multiplicity) == topologies
 
     generated = {}
-    for diagram in wick(vertices(FlatTransform(), 2), order=2):
+    for diagram in wick(vertices(FlatTransform()), order=2):
         if tuple(v.name for v in diagram.vertices) == names:
             edges = [
                 ((a, _KIND_ENDS[kind][0]), (b, _KIND_ENDS[kind][1]))
@@ -182,7 +182,7 @@ def test_flat_pairs_match_independent_enumeration(
 
 
 def test_flat_single_vertex_weights():
-    diagrams = _by_shape(wick(vertices(FlatTransform(), 2), order=2))
+    diagrams = _by_shape(wick(vertices(FlatTransform()), order=2))
     weights = Counter(d.weight for d in diagrams["single_vertex"])
     assert weights == Counter(
         [
@@ -194,7 +194,7 @@ def test_flat_single_vertex_weights():
 
 
 def test_flat_measure_pair_weights():
-    diagrams = _by_shape(wick(vertices(FlatTransform(), 2), order=2))
+    diagrams = _by_shape(wick(vertices(FlatTransform()), order=2))
     weights = Counter(d.weight for d in diagrams["measure_pair"])
     assert weights == Counter(
         [
@@ -207,7 +207,7 @@ def test_flat_measure_pair_weights():
 
 
 def test_flat_three_bubble_weights():
-    diagrams = _by_shape(wick(vertices(FlatTransform(), 2), order=2))
+    diagrams = _by_shape(wick(vertices(FlatTransform()), order=2))
     weights = Counter(d.weight for d in diagrams["three_bubble"])
     assert weights == Counter(
         RegValue.rational(w) for w in (2, 1, 1, 8, 8, 8, 8)
@@ -215,13 +215,13 @@ def test_flat_three_bubble_weights():
 
 
 def test_flat_watermelon_weights():
-    diagrams = _by_shape(wick(vertices(FlatTransform(), 2), order=2))
+    diagrams = _by_shape(wick(vertices(FlatTransform()), order=2))
     weights = Counter(d.weight for d in diagrams["watermelon"])
     assert weights == Counter(RegValue.rational(w) for w in (2, 8, 2))
 
 
 def test_flat_family_totals():
-    diagrams = wick(vertices(FlatTransform(), 2), order=2)
+    diagrams = wick(vertices(FlatTransform()), order=2)
     assert _family_total(diagrams, "single_vertex") == RegValue.delta0(
         coeff=Fraction(-1, 10)
     ) * RegValue.beta(3)
@@ -250,7 +250,7 @@ def test_flat_second_order_mode_regularization_residual():
 
 
 def test_curved_first_order_class_weights():
-    diagrams = wick(vertices(NormalCoords(), 1), order=1)
+    diagrams = wick(vertices(NormalCoords()), order=1)
     assert len(diagrams) == 3
     assert {d.tensor_label for d in diagrams} == {"R"}
     weights = {diagram.edges: diagram.weight for diagram in diagrams}
@@ -285,7 +285,7 @@ def test_curved_second_order_divergences_cancel_per_label():
 
 
 def test_curved_watermelon_total_is_pure_divergence():
-    diagrams = wick(vertices(NormalCoords(), 2), order=2)
+    diagrams = wick(vertices(NormalCoords()), order=2)
     total = _family_total(diagrams, "watermelon")
     assert total == RegValue.term(Fraction(1, 720), 3, 1)
 
@@ -297,7 +297,7 @@ def test_curved_quartic_kinetic_vertex_alone():
     # the label split.
     diagrams = [
         d
-        for d in wick(vertices(NormalCoords(), 2), order=2)
+        for d in wick(vertices(NormalCoords()), order=2)
         if classify(d) == "single_vertex"
     ]
     labels = Counter(d.tensor_label for d in diagrams)
@@ -311,7 +311,7 @@ def test_curved_quartic_kinetic_vertex_alone():
 
 def test_evaluate_diagram_applies_weight():
     diagram = Diagram(
-        vertices=tuple(vertices(FlatTransform(), 1)[:1]),
+        vertices=tuple(vertices(FlatTransform())[:1]),
         edges=(((0, 0), Kind.D), ((0, 0), Kind.DOT_DOT)),
         weight=RegValue.rational(6),
         tensor_label="one",
@@ -339,7 +339,7 @@ def _random_weight(rng: random.Random) -> RegValue:
 )
 def test_evaluate_diagram_equals_direct_weighted_reduction(model, rules):
     rng = random.Random(f"{type(model).__name__}/{rules.name}")
-    for diagram in wick(vertices(model, 2), order=2):
+    for diagram in wick(vertices(model), order=2):
         for weight in (diagram.weight, _random_weight(rng), _random_weight(rng)):
             weighted = dataclasses.replace(diagram, weight=weight)
             direct_log: list = []

@@ -52,7 +52,7 @@ def test_metric_series_is_squared_slope(c1, c2):
 
 
 def test_flat_vertices_default_coefficients():
-    table = {v.name: v for v in vertices(FlatTransform(), 2)}
+    table = {v.name: v for v in vertices(FlatTransform())}
     assert table["kinetic_quadratic"].coefficient == -1
     assert table["kinetic_quadratic"].qdot_power == 2
     assert table["kinetic_quartic"].coefficient == Fraction(3, 2)
@@ -62,8 +62,13 @@ def test_flat_vertices_default_coefficients():
 
 
 def test_flat_vertices_first_order_only():
-    names = [v.name for v in vertices(FlatTransform(), 1)]
-    assert names == ["kinetic_quadratic", "logdet_quadratic"]
+    # First-order vertices come first, so catalog ties keep their order.
+    listing = vertices(FlatTransform())
+    assert [v.name for v in listing if v.order_in_eps == 1] == [
+        "kinetic_quadratic",
+        "logdet_quadratic",
+    ]
+    assert [v.order_in_eps for v in listing] == [1, 1, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +77,7 @@ def test_flat_vertices_first_order_only():
 
 
 def test_normal_vertex_table():
-    table = {v.name: v for v in vertices(NormalCoords(), 2)}
+    table = {v.name: v for v in vertices(NormalCoords())}
     kinetic = table["curvature_kinetic"]
     assert kinetic.coefficient == Fraction(-1, 6)
     assert kinetic.tensors == ("riem",)
@@ -93,8 +98,6 @@ def test_normal_vertex_table():
 
 def test_vertices_validation():
     with pytest.raises(ValueError):
-        vertices(FlatTransform(), 3)
-    with pytest.raises(ValueError):
         vertices(Sphere(3))
 
 
@@ -104,13 +107,12 @@ def test_vertices_validation():
 
 
 def test_measure_terms():
-    assert measure_terms(NormalCoords(), 1) == {
+    assert measure_terms(NormalCoords()) == {
         "R": RegValue.beta(1, Fraction(1, 24))
     }
-    assert measure_terms(NormalCoords(), 2) == {}
-    assert measure_terms(FlatTransform(), 1) == {}
+    assert measure_terms(FlatTransform()) == {}
     with pytest.raises(ValueError):
-        measure_terms(Sphere(3), 1)
+        measure_terms(Sphere(3))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +139,6 @@ def test_sphere_validation():
 
 
 def test_seeley_reference_tables():
-    assert seeley_reference(NormalCoords(), 0) == {"one": RegValue.one()}
     assert seeley_reference(NormalCoords(), 1) == {
         "R": RegValue.beta(1, Fraction(1, 12))
     }
@@ -147,8 +148,9 @@ def test_seeley_reference_tables():
         "Rsq": RegValue.beta(2, Fraction(1, 288)),
     }
     assert seeley_reference(FlatTransform(), 2) == {}
-    with pytest.raises(ValueError):
-        seeley_reference(NormalCoords(), 3)
+    for order in (0, 3):
+        with pytest.raises(ValueError):
+            seeley_reference(NormalCoords(), order)
 
 
 def test_seeley_reference_two_sphere():
@@ -162,8 +164,8 @@ def test_seeley_reference_two_sphere():
 def test_sphere_reference_matches_label_contraction(dimension, radius):
     sphere = Sphere(dimension, radius)
     invariants = sphere_tensors(sphere)
-    first = sum(c * invariants[label] for label, c in SEELEY.a1.items())
-    second = sum(c * invariants[label] for label, c in SEELEY.a2.items())
+    first = sum(c * invariants[label] for label, c in SEELEY[1].items())
+    second = sum(c * invariants[label] for label, c in SEELEY[2].items())
     assert seeley_reference(sphere, 1)["one"].coefficient(1, 0) == first
     assert seeley_reference(sphere, 2)["one"].coefficient(2, 0) == second
 

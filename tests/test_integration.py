@@ -196,7 +196,7 @@ def ring_factors(n):
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 def test_weighted_rings_match_dense_weight(profile, n):
     terms = product(ring_factors(n), n)
-    weight = PROFILES[profile].density
+    weight = PROFILES[profile]
     assert integrate(terms, DIMREG, weight=weight) == integrate_dense(terms, DIMREG, weight)
 
 
@@ -205,7 +205,7 @@ def test_weighted_rings_match_dense_weight(profile, n):
 @pytest.mark.parametrize("text", ["Dl(1,2)*Dr(1,2)*DD(1,2)", "D(1,2)*Dl(1,2)*Dr(1,2)"])
 def test_weight_on_eps_touched_variables_matches_dense(text, profile, rules):
     terms = terms_from_text(text)
-    weight = PROFILES[profile].density
+    weight = PROFILES[profile]
     weighted = integrate(terms, rules, weight=weight)
     assert weighted == integrate_dense(terms, rules, weight)
     assert weighted != integrate(terms, rules)

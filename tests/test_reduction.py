@@ -6,6 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from worldline.integrands import ParsedProduct, parse
 from worldline.integration import DIMREG, MODEREG
@@ -363,3 +364,25 @@ def test_every_small_liftable_product_reduces_or_refuses(rules):
             if entry["move"] in ("FieldEquation", "EqualTimeSubstitute"):
                 assert entry["tag"] != "MuNu", parsed.factors
     assert refused == [triangle]
+
+
+@st.composite
+def small_products(draw):
+    """Text of a product of 1-4 propagator factors on 1-3 variables."""
+    nvars = draw(st.integers(1, 3))
+    index = st.integers(1, nvars)
+    kind = st.sampled_from(("D", "Dl", "Dr", "DD"))
+    factors = draw(st.lists(st.tuples(kind, index, index), min_size=1, max_size=4))
+    return "*".join(f"{kind}({i},{j})" for kind, i, j in factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_products(), st.sampled_from([DIMREG, MODEREG]))
+def test_reduce_terms_returns_or_raises_value_error(text, rules):
+    # Any product, liftable or not: the library answers with a value or a
+    # ValueError subclass (ReductionError included), never another error.
+    try:
+        value = reduce_terms(text, rules)
+    except ValueError:
+        return
+    assert isinstance(value, RegValue)
