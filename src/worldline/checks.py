@@ -59,10 +59,6 @@ class CheckReport:
     details: Tuple[str, ...] = ()
     move_logs: Optional[Dict[str, List[dict]]] = None
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
     def mismatches(self) -> List[str]:
         """Keys whose expected and actual renderings differ."""
         return sorted(
@@ -357,6 +353,9 @@ _DOUBLE_FLOOR = 1e-10
 _DECIMAL_FLOOR = 1e-40
 _SCALING_BETAS = (Fraction(1, 25), Fraction(1, 50), Fraction(1, 100))
 _SCALING_BAND = (6.0, 10.0)
+# Both level sums visit a few times the truncation bound, which grows like
+# radius / sqrt(beta); above this cap an input is refused, not summed.
+_MAX_TRUNCATION_BOUND = 10_000
 
 
 def _sphere_inputs(
@@ -373,6 +372,11 @@ def _sphere_inputs(
         if beta <= 0:
             raise ValueError("beta must be positive")
         bound = math.isqrt(int(80 * radius * radius / beta)) + 1
+        if bound > _MAX_TRUNCATION_BOUND:
+            raise ValueError(
+                f"the truncation bound {bound} for beta {beta} and radius {radius} "
+                f"is above the largest supported bound {_MAX_TRUNCATION_BOUND}"
+            )
         if l_max < bound:
             raise ValueError(
                 f"l_max {l_max} is below the truncation bound {bound} "

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple

@@ -237,21 +237,6 @@ SEELEY: Dict[int, Dict[str, Fraction]] = {
 }
 
 
-def sphere_tensors(model: Sphere) -> Dict[str, Fraction]:
-    """Exact curvature invariants of the round sphere."""
-
-    n = model.dimension - 1
-    r2 = model.radius * model.radius
-    r4 = r2 * r2
-    return {
-        "one": Fraction(1),
-        "R": Fraction(n * (n - 1)) / r2,
-        "Rsq": Fraction(n * n * (n - 1) * (n - 1)) / r4,
-        "RicciSq": Fraction(n * (n - 1) * (n - 1)) / r4,
-        "RiemannSq": Fraction(2 * n * (n - 1)) / r4,
-    }
-
-
 def seeley_reference(model: MetricModel, order: int) -> Dict[str, RegValue]:
     """Expected heat-kernel term of a model at a given order."""
 

@@ -266,13 +266,6 @@ def parse(text: str) -> list[ParsedProduct]:
     return products
 
 
-def terms_from_text(text: str) -> list[IntegrandTerm]:
-    out: list[IntegrandTerm] = []
-    for parsed in parse(text):
-        out.extend(product(list(parsed.factors), parsed.nvars, parsed.coefficient))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # named fixtures
 # ---------------------------------------------------------------------------

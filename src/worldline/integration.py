@@ -25,16 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .integrands import (
-    IntegrandTerm,
-    SingularAtom,
-    _merge_atoms,
-    named_integral_text,
-    product,
-    terms_from_text,
-)
+from .integrands import IntegrandTerm, SingularAtom, _merge_atoms
 from .polynomials import Poly
-from .propagators import Kind, boundary_value
 from .values import RegValue
 
 
@@ -50,8 +42,6 @@ class RuleSet:
 
     def eps_power_delta_value(self, power: int, notes: list[str] | None = None) -> Fraction:
         """Value of  int eps(t)**power delta(t) dt  under this rule set."""
-        if power == 0:
-            return Fraction(1)
         if power == 1:
             return self.value_eps_delta
         if power == 2:
@@ -246,106 +236,3 @@ def integrate(
     for term in terms:
         total = total + integrate_term(term, rules, notes, weight, powers)
     return total
-
-
-def integrate_text(text: str, rules: RuleSet = DIMREG) -> RegValue:
-    return integrate(terms_from_text(text), rules)
-
-
-# ---------------------------------------------------------------------------
-# straight one-dimensional evaluations
-# ---------------------------------------------------------------------------
-
-_STRATEGIES = ("partial_integration", "equation_of_motion", "mixed")
-
-
-def _boundary_cubed_integral() -> tuple[RegValue, RegValue]:
-    """(int Dr(t,0)**3 dt, int Dr(t,β)**3 dt) -- the boundary terms that a
-    double partial integration of the triple-dotted product leaves behind."""
-    at_zero = boundary_value(Kind.DOT_RIGHT, slot=1, at_beta=False)
-    at_beta = boundary_value(Kind.DOT_RIGHT, slot=1, at_beta=True)
-    values = []
-    for pinned in (at_zero, at_beta):
-        cubed = pinned * pinned * pinned
-        values.append(cubed.remap((0, None), 1).integrate_cube())
-    return values[0], values[1]
-
-
-def _dotted_square_times_delta() -> list[IntegrandTerm]:
-    """The terms of  Dr(1,2)**2 * delta(1,2)."""
-    return product(
-        [(Kind.DOT_RIGHT, 0, 1), (Kind.DOT_RIGHT, 0, 1)],
-        2,
-        extra_atoms=(SingularAtom("delta", 0, 1),),
-    )
-
-
-def evaluate_naive_1d(name: str, strategy: str, rules: RuleSet = DIMREG) -> RegValue:
-    """Evaluate I14 or I15 by one of the three one-dimensional routes.
-
-    The three routes differ in which of partial integration and the equation
-    of motion they lean on; they agree only when int eps^2 delta = 1/3, which
-    is exactly what breaks coordinate invariance.  The strategies are:
-
-    * ``partial_integration``: integrate by parts until only boundary terms
-      and regular integrals remain (no coincident-point products at all).
-    * ``equation_of_motion``: substitute the double-dotted propagator by
-      delta - 1/beta immediately and integrate what results.
-    * ``mixed``: one partial integration, then the equation of motion.
-    """
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick one of {_STRATEGIES}")
-    finite_only = False
-    if name in ("I15R", "I2R", "I8R"):
-        finite_only = name == "I15R"
-        if not finite_only:
-            raise ValueError(f"{name} has no scripted one-dimensional route")
-        name = "I15"
-    if name == "I14":
-        value = _naive_i14(strategy, rules)
-    elif name == "I15":
-        value = _naive_i15(strategy, rules)
-    else:
-        raise ValueError(
-            f"no one-dimensional route is scripted for {name!r}; "
-            "only I14 and I15 (and I15R) have one"
-        )
-    return value.finite_part() if finite_only else value
-
-
-def _naive_i14(strategy: str, rules: RuleSet) -> RegValue:
-    if strategy == "partial_integration":
-        # Two partial integrations; all that survives are the endpoint values
-        # of the right-dotted propagator, cubed.
-        at_zero, at_beta = _boundary_cubed_integral()
-        return (at_zero - at_beta) / 6
-    if strategy == "equation_of_motion":
-        text, _ = named_integral_text("I14")
-        return integrate_text(text, rules)
-    # mixed: one partial integration throws the double-dotted factor onto the
-    # remaining pair, then the equation of motion turns it into a delta.
-    return integrate(_dotted_square_times_delta(), rules) / 2
-
-
-def _naive_i15(strategy: str, rules: RuleSet) -> RegValue:
-    divergent = RegValue.delta0() * RegValue.beta(2, Fraction(1, 6))
-    if strategy == "equation_of_motion":
-        text, _ = named_integral_text("I15")
-        return integrate_text(text, rules)
-    if strategy == "partial_integration":
-        # Add and subtract the squared delta, trade it for squared seconds
-        # derivatives, and integrate by parts twice: the finite part becomes
-        # -I14 plus a pure boundary contribution.
-        at_zero, at_beta = _boundary_cubed_integral()
-        boundary = (at_beta - at_zero) / 3
-        return divergent - _naive_i14(strategy, rules) + boundary
-    # mixed: same add-and-subtract, but the intermediate integral is handed
-    # to the equation of motion instead of a further partial integration.
-    return divergent - _naive_i14(strategy, rules) - integrate(
-        _dotted_square_times_delta(), rules
-    )
-
-
-def naive_disagreement(name: str, rules: RuleSet = DIMREG) -> dict[str, RegValue]:
-    """The three route values side by side; equal iff the rules force it."""
-    return {strategy: evaluate_naive_1d(name, strategy, rules) for strategy in _STRATEGIES}

@@ -142,47 +142,6 @@ class Poly:
 
         return _make(nvars, merge({}, ((move(k), c) for k, c in self._terms.items())))
 
-    def set_boundary(self, index: int, at_beta: bool) -> "Poly":
-        """Pin tau_index to 0 or to beta (exponents convert to beta powers)."""
-        slot = index + 1
-        return _make(
-            self.nvars,
-            merge(
-                {},
-                (
-                    ((key[0] + key[slot],) + key[1:slot] + (0,) + key[slot + 1 :], coeff)
-                    for key, coeff in self._terms.items()
-                    if at_beta or not key[slot]
-                ),
-            ),
-        )
-
-    def derivative(self, index: int) -> "Poly":
-        slot = index + 1
-        return _make(
-            self.nvars,
-            merge(
-                {},
-                (
-                    (key[:slot] + (key[slot] - 1,) + key[slot + 1 :], coeff * key[slot])
-                    for key, coeff in self._terms.items()
-                    if key[slot]
-                ),
-            ),
-        )
-
-    # -- evaluation -------------------------------------------------------------
-
-    def eval_float(self, taus: Sequence[float], beta: float) -> float:
-        total = 0.0
-        for (beta_pow, *exps), coeff in self._terms.items():
-            term = float(coeff) * beta**beta_pow
-            for tau, e in zip(taus, exps):
-                if e:
-                    term *= tau**e
-            total += term
-        return total
-
     # -- exact integration --------------------------------------------------------
 
     def integrate_cube(self) -> RegValue:

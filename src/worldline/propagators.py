@@ -63,10 +63,6 @@ def has_delta(kind: Kind) -> bool:
     return kind is Kind.DOT_DOT
 
 
-def _region(kind: Kind, eps_sign: int) -> Poly:
-    return _SMOOTH[kind] + Fraction(eps_sign) * _EPS_COEFF[kind]
-
-
 def diagonal(kind: Kind) -> Poly | RegValue:
     """Equal-time value as a 1-variable polynomial in t.
 
@@ -76,41 +72,3 @@ def diagonal(kind: Kind) -> Poly | RegValue:
     if kind is Kind.DOT_DOT:
         return RegValue.delta0() - RegValue.beta(-1)
     return _SMOOTH[kind].remap((0, 0), 1)  # eps(0) = 0 drops the eps part
-
-
-def boundary_value(kind: Kind, slot: int, at_beta: bool) -> Poly:
-    """Closed form with one argument pinned to an endpoint of [0, beta].
-
-    ``slot`` 0 pins t, slot 1 pins t'; the result is a 2-variable polynomial
-    depending only on the remaining variable.  The pinned variable is
-    strictly outside the other's range, so the sign of eps is determined:
-    D and Dl vanish when t' is pinned, D and Dr vanish when t is pinned.
-    """
-    if kind is Kind.DOT_DOT:
-        raise ValueError(
-            "distributional kind: DD has no boundary value; its delta part "
-            "is supported at the pinned endpoint"
-        )
-    # Pinned variable at 0 is below the interior variable; at beta, above it.
-    if slot == 0:
-        eps_sign = 1 if at_beta else -1
-    else:
-        eps_sign = -1 if at_beta else 1
-    return _region(kind, eps_sign).set_boundary(slot, at_beta)
-
-
-def eval_numeric(kind: Kind, t: float, t_prime: float, beta: float) -> float:
-    """Pointwise numeric value.  Refuses the genuinely ambiguous cases."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if kind is Kind.DOT_DOT:
-        raise ValueError(
-            "distributional kind: DD(t, t') contains delta(t - t') and has "
-            "no pointwise numeric value"
-        )
-    if t == t_prime and kind is not Kind.D:
-        raise ValueError(
-            "on-diagonal ambiguous: use diagonal() for the equal-time value"
-        )
-    region = _region(kind, 1 if t > t_prime else -1)
-    return region.eval_float((t, t_prime), beta)

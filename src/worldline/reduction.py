@@ -269,8 +269,7 @@ def partial_integration(term: TTerm, index: int, side: int) -> list[TTerm]:
 
     Returns the product-rule terms.  The endpoint terms must vanish: chains
     whose boundary contributions survive are outside the move table and are
-    rejected (the straight one-dimensional evaluations handle their own
-    boundary terms separately).  With nothing left to differentiate the
+    rejected.  With nothing left to differentiate the
     integrand was a total derivative with zero boundary terms, so the list
     is empty: the whole term vanishes.
     """
@@ -566,19 +565,3 @@ def evaluate_named(
     text, finite_only = named_integral_text(name)
     value = reduce_terms(text, rules, log)
     return value.finite_part() if finite_only else value
-
-
-def forbidden_one_dimensional_return(name: str = "I14") -> None:
-    """Attempt the illegal shortcut: lift, then come straight back to 1D.
-
-    This is the path that would let the naive manipulations sneak back in.
-    It always raises, naming the mixed-derivative factor that blocks it.
-    """
-    text, _ = named_integral_text(name)
-    for parsed in parse(text):
-        term = lift(parsed)
-        for idx, prop in enumerate(term.props):
-            if tag(prop) == "MuMuEqualTime":
-                term = equal_time_substitute(term, idx)
-                break
-        return_to_1d(term)

@@ -159,20 +159,6 @@ def _evaluate(terms: Tuple[Tuple[int, int], ...], dimension: int) -> int:
     return sum(sign * dimension**cycles for sign, cycles in terms)
 
 
-def contraction_value(
-    factors: Sequence[str], pairing: Sequence[Edge], dimension: int
-) -> int:
-    """Value of the fully contracted product at unit scale.
-
-    ``factors`` names the tensor patterns in order; their external slots
-    are numbered globally and contiguously, factor by factor.  ``pairing``
-    lists the delta contractions among those global external slots, one
-    edge per Wick pair or internal vertex contraction.
-    """
-
-    return _evaluate(_cycle_terms(*_key(factors, pairing)), dimension)
-
-
 # ---------------------------------------------------------------------------
 # invariant decomposition
 # ---------------------------------------------------------------------------

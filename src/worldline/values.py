@@ -181,16 +181,6 @@ class RegValue:
     def finite_part(self) -> "RegValue":
         return self.grade(0)
 
-    def delta0_degree(self) -> int:
-        """Largest delta0 power present (0 for the zero value)."""
-        return max((d for (_, d) in self._terms), default=0)
-
-    def eval_float(self, beta: float) -> float:
-        """Numeric value at a concrete beta.  Requires no delta0 content."""
-        if self.delta0_degree() > 0:
-            raise ValueError("value contains delta0 and has no numeric meaning")
-        return sum(float(c) * beta**b for (b, _), c in self._terms.items())
-
     # -- rendering -----------------------------------------------------------
 
     def text(self) -> str:

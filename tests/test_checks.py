@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -26,6 +27,7 @@ from worldline.checks import (
     sphere_spectral_check,
     zeta_series_check,
 )
+from worldline.cli import main
 from worldline.diagrams import perfect_matchings
 from worldline.geometry import Sphere
 from worldline.integration import DIMREG, MODEREG
@@ -44,7 +46,7 @@ def test_report_passed_and_mismatches() -> None:
         actual={"a": "1", "b": "3", "c": "4"},
         tolerance="exact",
     )
-    assert not report.passed
+    assert report.status == "fail"
     assert report.mismatches() == ["b", "c"]
 
 
@@ -56,12 +58,12 @@ def test_report_passed_and_mismatches() -> None:
 @pytest.mark.parametrize("order", [1, 2])
 def test_flat_orders_cancel_dimensionally(order: int) -> None:
     report = check_flat(order, DIMREG)
-    assert report.passed
+    assert report.status == "pass"
     assert all(value == "0" for value in report.actual.values())
 
 
 def test_flat_order_one_cancels_in_mode_scheme() -> None:
-    assert check_flat(1, MODEREG).passed
+    assert check_flat(1, MODEREG).status == "pass"
 
 
 def test_flat_order_two_fails_in_mode_scheme_with_known_residual() -> None:
@@ -80,7 +82,7 @@ def test_flat_order_two_fails_in_mode_scheme_with_known_residual() -> None:
 
 def test_constraints_hold_dimensionally() -> None:
     report = check_constraints(DIMREG)
-    assert report.passed
+    assert report.status == "pass"
     assert report.actual["I14 + I15R"] == "-1/12 * beta"
     assert report.actual["3*I14 + I15R"] == "0"
     assert report.actual["I8R + 4*I9 + I10"] == "-1/120 * beta^2"
@@ -125,13 +127,13 @@ def test_constraints_fail_in_mode_scheme_with_recorded_values() -> None:
 
 def test_seeley_order_one() -> None:
     report = check_seeley(1)
-    assert report.passed
+    assert report.status == "pass"
     assert report.actual["R"] == "1/12 * beta"
 
 
 def test_seeley_order_two() -> None:
     report = check_seeley(2)
-    assert report.passed
+    assert report.status == "pass"
     assert report.actual["Rsq"] == "1/288 * beta^2"
     assert report.actual["RiemannSq"] == "1/720 * beta^2"
     assert report.actual["RicciSq"] == "-1/720 * beta^2"
@@ -156,19 +158,19 @@ def test_degeneracies() -> None:
 
 def test_sphere_spectral_default_passes() -> None:
     report = sphere_spectral_check()
-    assert report.passed
+    assert report.status == "pass"
     deviation = float(report.actual["relative_deviation"])
     assert deviation < 1e-8
 
 
 def test_sphere_spectral_accepts_string_beta() -> None:
     report = sphere_spectral_check(beta="0.01", l_max=900)
-    assert report.passed
+    assert report.status == "pass"
 
 
 def test_sphere_spectral_refines_near_the_tolerance() -> None:
     report = sphere_spectral_check(tolerance=1e-8)
-    assert report.passed
+    assert report.status == "pass"
     assert "recomputed at 50 digits" in report.details
 
 
@@ -236,7 +238,7 @@ def test_sphere_scaling_on_the_circle_has_no_ratio() -> None:
 
 def test_sphere_scaling_ratios_sit_in_the_band() -> None:
     report = sphere_scaling_check()
-    assert report.passed
+    assert report.status == "pass"
     assert report.details == ("dimension 3, radius 1, l_max 1000",)
     for key, value in report.actual.items():
         if key.startswith("ratio"):
@@ -248,7 +250,7 @@ def test_sphere_scaling_recomputes_small_deviations_at_50_digits() -> None:
     # precision these deviations (down to 1.3e-15) carry noise of about
     # 2.5e-16 and their ratios read 8.035 and 9.500.
     report = sphere_scaling_check(radius=10, l_max=3000)
-    assert report.passed
+    assert report.status == "pass"
     assert report.actual["ratio[0.04/0.02]"] == "8.000"
     assert report.actual["ratio[0.02/0.01]"] == "8.000"
     assert report.details[1:] == tuple(
@@ -259,7 +261,7 @@ def test_sphere_scaling_recomputes_small_deviations_at_50_digits() -> None:
 def test_sphere_scaling_on_a_large_radius_passes_at_50_digits() -> None:
     # At double precision the deviation at beta 1/50 is exactly 0.
     report = sphere_scaling_check(radius=20, l_max=2000)
-    assert report.passed
+    assert report.status == "pass"
     assert report.actual["deviation[0.02]"] == "1.984e-16"
     assert "beta 1/50 recomputed at 50 digits" in report.details
 
@@ -300,9 +302,32 @@ def test_sphere_checks_do_bounded_work_for_a_huge_cutoff(degeneracy_levels) -> N
     # Both level sums stop once no later level can change them; summing to
     # l_max = 10**9 would take hours.
     spectral = sphere_spectral_check(l_max=10**9, tolerance=1e-8)
-    assert spectral.passed
+    assert spectral.status == "pass"
     assert "recomputed at 50 digits" in spectral.details
-    assert sphere_scaling_check(l_max=10**9).passed
+    assert sphere_scaling_check(l_max=10**9).status == "pass"
+    assert len(degeneracy_levels) < 2000
+
+
+@pytest.mark.parametrize(
+    "argv,bound,beta,radius",
+    [
+        (["--radius", "1000", "--lmax", "1000000"], 89443, "1/100", 1000),
+        (["--beta", "1e-9", "--lmax", "1000000000"], 282843, "1/1000000000", 1),
+    ],
+)
+def test_sphere_refuses_a_truncation_bound_above_the_cap(
+    degeneracy_levels, capsys, argv, bound, beta, radius
+) -> None:
+    # The levels both sums visit grow like radius / sqrt(beta); an input
+    # past the cap is refused before any level is summed.  The scaling
+    # check keeps its own betas, so with radius 1 it still runs.
+    assert main(["sphere", "--json", *argv]) == 2
+    spectral = json.loads(capsys.readouterr().out)[0]
+    assert spectral["status"] == "error"
+    assert spectral["details"] == [
+        f"the truncation bound {bound} for beta {beta} and radius {radius} "
+        "is above the largest supported bound 10000"
+    ]
     assert len(degeneracy_levels) < 2000
 
 
@@ -438,7 +463,7 @@ def test_decimal_sum_equals_the_full_loop(
 
 def test_zeta_series_matches_heat_kernel() -> None:
     report = zeta_series_check()
-    assert report.passed
+    assert report.status == "pass"
     assert report.actual["degeneracy_sum"] == "1/3"
     assert report.actual["linear_coefficient"] == "1/30"
     assert report.actual["series"] == "(1, 1/6, 1/60)"
@@ -485,7 +510,7 @@ def _profile_moment(name: str, n: int) -> Fraction:
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_measure_cancellation_through_order_six(name: str) -> None:
     report = measure_cancellation(name)
-    assert report.passed
+    assert report.status == "pass"
     for n in range(1, 7):
         moment = _profile_moment(name, n) * Fraction((-1) ** n, 2 * n)
         want = RegValue.delta0(coeff=moment) * RegValue.beta()
@@ -495,7 +520,7 @@ def test_measure_cancellation_through_order_six(name: str) -> None:
 
 def test_measure_cancellation_accepts_profile_names() -> None:
     report = measure_cancellation("tau / beta", max_order=2)
-    assert report.passed
+    assert report.status == "pass"
     assert report.check_name == "measure_cancellation[tau/beta]"
 
 
@@ -547,9 +572,9 @@ def test_connected_ring_multiplicity(n: int) -> None:
 def test_standard_battery_passes_dimensionally() -> None:
     reports = run_standard_checks(DIMREG)
     assert len(reports) == 11
-    assert all(report.passed for report in reports)
+    assert all(report.status == "pass" for report in reports)
 
 
 def test_standard_battery_flags_the_mode_scheme() -> None:
-    failing = [r.check_name for r in run_standard_checks(MODEREG) if not r.passed]
+    failing = [r.check_name for r in run_standard_checks(MODEREG) if r.status != "pass"]
     assert failing == ["flat_sum_order2", "first_order_constraints"]

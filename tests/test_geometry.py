@@ -21,7 +21,6 @@ from worldline.geometry import (
     measure_terms,
     metric_series,
     seeley_reference,
-    sphere_tensors,
     vertices,
 )
 from worldline.integrands import named_integral_text
@@ -118,6 +117,18 @@ def test_measure_terms():
 # ---------------------------------------------------------------------------
 # sphere reference data
 # ---------------------------------------------------------------------------
+
+
+def sphere_tensors(model: Sphere) -> dict:
+    """Curvature invariants of the round sphere of dimension n = model.dimension - 1."""
+    n = model.dimension - 1
+    r2 = model.radius * model.radius
+    return {
+        "R": Fraction(n * (n - 1)) / r2,
+        "Rsq": Fraction(n * n * (n - 1) * (n - 1)) / (r2 * r2),
+        "RicciSq": Fraction(n * (n - 1) * (n - 1)) / (r2 * r2),
+        "RiemannSq": Fraction(2 * n * (n - 1)) / (r2 * r2),
+    }
 
 
 def test_sphere_tensors_examples():

@@ -15,9 +15,7 @@ from worldline.integrands import (
     named_integral_text,
     parse,
     product,
-    terms_from_text,
 )
-from worldline.integration import integrate_text
 from worldline.polynomials import Poly
 from worldline.propagators import Kind
 from worldline.reduction import reduce_terms
@@ -149,7 +147,7 @@ def test_parse_rejects_garbage():
         parse("D(1,2) *")
 
 
-@pytest.mark.parametrize("route", [parse, reduce_terms, integrate_text], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("route", [parse, reduce_terms], ids=lambda f: f.__name__)
 def test_zero_denominator_is_a_parse_error(route):
     # A zero denominator is not a rational token, so the text stops parsing
     # at the slash instead of dividing by zero.
@@ -206,9 +204,3 @@ def test_named_registry_contents():
 def test_named_integral_unknown():
     with pytest.raises(KeyError, match="I14"):
         named_integral_text("I999")
-
-
-def test_terms_from_text_matches_product():
-    direct = product([(Kind.D, 0, 1), (Kind.DOT_DOT, 0, 1)], 2)
-    parsed = terms_from_text("D(1,2)*DD(1,2)")
-    assert parsed == direct

@@ -2,51 +2,47 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
-import pytest
-
 from worldline.polynomials import Poly
-from worldline.propagators import Kind, _region, boundary_value, diagonal, eval_numeric
+from worldline.propagators import Kind, diagonal, eps_coefficient, smooth_part
 from worldline.values import RegValue
 
-
-BETA = 1.9
-
-
-def _reference(kind: Kind, t: float, s: float, beta: float) -> float:
-    eps = 1.0 if t > s else -1.0
-    if kind is Kind.D:
-        return 0.5 * (-eps * (t - s) + t + s) - t * s / beta
-    if kind is Kind.DOT_LEFT:
-        return -0.5 * eps + 0.5 - s / beta
-    if kind is Kind.DOT_RIGHT:
-        return 0.5 * eps + 0.5 - t / beta
-    raise AssertionError("no pointwise reference for the double-dotted kind")
+_HALF = Fraction(1, 2)
 
 
-def test_numeric_matches_closed_forms():
-    rng = random.Random(3)
-    for _ in range(1000):
-        t, s = rng.uniform(0, BETA), rng.uniform(0, BETA)
-        if t == s:
+def _region(kind: Kind, sign: int) -> Poly:
+    """The kind away from the diagonal, where eps(t - t') = sign."""
+    return smooth_part(kind) + eps_coefficient(kind) * sign
+
+
+def test_regions_match_closed_forms():
+    # The module docstring's closed forms, keyed (beta, t, t') exponents.
+    for sign in (1, -1):
+        half = Fraction(sign, 2)
+        closed = {
+            Kind.D: {(0, 1, 0): _HALF - half, (0, 0, 1): _HALF + half, (-1, 1, 1): -1},
+            Kind.DOT_LEFT: {(0, 0, 0): _HALF - half, (-1, 0, 1): -1},
+            Kind.DOT_RIGHT: {(0, 0, 0): _HALF + half, (-1, 1, 0): -1},
+            Kind.DOT_DOT: {(-1, 0, 0): -1},  # its delta part lives on the diagonal
+        }
+        for kind, terms in closed.items():
+            assert _region(kind, sign) == Poly(2, terms), (kind, sign)
+
+
+def _pinned(kind: Kind, slot: int, at_beta: bool) -> Poly:
+    """The closed form with argument ``slot`` (0 is t, 1 is t') at 0 or at beta."""
+    # The pinned argument lies below the other one at 0 and above it at beta.
+    items = []
+    for key, coeff in _region(kind, 1 if (slot == 0) == at_beta else -1).terms().items():
+        power = key[slot + 1]
+        if power and not at_beta:
             continue
-        for kind in (Kind.D, Kind.DOT_LEFT, Kind.DOT_RIGHT):
-            assert eval_numeric(kind, t, s, BETA) == pytest.approx(
-                _reference(kind, t, s, BETA)
-            )
-
-
-def test_numeric_guards():
-    with pytest.raises(ValueError, match="distributional"):
-        eval_numeric(Kind.DOT_DOT, 0.3, 0.4, BETA)
-    with pytest.raises(ValueError, match="diagonal"):
-        eval_numeric(Kind.DOT_LEFT, 0.5, 0.5, BETA)
-    # The undotted propagator is continuous across the diagonal.
-    assert eval_numeric(Kind.D, 0.5, 0.5, BETA) == pytest.approx(
-        0.5 - 0.25 / BETA
-    )
+        moved = list(key)
+        moved[0] += power
+        moved[slot + 1] = 0
+        items.append((tuple(moved), coeff))
+    return Poly(2, items)
 
 
 def test_diagonals():
@@ -61,10 +57,13 @@ def test_diagonals():
 
 def test_diagonal_derivative_identities():
     # d/dtau D(tau,tau) = 2 * Dl(tau,tau) and d/dtau Dl(tau,tau) = -1/beta.
+    def derivative(p: Poly) -> Poly:
+        return Poly(1, {(b, e - 1): c * e for (b, e), c in p.terms().items() if e})
+
     d = diagonal(Kind.D)
     dl = diagonal(Kind.DOT_LEFT)
-    assert d.derivative(0) == dl * 2
-    assert dl.derivative(0) == Poly.const(1, -1, beta_power=-1)
+    assert derivative(d) == dl * 2
+    assert derivative(dl) == Poly.const(1, -1, beta_power=-1)
 
 
 def test_diagonal_integrals():
@@ -79,14 +78,14 @@ def test_boundary_values():
     # The undotted propagator vanishes at either pinned argument.
     for slot in (0, 1):
         for at_beta in (False, True):
-            assert boundary_value(Kind.D, slot, at_beta).is_zero()
+            assert _pinned(Kind.D, slot, at_beta).is_zero()
     # Dl vanishes when its second argument is pinned, Dr when its first is.
     for at_beta in (False, True):
-        assert boundary_value(Kind.DOT_LEFT, 1, at_beta).is_zero()
-        assert boundary_value(Kind.DOT_RIGHT, 0, at_beta).is_zero()
+        assert _pinned(Kind.DOT_LEFT, 1, at_beta).is_zero()
+        assert _pinned(Kind.DOT_RIGHT, 0, at_beta).is_zero()
     # Dr(tau, 0) = 1 - tau/beta and Dr(tau, beta) = -tau/beta.
-    at_zero = boundary_value(Kind.DOT_RIGHT, 1, False)
-    at_beta = boundary_value(Kind.DOT_RIGHT, 1, True)
+    at_zero = _pinned(Kind.DOT_RIGHT, 1, False)
+    at_beta = _pinned(Kind.DOT_RIGHT, 1, True)
     expect_zero = Poly.const(2, 1) + Poly.monomial(2, -1, -1, (1, 0))
     expect_beta = Poly.monomial(2, -1, -1, (1, 0))
     assert at_zero == expect_zero
@@ -97,11 +96,6 @@ def test_boundary_values():
     cube_beta = (expect_beta * expect_beta * expect_beta).integrate_cube()
     assert cube_zero == RegValue.beta(2, Fraction(1, 4))
     assert cube_beta == RegValue.beta(2, Fraction(-1, 4))
-
-
-def test_boundary_value_rejects_distributional():
-    with pytest.raises(ValueError, match="distributional"):
-        boundary_value(Kind.DOT_DOT, 0, True)
 
 
 def test_average_of_regions_on_diagonal():

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import typing
 
 import pytest
@@ -54,3 +58,86 @@ def test_readme_lists_exactly_the_public_names(module: str) -> None:
         return {n for n in names if typing.get_origin(namespace.get(n)) is None}
 
     assert without_aliases(_readme_names()[module]) == without_aliases(_defined_names(module))
+
+
+# One run of each verb, the failing text-mode report, and one refusal per verb.
+_INVOCATIONS = (
+    (["verify", "--json"], 0),
+    (["verify", "--ruleset", "modereg", "--case", "flat"], 1),
+    (["integral", "I2", "--dump-moves"], 0),
+    (["catalog", "--model", "normal", "--order", "2"], 0),
+    (["sphere", "--json", "--beta", "1/50", "--lmax", "3000", "--tolerance", "1e-7"], 0),
+    (["measure-cancel", "--json", "--max-order", "3"], 0),
+    (["integral", "I99"], 2),
+    (["verify", "--case", "bogus"], 2),
+    (["catalog", "--order", "3"], 2),
+    (["sphere", "--dimension", "400"], 2),
+    (["measure-cancel", "--max-order", "9"], 2),
+)
+
+# Read by the benchmark tracer (perfbench/tracer.py), which no verb runs.
+_UNREACHED_ON_PURPOSE = ["polynomials.Poly.terms"]
+
+_REACH_SCRIPT = r"""
+import contextlib, io, json, pathlib, sys, types
+
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+# Installed before the import, so code that runs at import time counts.
+sys.setprofile(profile)
+import worldline.cli
+exits = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        exits.append(worldline.cli.main(argv))
+sys.setprofile(None)
+
+
+def codes(owner, value):
+    # Decorated functions (functools.cache, classmethod, property) hold the
+    # function itself one attribute down.
+    for attr in ("__func__", "__wrapped__", "fget"):
+        value = getattr(value, attr, value)
+    if isinstance(value, types.FunctionType):
+        yield owner + value.__name__, value.__code__
+
+
+def nested(name, code):
+    yield name, code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType) and const.co_name.isidentifier():
+            yield from nested(f"{name}.{const.co_name}", const)
+
+
+defined = {}
+for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "worldline"]:
+    path = pathlib.Path(module.__file__)
+    for value in vars(module).values():
+        found = list(codes("", value))
+        if isinstance(value, type) and value.__module__ == module.__name__:
+            found = [c for v in vars(value).values() for c in codes(value.__name__ + ".", v)]
+        for name, code in found:
+            for full, inner in nested(name, code):
+                if inner.co_filename == str(path) and not inner.co_name.startswith("__"):
+                    defined[f"{path.stem}.{full}"] = inner
+missed = sorted(name for name, code in defined.items() if code not in entered)
+print(json.dumps({"exits": exits, "missed": missed}))
+"""
+
+
+def test_every_function_is_reached_by_a_verb() -> None:
+    """Every function and non-dunder method in the package runs under some verb."""
+    argvs = [argv for argv, _ in _INVOCATIONS]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", _REACH_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["exits"] == [code for _, code in _INVOCATIONS]
+    assert result["missed"] == _UNREACHED_ON_PURPOSE

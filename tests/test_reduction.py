@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from worldline.integrands import ParsedProduct, parse
+from worldline.integrands import NAMED_INTEGRALS, ParsedProduct, parse
 from worldline.integration import DIMREG, MODEREG
 from worldline.propagators import Kind
 from worldline.reduction import (
@@ -20,7 +20,6 @@ from worldline.reduction import (
     equal_time_substitute,
     evaluate_named,
     field_equation,
-    forbidden_one_dimensional_return,
     lift,
     partial_integration,
     reduce_terms,
@@ -182,10 +181,11 @@ def test_no_delta_substitution_on_munu():
 
 
 def test_forbidden_shortcut_raises_naming_the_factor():
-    with pytest.raises(ReductionError, match="MuNu"):
-        forbidden_one_dimensional_return("I14")
-    with pytest.raises(ReductionError, match="no legal reduction"):
-        forbidden_one_dimensional_return("I15")
+    # Lift, then come straight back to one dimension: the shortcut that
+    # would let the naive manipulations back in.
+    for name, match in (("I14", "MuNu"), ("I15", "no legal reduction")):
+        with pytest.raises(ReductionError, match=match):
+            return_to_1d(lift(parse(NAMED_INTEGRALS[name])[0]))
 
 
 def test_return_to_1d_blocked_by_munu():

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from worldline.tensors import (
-    contraction_value,
-    invariant_coefficients,
-)
+from worldline.tensors import _cycle_terms, invariant_coefficients
+
+
+def contraction_value(factors, pairing, n):
+    """The full contraction on an n-dimensional target at unit scale."""
+    return sum(sign * n**cycles for sign, cycles in _cycle_terms(tuple(factors), tuple(pairing)))
 
 
 # ---------------------------------------------------------------------------

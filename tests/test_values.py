@@ -60,15 +60,7 @@ def test_grading_and_finite_part():
     v = RegValue.beta(2, Fraction(-7, 180)) + RegValue.term(Fraction(1, 30), 3, 1)
     assert v.finite_part() == RegValue.beta(2, Fraction(-7, 180))
     assert v.grade(1) == RegValue.term(Fraction(1, 30), 3, 1)
-    assert v.delta0_degree() == 1
     assert v.grade(2).is_zero()
-
-
-def test_eval_float():
-    v = RegValue.beta(2, Fraction(1, 90))
-    assert v.eval_float(2.0) == pytest.approx(4 / 90)
-    with pytest.raises(ValueError):
-        (RegValue.delta0() * RegValue.beta(1)).eval_float(1.0)
 
 
 def test_text_rendering():
