@@ -9,6 +9,9 @@ Verbs:
 * ``sphere``: run the spectral, scaling, and zeta cross-checks.
 * ``measure-cancel``: run the measure cancellation rings.
 
+Each handler imports only the layers its verb runs, so building the
+parser loads no engine module.
+
 Exit codes: 0 when everything passes, 1 when a check fails, 2 for
 invalid input or a check that could not run.
 """
@@ -19,26 +22,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .checks import (
-    PROFILES,
-    CheckReport,
-    check_constraints,
-    check_flat,
-    check_seeley,
-    measure_cancellation,
-    run_standard_checks,
-    sphere_scaling_check,
-    sphere_spectral_check,
-    zeta_series_check,
-)
-from .diagrams import catalog
-from .geometry import FlatTransform, NormalCoords
-from .integration import RULESETS
-from .reduction import evaluate_named
-
-_MODELS = {"flat": FlatTransform, "normal": NormalCoords}
+if TYPE_CHECKING:
+    from .spectral import CheckReport
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +93,9 @@ def _emit_reports(reports: List[CheckReport], as_json: bool, dump_moves: bool) -
 
 
 def _run_integral(args: argparse.Namespace) -> int:
+    from .integration import RULESETS
+    from .reduction import evaluate_named
+
     rules = RULESETS[args.ruleset]
     log: Optional[List[dict]] = [] if args.dump_moves else None
     try:
@@ -132,6 +122,9 @@ def _run_integral(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from .checks import check_constraints, check_flat, check_seeley, run_standard_checks
+    from .integration import RULESETS
+
     rules = RULESETS[args.ruleset]
     if args.case is None:
         reports = run_standard_checks(rules)
@@ -145,8 +138,12 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_catalog(args: argparse.Namespace) -> int:
-    rules = RULESETS[args.ruleset]
-    rows = catalog(_MODELS[args.model](), args.order, rules)
+    from .diagrams import catalog
+    from .geometry import FlatTransform, NormalCoords
+    from .integration import RULESETS
+
+    models = {"flat": FlatTransform, "normal": NormalCoords}
+    rows = catalog(models[args.model](), args.order, RULESETS[args.ruleset])
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return 0
@@ -162,6 +159,8 @@ def _run_catalog(args: argparse.Namespace) -> int:
 
 
 def _run_sphere(args: argparse.Namespace) -> int:
+    from .spectral import sphere_scaling_check, sphere_spectral_check, zeta_series_check
+
     reports = [
         sphere_spectral_check(
             dimension=args.dimension,
@@ -181,6 +180,8 @@ def _run_sphere(args: argparse.Namespace) -> int:
 
 
 def _run_measure_cancel(args: argparse.Namespace) -> int:
+    from .rings import PROFILES, measure_cancellation
+
     profiles = PROFILES if args.profile is None else [args.profile]
     reports = [
         measure_cancellation(profile, max_order=args.max_order)
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--ruleset",
-            choices=sorted(RULESETS),
+            choices=("dimreg", "modereg"),  # the keys of integration.RULESETS
             default="dimreg",
             help="regularization scheme (default: dimreg)",
         )
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         "catalog", help="list the diagrams of a model"
     )
     catalog_verb.add_argument(
-        "--model", choices=sorted(_MODELS), default="flat", help="metric model"
+        "--model", choices=("flat", "normal"), default="flat", help="metric model"
     )
     catalog_verb.add_argument(
         "--order", type=int, choices=(1, 2), default=2, help="expansion order"

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .geometry import Vertex, measure_terms, vertices as model_vertices
 from .integrands import ParsedProduct
 from .integration import DIMREG, RuleSet
 from .propagators import Kind
@@ -40,66 +41,8 @@ _MIRROR_KIND = {
 
 
 # ---------------------------------------------------------------------------
-# vertices and diagrams
+# diagrams
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Vertex:
-    """One interaction monomial of the expanded action.
-
-    ``coefficient`` multiplies the integrated monomial
-    ``q^q_power qdot^qdot_power`` at a single time, together with
-    ``delta0_power`` factors of the equal-time distributional constant.
-    When the vertex carries curvature factors, ``tensors`` names their
-    delta-expansion patterns, the slot tuples say which tensor slot each
-    field index lives in, and ``internal`` lists slot pairs contracted
-    inside the vertex itself.
-    """
-
-    name: str
-    order_in_eps: int
-    q_power: int
-    qdot_power: int
-    delta0_power: int
-    coefficient: Fraction
-    tensors: Tuple[str, ...] = ()
-    q_slots: Tuple[int, ...] = ()
-    qdot_slots: Tuple[int, ...] = ()
-    internal: Tuple[Tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.order_in_eps not in (1, 2):
-            raise ValueError("vertex order must be 1 or 2")
-        if self.qdot_power not in (0, 2):
-            raise ValueError("vertices carry zero or two derivative fields")
-        if self.delta0_power not in (0, 1):
-            raise ValueError("vertices carry at most one equal-time constant")
-        if self.tensors:
-            if len(self.q_slots) != self.q_power:
-                raise ValueError("each field needs a tensor slot")
-            if len(self.qdot_slots) != self.qdot_power:
-                raise ValueError("each derivative field needs a tensor slot")
-            used = list(self.q_slots) + list(self.qdot_slots)
-            for a, b in self.internal:
-                used.extend((a, b))
-            if sorted(used) != list(range(self.slot_count)):
-                raise ValueError("tensor slots must cover 0..slot_count-1 exactly once")
-        elif self.q_slots or self.qdot_slots or self.internal:
-            raise ValueError("slot data requires tensor factors")
-
-    @property
-    def slot_count(self) -> int:
-        """Number of tensor slots the vertex exposes."""
-        if not self.tensors:
-            return 0
-        highest = -1
-        for group in (self.q_slots, self.qdot_slots):
-            for slot in group:
-                highest = max(highest, slot)
-        for a, b in self.internal:
-            highest = max(highest, a, b)
-        return highest + 1
 
 
 @dataclass(frozen=True)
@@ -379,8 +322,6 @@ def sum_order(model, order: int, rules: RuleSet = DIMREG) -> Dict[str, RegValue]
     the geometry layer.
     """
 
-    from .geometry import measure_terms, vertices as model_vertices
-
     if order not in (1, 2):
         raise ValueError("diagram totals are implemented through second order")
     totals: Dict[str, RegValue] = {}
@@ -403,8 +344,6 @@ def sum_order(model, order: int, rules: RuleSet = DIMREG) -> Dict[str, RegValue]
 
 def catalog(model, order: int, rules: RuleSet = DIMREG) -> List[dict]:
     """JSON-ready listing of the order-``order`` diagram catalog."""
-
-    from .geometry import vertices as model_vertices
 
     entries = []
     for diagram in wick(model_vertices(model), order=order):

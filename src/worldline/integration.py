@@ -147,6 +147,11 @@ def _integrate_regular(poly: Poly, atoms: tuple[SingularAtom, ...]) -> RegValue:
     return total
 
 
+# The unit weight.  ``integrate`` passes this object for no weight and for
+# any weight equal to 1, so ``integrate_term`` tells it apart by identity.
+_UNIT = Poly.const(1, 1)
+
+
 def _weight_power(
     weight: Poly, m: int, powers: dict[int, tuple[Poly, RegValue]]
 ) -> tuple[Poly, RegValue]:
@@ -172,7 +177,8 @@ def integrate_term(
     variable that tau_v now equals, so each survivor carries w to the size
     of its block.  After the last delta one remap moves the polynomial from
     the original variables to the survivors that the polynomial or an eps
-    atom touches; every other survivor separates into int w**m.
+    atom touches; every other survivor separates into int w**m.  Only a
+    weight other than ``_UNIT`` multiplies the kept survivors' w**m in.
     ``powers`` memoizes the weight powers across the terms of one call.
     """
     nvars = term.nvars
@@ -207,9 +213,10 @@ def integrate_term(
             value = value * _weight_power(weight, root.count(s), powers)[1]
     slot = {s: k for k, s in enumerate(kept)}
     poly = term.poly.remap([slot.get(r) for r in root], len(kept))
-    for s in kept:
-        power = _weight_power(weight, root.count(s), powers)[0]
-        poly = poly * power.remap((slot[s],), len(kept))
+    if weight is not _UNIT:
+        for s in kept:
+            power = _weight_power(weight, root.count(s), powers)[0]
+            poly = poly * power.remap((slot[s],), len(kept))
     atoms = tuple(SingularAtom(a.kind, slot[a.i], slot[a.j], a.power) for a in atoms)
     return value * _integrate_regular(poly, atoms)
 
@@ -225,8 +232,8 @@ def integrate(
     ``weight`` is an optional one-variable polynomial w; the integrand is
     then  terms * w(tau_1) * ... * w(tau_n).  No weight is the unit weight.
     """
-    if weight is None:
-        weight = Poly.const(1, 1)
+    if weight is None or weight == 1:
+        weight = _UNIT
     if weight.nvars != 1:
         raise ValueError("the weight must be a polynomial in one variable")
     if weight.is_zero():

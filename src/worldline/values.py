@@ -102,11 +102,11 @@ class RegValue:
 
     @classmethod
     def zero(cls) -> "RegValue":
-        return cls()
+        return _make({})
 
     @classmethod
     def one(cls) -> "RegValue":
-        return cls({(0, 0): 1})
+        return _make({(0, 0): Fraction(1)})
 
     # -- ring operations ---------------------------------------------------
 

@@ -10,27 +10,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from worldline import checks
-from worldline.checks import (
-    PROFILES,
-    CheckReport,
-    ZETA_AT_NEGATIVE_INTEGERS,
-    _degeneracy,
-    _regularized_sum,
-    check_constraints,
-    check_flat,
-    check_seeley,
-    measure_cancellation,
-    resolve_profile,
-    run_standard_checks,
-    sphere_scaling_check,
-    sphere_spectral_check,
-    zeta_series_check,
-)
+from worldline import spectral
+from worldline.checks import check_constraints, check_flat, check_seeley, run_standard_checks
 from worldline.cli import main
 from worldline.diagrams import perfect_matchings
 from worldline.geometry import Sphere
 from worldline.integration import DIMREG, MODEREG
+from worldline.rings import PROFILES, measure_cancellation, resolve_profile
+from worldline.spectral import (
+    CheckReport,
+    ZETA_AT_NEGATIVE_INTEGERS,
+    _degeneracy,
+    _regularized_sum,
+    sphere_scaling_check,
+    sphere_spectral_check,
+    zeta_series_check,
+)
 from worldline.values import RegValue
 
 # ---------------------------------------------------------------------------
@@ -218,7 +213,7 @@ def test_sphere_checks_fail_fast_for_a_huge_dimension(monkeypatch) -> None:
     def unreachable(dimension: int, level: int) -> None:
         raise AssertionError("the level sum ran for an out-of-range dimension")
 
-    monkeypatch.setattr(checks, "_degeneracy", unreachable)
+    monkeypatch.setattr(spectral, "_degeneracy", unreachable)
     for report in (
         sphere_spectral_check(dimension=100000, l_max=100),
         sphere_scaling_check(dimension=100000, l_max=100),
@@ -288,22 +283,22 @@ def test_sphere_checks_name_the_truncation_bound_alike() -> None:
 def degeneracy_levels(monkeypatch) -> list:
     """The level of every ``_degeneracy`` call the checks make."""
     levels = []
-    degeneracy = checks._degeneracy
+    degeneracy = spectral._degeneracy
 
     def counted(dimension: int, level: int) -> int:
         levels.append(level)
         return degeneracy(dimension, level)
 
-    monkeypatch.setattr(checks, "_degeneracy", counted)
+    monkeypatch.setattr(spectral, "_degeneracy", counted)
     return levels
 
 
 def test_sphere_checks_do_bounded_work_for_a_huge_cutoff(degeneracy_levels) -> None:
     # Both level sums stop once no later level can change them; summing to
     # l_max = 10**9 would take hours.
-    spectral = sphere_spectral_check(l_max=10**9, tolerance=1e-8)
-    assert spectral.status == "pass"
-    assert "recomputed at 50 digits" in spectral.details
+    report = sphere_spectral_check(l_max=10**9, tolerance=1e-8)
+    assert report.status == "pass"
+    assert "recomputed at 50 digits" in report.details
     assert sphere_scaling_check(l_max=10**9).status == "pass"
     assert len(degeneracy_levels) < 2000
 
@@ -322,9 +317,9 @@ def test_sphere_refuses_a_truncation_bound_above_the_cap(
     # past the cap is refused before any level is summed.  The scaling
     # check keeps its own betas, so with radius 1 it still runs.
     assert main(["sphere", "--json", *argv]) == 2
-    spectral = json.loads(capsys.readouterr().out)[0]
-    assert spectral["status"] == "error"
-    assert spectral["details"] == [
+    report = json.loads(capsys.readouterr().out)[0]
+    assert report["status"] == "error"
+    assert report["details"] == [
         f"the truncation bound {bound} for beta {beta} and radius {radius} "
         "is above the largest supported bound 10000"
     ]
@@ -356,7 +351,7 @@ def _full_float_sum(dimension, radius, beta, l_max):
         for l in range(l_max + 1)
     )
     normalized = partition / volume * (2 * math.pi * b) ** ((dimension - 1) / 2)
-    c1, c2 = checks._series_reference_coefficients(Sphere(dimension, radius))
+    c1, c2 = spectral._series_reference_coefficients(Sphere(dimension, radius))
     reference = 1.0 + float(c1) * b + float(c2) * b * b
     return abs(normalized / reference - 1.0), normalized, reference
 
@@ -364,22 +359,23 @@ def _full_float_sum(dimension, radius, beta, l_max):
 def _full_decimal_sum(dimension, radius, beta, l_max):
     with localcontext() as context:
         context.prec = 50
-        b = checks._decimal(beta)
-        r = checks._decimal(radius)
+        b = spectral._decimal(beta)
+        r = spectral._decimal(radius)
         x = b / (2 * r * r)
         partition = Decimal(0)
         for level in range(l_max + 1):
-            weight = checks._decimal(_fraction_degeneracy(dimension, level))
+            weight = spectral._decimal(_fraction_degeneracy(dimension, level))
             partition += weight * (-x * (level * (level + dimension - 2))).exp()
         volume = (
             2
-            * checks._half_power(checks._PI, dimension)
-            * checks._half_power(r * r, dimension - 1)
-            / checks._gamma_half_integer(dimension)
+            * spectral._half_power(spectral._PI, dimension)
+            * spectral._half_power(r * r, dimension - 1)
+            / spectral._gamma_half_integer(dimension)
         )
-        normalized = partition / volume * checks._half_power(2 * checks._PI * b, dimension - 1)
-        c1, c2 = checks._series_reference_coefficients(Sphere(dimension, radius))
-        reference = Decimal(1) + checks._decimal(c1) * b + checks._decimal(c2) * b * b
+        scale = spectral._half_power(2 * spectral._PI * b, dimension - 1)
+        normalized = partition / volume * scale
+        c1, c2 = spectral._series_reference_coefficients(Sphere(dimension, radius))
+        reference = Decimal(1) + spectral._decimal(c1) * b + spectral._decimal(c2) * b * b
         deviation = abs(normalized / reference - 1)
         return float(deviation), float(normalized), float(reference)
 
@@ -424,7 +420,7 @@ def test_integer_degeneracy_equals_the_fraction() -> None:
 def test_float_sum_equals_the_full_loop(dimension, radius, beta, l_max) -> None:
     radius = Fraction(radius)
     args = (dimension, radius, beta, l_max)
-    assert _outcome(checks._spectral_deviation_float, *args) == _outcome(
+    assert _outcome(spectral._spectral_deviation_float, *args) == _outcome(
         _full_float_sum, *args
     )
 
@@ -451,7 +447,7 @@ def test_decimal_sum_equals_the_full_loop(
     radius = Fraction(radius)
     args = (dimension, radius, beta, l_max)
     want = _outcome(_full_decimal_sum, *args)
-    assert _outcome(checks._spectral_deviation_decimal, *args) == want
+    assert _outcome(spectral._spectral_deviation_decimal, *args) == want
     # The first call is the bound at l_max; the rest are the visited levels.
     assert (max(degeneracy_levels[1:]) < l_max) == stops_early
 

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import typing
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from worldline.cli import main
+from worldline import diagrams
+from worldline.cli import build_parser, main
+from worldline.geometry import MetricModel, Sphere
 from worldline.integrands import FINITE_ALIASES, NAMED_INTEGRALS
+from worldline.integration import RULESETS
 
 # ---------------------------------------------------------------------------
 # integral verb
@@ -246,6 +255,89 @@ def test_missing_verb_is_invalid_input(capsys: pytest.CaptureFixture) -> None:
 def test_help_exits_cleanly(capsys: pytest.CaptureFixture) -> None:
     assert main(["--help"]) == 0
     assert "worldline" in capsys.readouterr().out
+
+
+def _choices(dest: str) -> list:
+    """The choices of option ``dest``, which every verb that has it shares."""
+    actions = build_parser()._actions
+    (verbs,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        tuple(action.choices)
+        for verb in verbs.choices.values()
+        for action in verb._actions
+        if action.dest == dest
+    }
+    (choices,) = found
+    return list(choices)
+
+
+def test_parser_choices_are_the_engine_tables(monkeypatch, capsys) -> None:
+    # The parser spells its choices out so that building it loads no engine
+    # module; a ruleset or model added to the engine must still be reachable.
+    assert _choices("ruleset") == sorted(RULESETS)
+    models = []
+    monkeypatch.setattr(diagrams, "catalog", lambda model, *_: models.append(model) or [])
+    for name in _choices("model"):
+        assert main(["catalog", "--json", "--model", name]) == 0
+    # The sphere is reference-only: it has no vertices to catalog.
+    assert sorted(type(model).__name__ for model in models) == sorted(
+        model.__name__ for model in typing.get_args(MetricModel) if model is not Sphere
+    )
+
+
+# ---------------------------------------------------------------------------
+# per-verb imports
+# ---------------------------------------------------------------------------
+
+# argv (None: import the CLI and build the parser only) and the package
+# modules the process must not load.
+_IMPORT_CASES = {
+    "parser": (None, None),
+    "sphere": (
+        ["sphere", "--json"],
+        {"integrands", "integration", "reduction", "tensors", "diagrams", "checks", "rings"},
+    ),
+    "integral": (
+        ["integral", "I14", "--json"],
+        {"checks", "spectral", "rings", "diagrams", "tensors", "geometry"},
+    ),
+    "measure-cancel": (
+        ["measure-cancel", "--json", "--max-order", "2"],
+        {"diagrams", "reduction", "tensors", "checks"},
+    ),
+    "catalog": (["catalog", "--json", "--order", "1"], {"checks", "spectral", "rings"}),
+}
+
+_IMPORT_SCRIPT = r"""
+import contextlib, io, json, sys
+import worldline.cli
+worldline.cli.build_parser()
+argv = json.loads(sys.argv[1])
+code = None
+if argv is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = worldline.cli.main(argv)
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "worldline")
+print(json.dumps({"exit": code, "loaded": loaded}))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(_IMPORT_CASES))
+def test_each_verb_imports_only_its_layers(case: str) -> None:
+    argv, forbidden = _IMPORT_CASES[case]
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SCRIPT, json.dumps(argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["exit"] == (None if argv is None else 0)
+    loaded = {name.partition(".")[2] for name in result["loaded"]} - {""}
+    if argv is None:
+        assert loaded == {"cli"}
+    else:
+        assert "cli" in loaded and not loaded & forbidden, sorted(loaded & forbidden)
 
 
 # ---------------------------------------------------------------------------

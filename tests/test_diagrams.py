@@ -20,7 +20,6 @@ import worldline
 from worldline.checks import run_standard_checks
 from worldline.diagrams import (
     Diagram,
-    Vertex,
     catalog,
     classify,
     evaluate_diagram,
@@ -28,7 +27,7 @@ from worldline.diagrams import (
     sum_order,
     wick,
 )
-from worldline.geometry import FlatTransform, NormalCoords, vertices
+from worldline.geometry import FlatTransform, NormalCoords, Vertex, vertices
 from worldline.integrands import ParsedProduct
 from worldline.integration import DIMREG, MODEREG
 from worldline.propagators import Kind

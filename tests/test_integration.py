@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from worldline.checks import PROFILES
 from worldline.integrands import (
     NAMED_INTEGRALS,
     IntegrandTerm,
@@ -28,6 +27,7 @@ from worldline.integration import (
 )
 from worldline.polynomials import Poly
 from worldline.propagators import Kind
+from worldline.rings import PROFILES
 from worldline.values import RegValue
 
 
