@@ -26,14 +26,9 @@ from .geometry import (
 )
 from .integration import DIMREG, RuleSet
 from .reduction import evaluate_named
+from .reports import CheckReport, finish_report
 from .rings import PROFILES, measure_cancellation
-from .spectral import (
-    CheckReport,
-    _finish,
-    sphere_scaling_check,
-    sphere_spectral_check,
-    zeta_series_check,
-)
+from .spectral import sphere_scaling_check, sphere_spectral_check, zeta_series_check
 from .values import RegValue
 
 
@@ -57,7 +52,7 @@ def check_flat(order: int, rules: RuleSet = DIMREG) -> CheckReport:
             key = f"{label}[delta0^{grade}]"
             expected[key] = "0"
             actual[key] = value.grade(grade).text()
-    return _finish(
+    return finish_report(
         f"flat_sum_order{order}",
         expected,
         actual,
@@ -131,7 +126,7 @@ def check_constraints(rules: RuleSet = DIMREG) -> CheckReport:
             "pattern totals equal -1/24 * beta times the curvature dictionary, "
             "so the first-order sum is -1/24 * beta * R"
         )
-    return _finish(
+    return finish_report(
         "first_order_constraints",
         expected,
         actual,
@@ -172,7 +167,7 @@ def check_seeley(order: int) -> CheckReport:
         for grade in (1, 2):
             expected[f"{label}[delta0^{grade}]"] = "0"
             actual[f"{label}[delta0^{grade}]"] = value.grade(grade).text()
-    return _finish(f"heat_kernel_order{order}", expected, actual)
+    return finish_report(f"heat_kernel_order{order}", expected, actual)
 
 
 # ---------------------------------------------------------------------------

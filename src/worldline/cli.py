@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:
-    from .spectral import CheckReport
+    from .reports import CheckReport
 
 
 # ---------------------------------------------------------------------------

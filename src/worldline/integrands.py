@@ -107,31 +107,6 @@ def _expand_factor(kind: Kind, i: int, j: int, nvars: int) -> list[_Piece]:
     return out
 
 
-def product(
-    factors: list[tuple[Kind, int, int]],
-    nvars: int,
-    coefficient: RegValue | int | Fraction = 1,
-    extra_atoms: tuple[SingularAtom, ...] = (),
-) -> list[IntegrandTerm]:
-    """Expand a product of propagator factors into canonical integrand terms.
-
-    ``extra_atoms`` join the expansion before the atoms merge; this matters
-    because an even eps power may only be simplified away when no delta on
-    the same pair is present.
-    """
-    if not isinstance(coefficient, RegValue):
-        coefficient = RegValue.rational(coefficient)
-    pieces = _grade_pieces(coefficient, nvars, extra_atoms)
-    for kind, i, j in factors:
-        expanded = _expand_factor(kind, i, j, nvars)
-        pieces = [
-            (k1 + k2, p1 * p2, a1 + a2)
-            for (k1, p1, a1) in pieces
-            for (k2, p2, a2) in expanded
-        ]
-    return canonicalize([IntegrandTerm(k, nvars, p, a) for (k, p, a) in pieces])
-
-
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
@@ -161,11 +136,14 @@ def canonicalize(terms: list[IntegrandTerm]) -> list[IntegrandTerm]:
     for term in terms:
         key = (term.nvars, term.delta0, term.atoms)
         buckets[key] = buckets[key] + term.poly if key in buckets else term.poly
-    return [
-        IntegrandTerm(delta0, nvars, poly, atoms)
-        for (nvars, delta0, atoms), poly in sorted(buckets.items())
-        if not poly.is_zero()
-    ]
+    out = []
+    for (nvars, delta0, atoms), poly in sorted(buckets.items()):
+        if poly:
+            # The atoms are merged already; the constructor would merge them again.
+            term = IntegrandTerm.__new__(IntegrandTerm)
+            term.__dict__.update(delta0=delta0, nvars=nvars, poly=poly, atoms=atoms)
+            out.append(term)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .integrands import IntegrandTerm, SingularAtom, _merge_atoms
+from .integrands import (
+    IntegrandTerm,
+    SingularAtom,
+    _expand_factor,
+    _grade_pieces,
+    _merge_atoms,
+    canonicalize,
+)
 from .polynomials import Poly
+from .propagators import Kind
 from .values import RegValue
 
 
@@ -147,8 +155,8 @@ def _integrate_regular(poly: Poly, atoms: tuple[SingularAtom, ...]) -> RegValue:
     return total
 
 
-# The unit weight.  ``integrate`` passes this object for no weight and for
-# any weight equal to 1, so ``integrate_term`` tells it apart by identity.
+# The unit weight.  ``integrate`` and ``integrate_product`` pass this object
+# for no weight and for any weight equal to 1, so it is told apart by identity.
 _UNIT = Poly.const(1, 1)
 
 
@@ -243,3 +251,120 @@ def integrate(
     for term in terms:
         total = total + integrate_term(term, rules, notes, weight, powers)
     return total
+
+
+# ---------------------------------------------------------------------------
+# products, one factor at a time
+# ---------------------------------------------------------------------------
+
+
+def _finish(state: tuple, poly: Poly, done: list[int], separated) -> tuple[tuple, Poly]:
+    """Integrate out each done variable of a partial term that needs no rule.
+
+    A state is (delta0 power, atoms sorted but not merged, each variable's
+    block size, 0 once it is integrated out).  A variable that nothing
+    touches separates into int w**m; one that one or two power-1 deltas
+    touch, and nothing else, collapses into the other end of its first delta.
+    """
+    delta0, atoms, blocks = state
+    sizes = list(blocks)
+    for v in done:
+        touching = [a for a in atoms if v in (a.i, a.j)]
+        if not sizes[v] or not len(set(touching)) == len(touching) <= 2:
+            continue
+        if touching and all(a.power == 1 for a in touching):
+            first, *rest = touching
+            u = first.i + first.j - v
+            renamed = [SingularAtom("delta", *sorted((u, a.i + a.j - v))) for a in rest]
+            atoms = tuple(sorted([a for a in atoms if a not in touching] + renamed))
+            poly = poly.remap([u if x == v else x for x in range(poly.nvars)], poly.nvars)
+            sizes[u] += sizes[v]
+        elif touching or poly.depends_on(v):
+            continue
+        else:
+            poly = poly * separated(sizes[v])
+        sizes[v] = 0
+    return (delta0, atoms, tuple(sizes)), poly
+
+
+def _multiply(partials: dict, pieces: list, done: list[int], separated) -> dict:
+    """Multiply one factor's pieces into the partial terms, finish, merge equal states."""
+    step: dict[tuple, Poly] = {}
+    for (delta0, atoms, blocks), poly in partials.items():
+        for k, factor, new in pieces:
+            state, value = (delta0 + k, tuple(sorted(atoms + new)), blocks), poly * factor
+            if done:
+                state, value = _finish(state, value, done, separated)
+            step[state] = step[state] + value if state in step else value
+    return {state: poly for state, poly in step.items() if poly}
+
+
+def _deltas_resolve(atoms: tuple[SingularAtom, ...]) -> bool:
+    """True when the atoms are deltas and their whole graph collapses.
+
+    A delta graph collapses exactly when no part of it holds two cycles, so
+    then every subgraph, and every term of the expansion, collapses too.
+    """
+    if any(atom.kind == "eps" for atom in atoms):
+        return False
+    atoms = _merge_atoms(atoms)
+    while atoms:
+        step = _collapse_once(atoms, DIMREG, None)
+        if step is None:
+            return False
+        atoms = step[3]
+    return True
+
+
+def integrate_product(
+    factors: list[tuple[Kind, int, int]],
+    nvars: int,
+    rules: RuleSet,
+    notes: list[str] | None = None,
+    weight: Poly | None = None,
+    coefficient: RegValue = RegValue.one(),
+    extra_atoms: tuple[SingularAtom, ...] = (),
+) -> RegValue:
+    """Exact integral of coefficient * extra_atoms * the factors * w(tau_1)...w(tau_n).
+
+    The factors' pieces multiply in one at a time and partial terms with
+    equal states merge, so the 2**n expanded terms are never listed (bucket
+    elimination; Dechter, Artif. Intell. 113, 41 (1999)).  If
+    ``_deltas_resolve`` holds, each variable is finished as soon as no
+    pending factor touches it.  Otherwise nothing finishes early: an eps
+    factor could meet a collapsed delta and change what merges first, or a
+    merge could cancel a term that would raise.  ``integrate`` checks the
+    weight and integrates the open terms.
+    """
+    weight = _UNIT if weight is None or weight == 1 else weight
+    expanded = [_expand_factor(kind, i, j, nvars) for kind, i, j in factors]
+    atoms = tuple(a for pieces in expanded for _, _, new in pieces for a in new)
+    early = _deltas_resolve(atoms + extra_atoms)
+    last = {v: index for index, (_, i, j) in enumerate(factors) for v in (i, j)}
+    powers: dict[int, tuple[Poly, RegValue]] = {}
+
+    def separated(m: int) -> Poly:
+        integral = _weight_power(weight, m, powers)[1]
+        return Poly(nvars, {(b,) + (0,) * nvars: c for (b, _), c in integral.items()})
+
+    partials = {
+        (k, tuple(sorted(atoms)), (1,) * nvars): poly
+        for k, poly, atoms in _grade_pieces(coefficient, nvars, extra_atoms)
+    }
+    for index, pieces in enumerate(expanded):
+        done = [v for v in range(nvars) if last.get(v, -1) <= index] if early else []
+        partials = _multiply(partials, pieces, done, separated)
+    terms = []
+    for (delta0, atoms, blocks), poly in partials.items():
+        kept = [v for v in range(nvars) if blocks[v]]
+        if len(kept) < nvars:
+            for v in kept:
+                if blocks[v] > 1 and weight is not _UNIT:
+                    # integrate_term gives each open variable one w; the
+                    # block's other members ride in the polynomial.
+                    poly = poly * _weight_power(weight, blocks[v] - 1, powers)[0].remap((v,), nvars)
+            slot = {v: s for s, v in enumerate(kept)}
+            poly = poly.remap([slot.get(v) for v in range(nvars)], len(kept))
+            atoms = tuple(SingularAtom(a.kind, slot[a.i], slot[a.j], a.power) for a in atoms)
+        terms.append(IntegrandTerm(delta0, len(kept), poly, atoms))
+    return integrate(canonicalize(terms), rules, notes, weight)

@@ -31,14 +31,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .integrands import (
-    IntegrandTerm,
     ParsedProduct,
     SingularAtom,
     named_integral_text,
     parse,
-    product,
 )
-from .integration import RuleSet, DIMREG, integrate
+from .integration import RuleSet, DIMREG, integrate_product
 from .propagators import Kind
 from .values import RegValue
 
@@ -337,8 +335,8 @@ def divergence_split(term: TTerm, first: int, second: int) -> list[TTerm]:
 _ONE_D_KINDS = {"None": Kind.D, "SingleLeft": Kind.DOT_LEFT, "SingleRight": Kind.DOT_RIGHT}
 
 
-def return_to_1d(term: TTerm) -> list[IntegrandTerm]:
-    """Map a label-consistent lifted term back to plain 1D factors."""
+def return_to_1d(term: TTerm) -> tuple[list[tuple[Kind, int, int]], tuple[SingularAtom, ...]]:
+    """Map a label-consistent lifted term back to plain 1D factors and deltas."""
     factors: list[tuple[Kind, int, int]] = []
     for prop in term.props:
         t = tag(prop)
@@ -357,7 +355,7 @@ def return_to_1d(term: TTerm) -> list[IntegrandTerm]:
     extra = tuple(
         SingularAtom("delta", min(d.i, d.j), max(d.i, d.j)) for d in term.deltas
     )
-    return product(factors, term.nvars, term.coefficient, extra_atoms=extra)
+    return factors, extra
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +456,11 @@ class Reducer:
                 factors=[p.describe() for p in term.props]
                 + [d.describe() for d in term.deltas],
             )
-            return integrate(return_to_1d(term), self.rules, self.notes)
+            factors, extra = return_to_1d(term)
+            return integrate_product(
+                factors, term.nvars, self.rules, self.notes,
+                coefficient=term.coefficient, extra_atoms=extra,
+            )
 
         for first, second in itertools.combinations(munu, 2):
             if term.props[first] == term.props[second]:

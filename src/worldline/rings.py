@@ -6,11 +6,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict
 
-from .integrands import product
-from .integration import DIMREG, integrate
+from .integration import DIMREG, integrate_product
 from .polynomials import Poly
 from .propagators import Kind
-from .spectral import CheckReport, _finish
+from .reports import CheckReport, finish_report
 from .values import RegValue
 
 
@@ -45,7 +44,7 @@ def _ring_value(density: Poly, n: int) -> RegValue:
     """Cyclic product of double-derivative propagators weighted by the profile."""
 
     factors = [(Kind.DOT_DOT, *sorted((i, (i + 1) % n))) for i in range(n)]
-    return integrate(product(factors, n), DIMREG, weight=density)
+    return integrate_product(factors, n, DIMREG, weight=density)
 
 
 def measure_cancellation(profile: str, max_order: int = 6) -> CheckReport:
@@ -73,7 +72,7 @@ def measure_cancellation(profile: str, max_order: int = 6) -> CheckReport:
         measure = RegValue.delta0() * power.integrate_cube() * prefactor
         expected[f"u^{n}"] = measure.text()
         actual[f"u^{n}"] = divergent.text()
-    return _finish(
+    return finish_report(
         f"measure_cancellation[{profile}]",
         expected,
         actual,

@@ -1,7 +1,5 @@
-"""Check reports, and the sphere's numerical and zeta routes to the heat kernel.
+"""The sphere's numerical and zeta routes to the heat kernel.
 
-Each check returns a :class:`CheckReport` with rendered expected and
-actual values, so failures show the residual rather than a bare flag.
 Neither sphere route touches products of distributions or the move search.
 """
 
@@ -9,65 +7,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from .geometry import Sphere, seeley_reference
-
-
-# ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one check, with rendered values on both routes."""
-
-    check_name: str
-    status: str  # "pass" | "fail" | "error"
-    expected: Dict[str, str]
-    actual: Dict[str, str]
-    tolerance: Union[str, float]
-    details: Tuple[str, ...] = ()
-    move_logs: Optional[Dict[str, List[dict]]] = None
-
-    def mismatches(self) -> List[str]:
-        """Keys whose expected and actual renderings differ."""
-        return sorted(
-            key
-            for key in set(self.expected) | set(self.actual)
-            if self.expected.get(key) != self.actual.get(key)
-        )
-
-
-def _finish(
-    name: str,
-    expected: Dict[str, str],
-    actual: Dict[str, str],
-    tolerance: Union[str, float] = "exact",
-    details: Iterable[str] = (),
-    move_logs: Optional[Dict[str, List[dict]]] = None,
-    ok: Optional[bool] = None,
-) -> CheckReport:
-    if ok is None:
-        ok = expected == actual
-    return CheckReport(
-        check_name=name,
-        status="pass" if ok else "fail",
-        expected=expected,
-        actual=actual,
-        tolerance=tolerance,
-        details=tuple(details),
-        move_logs=move_logs,
-    )
-
-
-def _error(name: str, tolerance: Union[str, float], detail: str) -> CheckReport:
-    """A check that could not run, with the one-line reason."""
-    return CheckReport(name, "error", {}, {}, tolerance, (detail,))
+from .reports import CheckReport, error_report, finish_report
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +187,7 @@ def sphere_spectral_check(
         if not (math.isfinite(tolerance) and tolerance > 0):
             raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
     except (ValueError, ZeroDivisionError, TypeError) as error:
-        return _error(name, tolerance, str(error))
+        return error_report(name, tolerance, str(error))
     try:
         deviation, normalized, reference = _spectral_deviation_float(
             dimension, radius, beta, l_max
@@ -254,14 +199,14 @@ def sphere_spectral_check(
             )
             precision_note = "recomputed at 50 digits"
     except ArithmeticError as error:
-        return _error(name, tolerance, _arithmetic_detail(dimension, error))
+        return error_report(name, tolerance, _arithmetic_detail(dimension, error))
     expected = {"relative_deviation": f"<= {tolerance:.1e}"}
     actual = {
         "relative_deviation": f"{deviation:.3e}",
         "normalized_amplitude": f"{normalized:.12f}",
         "series_reference": f"{reference:.12f}",
     }
-    return _finish(
+    return finish_report(
         name,
         expected,
         actual,
@@ -290,7 +235,7 @@ def sphere_scaling_check(
     try:
         radius, betas = _sphere_inputs(dimension, radius, _SCALING_BETAS, l_max)
     except (ValueError, ZeroDivisionError, TypeError) as error:
-        return _error(name, band, str(error))
+        return error_report(name, band, str(error))
     deviations = []
     details = [f"dimension {dimension}, radius {radius}, l_max {l_max}"]
     try:
@@ -300,7 +245,7 @@ def sphere_scaling_check(
                 deviation = _spectral_deviation_decimal(dimension, radius, beta, l_max)[0]
                 details.append(f"beta {beta} recomputed at 50 digits")
                 if deviation < _DECIMAL_FLOOR:
-                    return _error(
+                    return error_report(
                         name,
                         band,
                         f"the deviation at beta {beta} is below the 50-digit "
@@ -308,7 +253,7 @@ def sphere_scaling_check(
                     )
             deviations.append(deviation)
     except ArithmeticError as error:
-        return _error(name, band, _arithmetic_detail(dimension, error))
+        return error_report(name, band, _arithmetic_detail(dimension, error))
     low, high = _SCALING_BAND
     expected: Dict[str, str] = {}
     actual: Dict[str, str] = {}
@@ -321,7 +266,7 @@ def sphere_scaling_check(
         ok = ok and low <= ratio <= high
     for beta, deviation in zip(betas, deviations):
         actual[f"deviation[{float(beta):g}]"] = f"{deviation:.3e}"
-    return _finish(name, expected, actual, tolerance=band, details=details, ok=ok)
+    return finish_report(name, expected, actual, tolerance=band, details=details, ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +329,7 @@ def zeta_series_check() -> CheckReport:
         "linear_coefficient": str(-s1 / 2),
         "series": f"(1, {s0 / 2}, {-s1 / 4})",
     }
-    return _finish(
+    return finish_report(
         "zeta_series",
         expected,
         actual,

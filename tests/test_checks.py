@@ -16,9 +16,9 @@ from worldline.cli import main
 from worldline.diagrams import perfect_matchings
 from worldline.geometry import Sphere
 from worldline.integration import DIMREG, MODEREG
+from worldline.reports import CheckReport
 from worldline.rings import PROFILES, measure_cancellation, resolve_profile
 from worldline.spectral import (
-    CheckReport,
     ZETA_AT_NEGATIVE_INTEGERS,
     _degeneracy,
     _regularized_sum,
@@ -143,6 +143,34 @@ def test_seeley_rejects_other_orders() -> None:
 # ---------------------------------------------------------------------------
 # sphere spectrum
 # ---------------------------------------------------------------------------
+
+
+def _machin_pi(digits: int) -> Decimal:
+    """pi = 16 arctan(1/5) - 4 arctan(1/239), summed to ``digits`` places."""
+    with localcontext() as context:
+        context.prec = digits + 10
+        total = Decimal(0)
+        for weight, x in ((16, 5), (-4, 239)):
+            power, k = Decimal(1) / x, 0
+            while power > Decimal(10) ** -(digits + 5):
+                total += weight * (-1) ** k * power / (2 * k + 1)
+                power /= x * x
+                k += 1
+        return +total
+
+
+def test_sphere_pi_is_pi_to_its_last_digit() -> None:
+    # The sphere routes and the test oracles both read spectral._PI, so it
+    # is checked against an outside value: pi rounded to its 58 decimals.
+    places = -spectral._PI.as_tuple().exponent
+    assert places == 58
+    assert abs(_machin_pi(60) - spectral._PI) <= Decimal(5) * Decimal(10) ** -(places + 1)
+
+
+@pytest.mark.parametrize("dimension", range(1, 22))
+def test_gamma_half_integer_is_gamma(dimension: int) -> None:
+    value = float(spectral._gamma_half_integer(dimension))
+    assert math.isclose(value, math.gamma(dimension / 2), rel_tol=1e-14)
 
 
 def test_degeneracies() -> None:

@@ -303,7 +303,7 @@ _IMPORT_CASES = {
     ),
     "measure-cancel": (
         ["measure-cancel", "--json", "--max-order", "2"],
-        {"diagrams", "reduction", "tensors", "checks"},
+        {"diagrams", "reduction", "tensors", "checks", "spectral", "geometry"},
     ),
     "catalog": (["catalog", "--json", "--order", "1"], {"checks", "spectral", "rings"}),
 }

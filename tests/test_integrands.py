@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expansion import product
 from worldline.integrands import (
     FINITE_ALIASES,
     NAMED_INTEGRALS,
@@ -14,7 +15,6 @@ from worldline.integrands import (
     canonicalize,
     named_integral_text,
     parse,
-    product,
 )
 from worldline.polynomials import Poly
 from worldline.propagators import Kind

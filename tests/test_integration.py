@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import worldline.integration
+from expansion import product
 from worldline.integrands import (
     NAMED_INTEGRALS,
     IntegrandTerm,
@@ -15,7 +17,6 @@ from worldline.integrands import (
     _merge_atoms,
     canonicalize,
     parse,
-    product,
 )
 from worldline.integration import (
     DIMREG,
@@ -24,10 +25,11 @@ from worldline.integration import (
     UnreducedSingularStructureError,
     _integrate_regular,
     integrate,
+    integrate_product,
 )
 from worldline.polynomials import Poly
 from worldline.propagators import Kind
-from worldline.rings import PROFILES
+from worldline.rings import PROFILES, _ring_value
 from worldline.values import RegValue
 
 
@@ -495,3 +497,118 @@ def test_unsorted_chain_atoms_collapse_in_canonical_order():
 def test_integrand_term_rejects_a_negative_delta0_power():
     with pytest.raises(ValueError, match="delta0"):
         IntegrandTerm(-1, 1, Poly.const(1, 1), ())
+
+
+# -- products one factor at a time against the full expansion ----------------
+
+
+@st.composite
+def propagator_products(draw):
+    """1-5 factors on 1-4 variables, half the time DD and diagonals only.
+
+    Only products without eps parts finish variables early, so they are
+    drawn as often as the rest.  Some draws add delta atoms or a ring
+    coefficient with a delta0 grade, as ``ReturnTo1D`` does.
+    """
+    nvars = draw(st.integers(1, 4))
+    variable = st.integers(0, nvars - 1)
+    factor = st.tuples(st.sampled_from(_KIND_LIST), variable, variable)
+    if draw(st.booleans()):
+        factor = factor.filter(lambda f: f[0] is Kind.DOT_DOT or f[1] == f[2])
+    factors = draw(st.lists(factor, min_size=1, max_size=5))
+    extra = ()
+    if nvars > 1:
+        pair = st.tuples(variable, variable).filter(lambda p: p[0] != p[1]).map(lambda p: _pair(*p))
+        extra = tuple(SingularAtom("delta", i, j) for i, j in draw(st.lists(pair, max_size=2)))
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coefficient = RegValue.one()
+    if draw(st.booleans()):
+        coefficient = RegValue.beta(draw(st.integers(-1, 1)), draw(rational)) + RegValue.delta0(
+            1, draw(rational)
+        )
+    return factors, nvars, coefficient, extra
+
+
+# A weight whose integral is 0: a variable it separates still has to pass
+# its delta collapse first, as in the full expansion.
+_ZERO_MEAN = Poly(1, {(0, 0): 1, (-1, 1): -2})
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    propagator_products(),
+    st.sampled_from([DIMREG, MODEREG, PROBE]),
+    st.one_of(st.none(), st.just(_ZERO_MEAN), nonzero_weights()),
+)
+def test_one_factor_at_a_time_matches_the_full_expansion(drawn, rules, weight):
+    factors, nvars, coefficient, extra = drawn
+    notes = []
+    routed = _outcome(
+        lambda: integrate_product(factors, nvars, rules, notes, weight, coefficient, extra)
+    )
+    expected = _outcome(
+        lambda: sum(
+            (
+                reference_integrate_term(term, rules, weight)
+                for term in product(factors, nvars, coefficient, extra)
+            ),
+            RegValue.zero(),
+        )
+    )
+    assert routed == expected
+    if routed is not UnreducedSingularStructureError:
+        reference_notes = []
+        # The eps-power notes come in the order of the expanded terms.
+        integrate(product(factors, nvars, coefficient, extra), rules, reference_notes, weight)
+        assert notes == reference_notes
+
+
+# The full RegValue of every measure ring, captured from the full expansion.
+RING_VALUES = {
+    "1": ["-1 + 1 * beta * delta0"] * 8,
+    "tau/beta": [
+        "-1/2 + 1/2 * beta * delta0",
+        "-5/12 + 1/3 * beta * delta0",
+        "-3/8 + 1/4 * beta * delta0",
+        "-251/720 + 1/5 * beta * delta0",
+        "-95/288 + 1/6 * beta * delta0",
+        "-19087/60480 + 1/7 * beta * delta0",
+        "-5257/17280 + 1/8 * beta * delta0",
+        "-1070017/3628800 + 1/9 * beta * delta0",
+    ],
+    "tau*(beta-tau)/beta^2": [
+        "-1/6 + 1/6 * beta * delta0",
+        "-7/180 + 1/30 * beta * delta0",
+        "-71/7560 + 1/140 * beta * delta0",
+        "-521/226800 + 1/630 * beta * delta0",
+        "-1693/2993760 + 1/2772 * beta * delta0",
+        "-5710469/40864824000 + 1/12012 * beta * delta0",
+        "-1212457/35026992000 + 1/51480 * beta * delta0",
+        "-1074010337/125046361440000 + 1/218790 * beta * delta0",
+    ],
+}
+
+
+@pytest.mark.parametrize("profile", sorted(RING_VALUES))
+def test_every_ring_keeps_its_full_value(profile):
+    texts = [_ring_value(PROFILES[profile], n).text() for n in range(1, 9)]
+    assert texts == RING_VALUES[profile]
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_rings_hold_few_partial_terms(profile, monkeypatch):
+    # Counted, not timed: the full expansion holds 2**n terms, and
+    # eliminating in cycle order keeps O(n**2) states.
+    sizes = []
+    multiply = worldline.integration._multiply
+
+    def counted(*args):
+        partials = multiply(*args)
+        sizes.append(len(partials))
+        return partials
+
+    monkeypatch.setattr(worldline.integration, "_multiply", counted)
+    for n in range(8, 13):
+        sizes.clear()
+        _ring_value(PROFILES[profile], n)
+        assert len(sizes) == n and max(sizes) <= 2 * n * n
