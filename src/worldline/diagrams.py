@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import Vertex, measure_terms, vertices as model_vertices
 from .integrands import ParsedProduct
@@ -45,8 +44,7 @@ _MIRROR_KIND = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(NamedTuple):
     """One catalog entry: a vertex tuple with a canonical edge multiset."""
 
     vertices: Tuple[Vertex, ...]

@@ -10,9 +10,8 @@ spectral route to the same numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple, Union
 
 from .values import RegValue
 
@@ -22,8 +21,7 @@ from .values import RegValue
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlatTransform:
+class FlatTransform(NamedTuple):
     """Flat line reparametrized by an odd coordinate change.
 
     The new coordinate q is related to the Cartesian one by
@@ -35,8 +33,7 @@ class FlatTransform:
     f_coefficients: Tuple[Fraction, ...] = (Fraction(-1, 3), Fraction(1, 5))
 
 
-@dataclass(frozen=True)
-class NormalCoords:
+class NormalCoords(NamedTuple):
     """Curved target in normal coordinates around the expansion point.
 
     The metric expansion is organized through quartic order in the
@@ -44,23 +41,28 @@ class NormalCoords:
     """
 
 
-@dataclass(frozen=True)
-class Sphere:
+class _SphereFields(NamedTuple):
+    dimension: int
+    radius: Fraction = Fraction(1)
+
+
+class Sphere(_SphereFields):
     """Round sphere of dimension ``dimension - 1`` embedded in ``dimension``.
 
     A reference-only model: it supplies exact curvature invariants and a
     spectral partition function, not vertices.
     """
 
-    dimension: int
-    radius: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> Sphere:
+        self = super().__new__(cls, *args, **kwargs)
         if self.dimension < 2:
             raise ValueError("the sphere model needs an embedding dimension of at least 2")
-        object.__setattr__(self, "radius", Fraction(self.radius))
+        self = self._replace(radius=Fraction(self.radius))
         if self.radius <= 0:
             raise ValueError("the sphere radius must be positive")
+        return self
 
 
 MetricModel = Union[FlatTransform, NormalCoords, Sphere]
@@ -99,19 +101,7 @@ def _log_series(series: Dict[int, Fraction]) -> Dict[int, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """One interaction monomial of the expanded action.
-
-    ``coefficient`` multiplies the integrated monomial
-    ``q^q_power qdot^qdot_power`` at a single time, together with
-    ``delta0_power`` factors of the equal-time distributional constant.
-    When the vertex carries curvature factors, ``tensors`` names their
-    delta-expansion patterns, the slot tuples say which tensor slot each
-    field index lives in, and ``internal`` lists slot pairs contracted
-    inside the vertex itself.
-    """
-
+class _VertexFields(NamedTuple):
     name: str
     order_in_eps: int
     q_power: int
@@ -123,7 +113,23 @@ class Vertex:
     qdot_slots: Tuple[int, ...] = ()
     internal: Tuple[Tuple[int, int], ...] = ()
 
-    def __post_init__(self) -> None:
+
+class Vertex(_VertexFields):
+    """One interaction monomial of the expanded action.
+
+    ``coefficient`` multiplies the integrated monomial
+    ``q^q_power qdot^qdot_power`` at a single time, together with
+    ``delta0_power`` factors of the equal-time distributional constant.
+    When the vertex carries curvature factors, ``tensors`` names their
+    delta-expansion patterns, the slot tuples say which tensor slot each
+    field index lives in, and ``internal`` lists slot pairs contracted
+    inside the vertex itself.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Vertex:
+        self = super().__new__(cls, *args, **kwargs)
         if self.order_in_eps not in (1, 2):
             raise ValueError("vertex order must be 1 or 2")
         if self.qdot_power not in (0, 2):
@@ -142,6 +148,7 @@ class Vertex:
                 raise ValueError("tensor slots must cover 0..slot_count-1 exactly once")
         elif self.q_slots or self.qdot_slots or self.internal:
             raise ValueError("slot data requires tensor factors")
+        return self
 
     @property
     def slot_count(self) -> int:

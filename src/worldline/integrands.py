@@ -11,8 +11,8 @@ prefactors, and ``d0`` for an explicit delta(0).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polynomials import Poly
 from .propagators import Kind, diagonal, eps_coefficient, has_delta, smooth_part
@@ -23,38 +23,52 @@ from .values import RegValue
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class SingularAtom:
-    """A power of eps(tau_i - tau_j) or delta(tau_i - tau_j), with i < j."""
+# Value types are NamedTuples (cheap to define at import).  A checked type runs
+# its checks in ``__new__`` on a thin subclass; ``_make`` and ``_replace`` skip
+# them, so they take only fields that are already valid.
 
+
+class _AtomFields(NamedTuple):
     kind: str  # "eps" | "delta"
     i: int
     j: int
     power: int = 1
 
-    def __post_init__(self) -> None:
+
+class SingularAtom(_AtomFields):
+    """A power of eps(tau_i - tau_j) or delta(tau_i - tau_j), with i < j."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SingularAtom:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("eps", "delta"):
             raise ValueError(f"unknown atom kind {self.kind!r}")
         if not 0 <= self.i < self.j:
             raise ValueError("atom arguments must satisfy 0 <= i < j")
         if self.power < 1:
             raise ValueError("atom power must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class IntegrandTerm:
+class _TermFields(NamedTuple):
+    delta0: int
+    nvars: int
+    poly: Poly
+    atoms: tuple[SingularAtom, ...]
+
+
+class IntegrandTerm(_TermFields):
     """delta0 to the power ``delta0``, times ``poly``, times the atoms.
 
     Beta and the rationals live in ``poly``.  The atoms are stored merged
     and sorted, because delta collapse depends on their order.
     """
 
-    delta0: int
-    nvars: int
-    poly: Poly
-    atoms: tuple[SingularAtom, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> IntegrandTerm:
+        self = super().__new__(cls, *args, **kwargs)
         if self.delta0 < 0:
             raise ValueError("delta0 power must be non-negative")
         if self.poly.nvars != self.nvars:
@@ -62,7 +76,7 @@ class IntegrandTerm:
         for atom in self.atoms:
             if atom.j >= self.nvars:
                 raise ValueError("atom refers to a variable outside the term")
-        object.__setattr__(self, "atoms", _merge_atoms(self.atoms))
+        return self._replace(atoms=_merge_atoms(self.atoms))
 
 
 _Piece = tuple[int, Poly, tuple[SingularAtom, ...]]
@@ -140,9 +154,7 @@ def canonicalize(terms: list[IntegrandTerm]) -> list[IntegrandTerm]:
     for (nvars, delta0, atoms), poly in sorted(buckets.items()):
         if poly:
             # The atoms are merged already; the constructor would merge them again.
-            term = IntegrandTerm.__new__(IntegrandTerm)
-            term.__dict__.update(delta0=delta0, nvars=nvars, poly=poly, atoms=atoms)
-            out.append(term)
+            out.append(IntegrandTerm._make((delta0, nvars, poly, atoms)))
     return out
 
 
@@ -160,8 +172,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class ParsedProduct:
+class ParsedProduct(NamedTuple):
     """One summand of a parsed integrand expression."""
 
     coefficient: RegValue

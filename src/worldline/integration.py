@@ -21,9 +21,9 @@ way; they differ only at coincident eps factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 from .integrands import (
     IntegrandTerm,
@@ -42,8 +42,7 @@ class UnreducedSingularStructureError(ValueError):
     """Raised when a term's delta content has no assigned resolution."""
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(NamedTuple):
     name: str
     value_eps2_delta: Fraction
     value_eps_delta: Fraction
@@ -342,10 +341,14 @@ def integrate_product(
     early = _deltas_resolve(atoms + extra_atoms)
     last = {v: index for index, (_, i, j) in enumerate(factors) for v in (i, j)}
     powers: dict[int, tuple[Poly, RegValue]] = {}
+    constants: dict[int, Poly] = {}
 
     def separated(m: int) -> Poly:
-        integral = _weight_power(weight, m, powers)[1]
-        return Poly(nvars, {(b,) + (0,) * nvars: c for (b, _), c in integral.items()})
+        """int w**m as a constant polynomial, built once per block size."""
+        if m not in constants:
+            integral = _weight_power(weight, m, powers)[1]
+            constants[m] = Poly(nvars, {(b,) + (0,) * nvars: c for (b, _), c in integral.items()})
+        return constants[m]
 
     partials = {
         (k, tuple(sorted(atoms)), (1,) * nvars): poly

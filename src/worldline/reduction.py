@@ -27,8 +27,8 @@ partial integration is safe there).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .integrands import (
     ParsedProduct,
@@ -52,8 +52,7 @@ _LABELS = ("mu", "nu", "rho", "sigma", "lam", "kap")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TProp:
+class TProp(NamedTuple):
     """A lifted propagator factor with derivative labels on each argument."""
 
     i: int
@@ -67,8 +66,7 @@ class TProp:
         return f"[{l}]D[{r}]({self.i + 1},{self.j + 1})"
 
 
-@dataclass(frozen=True)
-class TDelta:
+class TDelta(NamedTuple):
     i: int
     j: int
 
@@ -76,8 +74,7 @@ class TDelta:
         return f"delta({self.i + 1},{self.j + 1})"
 
 
-@dataclass(frozen=True)
-class TTerm:
+class TTerm(NamedTuple):
     coefficient: RegValue
     nvars: int
     props: tuple[TProp, ...]
@@ -180,7 +177,7 @@ def equal_time_substitute(term: TTerm, index: int) -> TTerm:
         )
     value = RegValue.delta0() - RegValue.beta(-1)
     props = term.props[:index] + term.props[index + 1 :]
-    return replace(term, coefficient=term.coefficient * value, props=props)
+    return term._replace(coefficient=term.coefficient * value, props=props)
 
 
 def field_equation(term: TTerm, index: int) -> TTerm:
@@ -192,9 +189,8 @@ def field_equation(term: TTerm, index: int) -> TTerm:
         )
     props = term.props[:index] + term.props[index + 1 :]
     if prop.i == prop.j:
-        return replace(term, coefficient=term.coefficient * (-RegValue.delta0()), props=props)
-    return replace(
-        term,
+        return term._replace(coefficient=term.coefficient * (-RegValue.delta0()), props=props)
+    return term._replace(
         coefficient=term.coefficient * Fraction(-1),
         props=props,
         deltas=term.deltas + (TDelta(prop.i, prop.j),),
@@ -286,7 +282,7 @@ def partial_integration(term: TTerm, index: int, side: int) -> list[TTerm]:
         () if side == 0 else source.left,
         source.right if side == 0 else (),
     )
-    reduced = replace(term, props=term.props[:index] + (stub,) + term.props[index + 1 :])
+    reduced = term._replace(props=term.props[:index] + (stub,) + term.props[index + 1 :])
     if not _boundary_is_zero(reduced, var):
         raise ReductionError(
             "no legal reduction: a partial integration in variable "
@@ -295,7 +291,7 @@ def partial_integration(term: TTerm, index: int, side: int) -> list[TTerm]:
     refusal = "partial integration would pile a third derivative onto {}"
     grown = _product_rule(reduced.props, var, label, refusal, skip=index)
     negated = term.coefficient * Fraction(-1)
-    return [replace(reduced, coefficient=negated, props=props) for props in grown]
+    return [reduced._replace(coefficient=negated, props=props) for props in grown]
 
 
 def divergence_split(term: TTerm, first: int, second: int) -> list[TTerm]:
@@ -326,9 +322,9 @@ def divergence_split(term: TTerm, first: int, second: int) -> list[TTerm]:
     laplacian = TProp(i, j, (), (lap_label, lap_label))
     negated = term.coefficient * Fraction(-1)
     return (
-        [replace(term, props=rest, deltas=term.deltas + (TDelta(i, j), TDelta(i, j)))]
-        + [replace(term, coefficient=negated, props=props + (plain_nu, a)) for props in mu_side]
-        + [replace(term, props=props + (plain_nu, laplacian)) for props in nu_side]
+        [term._replace(props=rest, deltas=term.deltas + (TDelta(i, j), TDelta(i, j)))]
+        + [term._replace(coefficient=negated, props=props + (plain_nu, a)) for props in mu_side]
+        + [term._replace(props=props + (plain_nu, laplacian)) for props in nu_side]
     )
 
 

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 Edge = Tuple[int, int]
 Branch = Tuple[int, Tuple[Edge, ...]]
@@ -34,8 +33,7 @@ Branch = Tuple[int, Tuple[Edge, ...]]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     """Delta expansion of one tensor factor.
 
     ``externals`` slots are visible to the caller and must be contracted

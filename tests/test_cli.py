@@ -290,7 +290,9 @@ def test_parser_choices_are_the_engine_tables(monkeypatch, capsys) -> None:
 # ---------------------------------------------------------------------------
 
 # argv (None: import the CLI and build the parser only) and the package
-# modules the process must not load.
+# modules the process must not load.  No case may load the standard
+# library's dataclasses or inspect either: they cost a fresh process more
+# than the smaller verbs' own work.
 _IMPORT_CASES = {
     "parser": (None, None),
     "sphere": (
@@ -306,6 +308,7 @@ _IMPORT_CASES = {
         {"diagrams", "reduction", "tensors", "checks", "spectral", "geometry"},
     ),
     "catalog": (["catalog", "--json", "--order", "1"], {"checks", "spectral", "rings"}),
+    "verify": (["verify", "--json"], set()),
 }
 
 _IMPORT_SCRIPT = r"""
@@ -318,7 +321,8 @@ if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = worldline.cli.main(argv)
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "worldline")
-print(json.dumps({"exit": code, "loaded": loaded}))
+slow = sorted({"dataclasses", "inspect"} & set(sys.modules))
+print(json.dumps({"exit": code, "loaded": loaded, "slow": slow}))
 """
 
 
@@ -333,6 +337,7 @@ def test_each_verb_imports_only_its_layers(case: str) -> None:
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout)
     assert result["exit"] == (None if argv is None else 0)
+    assert result["slow"] == []
     loaded = {name.partition(".")[2] for name in result["loaded"]} - {""}
     if argv is None:
         assert loaded == {"cli"}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -340,7 +339,7 @@ def test_evaluate_diagram_equals_direct_weighted_reduction(model, rules):
     rng = random.Random(f"{type(model).__name__}/{rules.name}")
     for diagram in wick(vertices(model), order=2):
         for weight in (diagram.weight, _random_weight(rng), _random_weight(rng)):
-            weighted = dataclasses.replace(diagram, weight=weight)
+            weighted = diagram._replace(weight=weight)
             direct_log: list = []
             direct = reduce_terms(
                 [
@@ -370,17 +369,17 @@ def test_evaluate_diagram_equals_direct_weighted_reduction(model, rules):
 
 
 def _report_json(reports) -> str:
-    return json.dumps([dataclasses.asdict(r) for r in reports], sort_keys=True, default=str)
+    return json.dumps([r._asdict() for r in reports], sort_keys=True, default=str)
 
 
 def test_battery_reports_do_not_leak_across_rulesets():
     fresh = {}
     for rules in ("DIMREG", "MODEREG"):
         script = (
-            "import dataclasses, json\n"
+            "import json\n"
             "from worldline.checks import run_standard_checks\n"
             f"from worldline.integration import {rules}\n"
-            f"print(json.dumps([dataclasses.asdict(r) for r in run_standard_checks({rules})],"
+            f"print(json.dumps([r._asdict() for r in run_standard_checks({rules})],"
             " sort_keys=True, default=str))\n"
         )
         run = subprocess.run(

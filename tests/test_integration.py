@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -359,7 +358,7 @@ def reference_integrate_term(term, rules, weight=None):
         factor = factor * rational * delta0
         if term.poly.is_zero():
             return RegValue.zero()
-        term = replace(term, atoms=_merge_atoms(term.atoms))
+        term = term._replace(atoms=_merge_atoms(term.atoms))
     poly = term.poly
     if weight is not None:
         n = term.nvars

@@ -1,0 +1,178 @@
+"""The package's value types: constructor refusals, normalisation and hashing."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from worldline.diagrams import Diagram
+from worldline.geometry import FlatTransform, NormalCoords, Sphere, Vertex
+from worldline.integrands import IntegrandTerm, ParsedProduct, SingularAtom
+from worldline.integration import RuleSet
+from worldline.polynomials import Poly
+from worldline.propagators import Kind
+from worldline.reduction import TDelta, TProp, TTerm
+from worldline.reports import CheckReport
+from worldline.tensors import Pattern
+from worldline.values import RegValue
+
+
+def _refusal(build) -> str:
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+def _vertex(**changes) -> Vertex:
+    fields = dict(
+        name="v", order_in_eps=1, q_power=2, qdot_power=0, delta0_power=0,
+        coefficient=Fraction(1),
+    )
+    fields.update(changes)
+    return Vertex(**fields)
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        # SingularAtom: kind, then 0 <= i < j, then power.
+        (lambda: SingularAtom("theta", 0, 1), "unknown atom kind 'theta'"),
+        (lambda: SingularAtom("theta", 1, 1, 0), "unknown atom kind 'theta'"),
+        (lambda: SingularAtom("eps", 1, 1), "atom arguments must satisfy 0 <= i < j"),
+        (lambda: SingularAtom("eps", 2, 1), "atom arguments must satisfy 0 <= i < j"),
+        (lambda: SingularAtom("delta", -1, 1), "atom arguments must satisfy 0 <= i < j"),
+        (lambda: SingularAtom("delta", 0, 1, 0), "atom power must be positive"),
+        # IntegrandTerm: delta0, then nvars against the polynomial, then atoms.
+        (
+            lambda: IntegrandTerm(-1, 2, Poly.const(3, 1), ()),
+            "delta0 power must be non-negative",
+        ),
+        (
+            lambda: IntegrandTerm(0, 3, Poly.const(2, 1), ()),
+            "polynomial variable count does not match nvars",
+        ),
+        (
+            lambda: IntegrandTerm(0, 2, Poly.const(2, 1), (SingularAtom("eps", 0, 2),)),
+            "atom refers to a variable outside the term",
+        ),
+        # Vertex: order, qdot power, delta0 power, then the slots.
+        (lambda: _vertex(order_in_eps=3, qdot_power=1), "vertex order must be 1 or 2"),
+        (
+            lambda: _vertex(qdot_power=1, delta0_power=2),
+            "vertices carry zero or two derivative fields",
+        ),
+        (lambda: _vertex(delta0_power=2), "vertices carry at most one equal-time constant"),
+        (
+            lambda: _vertex(tensors=("ric",), q_slots=(0,)),
+            "each field needs a tensor slot",
+        ),
+        (
+            lambda: _vertex(tensors=("riem",), q_slots=(0, 1), qdot_power=2, qdot_slots=(2,)),
+            "each derivative field needs a tensor slot",
+        ),
+        (
+            lambda: _vertex(tensors=("ric",), q_slots=(0, 2)),
+            "tensor slots must cover 0..slot_count-1 exactly once",
+        ),
+        (
+            lambda: _vertex(tensors=("riem",), q_slots=(0, 1), internal=((1, 2),)),
+            "tensor slots must cover 0..slot_count-1 exactly once",
+        ),
+        (lambda: _vertex(q_slots=(0, 1)), "slot data requires tensor factors"),
+        (lambda: _vertex(internal=((0, 1),)), "slot data requires tensor factors"),
+        # Sphere: dimension, then radius.
+        (lambda: Sphere(1), "the sphere model needs an embedding dimension of at least 2"),
+        (lambda: Sphere(1, -1), "the sphere model needs an embedding dimension of at least 2"),
+        (lambda: Sphere(3, 0), "the sphere radius must be positive"),
+        (lambda: Sphere(3, Fraction(-1, 2)), "the sphere radius must be positive"),
+    ],
+)
+def test_constructors_refuse_with_their_message(build, message: str) -> None:
+    assert _refusal(build) == message
+
+
+def test_integrand_term_merges_and_sorts_its_atoms() -> None:
+    term = IntegrandTerm(
+        0,
+        3,
+        Poly.const(3, 1),
+        (
+            SingularAtom("eps", 1, 2),
+            SingularAtom("delta", 1, 2),
+            SingularAtom("eps", 0, 2),
+            SingularAtom("eps", 0, 1),
+            SingularAtom("delta", 1, 2),
+            SingularAtom("eps", 0, 2),
+        ),
+    )
+    # eps**2 away from a delta on its pair is 1; the delta powers add.
+    assert term.atoms == (
+        SingularAtom("delta", 1, 2, 2),
+        SingularAtom("eps", 0, 1),
+        SingularAtom("eps", 1, 2),
+    )
+
+
+def test_sphere_radius_is_a_fraction() -> None:
+    sphere = Sphere(3, 2)
+    assert type(sphere.radius) is Fraction and sphere.radius == 2
+    assert type(Sphere(3, "1/2").radius) is Fraction
+    assert Sphere(4).radius == Fraction(1)
+
+
+_VERTEX = _vertex(tensors=("ric",), q_slots=(0, 1))
+_ATOM = SingularAtom("delta", 0, 1, 2)
+
+# One instance of each value type, built from all of its fields in order.
+_VALUES = {
+    "Diagram": (Diagram, dict(
+        vertices=(_VERTEX,), edges=(((0, 0), Kind.D),), weight=RegValue.rational(Fraction(1, 2)),
+        tensor_label="R", local=True,
+    )),
+    "FlatTransform": (FlatTransform, dict(f_coefficients=(Fraction(-1, 3), Fraction(1, 5)))),
+    "NormalCoords": (NormalCoords, dict()),
+    "Sphere": (Sphere, dict(dimension=3, radius=Fraction(2))),
+    "Vertex": (Vertex, dict(
+        name="ric", order_in_eps=2, q_power=2, qdot_power=2, delta0_power=0,
+        coefficient=Fraction(-1, 3), tensors=("riem",), q_slots=(0, 2), qdot_slots=(1, 3),
+        internal=(),
+    )),
+    "SingularAtom": (SingularAtom, dict(kind="delta", i=0, j=1, power=2)),
+    "IntegrandTerm": (IntegrandTerm, dict(
+        delta0=1, nvars=2, poly=Poly.const(2, 3), atoms=(_ATOM,),
+    )),
+    "ParsedProduct": (ParsedProduct, dict(
+        coefficient=RegValue.one(), factors=((Kind.DOT_DOT, 0, 1),), nvars=2,
+    )),
+    "RuleSet": (RuleSet, dict(
+        name="Probe", value_eps2_delta=Fraction(1, 5), value_eps_delta=Fraction(1, 7),
+    )),
+    "TProp": (TProp, dict(i=0, j=1, left=("mu",), right=())),
+    "TDelta": (TDelta, dict(i=0, j=1)),
+    "TTerm": (TTerm, dict(
+        coefficient=RegValue.one(), nvars=2, props=(TProp(0, 1, (), ()),), deltas=(TDelta(0, 1),),
+    )),
+    "CheckReport": (CheckReport, dict(
+        check_name="c", status="pass", expected={"a": "1"}, actual={"a": "1"},
+        tolerance="exact", details=("d",), move_logs=None,
+    )),
+    "Pattern": (Pattern, dict(externals=2, aux=0, branches=((1, ((0, 1),)),))),
+}
+
+
+def _hash(value) -> object:
+    try:
+        return hash(value)
+    except TypeError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_value_types_hash_as_the_tuple_of_their_fields(name: str) -> None:
+    cls, fields = _VALUES[name]
+    value = cls(**fields)
+    assert tuple(getattr(value, field) for field in fields) == tuple(fields.values())
+    # CheckReport holds dicts, so both sides refuse with the same message.
+    assert _hash(value) == _hash(tuple(fields.values()))
+    assert value == cls(*fields.values())
