@@ -1,10 +1,11 @@
 """Products of propagator factors with their singular content made explicit.
 
-An ``IntegrandTerm`` is  delta0**k * poly(tau_1..tau_n) * product of atoms,
-where each atom is a power of eps(tau_i - tau_j) or delta(tau_i - tau_j).
-Products of the four propagator kinds expand into sums of such terms; the
-text grammar accepted by :func:`parse` writes them the way they are tabled,
-e.g. ``Dl(1,2)*Dr(1,2)*DD(1,2)`` with 1-based variable indices, rational
+Each propagator factor expands into pieces  delta0**k * poly(tau_1..tau_n) *
+product of atoms, where each atom is a power of eps(tau_i - tau_j) or
+delta(tau_i - tau_j); ``integration.integrate_product`` multiplies the
+pieces of a product together and merges their atoms.  The text grammar
+accepted by :func:`parse` writes products the way they are tabled, e.g.
+``Dl(1,2)*Dr(1,2)*DD(1,2)`` with 1-based variable indices, rational
 prefactors, and ``d0`` for an explicit delta(0).
 """
 
@@ -19,7 +20,7 @@ from .propagators import Kind, diagonal, eps_coefficient, has_delta, smooth_part
 from .values import RegValue
 
 # ---------------------------------------------------------------------------
-# atoms and terms
+# atoms
 # ---------------------------------------------------------------------------
 
 
@@ -49,34 +50,6 @@ class SingularAtom(_AtomFields):
         if self.power < 1:
             raise ValueError("atom power must be positive")
         return self
-
-
-class _TermFields(NamedTuple):
-    delta0: int
-    nvars: int
-    poly: Poly
-    atoms: tuple[SingularAtom, ...]
-
-
-class IntegrandTerm(_TermFields):
-    """delta0 to the power ``delta0``, times ``poly``, times the atoms.
-
-    Beta and the rationals live in ``poly``.  The atoms are stored merged
-    and sorted, because delta collapse depends on their order.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> IntegrandTerm:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.delta0 < 0:
-            raise ValueError("delta0 power must be non-negative")
-        if self.poly.nvars != self.nvars:
-            raise ValueError("polynomial variable count does not match nvars")
-        for atom in self.atoms:
-            if atom.j >= self.nvars:
-                raise ValueError("atom refers to a variable outside the term")
-        return self._replace(atoms=_merge_atoms(self.atoms))
 
 
 _Piece = tuple[int, Poly, tuple[SingularAtom, ...]]
@@ -142,20 +115,6 @@ def _merge_atoms(atoms: tuple[SingularAtom, ...]) -> tuple[SingularAtom, ...]:
             power = 1
         merged.append(SingularAtom(kind, i, j, power))
     return tuple(sorted(merged))
-
-
-def canonicalize(terms: list[IntegrandTerm]) -> list[IntegrandTerm]:
-    """Combine terms with the same atoms and delta0 grade by adding polynomials."""
-    buckets: dict[tuple[int, int, tuple[SingularAtom, ...]], Poly] = {}
-    for term in terms:
-        key = (term.nvars, term.delta0, term.atoms)
-        buckets[key] = buckets[key] + term.poly if key in buckets else term.poly
-    out = []
-    for (nvars, delta0, atoms), poly in sorted(buckets.items()):
-        if poly:
-            # The atoms are merged already; the constructor would merge them again.
-            out.append(IntegrandTerm._make((delta0, nvars, poly, atoms)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Exact one-dimensional integration of singular integrand terms.
+"""Exact one-dimensional integration of products of propagators.
 
-The engine integrates sums of ``IntegrandTerm`` over [0, beta]**n.  Delta
-atoms are resolved first by collapsing variables; what survives is a
+``integrate_product`` integrates a product of propagator factors over
+[0, beta]**n, one factor at a time.  Each partial term it ends with has its
+delta atoms resolved first by collapsing variables; what survives is a
 regionwise polynomial integral evaluated exactly, sector by sector, with
 every eps factor resolved to a sign.
 
@@ -25,14 +26,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
-from .integrands import (
-    IntegrandTerm,
-    SingularAtom,
-    _expand_factor,
-    _grade_pieces,
-    _merge_atoms,
-    canonicalize,
-)
+from .integrands import SingularAtom, _expand_factor, _grade_pieces, _merge_atoms
 from .polynomials import Poly
 from .propagators import Kind
 from .values import RegValue
@@ -154,8 +148,8 @@ def _integrate_regular(poly: Poly, atoms: tuple[SingularAtom, ...]) -> RegValue:
     return total
 
 
-# The unit weight.  ``integrate`` and ``integrate_product`` pass this object
-# for no weight and for any weight equal to 1, so it is told apart by identity.
+# The unit weight.  ``integrate_product`` passes this object for no weight
+# and for any weight equal to 1, so ``integrate_term`` tells it apart by identity.
 _UNIT = Poly.const(1, 1)
 
 
@@ -172,31 +166,34 @@ def _weight_power(
 
 
 def integrate_term(
-    term: IntegrandTerm,
+    state: tuple[int, tuple[SingularAtom, ...], tuple[int, ...]],
+    poly: Poly,
     rules: RuleSet,
     notes: list[str] | None,
     weight: Poly,
     powers: dict[int, tuple[Poly, RegValue]],
 ) -> RegValue:
-    """Integrate one term times w(tau_1)...w(tau_n).
+    """Integrate one partial term times the weights of its variables.
 
-    Collapsing tau_j := tau_i keeps every index and records root[v], the
-    variable that tau_v now equals, so each survivor carries w to the size
-    of its block.  After the last delta one remap moves the polynomial from
-    the original variables to the survivors that the polynomial or an eps
-    atom touches; every other survivor separates into int w**m.  Only a
-    weight other than ``_UNIT`` multiplies the kept survivors' w**m in.
-    ``powers`` memoizes the weight powers across the terms of one call.
+    ``state`` is (delta0 power, merged atoms, block sizes): variable v
+    stands for a block of blocks[v] variables and carries w to that power;
+    a block size of 0 means v is integrated out already.  Collapsing
+    tau_j := tau_i keeps every index and records root[v], the variable that
+    tau_v now equals, so each survivor carries w to the summed size of the
+    blocks rooted at it.  After the last delta one remap moves the
+    polynomial to the survivors that the polynomial or an eps atom touches;
+    every other survivor separates into int w**size.  Only a weight other
+    than ``_UNIT`` multiplies the kept survivors' w**size in.  ``powers``
+    memoizes the weight powers across the terms of one product.
     """
-    nvars = term.nvars
+    delta0, atoms, blocks = state
+    nvars = poly.nvars
     root = list(range(nvars))
-    atoms = term.atoms
     rational = Fraction(1)
-    delta0 = 0
     while any(atom.kind == "delta" for atom in atoms):
         step = _collapse_once(atoms, rules, notes)
         if step is None:
-            if term.poly.remap(root, nvars).is_zero():
+            if not poly.remap(root, nvars):
                 return RegValue.zero()  # the polynomial vanished on an earlier collapse
             raise UnreducedSingularStructureError(
                 "unreduced singular structure: delta powers beyond 2 or branching "
@@ -209,47 +206,26 @@ def integrate_term(
         delta0 += squared
         root = [i if r == j else r for r in root]
 
+    sizes = [0] * nvars
+    for v, r in enumerate(root):
+        sizes[r] += blocks[v]
     touched = {v for atom in atoms for v in (atom.i, atom.j)}
-    touched.update(root[v] for v in range(nvars) if term.poly.depends_on(v))
-    value = RegValue.term(rational, 0, term.delta0 + delta0)
+    touched.update(root[v] for v in range(nvars) if poly.depends_on(v))
+    value = RegValue.term(rational, 0, delta0)
     kept: list[int] = []
-    for s in sorted(set(root)):
+    for s, size in enumerate(sizes):
         if s in touched:
             kept.append(s)
-        else:
-            value = value * _weight_power(weight, root.count(s), powers)[1]
+        elif size:
+            value = value * _weight_power(weight, size, powers)[1]
     slot = {s: k for k, s in enumerate(kept)}
-    poly = term.poly.remap([slot.get(r) for r in root], len(kept))
+    poly = poly.remap([slot.get(r) for r in root], len(kept))
     if weight is not _UNIT:
         for s in kept:
-            power = _weight_power(weight, root.count(s), powers)[0]
+            power = _weight_power(weight, sizes[s], powers)[0]
             poly = poly * power.remap((slot[s],), len(kept))
     atoms = tuple(SingularAtom(a.kind, slot[a.i], slot[a.j], a.power) for a in atoms)
     return value * _integrate_regular(poly, atoms)
-
-
-def integrate(
-    terms: list[IntegrandTerm],
-    rules: RuleSet = DIMREG,
-    notes: list[str] | None = None,
-    weight: Poly | None = None,
-) -> RegValue:
-    """Exact integral of the given terms over [0, beta]**n.
-
-    ``weight`` is an optional one-variable polynomial w; the integrand is
-    then  terms * w(tau_1) * ... * w(tau_n).  No weight is the unit weight.
-    """
-    if weight is None or weight == 1:
-        weight = _UNIT
-    if weight.nvars != 1:
-        raise ValueError("the weight must be a polynomial in one variable")
-    if weight.is_zero():
-        return RegValue.zero()  # a zero weight makes every term vanish, deltas or not
-    powers: dict[int, tuple[Poly, RegValue]] = {}
-    total = RegValue.zero()
-    for term in terms:
-        total = total + integrate_term(term, rules, notes, weight, powers)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +308,11 @@ def integrate_product(
     ``_deltas_resolve`` holds, each variable is finished as soon as no
     pending factor touches it.  Otherwise nothing finishes early: an eps
     factor could meet a collapsed delta and change what merges first, or a
-    merge could cancel a term that would raise.  ``integrate`` checks the
-    weight and integrates the open terms.
+    merge could cancel a term that would raise.  The final states merge once
+    more by their merged atoms and ``integrate_term`` integrates each one;
+    with every block of size 1 these are the canonical terms of the full
+    expansion, in their sorted order, so eps notes and errors come in the
+    same order as term by term.
     """
     weight = _UNIT if weight is None or weight == 1 else weight
     expanded = [_expand_factor(kind, i, j, nvars) for kind, i, j in factors]
@@ -357,17 +336,12 @@ def integrate_product(
     for index, pieces in enumerate(expanded):
         done = [v for v in range(nvars) if last.get(v, -1) <= index] if early else []
         partials = _multiply(partials, pieces, done, separated)
-    terms = []
+    finals: dict[tuple, Poly] = {}
     for (delta0, atoms, blocks), poly in partials.items():
-        kept = [v for v in range(nvars) if blocks[v]]
-        if len(kept) < nvars:
-            for v in kept:
-                if blocks[v] > 1 and weight is not _UNIT:
-                    # integrate_term gives each open variable one w; the
-                    # block's other members ride in the polynomial.
-                    poly = poly * _weight_power(weight, blocks[v] - 1, powers)[0].remap((v,), nvars)
-            slot = {v: s for s, v in enumerate(kept)}
-            poly = poly.remap([slot.get(v) for v in range(nvars)], len(kept))
-            atoms = tuple(SingularAtom(a.kind, slot[a.i], slot[a.j], a.power) for a in atoms)
-        terms.append(IntegrandTerm(delta0, len(kept), poly, atoms))
-    return integrate(canonicalize(terms), rules, notes, weight)
+        state = (delta0, _merge_atoms(atoms), blocks)
+        finals[state] = finals[state] + poly if state in finals else poly
+    total = RegValue.zero()
+    for state in sorted(finals):
+        if finals[state]:
+            total = total + integrate_term(state, finals[state], rules, notes, weight, powers)
+    return total

@@ -102,9 +102,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __repr__(self) -> str:
         return f"Poly(nvars={self.nvars}, terms={sorted(self._terms.items())})"
 

@@ -423,7 +423,7 @@ class Reducer:
         return self._resolve(term, _MAX_DEPTH)
 
     def _resolve(self, term: TTerm, depth: int) -> RegValue:
-        if term.coefficient.is_zero():
+        if not term.coefficient:
             return RegValue.zero()
 
         tags = [tag(prop) for prop in term.props]

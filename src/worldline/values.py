@@ -162,9 +162,6 @@ class RegValue:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     # -- structure access ---------------------------------------------------
 
     def items(self) -> list[tuple[Key, Fraction]]:

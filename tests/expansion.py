@@ -2,24 +2,64 @@
 
 ``worldline.integration.integrate_product`` multiplies the factors in one
 at a time and integrates variables out on the way, so it never lists the
-expanded terms.  The tests keep the full expansion: it states what the
-pieces of ``worldline.integrands`` mean when multiplied out, and, summed
-term by term, it is the oracle the one-factor-at-a-time route must match.
+expanded terms.  The tests keep the full expansion and the term-by-term
+route that integrates it: they state what the pieces of
+``worldline.integrands`` mean when multiplied out, and they are the oracle
+the one-factor-at-a-time route must match.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from worldline.integrands import (
-    IntegrandTerm,
-    SingularAtom,
-    _expand_factor,
-    _grade_pieces,
-    canonicalize,
-)
+from worldline.integrands import SingularAtom, _expand_factor, _grade_pieces, _merge_atoms
+from worldline.integration import DIMREG, RuleSet, _UNIT, integrate_term
+from worldline.polynomials import Poly
 from worldline.propagators import Kind
 from worldline.values import RegValue
+
+
+class _TermFields(NamedTuple):
+    delta0: int
+    nvars: int
+    poly: Poly
+    atoms: tuple[SingularAtom, ...]
+
+
+class IntegrandTerm(_TermFields):
+    """delta0 to the power ``delta0``, times ``poly``, times the atoms.
+
+    Beta and the rationals live in ``poly``.  The atoms are stored merged
+    and sorted, because delta collapse depends on their order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> IntegrandTerm:
+        self = super().__new__(cls, *args, **kwargs)
+        if self.delta0 < 0:
+            raise ValueError("delta0 power must be non-negative")
+        if self.poly.nvars != self.nvars:
+            raise ValueError("polynomial variable count does not match nvars")
+        for atom in self.atoms:
+            if atom.j >= self.nvars:
+                raise ValueError("atom refers to a variable outside the term")
+        return self._replace(atoms=_merge_atoms(self.atoms))
+
+
+def canonicalize(terms: list[IntegrandTerm]) -> list[IntegrandTerm]:
+    """Combine terms with the same atoms and delta0 grade by adding polynomials."""
+    buckets: dict[tuple[int, int, tuple[SingularAtom, ...]], Poly] = {}
+    for term in terms:
+        key = (term.nvars, term.delta0, term.atoms)
+        buckets[key] = buckets[key] + term.poly if key in buckets else term.poly
+    out = []
+    for (nvars, delta0, atoms), poly in sorted(buckets.items()):
+        if poly:
+            # The atoms are merged already; the constructor would merge them again.
+            out.append(IntegrandTerm._make((delta0, nvars, poly, atoms)))
+    return out
 
 
 def product(
@@ -45,3 +85,30 @@ def product(
             for (k2, p2, a2) in expanded
         ]
     return canonicalize([IntegrandTerm(k, nvars, p, a) for (k, p, a) in pieces])
+
+
+def integrate(
+    terms: list[IntegrandTerm],
+    rules: RuleSet = DIMREG,
+    notes: list[str] | None = None,
+    weight: Poly | None = None,
+) -> RegValue:
+    """Exact integral of the given terms over [0, beta]**n.
+
+    ``weight`` is an optional one-variable polynomial w; the integrand is
+    then  terms * w(tau_1) * ... * w(tau_n).  No weight is the unit weight.
+    Each term is one partial state of ``integrate_term`` whose blocks all
+    have size 1.
+    """
+    if weight is None or weight == 1:
+        weight = _UNIT
+    if weight.nvars != 1:
+        raise ValueError("the weight must be a polynomial in one variable")
+    if not weight:
+        return RegValue.zero()  # a zero weight makes every term vanish, deltas or not
+    powers: dict[int, tuple[Poly, RegValue]] = {}
+    total = RegValue.zero()
+    for term in terms:
+        state = (term.delta0, term.atoms, (1,) * term.nvars)
+        total = total + integrate_term(state, term.poly, rules, notes, weight, powers)
+    return total

@@ -324,7 +324,7 @@ def test_evaluate_diagram_applies_weight():
 
 def _random_weight(rng: random.Random) -> RegValue:
     weight = RegValue.zero()
-    while weight.is_zero():
+    while not weight:
         for _ in range(rng.randint(1, 3)):
             coefficient = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
             weight = weight + RegValue.term(coefficient, rng.randint(-2, 2), rng.randint(0, 2))

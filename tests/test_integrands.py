@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expansion import product
+from expansion import canonicalize, product
 from worldline.integrands import (
     FINITE_ALIASES,
     NAMED_INTEGRALS,
     SingularAtom,
-    canonicalize,
     named_integral_text,
     parse,
 )

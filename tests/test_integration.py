@@ -8,22 +8,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import worldline.integration
-from expansion import product
-from worldline.integrands import (
-    NAMED_INTEGRALS,
-    IntegrandTerm,
-    SingularAtom,
-    _merge_atoms,
-    canonicalize,
-    parse,
-)
+from expansion import IntegrandTerm, canonicalize, integrate, product
+from worldline.integrands import NAMED_INTEGRALS, SingularAtom, _merge_atoms, parse
 from worldline.integration import (
     DIMREG,
     MODEREG,
     RuleSet,
     UnreducedSingularStructureError,
     _integrate_regular,
-    integrate,
     integrate_product,
 )
 from worldline.polynomials import Poly
@@ -356,7 +348,7 @@ def reference_integrate_term(term, rules, weight=None):
             return RegValue.zero()
         multiplicity[i] += multiplicity.pop(j)
         factor = factor * rational * delta0
-        if term.poly.is_zero():
+        if not term.poly:
             return RegValue.zero()
         term = term._replace(atoms=_merge_atoms(term.atoms))
     poly = term.poly

@@ -8,7 +8,8 @@ import pytest
 
 from worldline.diagrams import Diagram
 from worldline.geometry import FlatTransform, NormalCoords, Sphere, Vertex
-from worldline.integrands import IntegrandTerm, ParsedProduct, SingularAtom
+from expansion import IntegrandTerm
+from worldline.integrands import ParsedProduct, SingularAtom
 from worldline.integration import RuleSet
 from worldline.polynomials import Poly
 from worldline.propagators import Kind
