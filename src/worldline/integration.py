@@ -148,45 +148,22 @@ def _integrate_regular(poly: Poly, atoms: tuple[SingularAtom, ...]) -> RegValue:
     return total
 
 
-# The unit weight.  ``integrate_product`` passes this object for no weight
-# and for any weight equal to 1, so ``integrate_term`` tells it apart by identity.
-_UNIT = Poly.const(1, 1)
-
-
-def _weight_power(
-    weight: Poly, m: int, powers: dict[int, tuple[Poly, RegValue]]
-) -> tuple[Poly, RegValue]:
-    """(w**m, int_0^beta w**m dt), memoized in ``powers``."""
-    if m not in powers:
-        power = weight
-        for _ in range(m - 1):
-            power = power * weight
-        powers[m] = (power, power.integrate_cube())
-    return powers[m]
-
-
 def integrate_term(
-    state: tuple[int, tuple[SingularAtom, ...], tuple[int, ...]],
+    state: tuple[int, tuple[SingularAtom, ...], tuple[bool, ...]],
     poly: Poly,
     rules: RuleSet,
     notes: list[str] | None,
-    weight: Poly,
-    powers: dict[int, tuple[Poly, RegValue]],
 ) -> RegValue:
-    """Integrate one partial term times the weights of its variables.
+    """Integrate one partial term over the variables it leaves open.
 
-    ``state`` is (delta0 power, merged atoms, block sizes): variable v
-    stands for a block of blocks[v] variables and carries w to that power;
-    a block size of 0 means v is integrated out already.  Collapsing
-    tau_j := tau_i keeps every index and records root[v], the variable that
-    tau_v now equals, so each survivor carries w to the summed size of the
-    blocks rooted at it.  After the last delta one remap moves the
-    polynomial to the survivors that the polynomial or an eps atom touches;
-    every other survivor separates into int w**size.  Only a weight other
-    than ``_UNIT`` multiplies the kept survivors' w**size in.  ``powers``
-    memoizes the weight powers across the terms of one product.
+    ``state`` is (delta0 power, merged atoms, whether each variable is still
+    open); a variable that is not open is integrated out already.
+    Collapsing tau_j := tau_i keeps every index and records root[v], the
+    variable that tau_v now equals.  After the last delta each open survivor
+    that no eps atom touches is integrated out, and one remap moves the
+    polynomial to the rest, which the sector sum integrates.
     """
-    delta0, atoms, blocks = state
+    delta0, atoms, still_open = state
     nvars = poly.nvars
     root = list(range(nvars))
     rational = Fraction(1)
@@ -206,26 +183,15 @@ def integrate_term(
         delta0 += squared
         root = [i if r == j else r for r in root]
 
-    sizes = [0] * nvars
-    for v, r in enumerate(root):
-        sizes[r] += blocks[v]
+    poly = poly.remap(root, nvars)
     touched = {v for atom in atoms for v in (atom.i, atom.j)}
-    touched.update(root[v] for v in range(nvars) if poly.depends_on(v))
-    value = RegValue.term(rational, 0, delta0)
-    kept: list[int] = []
-    for s, size in enumerate(sizes):
-        if s in touched:
-            kept.append(s)
-        elif size:
-            value = value * _weight_power(weight, size, powers)[1]
-    slot = {s: k for k, s in enumerate(kept)}
-    poly = poly.remap([slot.get(r) for r in root], len(kept))
-    if weight is not _UNIT:
-        for s in kept:
-            power = _weight_power(weight, sizes[s], powers)[0]
-            poly = poly * power.remap((slot[s],), len(kept))
+    for v in range(nvars):
+        if still_open[v] and root[v] == v and v not in touched:
+            poly = poly.integrate_out(v)
+    slot = {s: k for k, s in enumerate(sorted(touched))}
+    poly = poly.remap([slot.get(v) for v in range(nvars)], len(slot))
     atoms = tuple(SingularAtom(a.kind, slot[a.i], slot[a.j], a.power) for a in atoms)
-    return value * _integrate_regular(poly, atoms)
+    return RegValue.term(rational, 0, delta0) * _integrate_regular(poly, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -233,43 +199,42 @@ def integrate_term(
 # ---------------------------------------------------------------------------
 
 
-def _finish(state: tuple, poly: Poly, done: list[int], separated) -> tuple[tuple, Poly]:
+def _finish(state: tuple, poly: Poly, done: list[int]) -> tuple[tuple, Poly]:
     """Integrate out each done variable of a partial term that needs no rule.
 
-    A state is (delta0 power, atoms sorted but not merged, each variable's
-    block size, 0 once it is integrated out).  A variable that nothing
-    touches separates into int w**m; one that one or two power-1 deltas
-    touch, and nothing else, collapses into the other end of its first delta.
+    A state is (delta0 power, atoms sorted but not merged, whether each
+    variable is still open).  A variable that no atom touches is integrated
+    out of the polynomial; one that one or two power-1 deltas touch, and
+    nothing else, collapses into the other end of its first delta.
     """
-    delta0, atoms, blocks = state
-    sizes = list(blocks)
+    delta0, atoms, still_open = state
+    still_open = list(still_open)
     for v in done:
         touching = [a for a in atoms if v in (a.i, a.j)]
-        if not sizes[v] or not len(set(touching)) == len(touching) <= 2:
+        if not still_open[v] or not len(set(touching)) == len(touching) <= 2:
             continue
-        if touching and all(a.power == 1 for a in touching):
+        if not touching:
+            poly = poly.integrate_out(v)
+        elif all(a.power == 1 for a in touching):
             first, *rest = touching
             u = first.i + first.j - v
             renamed = [SingularAtom("delta", *sorted((u, a.i + a.j - v))) for a in rest]
             atoms = tuple(sorted([a for a in atoms if a not in touching] + renamed))
             poly = poly.remap([u if x == v else x for x in range(poly.nvars)], poly.nvars)
-            sizes[u] += sizes[v]
-        elif touching or poly.depends_on(v):
-            continue
         else:
-            poly = poly * separated(sizes[v])
-        sizes[v] = 0
-    return (delta0, atoms, tuple(sizes)), poly
+            continue
+        still_open[v] = False
+    return (delta0, atoms, tuple(still_open)), poly
 
 
-def _multiply(partials: dict, pieces: list, done: list[int], separated) -> dict:
+def _multiply(partials: dict, pieces: list, done: list[int]) -> dict:
     """Multiply one factor's pieces into the partial terms, finish, merge equal states."""
     step: dict[tuple, Poly] = {}
-    for (delta0, atoms, blocks), poly in partials.items():
+    for (delta0, atoms, still_open), poly in partials.items():
         for k, factor, new in pieces:
-            state, value = (delta0 + k, tuple(sorted(atoms + new)), blocks), poly * factor
+            state, value = (delta0 + k, tuple(sorted(atoms + new)), still_open), poly * factor
             if done:
-                state, value = _finish(state, value, done, separated)
+                state, value = _finish(state, value, done)
             step[state] = step[state] + value if state in step else value
     return {state: poly for state, poly in step.items() if poly}
 
@@ -302,46 +267,39 @@ def integrate_product(
 ) -> RegValue:
     """Exact integral of coefficient * extra_atoms * the factors * w(tau_1)...w(tau_n).
 
-    The factors' pieces multiply in one at a time and partial terms with
-    equal states merge, so the 2**n expanded terms are never listed (bucket
-    elimination; Dechter, Artif. Intell. 113, 41 (1999)).  If
-    ``_deltas_resolve`` holds, each variable is finished as soon as no
-    pending factor touches it.  Otherwise nothing finishes early: an eps
-    factor could meet a collapsed delta and change what merges first, or a
-    merge could cancel a term that would raise.  The final states merge once
-    more by their merged atoms and ``integrate_term`` integrates each one;
-    with every block of size 1 these are the canonical terms of the full
-    expansion, in their sorted order, so eps notes and errors come in the
-    same order as term by term.
+    Each w(tau_v) multiplies the pieces of the last factor that touches v,
+    or the coefficient when none does.  The factors' pieces multiply in one
+    at a time and partial terms with equal states merge, so the 2**n
+    expanded terms are never listed (bucket elimination; Dechter, Artif.
+    Intell. 113, 41 (1999)).  If ``_deltas_resolve`` holds, each variable is
+    finished as soon as no pending factor touches it.  Otherwise nothing
+    finishes early: an eps factor could meet a collapsed delta and change
+    what merges first, or a merge could cancel a term that would raise.  The
+    final states merge once more by their merged atoms and
+    ``integrate_term`` integrates each one; with every variable open these
+    are the canonical terms of the full expansion, in their sorted order, so
+    eps notes and errors come in the same order as term by term.
     """
-    weight = _UNIT if weight is None or weight == 1 else weight
     expanded = [_expand_factor(kind, i, j, nvars) for kind, i, j in factors]
     atoms = tuple(a for pieces in expanded for _, _, new in pieces for a in new)
     early = _deltas_resolve(atoms + extra_atoms)
     last = {v: index for index, (_, i, j) in enumerate(factors) for v in (i, j)}
-    powers: dict[int, tuple[Poly, RegValue]] = {}
-    constants: dict[int, Poly] = {}
-
-    def separated(m: int) -> Poly:
-        """int w**m as a constant polynomial, built once per block size."""
-        if m not in constants:
-            integral = _weight_power(weight, m, powers)[1]
-            constants[m] = Poly(nvars, {(b,) + (0,) * nvars: c for (b, _), c in integral.items()})
-        return constants[m]
-
-    partials = {
-        (k, tuple(sorted(atoms)), (1,) * nvars): poly
-        for k, poly, atoms in _grade_pieces(coefficient, nvars, extra_atoms)
-    }
+    start = _grade_pieces(coefficient, nvars, extra_atoms)
+    if weight is not None:
+        for v in range(nvars):
+            pieces = expanded[last[v]] if v in last else start
+            w = weight.remap((v,), nvars)
+            pieces[:] = [(k, poly * w, new) for k, poly, new in pieces]
+    partials = {(k, tuple(sorted(atoms)), (True,) * nvars): poly for k, poly, atoms in start}
     for index, pieces in enumerate(expanded):
         done = [v for v in range(nvars) if last.get(v, -1) <= index] if early else []
-        partials = _multiply(partials, pieces, done, separated)
+        partials = _multiply(partials, pieces, done)
     finals: dict[tuple, Poly] = {}
-    for (delta0, atoms, blocks), poly in partials.items():
-        state = (delta0, _merge_atoms(atoms), blocks)
+    for (delta0, atoms, still_open), poly in partials.items():
+        state = (delta0, _merge_atoms(atoms), still_open)
         finals[state] = finals[state] + poly if state in finals else poly
     total = RegValue.zero()
     for state in sorted(finals):
         if finals[state]:
-            total = total + integrate_term(state, finals[state], rules, notes, weight, powers)
+            total = total + integrate_term(state, finals[state], rules, notes)
     return total

@@ -151,6 +151,10 @@ class Poly:
             items.append(((power, 0), value))
         return RegValue(items)
 
+    def integrate_out(self, index: int) -> "Poly":
+        """Integrate variable ``index`` over [0, beta]; the result no longer depends on it."""
+        return _make(self.nvars, _integrate_step(self._terms, index + 1, 0))
+
     def integrate_sector(self, order: Sequence[int]) -> RegValue:
         """Integrate over 0 < tau_{order[0]} < tau_{order[1]} < ... < beta.
 
@@ -163,17 +167,24 @@ class Poly:
         # integral runs from 0 to the next variable in the ordering, the last
         # from 0 to beta, whose exponent is slot 0 of the key.
         for pos, var in enumerate(order):
-            slot = var + 1
             upper = order[pos + 1] + 1 if pos + 1 < len(order) else 0
-            items = []
-            for key, coeff in terms.items():
-                e = key[slot] + 1
-                new = list(key)
-                new[slot] = 0
-                new[upper] += e
-                items.append((tuple(new), coeff / e))
-            terms = merge({}, items)
+            terms = _integrate_step(terms, var + 1, upper)
         return RegValue(((key[0], 0), coeff) for key, coeff in terms.items())
+
+
+def _integrate_step(terms: dict[Key, Fraction], slot: int, upper: int) -> dict[Key, Fraction]:
+    """Integrate key slot ``slot`` from 0 to the variable in slot ``upper``.
+
+    Slot 0 holds the power of beta, so ``upper`` 0 integrates up to beta.
+    """
+    items = []
+    for key, coeff in terms.items():
+        e = key[slot] + 1
+        new = list(key)
+        new[slot] = 0
+        new[upper] += e
+        items.append((tuple(new), coeff / e))
+    return merge({}, items)
 
 
 def _make(nvars: int, terms: dict[Key, Fraction]) -> Poly:

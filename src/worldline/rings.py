@@ -60,7 +60,10 @@ def measure_cancellation(profile: str, max_order: int = 6) -> CheckReport:
     profile = resolve_profile(profile)
     density = PROFILES[profile]
     if not 1 <= max_order <= 8:
-        raise ValueError("the ring expansion is implemented through order u^8")
+        raise ValueError(
+            "the ring expansion is implemented through order u^8: "
+            f"the max order must be in 1..8, got {max_order}"
+        )
     expected: Dict[str, str] = {}
     actual: Dict[str, str] = {}
     power = Poly.const(1, Fraction(1))

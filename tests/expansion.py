@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from worldline.integrands import SingularAtom, _expand_factor, _grade_pieces, _merge_atoms
-from worldline.integration import DIMREG, RuleSet, _UNIT, integrate_term
+from worldline.integration import DIMREG, RuleSet, integrate_term
 from worldline.polynomials import Poly
 from worldline.propagators import Kind
 from worldline.values import RegValue
@@ -91,24 +91,14 @@ def integrate(
     terms: list[IntegrandTerm],
     rules: RuleSet = DIMREG,
     notes: list[str] | None = None,
-    weight: Poly | None = None,
 ) -> RegValue:
     """Exact integral of the given terms over [0, beta]**n.
 
-    ``weight`` is an optional one-variable polynomial w; the integrand is
-    then  terms * w(tau_1) * ... * w(tau_n).  No weight is the unit weight.
-    Each term is one partial state of ``integrate_term`` whose blocks all
-    have size 1.
+    Each term is one partial state of ``integrate_term`` with every
+    variable still open.
     """
-    if weight is None or weight == 1:
-        weight = _UNIT
-    if weight.nvars != 1:
-        raise ValueError("the weight must be a polynomial in one variable")
-    if not weight:
-        return RegValue.zero()  # a zero weight makes every term vanish, deltas or not
-    powers: dict[int, tuple[Poly, RegValue]] = {}
     total = RegValue.zero()
     for term in terms:
-        state = (term.delta0, term.atoms, (1,) * term.nvars)
-        total = total + integrate_term(state, term.poly, rules, notes, weight, powers)
+        state = (term.delta0, term.atoms, (True,) * term.nvars)
+        total = total + integrate_term(state, term.poly, rules, notes)
     return total

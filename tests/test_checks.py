@@ -548,7 +548,7 @@ def test_measure_cancellation_accepts_profile_names() -> None:
     assert report.check_name == "measure_cancellation[tau/beta]"
 
 
-@pytest.mark.parametrize("bad_order", [0, 9])
+@pytest.mark.parametrize("bad_order", [-1, 0, 9])
 def test_measure_cancellation_order_bounds(bad_order: int) -> None:
     with pytest.raises(ValueError):
         measure_cancellation("1", max_order=bad_order)

@@ -238,8 +238,11 @@ def test_measure_cancel_unknown_profile(capsys: pytest.CaptureFixture) -> None:
 
 
 def test_measure_cancel_order_out_of_range(capsys: pytest.CaptureFixture) -> None:
-    assert main(["measure-cancel", "--max-order", "9"]) == 2
-    assert "through order" in capsys.readouterr().err
+    for order in ("9", "0", "-1"):
+        assert main(["measure-cancel", "--max-order", order]) == 2
+        err = capsys.readouterr().err
+        assert "through order" in err
+        assert err.endswith(f"must be in 1..8, got {order}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -187,11 +187,13 @@ def test_naive_i15r_routes_dimreg():
     assert routes["mixed"] == beta(1, "-1/8")
 
 
-# -- one-variable weights applied after delta collapse ----------------------
+# -- one-variable weights against the dense term-by-term route ---------------
 
 
-def integrate_dense(terms, rules, weight):
+def integrate_dense(terms, rules, weight, notes=None):
     """Reference route: multiply w(tau_1)...w(tau_n) into every polynomial."""
+    if weight is None:
+        return integrate(terms, rules, notes)
     dense = []
     for term in terms:
         n = term.nvars
@@ -203,7 +205,7 @@ def integrate_dense(terms, rules, weight):
             }
             full = full * Poly(n, embedded)
         dense.append(IntegrandTerm(term.delta0, n, term.poly * full, term.atoms))
-    return integrate(dense, rules)
+    return integrate(dense, rules, notes)
 
 
 def ring_factors(n):
@@ -215,9 +217,9 @@ def ring_factors(n):
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 def test_weighted_rings_match_dense_weight(profile, n):
-    terms = product(ring_factors(n), n)
     weight = PROFILES[profile]
-    assert integrate(terms, DIMREG, weight=weight) == integrate_dense(terms, DIMREG, weight)
+    routed = integrate_product(ring_factors(n), n, DIMREG, weight=weight)
+    assert routed == integrate_dense(product(ring_factors(n), n), DIMREG, weight)
 
 
 @pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda r: r.name)
@@ -226,7 +228,13 @@ def test_weighted_rings_match_dense_weight(profile, n):
 def test_weight_on_eps_touched_variables_matches_dense(text, profile, rules):
     terms = terms_from_text(text)
     weight = PROFILES[profile]
-    weighted = integrate(terms, rules, weight=weight)
+    weighted = sum(
+        (
+            integrate_product(list(p.factors), p.nvars, rules, weight=weight, coefficient=p.coefficient)
+            for p in parse(text)
+        ),
+        RegValue.zero(),
+    )
     assert weighted == integrate_dense(terms, rules, weight)
     assert weighted != integrate(terms, rules)
 
@@ -247,7 +255,7 @@ def weighted_products(draw):
         1,
         {(draw(st.integers(-2, 0)), e): draw(rational) for e in range(draw(st.integers(0, 2)) + 1)},
     )
-    return product(factors, nvars), weight
+    return factors, nvars, weight
 
 
 def _outcome(compute):
@@ -260,12 +268,13 @@ def _outcome(compute):
 @settings(max_examples=60, deadline=None)
 @given(weighted_products(), st.sampled_from([DIMREG, MODEREG]))
 def test_weighted_integral_equals_dense_integral(drawn, rules):
-    terms, weight = drawn
-    weighted = _outcome(lambda: integrate(terms, rules, weight=weight))
+    factors, nvars, weight = drawn
+    terms = product(factors, nvars)
+    weighted = _outcome(lambda: integrate_product(factors, nvars, rules, weight=weight))
     assert weighted == _outcome(lambda: integrate_dense(terms, rules, weight))
     unweighted = _outcome(lambda: integrate(terms, rules))
     assume(unweighted is not UnreducedSingularStructureError)
-    assert integrate(terms, rules, weight=Poly.const(1, 1)) == unweighted
+    assert integrate_product(factors, nvars, rules, weight=Poly.const(1, 1)) == unweighted
 
 
 # -- the in-place delta collapse against the renumbering loop ---------------
@@ -426,10 +435,7 @@ def nonzero_weights(draw):
 )
 def test_in_place_collapse_matches_the_renumbering_loop(term, rules, weight):
     canonical = canonicalize([term])
-    if weight is None:
-        collapsed = _outcome(lambda: integrate(canonical, rules))
-    else:
-        collapsed = _outcome(lambda: integrate(canonical, rules, weight=weight))
+    collapsed = _outcome(lambda: integrate_dense(canonical, rules, weight))
     expected = _outcome(
         lambda: sum(
             (reference_integrate_term(t, rules, weight) for t in canonical), RegValue.zero()
@@ -550,13 +556,15 @@ def test_one_factor_at_a_time_matches_the_full_expansion(drawn, rules, weight):
     if routed is not UnreducedSingularStructureError:
         reference_notes = []
         # The eps-power notes come in the order of the expanded terms.
-        integrate(product(factors, nvars, coefficient, extra), rules, reference_notes, weight)
+        integrate_dense(product(factors, nvars, coefficient, extra), rules, weight, reference_notes)
         assert notes == reference_notes
 
 
-# The full RegValue of every measure ring, captured from the full expansion.
+# The full RegValue of every measure ring: u^1..u^8 captured from the full
+# expansion, u^9..u^12 from integrate_product while it still carried the
+# weight as block sizes rather than as a polynomial factor.
 RING_VALUES = {
-    "1": ["-1 + 1 * beta * delta0"] * 8,
+    "1": ["-1 + 1 * beta * delta0"] * 12,
     "tau/beta": [
         "-1/2 + 1/2 * beta * delta0",
         "-5/12 + 1/3 * beta * delta0",
@@ -566,6 +574,10 @@ RING_VALUES = {
         "-19087/60480 + 1/7 * beta * delta0",
         "-5257/17280 + 1/8 * beta * delta0",
         "-1070017/3628800 + 1/9 * beta * delta0",
+        "-25713/89600 + 1/10 * beta * delta0",
+        "-26842253/95800320 + 1/11 * beta * delta0",
+        "-4777223/17418240 + 1/12 * beta * delta0",
+        "-703604254357/2615348736000 + 1/13 * beta * delta0",
     ],
     "tau*(beta-tau)/beta^2": [
         "-1/6 + 1/6 * beta * delta0",
@@ -576,20 +588,28 @@ RING_VALUES = {
         "-5710469/40864824000 + 1/12012 * beta * delta0",
         "-1212457/35026992000 + 1/51480 * beta * delta0",
         "-1074010337/125046361440000 + 1/218790 * beta * delta0",
+        "-212920335247/99786996429120000 + 1/923780 * beta * delta0",
+        "-79057926439/149003207337600000 + 1/3879876 * beta * delta0",
+        "-7791906287923/59016880745222400000 + 1/16224936 * beta * delta0",
+        "-407813841938063843/12405938501453200704000000 + 1/67603900 * beta * delta0",
     ],
 }
 
 
 @pytest.mark.parametrize("profile", sorted(RING_VALUES))
 def test_every_ring_keeps_its_full_value(profile):
-    texts = [_ring_value(PROFILES[profile], n).text() for n in range(1, 9)]
+    texts = [_ring_value(PROFILES[profile], n).text() for n in range(1, 13)]
     assert texts == RING_VALUES[profile]
 
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 def test_rings_hold_few_partial_terms(profile, monkeypatch):
-    # Counted, not timed: the full expansion holds 2**n terms, and
-    # eliminating in cycle order keeps O(n**2) states.
+    # Counted, not timed: the full expansion holds 2**n terms.  Factor k is
+    # DD(k, k+1) = delta - 1/beta, and the last is DD(0, n-1).  After factor
+    # k the variables 1..k are done, and each was integrated out or collapsed
+    # along its power-1 deltas, so every state has the same open variables:
+    # 0 and the ones from k+1 on.  The only atom that can remain is the
+    # delta chained from 0 to k+1.  With it or without it: at most 2 states.
     sizes = []
     multiply = worldline.integration._multiply
 
@@ -602,4 +622,4 @@ def test_rings_hold_few_partial_terms(profile, monkeypatch):
     for n in range(8, 13):
         sizes.clear()
         _ring_value(PROFILES[profile], n)
-        assert len(sizes) == n and max(sizes) <= 2 * n * n
+        assert len(sizes) == n and max(sizes) <= 2
