@@ -31,13 +31,6 @@ from .values import RegValue
 
 Edge = Tuple[Tuple[int, int], Kind]
 
-_MIRROR_KIND = {
-    Kind.D: Kind.D,
-    Kind.DOT_DOT: Kind.DOT_DOT,
-    Kind.DOT_LEFT: Kind.DOT_RIGHT,
-    Kind.DOT_RIGHT: Kind.DOT_LEFT,
-}
-
 
 # ---------------------------------------------------------------------------
 # diagrams
@@ -111,24 +104,24 @@ def _fields(vertices: Sequence[Vertex]) -> List[_Field]:
     return fields
 
 
-def _edge(a: _Field, b: _Field) -> Edge:
+# While contracting, an edge carries its kind's text ("D", "Dl", "Dr",
+# "DD"), which sorts like the catalog order; it becomes a Kind once per
+# catalog entry.
+_TextEdge = Tuple[Tuple[int, int], str]
+
+_MIRROR_KIND = {"D": "D", "DD": "DD", "Dl": "Dr", "Dr": "Dl"}
+
+
+def _edge(a: _Field, b: _Field) -> _TextEdge:
     (pa, ta, _), (pb, tb, _) = a, b
-    if pa == pb:
-        if ta == tb == "qdot":
-            return ((pa, pa), Kind.DOT_DOT)
-        if ta == tb == "q":
-            return ((pa, pa), Kind.D)
-        return ((pa, pa), Kind.DOT_LEFT)
     if pa > pb:
         pa, ta, pb, tb = pb, tb, pa, ta
-    if ta == tb == "qdot":
-        kind = Kind.DOT_DOT
-    elif ta == "qdot":
-        kind = Kind.DOT_LEFT
-    elif tb == "qdot":
-        kind = Kind.DOT_RIGHT
+    if ta == tb:
+        kind = "DD" if ta == "qdot" else "D"
+    elif pa == pb or ta == "qdot":
+        kind = "Dl"
     else:
-        kind = Kind.D
+        kind = "Dr"
     return ((pa, pb), kind)
 
 
@@ -137,7 +130,7 @@ def _edge_key(edge: Edge) -> Tuple[Tuple[int, int], str]:
     return ((a, b), kind.value)
 
 
-def _mirror_edges(edges: Tuple[Edge, ...]) -> Tuple[Edge, ...]:
+def _mirror_edges(edges: List[_TextEdge]) -> List[_TextEdge]:
     mirrored = []
     for (a, b), kind in edges:
         na, nb = 1 - a, 1 - b
@@ -145,18 +138,16 @@ def _mirror_edges(edges: Tuple[Edge, ...]) -> Tuple[Edge, ...]:
             na, nb = nb, na
             kind = _MIRROR_KIND[kind]
         mirrored.append(((na, nb), kind))
-    return tuple(sorted(mirrored, key=_edge_key))
+    return sorted(mirrored)
 
 
 def _canonical_edges(
     raw: Iterable[Tuple[_Field, _Field]], mirror: bool
-) -> Tuple[Edge, ...]:
-    edges = tuple(sorted((_edge(a, b) for a, b in raw), key=_edge_key))
+) -> Tuple[_TextEdge, ...]:
+    edges = sorted(_edge(a, b) for a, b in raw)
     if mirror:
-        flipped = _mirror_edges(edges)
-        if tuple(map(_edge_key, flipped)) < tuple(map(_edge_key, edges)):
-            return flipped
-    return edges
+        edges = min(edges, _mirror_edges(edges))
+    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +176,8 @@ def _contract(
     ]
     mirror = len(vertices) == 2 and vertices[0] == vertices[1]
 
+    # Rational coefficient of each (edges, label), scaled by prefactor once.
+    totals: Dict[Tuple[Tuple[_TextEdge, ...], str], Fraction] = {}
     count = 0
     for matching in perfect_matchings(range(len(fields))):
         count += 1
@@ -198,11 +191,11 @@ def _contract(
         coefficients = invariant_coefficients(factors, tuple(pairing))
         edges = _canonical_edges(pairs, mirror)
         for label, coefficient in coefficients.items():
-            key = (vertices, edges, label)
-            accumulator[key] = (
-                accumulator.get(key, RegValue.zero()) + prefactor * coefficient
-            )
+            totals[edges, label] = totals.get((edges, label), 0) + coefficient
     assert count == _double_factorial(len(fields) - 1)
+    for (edges, label), total in totals.items():
+        key = (vertices, tuple((pair, Kind(kind)) for pair, kind in edges), label)
+        accumulator[key] = accumulator.get(key, RegValue.zero()) + prefactor * total
 
 
 def _diagram_sort_key(diagram: Diagram):
@@ -229,9 +222,7 @@ def wick(vertex_set: Sequence[Vertex], order: int) -> List[Diagram]:
     for vertex in vertex_set:
         if vertex.order_in_eps != order:
             continue
-        prefactor = RegValue.rational(-vertex.coefficient) * RegValue.delta0(
-            vertex.delta0_power
-        )
+        prefactor = RegValue.delta0(vertex.delta0_power, -vertex.coefficient)
         _contract(accumulator, (vertex,), prefactor, connected_only=False)
     if order == 2:
         first_order = [v for v in vertex_set if v.order_in_eps == 1]
@@ -240,8 +231,8 @@ def wick(vertex_set: Sequence[Vertex], order: int) -> List[Diagram]:
                 coefficient = left.coefficient * right.coefficient
                 if left == right:
                     coefficient /= 2
-                prefactor = RegValue.rational(coefficient) * RegValue.delta0(
-                    left.delta0_power + right.delta0_power
+                prefactor = RegValue.delta0(
+                    left.delta0_power + right.delta0_power, coefficient
                 )
                 _contract(accumulator, (left, right), prefactor, connected_only=True)
 

@@ -5,15 +5,16 @@ Ricci tensors fully contracted with Kronecker deltas.  On a maximally
 symmetric target the Riemann tensor is an antisymmetrized product of
 metric deltas times a single scale, so every full contraction evaluates
 to a signed sum over delta cycles whose value is a polynomial in the
-target dimension.  Matching that polynomial against the values of the
-curvature invariants on the same target recovers the invariant
+target dimension n, with one term n**cycles per branch combination.
+Matching the integer coefficients of that polynomial against those of
+the curvature invariants on the same target recovers the invariant
 decomposition exactly, with no symbolic index algebra.
 
 Conventions baked into the patterns: the four-index tensor is
 antisymmetric in slots (0, 1) and in (2, 3); tracing a pair of first and
 third slots gives minus the Ricci tensor; the scalar curvature of a
 sphere is positive.  Each factor carries one power of the overall scale,
-so fitting at unit scale determines the invariant coefficients for every
+so matching at unit scale determines the invariant coefficients for every
 maximally symmetric target at once.
 """
 
@@ -76,32 +77,31 @@ PATTERNS: Dict[str, Pattern] = {
 # cycle counting
 # ---------------------------------------------------------------------------
 
+_UNPAIRED = "every tensor slot must appear in exactly two contractions; slots {} do not"
+
 
 def _cycle_count(edges: Sequence[Edge], nslots: int) -> int:
     """Number of closed delta cycles in a 2-regular contraction graph."""
 
     degree = [0] * nslots
     parent = list(range(nslots))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    cycles = nslots
     for a, b in edges:
         degree[a] += 1
         degree[b] += 1
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            cycles -= 1
     bad = [slot for slot, count in enumerate(degree) if count != 2]
     if bad:
-        raise ValueError(
-            "every tensor slot must appear in exactly two contractions; "
-            f"slots {bad} do not"
-        )
-    return len({find(slot) for slot in range(nslots)})
+        raise ValueError(_UNPAIRED.format(bad))
+    return cycles
 
 
 @functools.cache
@@ -117,32 +117,30 @@ def _cycle_terms(
         except KeyError:
             raise ValueError(f"unknown tensor pattern {name!r}") from None
 
-    ext_offsets = []
-    total_ext = 0
+    # Global slots: every factor's externals in order, then every aux.
+    total_ext = sum(pat.externals for pat in patterns)
+    nslots = total_ext + sum(pat.aux for pat in patterns)
+    stray = sorted({slot for edge in pairing for slot in edge if not 0 <= slot < nslots})
+    if stray:
+        raise ValueError(_UNPAIRED.format(stray))
+    branches = []
+    ext, aux = 0, total_ext
     for pat in patterns:
-        ext_offsets.append(total_ext)
-        total_ext += pat.externals
-    aux_offsets = []
-    total_aux = 0
-    for pat in patterns:
-        aux_offsets.append(total_ext + total_aux)
-        total_aux += pat.aux
-    nslots = total_ext + total_aux
-
-    def shift(which: int, slot: int) -> int:
-        pat = patterns[which]
-        if slot < pat.externals:
-            return ext_offsets[which] + slot
-        return aux_offsets[which] + (slot - pat.externals)
+        place = [*range(ext, ext + pat.externals), *range(aux, aux + pat.aux)]
+        branches.append([
+            (sign, [(place[a], place[b]) for a, b in edges])
+            for sign, edges in pat.branches
+        ])
+        ext += pat.externals
+        aux += pat.aux
 
     terms = []
-    for combo in itertools.product(*(pat.branches for pat in patterns)):
+    for combo in itertools.product(*branches):
         sign = 1
         edges = list(pairing)
-        for which, (branch_sign, branch_edges) in enumerate(combo):
+        for branch_sign, branch_edges in combo:
             sign *= branch_sign
-            for a, b in branch_edges:
-                edges.append((shift(which, a), shift(which, b)))
+            edges += branch_edges
         terms.append((sign, _cycle_count(edges, nslots)))
     return tuple(terms)
 
@@ -153,52 +151,18 @@ def _key(
     return tuple(factors), tuple((a, b) for a, b in pairing)
 
 
-def _evaluate(terms: Tuple[Tuple[int, int], ...], dimension: int) -> int:
-    return sum(sign * dimension**cycles for sign, cycles in terms)
-
-
 # ---------------------------------------------------------------------------
 # invariant decomposition
 # ---------------------------------------------------------------------------
 
-# Values of the curvature invariants on a maximally symmetric target of
-# dimension n at unit scale, in the order (Rsq, RicciSq, RiemannSq).
-
-
-def _scalar_value(n: int) -> int:
-    return -n * (n - 1)
-
-
-def _quadratic_row(n: int) -> Tuple[int, int, int]:
-    return (
-        n * n * (n - 1) * (n - 1),
-        n * (n - 1) * (n - 1),
-        2 * n * (n - 1),
-    )
-
-
-def _inverse_three(rows: Sequence[Tuple[int, int, int]]) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Exact inverse of a 3x3 matrix by Gauss-Jordan elimination."""
-
-    work = [
-        [Fraction(entry) for entry in rows[i]] + [Fraction(int(i == k)) for k in range(3)]
-        for i in range(3)
-    ]
-    for col in range(3):
-        pivot = next(r for r in range(col, 3) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        scale = work[col][col]
-        work[col] = [entry / scale for entry in work[col]]
-        for r in range(3):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[3:]) for row in work)
-
-
-# The quadratic basis is fitted at n = 2, 3, 4 and verified at n = 5, 6, 7.
-_FIT_DIMENSIONS = (2, 3, 4)
-_FIT_INVERSE = _inverse_three([_quadratic_row(n) for n in _FIT_DIMENSIONS])
+# At unit scale on a maximally symmetric target of dimension n,
+#   R = -n**2 + n,
+#   Rsq = n**4 - 2 n**3 + n**2,
+#   RicciSq = n**3 - 2 n**2 + n,
+#   RiemannSq = 2 n**2 - 2 n.
+# Each basis is triangular in its top powers, so the coefficients of a
+# contraction polynomial are read off from the top down, and the lower
+# powers it has left over must match what those coefficients predict.
 
 
 def invariant_coefficients(
@@ -208,10 +172,11 @@ def invariant_coefficients(
 
     Returns the exact coefficients of ``one`` (no factors), ``R`` (one
     factor), or ``Rsq``/``RicciSq``/``RiemannSq`` (two factors), dropping
-    zero entries.  Raises ``ValueError`` when the sampled values do not
-    lie in the corresponding basis, which would mean the pairing is
-    inconsistent with the patterns.  Each decomposition is computed once
-    per process; every call returns a fresh dict.
+    zero entries.  Raises ``ValueError`` when the coefficients of the
+    contraction polynomial do not lie in the corresponding basis, which
+    would mean the pairing is inconsistent with the patterns.  Each
+    decomposition is computed once per process; every call returns a
+    fresh dict.
     """
 
     return dict(_decompose(*_key(factors, pairing)))
@@ -230,26 +195,31 @@ def _decompose(
         raise ValueError(
             "contractions with more than two curvature factors exceed second order"
         )
-    terms = _cycle_terms(factors, pairing)
-    samples = {n: _evaluate(terms, n) for n in range(2, 8)}
+    powers: Dict[int, int] = {}
+    for sign, cycles in _cycle_terms(factors, pairing):
+        powers[cycles] = powers.get(cycles, 0) + sign
+    # p[k] is the coefficient of n**k; anything left in ``powers`` lies
+    # above the basis degree.
+    p = [powers.pop(k, 0) for k in range(2 * count + 1)]
+    leftover = p[0] or any(powers.values())
     if count == 1:
-        coefficient = Fraction(samples[2], _scalar_value(2))
-        if any(Fraction(samples[n], _scalar_value(n)) != coefficient for n in range(3, 8)):
+        scalar = -p[2]
+        if leftover or p[1] != scalar:
             raise ValueError(
                 "single-factor contraction is not proportional to the scalar curvature"
             )
-        return {"R": coefficient} if coefficient else {}
-    rhs = [samples[n] for n in _FIT_DIMENSIONS]
-    r_sq, ricci_sq, riemann_sq = (
-        sum(entry * value for entry, value in zip(row, rhs)) for row in _FIT_INVERSE
-    )
-    for n in (5, 6, 7):
-        row = _quadratic_row(n)
-        predicted = r_sq * row[0] + ricci_sq * row[1] + riemann_sq * row[2]
-        if predicted != samples[n]:
-            raise ValueError(
-                "two-factor contraction values do not lie in the "
-                "quadratic curvature-invariant basis"
-            )
-    decomposition = {"Rsq": r_sq, "RicciSq": ricci_sq, "RiemannSq": riemann_sq}
+        return {"R": Fraction(scalar)} if scalar else {}
+    r_sq = p[4]
+    ricci_sq = p[3] + 2 * r_sq
+    riemann_sq = Fraction(p[2] - r_sq + 2 * ricci_sq, 2)
+    if leftover or p[1] != ricci_sq - 2 * riemann_sq:
+        raise ValueError(
+            "two-factor contraction values do not lie in the "
+            "quadratic curvature-invariant basis"
+        )
+    decomposition = {
+        "Rsq": Fraction(r_sq),
+        "RicciSq": Fraction(ricci_sq),
+        "RiemannSq": riemann_sq,
+    }
     return {label: value for label, value in decomposition.items() if value}

@@ -307,6 +307,22 @@ def test_curved_quartic_kinetic_vertex_alone():
 # ---------------------------------------------------------------------------
 
 
+def test_wick_multiplies_values_once_per_catalog_entry(monkeypatch):
+    # Counted, not timed: the order-2 normal catalog contracts 128 matchings
+    # into 20 entries.  Each matching's rational coefficient is summed per
+    # entry, and each sum is scaled by its vertex prefactor once.
+    products = []
+    multiply = RegValue.__mul__
+
+    def counted(left, right):
+        products.append(right)
+        return multiply(left, right)
+
+    monkeypatch.setattr(RegValue, "__mul__", counted)
+    diagrams = wick(vertices(NormalCoords()), 2)
+    assert 0 < len(products) <= len(diagrams)
+
+
 def test_evaluate_diagram_applies_weight():
     diagram = Diagram(
         vertices=tuple(vertices(FlatTransform())[:1]),

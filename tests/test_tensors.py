@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from worldline.tensors import _cycle_terms, invariant_coefficients
+from worldline import tensors
+from worldline.tensors import Pattern, _cycle_terms, invariant_coefficients
 
 
 def contraction_value(factors, pairing, n):
@@ -111,6 +112,40 @@ def test_unpaired_slot_is_rejected():
         contraction_value(("riem",), ((0, 2),), 3)
 
 
+@pytest.mark.parametrize("pairing", [((0, 1), (2, -1)), ((0, 1), (2, 9))])
+def test_pairing_slot_out_of_range_is_rejected(pairing):
+    with pytest.raises(ValueError, match="exactly two contractions"):
+        invariant_coefficients(("riem",), pairing)
+
+
+@pytest.mark.parametrize(
+    "factors, pairing, message",
+    [
+        (
+            ("probe",),
+            ((0, 1),),
+            "single-factor contraction is not proportional to the scalar curvature",
+        ),
+        (
+            ("probe", "probe"),
+            ((0, 2), (1, 3)),
+            "two-factor contraction values do not lie in the "
+            "quadratic curvature-invariant basis",
+        ),
+    ],
+)
+def test_values_outside_the_invariant_basis_are_refused(
+    factors, pairing, message, monkeypatch
+):
+    # One branch closing its two slots on each other: every contraction
+    # is a single cycle, so its value is n, in neither basis.
+    monkeypatch.setitem(tensors.PATTERNS, "probe", Pattern(2, 0, ((1, ((0, 1),)),)))
+    assert contraction_value(factors, pairing, 5) == 5
+    with pytest.raises(ValueError) as refusal:
+        invariant_coefficients(factors, pairing)
+    assert str(refusal.value) == message
+
+
 def test_no_factors_means_unit():
     assert invariant_coefficients((), ()) == {"one": Fraction(1)}
 
@@ -131,6 +166,15 @@ def test_unknown_pattern_is_rejected():
 # ---------------------------------------------------------------------------
 
 
+# Curvature invariants on an n-dimensional target at unit scale.
+_BASIS = {
+    "R": lambda n: -n * (n - 1),
+    "Rsq": lambda n: n * n * (n - 1) * (n - 1),
+    "RicciSq": lambda n: n * (n - 1) * (n - 1),
+    "RiemannSq": lambda n: 2 * n * (n - 1),
+}
+
+
 @given(st.permutations(range(8)))
 def test_any_full_pairing_of_two_factors_decomposes(order):
     pairing = tuple(
@@ -138,13 +182,8 @@ def test_any_full_pairing_of_two_factors_decomposes(order):
         for k in range(4)
     )
     coefficients = invariant_coefficients(("riem", "riem"), pairing)
-    basis = {
-        "Rsq": lambda n: n * n * (n - 1) * (n - 1),
-        "RicciSq": lambda n: n * (n - 1) * (n - 1),
-        "RiemannSq": lambda n: 2 * n * (n - 1),
-    }
     for n in (2, 3, 6):
-        rebuilt = sum(coefficients.get(k, 0) * basis[k](n) for k in basis)
+        rebuilt = sum(value * _BASIS[label](n) for label, value in coefficients.items())
         assert rebuilt == contraction_value(("riem", "riem"), pairing, n)
 
 
@@ -212,13 +251,27 @@ def _perfect_matchings(slots):
             yield ((first, partner),) + tail
 
 
-@pytest.mark.parametrize(
-    "factors", [("riem",), ("ric",), ("ric", "ric"), ("ric", "riem"), ("riem", "riem")]
-)
-def test_contraction_value_matches_a_brute_force_recount(factors):
+_FACTOR_TUPLES = [("riem",), ("ric",), ("ric", "ric"), ("ric", "riem"), ("riem", "riem")]
+
+
+def _pairings(factors):
     nslots = sum({"riem": 4, "ric": 2}[name] for name in factors)
+    return _perfect_matchings(tuple(range(nslots)))
+
+
+@pytest.mark.parametrize("factors", _FACTOR_TUPLES)
+def test_every_pairing_is_rebuilt_from_its_coefficients(factors):
+    for pairing in _pairings(factors):
+        coefficients = invariant_coefficients(factors, pairing)
+        for n in range(1, 10):
+            rebuilt = sum(value * _BASIS[label](n) for label, value in coefficients.items())
+            assert rebuilt == contraction_value(factors, pairing, n), (factors, pairing, n)
+
+
+@pytest.mark.parametrize("factors", _FACTOR_TUPLES)
+def test_contraction_value_matches_a_brute_force_recount(factors):
     # The cycle list of a pairing is computed once and reused for every n.
-    for pairing in _perfect_matchings(tuple(range(nslots))):
+    for pairing in _pairings(factors):
         for n in range(2, 8):
             assert contraction_value(factors, pairing, n) == _brute_force_value(
                 factors, pairing, n
