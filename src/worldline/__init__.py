@@ -10,7 +10,7 @@ coefficients, sphere spectra), and consistency checks between all routes.
 Values live in the exact ring of rationals times integer powers of the
 total time ``beta`` and the formal equal-time divergence ``delta0``.
 The package re-exports nothing; import from its modules, e.g.
-``from worldline.integration import integrate``.
+``from worldline.integration import integrate_product``.
 """
 
 __version__ = "0.1.0"

@@ -46,10 +46,6 @@ class Diagram(NamedTuple):
     tensor_label: str
     local: bool
 
-    @property
-    def order_in_eps(self) -> int:
-        return sum(v.order_in_eps for v in self.vertices)
-
 
 def classify(diagram: Diagram) -> str:
     """Structural family of a diagram, used by the catalog listing."""
@@ -188,7 +184,7 @@ def _contract(
         for (pa, _, sa), (pb, _, sb) in pairs:
             if sa is not None and sb is not None:
                 pairing.append((sa + offsets[pa], sb + offsets[pb]))
-        coefficients = invariant_coefficients(factors, tuple(pairing))
+        coefficients = invariant_coefficients(factors, pairing)
         edges = _canonical_edges(pairs, mirror)
         for label, coefficient in coefficients.items():
             totals[edges, label] = totals.get((edges, label), 0) + coefficient
@@ -200,7 +196,6 @@ def _contract(
 
 def _diagram_sort_key(diagram: Diagram):
     return (
-        diagram.order_in_eps,
         len(diagram.vertices),
         tuple(map(_edge_key, diagram.edges)),
         diagram.tensor_label,
@@ -215,9 +210,11 @@ def wick(vertex_set: Sequence[Vertex], order: int) -> List[Diagram]:
     matchings restricted to connected ones.  Single-vertex diagrams carry
     minus the vertex coefficient; pairs carry the product of coefficients,
     halved for identical vertices.  ``order`` keeps only diagrams of that
-    total order.
+    total order, 1 or 2; any other order raises ``ValueError``.
     """
 
+    if order not in (1, 2):
+        raise ValueError("diagram catalogs are implemented through second order")
     accumulator: Dict[Tuple[Tuple[Vertex, ...], Tuple[Edge, ...], str], RegValue] = {}
     for vertex in vertex_set:
         if vertex.order_in_eps != order:
@@ -311,8 +308,6 @@ def sum_order(model, order: int, rules: RuleSet = DIMREG) -> Dict[str, RegValue]
     the geometry layer.
     """
 
-    if order not in (1, 2):
-        raise ValueError("diagram totals are implemented through second order")
     totals: Dict[str, RegValue] = {}
     for diagram in wick(model_vertices(model), order=order):
         value, label = evaluate_diagram(diagram, rules)
@@ -345,7 +340,7 @@ def catalog(model, order: int, rules: RuleSet = DIMREG) -> List[dict]:
             "weight": diagram.weight.text(),
             "tensor_label": diagram.tensor_label,
             "local": diagram.local,
-            "order_in_eps": diagram.order_in_eps,
+            "order_in_eps": order,
             "value": evaluate_diagram(diagram, rules)[0].text(),
         })
     return entries

@@ -20,10 +20,9 @@ maximally symmetric target at once.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 Edge = Tuple[int, int]
 Branch = Tuple[int, Tuple[Edge, ...]]
@@ -104,10 +103,9 @@ def _cycle_count(edges: Sequence[Edge], nslots: int) -> int:
     return cycles
 
 
-@functools.cache
 def _cycle_terms(
-    factors: Tuple[str, ...], pairing: Tuple[Edge, ...]
-) -> Tuple[Tuple[int, int], ...]:
+    factors: Sequence[str], pairing: Sequence[Edge]
+) -> List[Tuple[int, int]]:
     """(sign, cycle count) of every branch combination; the same for all n."""
 
     patterns = []
@@ -142,13 +140,7 @@ def _cycle_terms(
             sign *= branch_sign
             edges += branch_edges
         terms.append((sign, _cycle_count(edges, nslots)))
-    return tuple(terms)
-
-
-def _key(
-    factors: Sequence[str], pairing: Sequence[Edge]
-) -> Tuple[Tuple[str, ...], Tuple[Edge, ...]]:
-    return tuple(factors), tuple((a, b) for a, b in pairing)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +166,9 @@ def invariant_coefficients(
     factor), or ``Rsq``/``RicciSq``/``RiemannSq`` (two factors), dropping
     zero entries.  Raises ``ValueError`` when the coefficients of the
     contraction polynomial do not lie in the corresponding basis, which
-    would mean the pairing is inconsistent with the patterns.  Each
-    decomposition is computed once per process; every call returns a
-    fresh dict.
+    would mean the pairing is inconsistent with the patterns.
     """
 
-    return dict(_decompose(*_key(factors, pairing)))
-
-
-@functools.cache
-def _decompose(
-    factors: Tuple[str, ...], pairing: Tuple[Edge, ...]
-) -> Dict[str, Fraction]:
     count = len(factors)
     if count == 0:
         if pairing:

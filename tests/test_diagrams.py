@@ -416,6 +416,17 @@ def test_sum_order_rejects_higher_orders():
         sum_order(FlatTransform(), 3)
 
 
+@pytest.mark.parametrize("order", [0, 3])
+def test_catalogs_refuse_orders_other_than_one_and_two(order):
+    # An empty catalog would read as "no diagrams at this order".
+    refusal = "diagram catalogs are implemented through second order"
+    for model in (FlatTransform(), NormalCoords()):
+        with pytest.raises(ValueError, match=refusal):
+            catalog(model, order)
+        with pytest.raises(ValueError, match=refusal):
+            wick(vertices(model), order)
+
+
 def test_catalog_is_deterministic_and_serializable():
     import json
 

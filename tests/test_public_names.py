@@ -60,6 +60,36 @@ def test_readme_lists_exactly_the_public_names(module: str) -> None:
     assert without_aliases(_readme_names()[module]) == without_aliases(_defined_names(module))
 
 
+def _readme_memos() -> set[str]:
+    """The `module._name` that opens each bullet of README's memo list."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("one per bullet", 1)[1].split(":\n\n", 1)[1].split("\n\n", 1)[0]
+    return set(re.findall(r"^- `(\w+\.\w+)`", block, re.M))
+
+
+def _cached_functions() -> set[str]:
+    """`module.name` of every module-level function or method with `cache_info`."""
+    found = set()
+    for module in MODULES:
+        namespace = importlib.import_module(f"worldline.{module}")
+        values = list(vars(namespace).values())
+        values += [
+            member
+            for value in values
+            if isinstance(value, type) and value.__module__ == namespace.__name__
+            for member in vars(value).values()
+        ]
+        for value in values:
+            value = getattr(value, "__func__", value)
+            if hasattr(value, "cache_info") and value.__module__ == namespace.__name__:
+                found.add(f"{module}.{value.__qualname__}")
+    return found
+
+
+def test_readme_lists_exactly_the_memos() -> None:
+    assert _cached_functions() == _readme_memos()
+
+
 # One run of each verb, the failing text-mode report, and one refusal per verb.
 _INVOCATIONS = (
     (["verify", "--json"], 0),

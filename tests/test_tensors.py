@@ -15,7 +15,7 @@ from worldline.tensors import Pattern, _cycle_terms, invariant_coefficients
 
 def contraction_value(factors, pairing, n):
     """The full contraction on an n-dimensional target at unit scale."""
-    return sum(sign * n**cycles for sign, cycles in _cycle_terms(tuple(factors), tuple(pairing)))
+    return sum(sign * n**cycles for sign, cycles in _cycle_terms(factors, pairing))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,17 @@ def test_factor_swap_leaves_coefficients_unchanged(order):
 
 
 # ---------------------------------------------------------------------------
-# memoized decompositions
+# every call reads the current patterns
 # ---------------------------------------------------------------------------
+
+
+def test_a_replaced_pattern_answers_for_pairings_seen_before(monkeypatch):
+    assert invariant_coefficients(("riem",), ((0, 2), (1, 3))) == {"R": Fraction(-1)}
+    riem = tensors.PATTERNS["riem"]
+    negated = riem._replace(branches=tuple((-sign, edges) for sign, edges in riem.branches))
+    monkeypatch.setitem(tensors.PATTERNS, "riem", negated)
+    assert invariant_coefficients(("riem",), ((0, 2), (1, 3))) == {"R": Fraction(1)}
+    assert invariant_coefficients(("riem",), ((0, 3), (1, 2))) == {"R": Fraction(-1)}
 
 
 def test_mutating_a_result_leaves_the_next_call_intact():
@@ -270,7 +279,6 @@ def test_every_pairing_is_rebuilt_from_its_coefficients(factors):
 
 @pytest.mark.parametrize("factors", _FACTOR_TUPLES)
 def test_contraction_value_matches_a_brute_force_recount(factors):
-    # The cycle list of a pairing is computed once and reused for every n.
     for pairing in _pairings(factors):
         for n in range(2, 8):
             assert contraction_value(factors, pairing, n) == _brute_force_value(
