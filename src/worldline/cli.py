@@ -56,6 +56,11 @@ def _report_payload(report: CheckReport, dump_moves: bool) -> dict:
     return payload
 
 
+def _print_moves(log: List[dict], indent: str) -> None:
+    for entry in log:
+        print(indent + ", ".join(f"{k}={v}" for k, v in sorted(entry.items())))
+
+
 def _print_report(report: CheckReport, dump_moves: bool) -> None:
     print(f"[{report.status.upper()}] {report.check_name}")
     for detail in report.details:
@@ -68,9 +73,7 @@ def _print_report(report: CheckReport, dump_moves: bool) -> None:
     if dump_moves and report.move_logs:
         for name, log in sorted(report.move_logs.items()):
             print(f"    moves[{name}]:")
-            for entry in log:
-                rendered = ", ".join(f"{k}={v}" for k, v in sorted(entry.items()))
-                print(f"        {rendered}")
+            _print_moves(log, " " * 8)
 
 
 def _emit_reports(reports: List[CheckReport], as_json: bool, dump_moves: bool) -> int:
@@ -115,9 +118,7 @@ def _run_integral(args: argparse.Namespace) -> int:
     else:
         print(f"{args.name} = {value.text()}")
         if log is not None:
-            for entry in log:
-                rendered = ", ".join(f"{k}={v}" for k, v in sorted(entry.items()))
-                print(f"    {rendered}")
+            _print_moves(log, " " * 4)
     return 0
 
 

@@ -4,8 +4,7 @@ Each model fixes a metric in the neighborhood of the expansion point and
 yields the interaction vertices of the transformed action, the measure
 terms that accompany them, and reference values to compare totals
 against: the flat models must sum to zero, the curved ones to the
-heat-kernel coefficients, and the sphere provides an independent
-spectral route to the same numbers.
+heat-kernel coefficients.
 """
 
 from __future__ import annotations
@@ -41,31 +40,7 @@ class NormalCoords(NamedTuple):
     """
 
 
-class _SphereFields(NamedTuple):
-    dimension: int
-    radius: Fraction = Fraction(1)
-
-
-class Sphere(_SphereFields):
-    """Round sphere of dimension ``dimension - 1`` embedded in ``dimension``.
-
-    A reference-only model: it supplies exact curvature invariants and a
-    spectral partition function, not vertices.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> Sphere:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.dimension < 2:
-            raise ValueError("the sphere model needs an embedding dimension of at least 2")
-        self = self._replace(radius=Fraction(self.radius))
-        if self.radius <= 0:
-            raise ValueError("the sphere radius must be positive")
-        return self
-
-
-MetricModel = Union[FlatTransform, NormalCoords, Sphere]
+MetricModel = Union[FlatTransform, NormalCoords]
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +128,7 @@ class Vertex(_VertexFields):
     @property
     def slot_count(self) -> int:
         """Number of tensor slots the vertex exposes."""
-        if not self.tensors:
-            return 0
-        highest = -1
-        for group in (self.q_slots, self.qdot_slots):
-            for slot in group:
-                highest = max(highest, slot)
-        for a, b in self.internal:
-            highest = max(highest, a, b)
-        return highest + 1
+        return len(self.q_slots) + len(self.qdot_slots) + 2 * len(self.internal)
 
 
 def _flat_vertices(model: FlatTransform) -> List[Vertex]:
@@ -263,10 +230,6 @@ def vertices(model: MetricModel) -> List[Vertex]:
         return _flat_vertices(model)
     if isinstance(model, NormalCoords):
         return _normal_vertices()
-    if isinstance(model, Sphere):
-        raise ValueError(
-            "the sphere model supplies spectra and reference values, not vertices"
-        )
     raise TypeError(f"unknown model {model!r}")
 
 
@@ -278,8 +241,6 @@ def measure_terms(model: MetricModel) -> Dict[str, RegValue]:
     has one at second order.
     """
 
-    if isinstance(model, Sphere):
-        raise ValueError("the sphere model is reference-only and has no measure terms")
     if isinstance(model, NormalCoords):
         return {"R": RegValue.beta(1, Fraction(1, 24))}
     return {}
@@ -311,16 +272,6 @@ def seeley_reference(model: MetricModel, order: int) -> Dict[str, RegValue]:
             label: RegValue.beta(order, coefficient)
             for label, coefficient in sorted(SEELEY[order].items())
         }
-    if isinstance(model, Sphere):
-        d = model.dimension
-        r2 = model.radius * model.radius
-        if order == 1:
-            coefficient = Fraction((d - 1) * (d - 2), 12) / r2
-        else:
-            coefficient = Fraction(
-                (d - 1) * (d - 2) * (5 * d * d - 17 * d + 18), 1440
-            ) / (r2 * r2)
-        return {"one": RegValue.beta(order, coefficient)}
     if isinstance(model, FlatTransform):
         return {}
     raise TypeError(f"no heat-kernel reference for {model!r}")

@@ -37,7 +37,7 @@ from .integrands import (
     parse,
 )
 from .integration import RuleSet, DIMREG, integrate_product
-from .propagators import Kind
+from .propagators import Kind, diagonal
 from .values import RegValue
 
 
@@ -175,9 +175,8 @@ def equal_time_substitute(term: TTerm, index: int) -> TTerm:
             "no legal reduction: EqualTimeSubstitute applies only to the "
             f"self-contracted equal-time factor, not {prop.describe()}"
         )
-    value = RegValue.delta0() - RegValue.beta(-1)
     props = term.props[:index] + term.props[index + 1 :]
-    return term._replace(coefficient=term.coefficient * value, props=props)
+    return term._replace(coefficient=term.coefficient * diagonal(Kind.DOT_DOT), props=props)
 
 
 def field_equation(term: TTerm, index: int) -> TTerm:

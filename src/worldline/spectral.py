@@ -11,7 +11,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple, Union
 
-from .geometry import Sphere, seeley_reference
 from .reports import CheckReport, error_report, finish_report
 
 
@@ -39,10 +38,16 @@ def _degeneracy(dimension: int, level: int) -> int:
     return (2 * level + dimension - 2) * rising // math.factorial(dimension - 2)
 
 
-def _series_reference_coefficients(sphere: Sphere) -> Tuple[Fraction, Fraction]:
+def _series_reference_coefficients(
+    dimension: int, radius: Fraction
+) -> Tuple[Fraction, Fraction]:
+    """Heat-kernel coefficients c1 and c2 of the sphere of dimension ``dimension - 1``."""
+
+    d = dimension
+    r2 = radius * radius
     return (
-        seeley_reference(sphere, 1)["one"].coefficient(1, 0),
-        seeley_reference(sphere, 2)["one"].coefficient(2, 0),
+        Fraction((d - 1) * (d - 2), 12) / r2,
+        Fraction((d - 1) * (d - 2) * (5 * d * d - 17 * d + 18), 1440) / (r2 * r2),
     )
 
 
@@ -67,7 +72,7 @@ def _spectral_deviation_float(
         for l, decay in enumerate(itertools.takewhile(bool, decays))
     )
     normalized = partition / volume * (2 * math.pi * b) ** ((dimension - 1) / 2)
-    c1, c2 = _series_reference_coefficients(Sphere(dimension, radius))
+    c1, c2 = _series_reference_coefficients(dimension, radius)
     reference = 1.0 + float(c1) * b + float(c2) * b * b
     return abs(normalized / reference - 1.0), normalized, reference
 
@@ -118,7 +123,7 @@ def _spectral_deviation_decimal(
             / _gamma_half_integer(dimension)
         )
         normalized = partition / volume * _half_power(2 * _PI * b, dimension - 1)
-        c1, c2 = _series_reference_coefficients(Sphere(dimension, radius))
+        c1, c2 = _series_reference_coefficients(dimension, radius)
         reference = Decimal(1) + _decimal(c1) * b + _decimal(c2) * b * b
         deviation = abs(normalized / reference - 1)
         return float(deviation), float(normalized), float(reference)
@@ -148,7 +153,11 @@ def _sphere_inputs(
 ) -> Tuple[Fraction, Tuple[Fraction, ...]]:
     """Exact radius and betas of a sphere check, or the one-line reason they are unusable."""
 
-    radius = Sphere(dimension, radius).radius
+    if dimension < 2:
+        raise ValueError("the sphere model needs an embedding dimension of at least 2")
+    radius = Fraction(radius)
+    if radius <= 0:
+        raise ValueError("the sphere radius must be positive")
     betas = tuple(map(_to_fraction, betas))
     for beta in betas:
         if beta <= 0:
@@ -318,7 +327,7 @@ def zeta_series_check() -> CheckReport:
     eigenvalue = {1: Fraction(1), 2: Fraction(1)}  # l (l + 1)
     s0 = _regularized_sum(degeneracy)
     s1 = _regularized_sum(_poly_in_level_mul(degeneracy, eigenvalue))
-    c1, c2 = _series_reference_coefficients(Sphere(3, Fraction(1)))
+    c1, c2 = _series_reference_coefficients(3, Fraction(1))
     expected = {
         "degeneracy_sum": str(2 * c1),
         "linear_coefficient": str(2 * c2),

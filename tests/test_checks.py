@@ -14,7 +14,6 @@ from worldline import spectral
 from worldline.checks import check_constraints, check_flat, check_seeley, run_standard_checks
 from worldline.cli import main
 from worldline.diagrams import perfect_matchings
-from worldline.geometry import Sphere
 from worldline.integration import DIMREG, MODEREG
 from worldline.reports import CheckReport
 from worldline.rings import PROFILES, measure_cancellation, resolve_profile
@@ -217,6 +216,29 @@ def test_sphere_spectral_errors_on_bad_input(kwargs: dict) -> None:
     assert sphere_spectral_check(**kwargs).status == "error"
 
 
+def test_sphere_inputs_are_exact() -> None:
+    radius, betas = spectral._sphere_inputs(3, "1/2", (0.01, "1/50"), 1000)
+    assert type(radius) is Fraction and radius == Fraction(1, 2)
+    assert betas == (Fraction(1, 100), Fraction(1, 50))
+    assert all(type(beta) is Fraction for beta in betas)
+
+
+@pytest.mark.parametrize(
+    ("dimension", "radius", "message"),
+    [
+        # The dimension is checked first, then the radius.
+        (1, 1, "the sphere model needs an embedding dimension of at least 2"),
+        (1, -1, "the sphere model needs an embedding dimension of at least 2"),
+        (3, 0, "the sphere radius must be positive"),
+        (3, Fraction(-1, 2), "the sphere radius must be positive"),
+    ],
+)
+def test_sphere_validation(dimension: int, radius, message: str) -> None:
+    with pytest.raises(ValueError) as refusal:
+        spectral._sphere_inputs(dimension, radius, (0.01,), 1000)
+    assert str(refusal.value) == message
+
+
 @pytest.mark.parametrize("tolerance", [float("nan"), -1.0, 0.0, float("inf")])
 def test_sphere_spectral_rejects_invalid_tolerances(tolerance: float) -> None:
     report = sphere_spectral_check(tolerance=tolerance)
@@ -379,7 +401,7 @@ def _full_float_sum(dimension, radius, beta, l_max):
         for l in range(l_max + 1)
     )
     normalized = partition / volume * (2 * math.pi * b) ** ((dimension - 1) / 2)
-    c1, c2 = spectral._series_reference_coefficients(Sphere(dimension, radius))
+    c1, c2 = spectral._series_reference_coefficients(dimension, radius)
     reference = 1.0 + float(c1) * b + float(c2) * b * b
     return abs(normalized / reference - 1.0), normalized, reference
 
@@ -402,7 +424,7 @@ def _full_decimal_sum(dimension, radius, beta, l_max):
         )
         scale = spectral._half_power(2 * spectral._PI * b, dimension - 1)
         normalized = partition / volume * scale
-        c1, c2 = spectral._series_reference_coefficients(Sphere(dimension, radius))
+        c1, c2 = spectral._series_reference_coefficients(dimension, radius)
         reference = Decimal(1) + spectral._decimal(c1) * b + spectral._decimal(c2) * b * b
         deviation = abs(normalized / reference - 1)
         return float(deviation), float(normalized), float(reference)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from worldline import diagrams
 from worldline.cli import build_parser, main
-from worldline.geometry import MetricModel, Sphere
+from worldline.geometry import MetricModel
 from worldline.integrands import FINITE_ALIASES, NAMED_INTEGRALS
 from worldline.integration import RULESETS
 
@@ -206,6 +206,28 @@ def test_sphere_degeneracy_overflow_keeps_its_text(capsys: pytest.CaptureFixture
     assert f"[ERROR] sphere_scaling\n    {detail}\n" in out
 
 
+@pytest.mark.parametrize(
+    ("argv", "detail"),
+    [
+        # The dimension is checked first, then the radius, then beta.
+        (["--dimension", "1"], "the sphere model needs an embedding dimension of at least 2"),
+        (
+            ["--dimension", "1", "--radius", "0"],
+            "the sphere model needs an embedding dimension of at least 2",
+        ),
+        (["--radius", "0"], "the sphere radius must be positive"),
+        (["--radius=-1/2", "--beta", "0"], "the sphere radius must be positive"),
+    ],
+)
+def test_sphere_refuses_its_dimension_and_radius(
+    argv: list, detail: str, capsys: pytest.CaptureFixture
+) -> None:
+    assert main(["sphere", *argv]) == 2
+    out = capsys.readouterr().out
+    assert f"[ERROR] sphere_spectral\n    {detail}\n" in out
+    assert f"[ERROR] sphere_scaling\n    {detail}\n" in out
+
+
 def test_sphere_spectral_fails_below_the_double_floor(capsys: pytest.CaptureFixture) -> None:
     argv = ["sphere", "--radius", "20", "--lmax", "2000", "--beta", "1/50"]
     assert main([*argv, "--tolerance", "1e-17"]) == 1
@@ -282,9 +304,8 @@ def test_parser_choices_are_the_engine_tables(monkeypatch, capsys) -> None:
     monkeypatch.setattr(diagrams, "catalog", lambda model, *_: models.append(model) or [])
     for name in _choices("model"):
         assert main(["catalog", "--json", "--model", name]) == 0
-    # The sphere is reference-only: it has no vertices to catalog.
     assert sorted(type(model).__name__ for model in models) == sorted(
-        model.__name__ for model in typing.get_args(MetricModel) if model is not Sphere
+        model.__name__ for model in typing.get_args(MetricModel)
     )
 
 
@@ -292,26 +313,26 @@ def test_parser_choices_are_the_engine_tables(monkeypatch, capsys) -> None:
 # per-verb imports
 # ---------------------------------------------------------------------------
 
-# argv (None: import the CLI and build the parser only) and the package
-# modules the process must not load.  No case may load the standard
-# library's dataclasses or inspect either: they cost a fresh process more
-# than the smaller verbs' own work.
+# argv (None: import the CLI and build the parser only), then either the
+# exact set of package modules the process loads or the package modules it
+# must not load.  No case may load the standard library's dataclasses or
+# inspect either: they cost a fresh process more than the smaller verbs'
+# own work.
 _IMPORT_CASES = {
-    "parser": (None, None),
-    "sphere": (
-        ["sphere", "--json"],
-        {"integrands", "integration", "reduction", "tensors", "diagrams", "checks", "rings"},
-    ),
+    "parser": (None, {"cli"}, None),
+    "sphere": (["sphere", "--json"], {"cli", "spectral", "reports"}, None),
     "integral": (
         ["integral", "I14", "--json"],
+        None,
         {"checks", "spectral", "rings", "diagrams", "tensors", "geometry"},
     ),
     "measure-cancel": (
         ["measure-cancel", "--json", "--max-order", "2"],
+        None,
         {"diagrams", "reduction", "tensors", "checks", "spectral", "geometry"},
     ),
-    "catalog": (["catalog", "--json", "--order", "1"], {"checks", "spectral", "rings"}),
-    "verify": (["verify", "--json"], set()),
+    "catalog": (["catalog", "--json", "--order", "1"], None, {"checks", "spectral", "rings"}),
+    "verify": (["verify", "--json"], None, set()),
 }
 
 _IMPORT_SCRIPT = r"""
@@ -331,7 +352,7 @@ print(json.dumps({"exit": code, "loaded": loaded, "slow": slow}))
 
 @pytest.mark.parametrize("case", sorted(_IMPORT_CASES))
 def test_each_verb_imports_only_its_layers(case: str) -> None:
-    argv, forbidden = _IMPORT_CASES[case]
+    argv, exactly, forbidden = _IMPORT_CASES[case]
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     run = subprocess.run(
         [sys.executable, "-c", _IMPORT_SCRIPT, json.dumps(argv)],
@@ -342,8 +363,8 @@ def test_each_verb_imports_only_its_layers(case: str) -> None:
     assert result["exit"] == (None if argv is None else 0)
     assert result["slow"] == []
     loaded = {name.partition(".")[2] for name in result["loaded"]} - {""}
-    if argv is None:
-        assert loaded == {"cli"}
+    if exactly is not None:
+        assert loaded == exactly
     else:
         assert "cli" in loaded and not loaded & forbidden, sorted(loaded & forbidden)
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import worldline
 from worldline.checks import run_standard_checks
@@ -235,6 +236,24 @@ def test_flat_second_order_sum_vanishes_by_grade():
     total = sum_order(FlatTransform(), 2)["one"]
     for grade in (0, 1, 2):
         assert total.grade(grade) == RegValue.zero()
+
+
+_COORDINATE_CHANGE = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_COORDINATE_CHANGE, _COORDINATE_CHANGE)
+def test_flat_sums_vanish_for_every_coordinate_change(f1, f2):
+    # x = q + f1 q^3 + f2 q^5 keeps the line flat, so under DimReg each
+    # order cancels in every delta0 grade, whatever the coefficients.
+    model = FlatTransform((f1, f2))
+    for order in (1, 2):
+        totals = sum_order(model, order, DIMREG)
+        assert set(totals) <= {"one"}
+        total = totals.get("one", RegValue.zero())
+        for grade in (0, 1, 2):
+            assert total.grade(grade) == RegValue.zero(), (order, grade)
+        assert total == RegValue.zero()
 
 
 def test_flat_second_order_mode_regularization_residual():

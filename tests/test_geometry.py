@@ -17,13 +17,13 @@ from worldline.geometry import (
     SEELEY,
     FlatTransform,
     NormalCoords,
-    Sphere,
     measure_terms,
     metric_series,
     seeley_reference,
     vertices,
 )
 from worldline.integrands import named_integral_text
+from worldline.spectral import _series_reference_coefficients
 from worldline.values import RegValue
 
 fraction_values = st.fractions(min_value=-2, max_value=2, max_denominator=6)
@@ -96,8 +96,11 @@ def test_normal_vertex_table():
 
 
 def test_vertices_validation():
-    with pytest.raises(ValueError):
-        vertices(Sphere(3))
+    # Only the two metric models have vertices or a heat-kernel reference.
+    with pytest.raises(TypeError, match="unknown model"):
+        vertices(object())
+    with pytest.raises(TypeError, match="no heat-kernel reference"):
+        seeley_reference(object(), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +113,6 @@ def test_measure_terms():
         "R": RegValue.beta(1, Fraction(1, 24))
     }
     assert measure_terms(FlatTransform()) == {}
-    with pytest.raises(ValueError):
-        measure_terms(Sphere(3))
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +120,10 @@ def test_measure_terms():
 # ---------------------------------------------------------------------------
 
 
-def sphere_tensors(model: Sphere) -> dict:
-    """Curvature invariants of the round sphere of dimension n = model.dimension - 1."""
-    n = model.dimension - 1
-    r2 = model.radius * model.radius
+def sphere_tensors(dimension: int, radius: Fraction = Fraction(1)) -> dict:
+    """Curvature invariants of the round sphere of dimension n = dimension - 1."""
+    n = dimension - 1
+    r2 = radius * radius
     return {
         "R": Fraction(n * (n - 1)) / r2,
         "Rsq": Fraction(n * n * (n - 1) * (n - 1)) / (r2 * r2),
@@ -132,21 +133,14 @@ def sphere_tensors(model: Sphere) -> dict:
 
 
 def test_sphere_tensors_examples():
-    two_sphere = sphere_tensors(Sphere(3, Fraction(1)))
+    two_sphere = sphere_tensors(3)
     assert two_sphere["R"] == 2
     assert two_sphere["RicciSq"] == 2
     assert two_sphere["RiemannSq"] == 4
     assert two_sphere["Rsq"] == 4
-    circle = sphere_tensors(Sphere(2))
+    circle = sphere_tensors(2)
     assert circle["R"] == 0 and circle["RiemannSq"] == 0
-    assert sphere_tensors(Sphere(4, Fraction(2)))["R"] == Fraction(3, 2)
-
-
-def test_sphere_validation():
-    with pytest.raises(ValueError):
-        Sphere(1)
-    with pytest.raises(ValueError):
-        Sphere(3, Fraction(0))
+    assert sphere_tensors(4, Fraction(2))["R"] == Fraction(3, 2)
 
 
 def test_seeley_reference_tables():
@@ -164,21 +158,18 @@ def test_seeley_reference_tables():
             seeley_reference(NormalCoords(), order)
 
 
-def test_seeley_reference_two_sphere():
-    sphere = Sphere(3, Fraction(1))
-    assert seeley_reference(sphere, 1) == {"one": RegValue.beta(1, Fraction(1, 6))}
-    assert seeley_reference(sphere, 2) == {"one": RegValue.beta(2, Fraction(1, 60))}
+def test_two_sphere_series_coefficients():
+    assert _series_reference_coefficients(3, Fraction(1)) == (Fraction(1, 6), Fraction(1, 60))
 
 
 @pytest.mark.parametrize("dimension", range(2, 11))
 @pytest.mark.parametrize("radius", [Fraction(1), Fraction(1, 2), Fraction(3)])
 def test_sphere_reference_matches_label_contraction(dimension, radius):
-    sphere = Sphere(dimension, radius)
-    invariants = sphere_tensors(sphere)
+    # The spectral checks' closed forms against SEELEY times the invariants.
+    invariants = sphere_tensors(dimension, radius)
     first = sum(c * invariants[label] for label, c in SEELEY[1].items())
     second = sum(c * invariants[label] for label, c in SEELEY[2].items())
-    assert seeley_reference(sphere, 1)["one"].coefficient(1, 0) == first
-    assert seeley_reference(sphere, 2)["one"].coefficient(2, 0) == second
+    assert _series_reference_coefficients(dimension, radius) == (first, second)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from worldline.diagrams import Diagram
-from worldline.geometry import FlatTransform, NormalCoords, Sphere, Vertex
+from worldline.geometry import FlatTransform, NormalCoords, Vertex
 from expansion import IntegrandTerm
 from worldline.integrands import ParsedProduct, SingularAtom
 from worldline.integration import RuleSet
@@ -82,11 +82,6 @@ def _vertex(**changes) -> Vertex:
         ),
         (lambda: _vertex(q_slots=(0, 1)), "slot data requires tensor factors"),
         (lambda: _vertex(internal=((0, 1),)), "slot data requires tensor factors"),
-        # Sphere: dimension, then radius.
-        (lambda: Sphere(1), "the sphere model needs an embedding dimension of at least 2"),
-        (lambda: Sphere(1, -1), "the sphere model needs an embedding dimension of at least 2"),
-        (lambda: Sphere(3, 0), "the sphere radius must be positive"),
-        (lambda: Sphere(3, Fraction(-1, 2)), "the sphere radius must be positive"),
     ],
 )
 def test_constructors_refuse_with_their_message(build, message: str) -> None:
@@ -115,13 +110,6 @@ def test_integrand_term_merges_and_sorts_its_atoms() -> None:
     )
 
 
-def test_sphere_radius_is_a_fraction() -> None:
-    sphere = Sphere(3, 2)
-    assert type(sphere.radius) is Fraction and sphere.radius == 2
-    assert type(Sphere(3, "1/2").radius) is Fraction
-    assert Sphere(4).radius == Fraction(1)
-
-
 _VERTEX = _vertex(tensors=("ric",), q_slots=(0, 1))
 _ATOM = SingularAtom("delta", 0, 1, 2)
 
@@ -133,7 +121,6 @@ _VALUES = {
     )),
     "FlatTransform": (FlatTransform, dict(f_coefficients=(Fraction(-1, 3), Fraction(1, 5)))),
     "NormalCoords": (NormalCoords, dict()),
-    "Sphere": (Sphere, dict(dimension=3, radius=Fraction(2))),
     "Vertex": (Vertex, dict(
         name="ric", order_in_eps=2, q_power=2, qdot_power=2, delta0_power=0,
         coefficient=Fraction(-1, 3), tensors=("riem",), q_slots=(0, 2), qdot_slots=(1, 3),
