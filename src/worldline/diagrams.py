@@ -24,12 +24,11 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 from .geometry import Vertex, measure_terms, vertices as model_vertices
 from .integrands import ParsedProduct
 from .integration import DIMREG, RuleSet
-from .propagators import Kind
 from .reduction import reduce_terms
 from .tensors import invariant_coefficients
 from .values import RegValue
 
-Edge = Tuple[Tuple[int, int], Kind]
+Edge = Tuple[Tuple[int, int], str]  # ((a, b), kind), a <= b
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +99,10 @@ def _fields(vertices: Sequence[Vertex]) -> List[_Field]:
     return fields
 
 
-# While contracting, an edge carries its kind's text ("D", "Dl", "Dr",
-# "DD"), which sorts like the catalog order; it becomes a Kind once per
-# catalog entry.
-_TextEdge = Tuple[Tuple[int, int], str]
-
 _MIRROR_KIND = {"D": "D", "DD": "DD", "Dl": "Dr", "Dr": "Dl"}
 
 
-def _edge(a: _Field, b: _Field) -> _TextEdge:
+def _edge(a: _Field, b: _Field) -> Edge:
     (pa, ta, _), (pb, tb, _) = a, b
     if pa > pb:
         pa, ta, pb, tb = pb, tb, pa, ta
@@ -121,12 +115,7 @@ def _edge(a: _Field, b: _Field) -> _TextEdge:
     return ((pa, pb), kind)
 
 
-def _edge_key(edge: Edge) -> Tuple[Tuple[int, int], str]:
-    (a, b), kind = edge
-    return ((a, b), kind.value)
-
-
-def _mirror_edges(edges: List[_TextEdge]) -> List[_TextEdge]:
+def _mirror_edges(edges: List[Edge]) -> List[Edge]:
     mirrored = []
     for (a, b), kind in edges:
         na, nb = 1 - a, 1 - b
@@ -139,7 +128,7 @@ def _mirror_edges(edges: List[_TextEdge]) -> List[_TextEdge]:
 
 def _canonical_edges(
     raw: Iterable[Tuple[_Field, _Field]], mirror: bool
-) -> Tuple[_TextEdge, ...]:
+) -> Tuple[Edge, ...]:
     edges = sorted(_edge(a, b) for a, b in raw)
     if mirror:
         edges = min(edges, _mirror_edges(edges))
@@ -173,7 +162,7 @@ def _contract(
     mirror = len(vertices) == 2 and vertices[0] == vertices[1]
 
     # Rational coefficient of each (edges, label), scaled by prefactor once.
-    totals: Dict[Tuple[Tuple[_TextEdge, ...], str], Fraction] = {}
+    totals: Dict[Tuple[Tuple[Edge, ...], str], Fraction] = {}
     count = 0
     for matching in perfect_matchings(range(len(fields))):
         count += 1
@@ -190,16 +179,12 @@ def _contract(
             totals[edges, label] = totals.get((edges, label), 0) + coefficient
     assert count == _double_factorial(len(fields) - 1)
     for (edges, label), total in totals.items():
-        key = (vertices, tuple((pair, Kind(kind)) for pair, kind in edges), label)
+        key = (vertices, edges, label)
         accumulator[key] = accumulator.get(key, RegValue.zero()) + prefactor * total
 
 
 def _diagram_sort_key(diagram: Diagram):
-    return (
-        len(diagram.vertices),
-        tuple(map(_edge_key, diagram.edges)),
-        diagram.tensor_label,
-    )
+    return (len(diagram.vertices), diagram.edges, diagram.tensor_label)
 
 
 def wick(vertex_set: Sequence[Vertex], order: int) -> List[Diagram]:
@@ -334,9 +319,7 @@ def catalog(model, order: int, rules: RuleSet = DIMREG) -> List[dict]:
         entries.append({
             "shape": classify(diagram),
             "vertices": [v.name for v in diagram.vertices],
-            "edges": [
-                [kind.value, a + 1, b + 1] for (a, b), kind in diagram.edges
-            ],
+            "edges": [[kind, a + 1, b + 1] for (a, b), kind in diagram.edges],
             "weight": diagram.weight.text(),
             "tensor_label": diagram.tensor_label,
             "local": diagram.local,

@@ -243,7 +243,9 @@ def measure_terms(model: MetricModel) -> Dict[str, RegValue]:
 
     if isinstance(model, NormalCoords):
         return {"R": RegValue.beta(1, Fraction(1, 24))}
-    return {}
+    if isinstance(model, FlatTransform):
+        return {}
+    raise TypeError(f"unknown model {model!r}")
 
 
 # ---------------------------------------------------------------------------

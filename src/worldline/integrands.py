@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .polynomials import Poly
-from .propagators import Kind, diagonal, eps_coefficient, has_delta, smooth_part
+from .propagators import diagonal, eps_coefficient, has_delta, smooth_part
 from .values import RegValue
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def _grade_pieces(
     return [(k, poly, atoms) for k, poly in grades.items()]
 
 
-def _expand_factor(kind: Kind, i: int, j: int, nvars: int) -> list[_Piece]:
+def _expand_factor(kind: str, i: int, j: int, nvars: int) -> list[_Piece]:
     """One propagator factor as a sum of (delta0 power, poly, atoms) pieces.
 
     Equal arguments use the diagonal values directly, with DD(i,i) becoming
@@ -121,8 +121,6 @@ def _merge_atoms(atoms: tuple[SingularAtom, ...]) -> tuple[SingularAtom, ...]:
 # text grammar
 # ---------------------------------------------------------------------------
 
-_KINDS = {"D": Kind.D, "Dl": Kind.DOT_LEFT, "Dr": Kind.DOT_RIGHT, "DD": Kind.DOT_DOT}
-
 _TOKEN = re.compile(
     r"\s*(?:(?P<prop>DD|Dl|Dr|D)\((?P<i>\d+),(?P<j>\d+)\)"
     r"|(?P<d0>d0)(?:\^(?P<d0pow>\d+))?"
@@ -135,7 +133,7 @@ class ParsedProduct(NamedTuple):
     """One summand of a parsed integrand expression."""
 
     coefficient: RegValue
-    factors: tuple[tuple[Kind, int, int], ...]
+    factors: tuple[tuple[str, int, int], ...]
     nvars: int
 
 
@@ -154,7 +152,7 @@ def parse(text: str) -> list[ParsedProduct]:
             raise ValueError(f"cannot parse integrand text at: {text[pos:]!r}")
         pos = match.end()
         if match["prop"]:
-            tokens.append(("prop", (_KINDS[match["prop"]], int(match["i"]), int(match["j"]))))
+            tokens.append(("prop", (match["prop"], int(match["i"]), int(match["j"]))))
         elif match["d0"]:
             tokens.append(("d0", int(match["d0pow"] or 1)))
         elif match["rat"]:
@@ -173,7 +171,7 @@ def parse(text: str) -> list[ParsedProduct]:
         if current is None:
             return
         coeff = RegValue.rational(sign)
-        raw_factors: list[tuple[Kind, int, int]] = []
+        raw_factors: list[tuple[str, int, int]] = []
         for token_kind, payload in current:
             if token_kind == "rat":
                 coeff = coeff * payload

@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 from .integrands import SingularAtom, _expand_factor, _grade_pieces, _merge_atoms
 from .polynomials import Poly
-from .propagators import Kind
 from .values import RegValue
 
 
@@ -257,7 +256,7 @@ def _deltas_resolve(atoms: tuple[SingularAtom, ...]) -> bool:
 
 
 def integrate_product(
-    factors: list[tuple[Kind, int, int]],
+    factors: list[tuple[str, int, int]],
     nvars: int,
     rules: RuleSet,
     notes: list[str] | None = None,

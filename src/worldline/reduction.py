@@ -37,7 +37,7 @@ from .integrands import (
     parse,
 )
 from .integration import RuleSet, DIMREG, integrate_product
-from .propagators import Kind, diagonal
+from .propagators import diagonal
 from .values import RegValue
 
 
@@ -66,19 +66,11 @@ class TProp(NamedTuple):
         return f"[{l}]D[{r}]({self.i + 1},{self.j + 1})"
 
 
-class TDelta(NamedTuple):
-    i: int
-    j: int
-
-    def describe(self) -> str:
-        return f"delta({self.i + 1},{self.j + 1})"
-
-
 class TTerm(NamedTuple):
     coefficient: RegValue
     nvars: int
     props: tuple[TProp, ...]
-    deltas: tuple[TDelta, ...]
+    deltas: tuple[SingularAtom, ...]  # delta atoms, power 1 each
 
 
 def tag(prop: TProp) -> str:
@@ -120,10 +112,12 @@ def lift(parsed: ParsedProduct) -> TTerm:
     ends: dict[int, list[tuple[int, int]]] = {v: [] for v in range(parsed.nvars)}
     bare: list[list[list[str]]] = []
     for idx, (kind, i, j) in enumerate(parsed.factors):
+        if kind not in ("D", "Dl", "Dr", "DD"):
+            raise ReductionError(f"no legal reduction: unknown propagator kind {kind!r}")
         bare.append([[], []])
-        if kind in (Kind.DOT_LEFT, Kind.DOT_DOT):
+        if kind in ("Dl", "DD"):
             ends[i].append((idx, 0))
-        if kind in (Kind.DOT_RIGHT, Kind.DOT_DOT):
+        if kind in ("Dr", "DD"):
             ends[j].append((idx, 1))
     labels = iter(_fresh_labels())
     for v in range(parsed.nvars):
@@ -176,7 +170,7 @@ def equal_time_substitute(term: TTerm, index: int) -> TTerm:
             f"self-contracted equal-time factor, not {prop.describe()}"
         )
     props = term.props[:index] + term.props[index + 1 :]
-    return term._replace(coefficient=term.coefficient * diagonal(Kind.DOT_DOT), props=props)
+    return term._replace(coefficient=term.coefficient * diagonal("DD"), props=props)
 
 
 def field_equation(term: TTerm, index: int) -> TTerm:
@@ -192,7 +186,7 @@ def field_equation(term: TTerm, index: int) -> TTerm:
     return term._replace(
         coefficient=term.coefficient * Fraction(-1),
         props=props,
-        deltas=term.deltas + (TDelta(prop.i, prop.j),),
+        deltas=term.deltas + (SingularAtom("delta", *sorted((prop.i, prop.j))),),
     )
 
 
@@ -320,19 +314,20 @@ def divergence_split(term: TTerm, first: int, second: int) -> list[TTerm]:
     lap_label = _next_label(term)
     laplacian = TProp(i, j, (), (lap_label, lap_label))
     negated = term.coefficient * Fraction(-1)
+    delta = SingularAtom("delta", *sorted((i, j)))
     return (
-        [term._replace(props=rest, deltas=term.deltas + (TDelta(i, j), TDelta(i, j)))]
+        [term._replace(props=rest, deltas=term.deltas + (delta, delta))]
         + [term._replace(coefficient=negated, props=props + (plain_nu, a)) for props in mu_side]
         + [term._replace(props=props + (plain_nu, laplacian)) for props in nu_side]
     )
 
 
-_ONE_D_KINDS = {"None": Kind.D, "SingleLeft": Kind.DOT_LEFT, "SingleRight": Kind.DOT_RIGHT}
+_ONE_D_KINDS = {"None": "D", "SingleLeft": "Dl", "SingleRight": "Dr"}
 
 
-def return_to_1d(term: TTerm) -> tuple[list[tuple[Kind, int, int]], tuple[SingularAtom, ...]]:
+def return_to_1d(term: TTerm) -> tuple[list[tuple[str, int, int]], tuple[SingularAtom, ...]]:
     """Map a label-consistent lifted term back to plain 1D factors and deltas."""
-    factors: list[tuple[Kind, int, int]] = []
+    factors: list[tuple[str, int, int]] = []
     for prop in term.props:
         t = tag(prop)
         if t == "MuNu":
@@ -347,10 +342,7 @@ def return_to_1d(term: TTerm) -> tuple[list[tuple[Kind, int, int]], tuple[Singul
                 f"(tag {t})"
             )
         factors.append((_ONE_D_KINDS[t], prop.i, prop.j))
-    extra = tuple(
-        SingularAtom("delta", min(d.i, d.j), max(d.i, d.j)) for d in term.deltas
-    )
-    return factors, extra
+    return factors, term.deltas
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +353,7 @@ def return_to_1d(term: TTerm) -> tuple[list[tuple[Kind, int, int]], tuple[Singul
 def _signature(term: TTerm) -> tuple:
     """Canonical structure key, invariant under label renaming."""
     labels = sorted(_used_labels(term))
-    deltas = tuple(sorted((d.i, d.j) for d in term.deltas))
+    deltas = tuple(sorted(term.deltas))
 
     def key(perm: tuple[int, ...]) -> tuple:
         mapping = {lab: f"c{perm[pos]}" for pos, lab in enumerate(labels)}
@@ -449,7 +441,7 @@ class Reducer:
             self._record(
                 "ReturnTo1D",
                 factors=[p.describe() for p in term.props]
-                + [d.describe() for d in term.deltas],
+                + [f"delta({d.i + 1},{d.j + 1})" for d in term.deltas],
             )
             factors, extra = return_to_1d(term)
             return integrate_product(

@@ -8,7 +8,6 @@ from typing import Dict
 
 from .integration import DIMREG, integrate_product
 from .polynomials import Poly
-from .propagators import Kind
 from .reports import CheckReport, finish_report
 from .values import RegValue
 
@@ -43,7 +42,7 @@ def resolve_profile(text: str) -> str:
 def _ring_value(density: Poly, n: int) -> RegValue:
     """Cyclic product of double-derivative propagators weighted by the profile."""
 
-    factors = [(Kind.DOT_DOT, *sorted((i, (i + 1) % n))) for i in range(n)]
+    factors = [("DD", *sorted((i, (i + 1) % n))) for i in range(n)]
     return integrate_product(factors, n, DIMREG, weight=density)
 
 

@@ -147,7 +147,7 @@ _MAX_TRUNCATION_BOUND = 10_000
 
 def _sphere_inputs(
     dimension: int,
-    radius: Union[int, Fraction],
+    radius: Union[int, float, str, Fraction],
     betas: Iterable[Union[float, str, Fraction]],
     l_max: int,
 ) -> Tuple[Fraction, Tuple[Fraction, ...]]:
@@ -155,7 +155,7 @@ def _sphere_inputs(
 
     if dimension < 2:
         raise ValueError("the sphere model needs an embedding dimension of at least 2")
-    radius = Fraction(radius)
+    radius = _to_fraction(radius)
     if radius <= 0:
         raise ValueError("the sphere radius must be positive")
     betas = tuple(map(_to_fraction, betas))
@@ -178,7 +178,7 @@ def _sphere_inputs(
 
 def sphere_spectral_check(
     dimension: int = 3,
-    radius: Union[int, Fraction] = 1,
+    radius: Union[int, float, str, Fraction] = 1,
     beta: Union[float, str, Fraction] = Fraction(1, 100),
     l_max: int = 1000,
     tolerance: float = 1e-6,
@@ -229,7 +229,7 @@ def sphere_spectral_check(
 
 
 def sphere_scaling_check(
-    dimension: int = 3, radius: Union[int, Fraction] = 1, l_max: int = 1000
+    dimension: int = 3, radius: Union[int, float, str, Fraction] = 1, l_max: int = 1000
 ) -> CheckReport:
     """Deviation from the truncated series must shrink like the next power.
 

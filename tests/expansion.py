@@ -16,7 +16,6 @@ from typing import NamedTuple
 from worldline.integrands import SingularAtom, _expand_factor, _grade_pieces, _merge_atoms
 from worldline.integration import DIMREG, RuleSet, integrate_term
 from worldline.polynomials import Poly
-from worldline.propagators import Kind
 from worldline.values import RegValue
 
 
@@ -63,7 +62,7 @@ def canonicalize(terms: list[IntegrandTerm]) -> list[IntegrandTerm]:
 
 
 def product(
-    factors: list[tuple[Kind, int, int]],
+    factors: list[tuple[str, int, int]],
     nvars: int,
     coefficient: RegValue | int | Fraction = 1,
     extra_atoms: tuple[SingularAtom, ...] = (),

@@ -190,6 +190,12 @@ def test_sphere_spectral_accepts_string_beta() -> None:
     assert report.status == "pass"
 
 
+def test_sphere_spectral_reads_a_float_radius_by_its_decimal_text() -> None:
+    report = sphere_spectral_check(radius=0.1, beta=0.0001, l_max=10000)
+    assert report.status == "pass"
+    assert report.details[0] == "dimension 3, radius 1/10, beta 1/10000, l_max 10000"
+
+
 def test_sphere_spectral_refines_near_the_tolerance() -> None:
     report = sphere_spectral_check(tolerance=1e-8)
     assert report.status == "pass"

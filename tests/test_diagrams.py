@@ -30,7 +30,6 @@ from worldline.diagrams import (
 from worldline.geometry import FlatTransform, NormalCoords, Vertex, vertices
 from worldline.integrands import ParsedProduct
 from worldline.integration import DIMREG, MODEREG
-from worldline.propagators import Kind
 from worldline.reduction import reduce_terms
 from worldline.values import RegValue
 
@@ -70,11 +69,9 @@ def test_flat_first_order_catalog():
     diagrams = wick(vertices(FlatTransform()), order=1)
     assert len(diagrams) == 3
     weights = {diagram.edges: diagram.weight for diagram in diagrams}
-    loop = ((0, 0), Kind.D)
-    assert weights[(loop, ((0, 0), Kind.DOT_DOT))] == RegValue.one()
-    assert weights[(((0, 0), Kind.DOT_LEFT), ((0, 0), Kind.DOT_LEFT))] == (
-        RegValue.rational(2)
-    )
+    loop = ((0, 0), "D")
+    assert weights[(loop, ((0, 0), "DD"))] == RegValue.one()
+    assert weights[(((0, 0), "Dl"), ((0, 0), "Dl"))] == RegValue.rational(2)
     assert weights[(loop,)] == RegValue.delta0(coeff=-1)
 
 
@@ -105,10 +102,10 @@ def test_flat_second_order_shape_counts():
 # into topologies, up to swapping the two vertices when they are identical.
 
 _KIND_ENDS = {
-    Kind.D: ("q", "q"),
-    Kind.DOT_DOT: ("qdot", "qdot"),
-    Kind.DOT_LEFT: ("qdot", "q"),
-    Kind.DOT_RIGHT: ("q", "qdot"),
+    "D": ("q", "q"),
+    "DD": ("qdot", "qdot"),
+    "Dl": ("qdot", "q"),
+    "Dr": ("q", "qdot"),
 }
 
 
@@ -271,13 +268,9 @@ def test_curved_first_order_class_weights():
     assert len(diagrams) == 3
     assert {d.tensor_label for d in diagrams} == {"R"}
     weights = {diagram.edges: diagram.weight for diagram in diagrams}
-    loop = ((0, 0), Kind.D)
-    assert weights[(loop, ((0, 0), Kind.DOT_DOT))] == RegValue.rational(
-        Fraction(-1, 6)
-    )
-    assert weights[(((0, 0), Kind.DOT_LEFT), ((0, 0), Kind.DOT_LEFT))] == (
-        RegValue.rational(Fraction(1, 6))
-    )
+    loop = ((0, 0), "D")
+    assert weights[(loop, ((0, 0), "DD"))] == RegValue.rational(Fraction(-1, 6))
+    assert weights[(((0, 0), "Dl"), ((0, 0), "Dl"))] == RegValue.rational(Fraction(1, 6))
     assert weights[(loop,)] == RegValue.delta0(coeff=Fraction(1, 6))
 
 
@@ -345,7 +338,7 @@ def test_wick_multiplies_values_once_per_catalog_entry(monkeypatch):
 def test_evaluate_diagram_applies_weight():
     diagram = Diagram(
         vertices=tuple(vertices(FlatTransform())[:1]),
-        edges=(((0, 0), Kind.D), ((0, 0), Kind.DOT_DOT)),
+        edges=(((0, 0), "D"), ((0, 0), "DD")),
         weight=RegValue.rational(6),
         tensor_label="one",
         local=True,

@@ -96,9 +96,12 @@ def test_normal_vertex_table():
 
 
 def test_vertices_validation():
-    # Only the two metric models have vertices or a heat-kernel reference.
+    # Only the two metric models have vertices, measure terms or a
+    # heat-kernel reference.
     with pytest.raises(TypeError, match="unknown model"):
         vertices(object())
+    with pytest.raises(TypeError, match="unknown model"):
+        measure_terms(object())
     with pytest.raises(TypeError, match="no heat-kernel reference"):
         seeley_reference(object(), 1)
 

@@ -16,7 +16,6 @@ from worldline.integrands import (
     parse,
 )
 from worldline.polynomials import Poly
-from worldline.propagators import Kind
 from worldline.reduction import reduce_terms
 from worldline.values import RegValue
 
@@ -35,7 +34,7 @@ def test_singular_atom_validation():
 
 
 def test_expand_equal_time_double_dot():
-    terms = product([(Kind.DOT_DOT, 0, 0)], 1)
+    terms = product([("DD", 0, 0)], 1)
     total = RegValue.zero()
     for term in terms:
         assert term.atoms == ()
@@ -45,7 +44,7 @@ def test_expand_equal_time_double_dot():
 
 
 def test_product_splits_regions_and_atoms():
-    terms = product([(Kind.DOT_LEFT, 0, 1)], 2)
+    terms = product([("Dl", 0, 1)], 2)
     kinds = sorted(
         tuple(atom.kind for atom in term.atoms) for term in terms
     )
@@ -55,7 +54,7 @@ def test_product_splits_regions_and_atoms():
 def test_eps_square_drops_without_delta():
     # Away from coincidence eps^2 = 1, so the squared-eps piece merges into
     # the regular part.
-    terms = product([(Kind.DOT_RIGHT, 0, 1), (Kind.DOT_RIGHT, 0, 1)], 2)
+    terms = product([("Dr", 0, 1), ("Dr", 0, 1)], 2)
     assert all(
         all(atom.kind != "eps" or atom.power == 1 for atom in term.atoms)
         for term in terms
@@ -64,7 +63,7 @@ def test_eps_square_drops_without_delta():
 
 def test_eps_square_kept_under_delta():
     terms = product(
-        [(Kind.DOT_RIGHT, 0, 1), (Kind.DOT_RIGHT, 0, 1)],
+        [("Dr", 0, 1), ("Dr", 0, 1)],
         2,
         extra_atoms=(SingularAtom("delta", 0, 1),),
     )
@@ -77,7 +76,7 @@ def test_eps_square_kept_under_delta():
 def test_orientation_flip():
     # Dl(2,1) must equal the transposed expansion of Dr-style pieces:
     # eps(tau2 - tau1) = -eps(tau1 - tau2).
-    one_way = product([(Kind.DOT_LEFT, 1, 0)], 2)
+    one_way = product([("Dl", 1, 0)], 2)
     eps_terms = [t for t in one_way if t.atoms]
     assert len(eps_terms) == 1
     atom = eps_terms[0].atoms[0]
@@ -86,7 +85,7 @@ def test_orientation_flip():
 
 
 def test_canonicalize_merges_like_terms():
-    a = product([(Kind.D, 0, 1)], 2)
+    a = product([("D", 0, 1)], 2)
     doubled = canonicalize(a + a)
     assert len(doubled) == len(a)
     for merged, single in zip(doubled, a):
@@ -94,7 +93,7 @@ def test_canonicalize_merges_like_terms():
 
 
 def test_canonicalize_moves_beta_content_to_poly():
-    term_list = product([(Kind.D, 0, 1)], 2, coefficient=RegValue.beta(2, 3))
+    term_list = product([("D", 0, 1)], 2, coefficient=RegValue.beta(2, 3))
     for term in term_list:
         assert term.delta0 == 0
 
@@ -103,8 +102,8 @@ def test_canonicalize_moves_beta_content_to_poly():
 def test_product_scales_the_polys_by_a_ring_coefficient():
     # 3*beta^2 - delta0: the beta part scales the polys of grade 0, the
     # delta0 part becomes grade 1 with the polys negated.
-    plain = product([(Kind.D, 0, 1)], 2)
-    scaled = product([(Kind.D, 0, 1)], 2, RegValue.beta(2, 3) - RegValue.delta0())
+    plain = product([("D", 0, 1)], 2)
+    scaled = product([("D", 0, 1)], 2, RegValue.beta(2, 3) - RegValue.delta0())
     factor = Poly.const(2, 3, 2)
     assert [(t.delta0, t.poly, t.atoms) for t in scaled] == [
         (0, t.poly * factor, t.atoms) for t in plain
@@ -117,9 +116,9 @@ def test_parse_simple_product():
     assert item.nvars == 2
     assert item.coefficient == RegValue.one()
     assert item.factors == (
-        (Kind.DOT_LEFT, 0, 1),
-        (Kind.DOT_RIGHT, 0, 1),
-        (Kind.DOT_DOT, 0, 1),
+        ("Dl", 0, 1),
+        ("Dr", 0, 1),
+        ("DD", 0, 1),
     )
 
 
@@ -136,7 +135,7 @@ def test_parse_signs_and_rationals():
 def test_parse_remaps_variables_per_summand():
     parsed = parse("D(3,5)")
     assert parsed[0].nvars == 2
-    assert parsed[0].factors == ((Kind.D, 0, 1),)
+    assert parsed[0].factors == (("D", 0, 1),)
 
 
 def test_parse_rejects_garbage():

@@ -19,7 +19,6 @@ from worldline.integration import (
     integrate_product,
 )
 from worldline.polynomials import Poly
-from worldline.propagators import Kind
 from worldline.rings import PROFILES, _ring_value
 from worldline.values import RegValue
 
@@ -143,7 +142,7 @@ def naive_routes(name, rules):
     t = Poly.monomial(1, 1, -1, (1,))
     ends = ((1 - t) * (1 - t) * (1 - t) + t * t * t).integrate_cube()
     dotted = integrate(
-        product([(Kind.DOT_RIGHT, 0, 1)] * 2, 2, extra_atoms=(SingularAtom("delta", 0, 1),)),
+        product([("Dr", 0, 1)] * 2, 2, extra_atoms=(SingularAtom("delta", 0, 1),)),
         rules,
     )
     i14 = {"partial_integration": ends / 6, "mixed": dotted / 2}
@@ -210,8 +209,8 @@ def integrate_dense(terms, rules, weight, notes=None):
 
 def ring_factors(n):
     if n == 1:
-        return [(Kind.DOT_DOT, 0, 0)]
-    return [(Kind.DOT_DOT, min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)]
+        return [("DD", 0, 0)]
+    return [("DD", min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -239,7 +238,7 @@ def test_weight_on_eps_touched_variables_matches_dense(text, profile, rules):
     assert weighted != integrate(terms, rules)
 
 
-_KIND_LIST = [Kind.D, Kind.DOT_LEFT, Kind.DOT_RIGHT, Kind.DOT_DOT]
+_KIND_LIST = ["D", "Dl", "Dr", "DD"]
 
 
 @st.composite
@@ -511,7 +510,7 @@ def propagator_products(draw):
     variable = st.integers(0, nvars - 1)
     factor = st.tuples(st.sampled_from(_KIND_LIST), variable, variable)
     if draw(st.booleans()):
-        factor = factor.filter(lambda f: f[0] is Kind.DOT_DOT or f[1] == f[2])
+        factor = factor.filter(lambda f: f[0] == "DD" or f[1] == f[2])
     factors = draw(st.lists(factor, min_size=1, max_size=5))
     extra = ()
     if nvars > 1:

@@ -5,13 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from worldline.polynomials import Poly
-from worldline.propagators import Kind, diagonal, eps_coefficient, smooth_part
+from worldline.propagators import diagonal, eps_coefficient, smooth_part
 from worldline.values import RegValue
 
 _HALF = Fraction(1, 2)
 
 
-def _region(kind: Kind, sign: int) -> Poly:
+def _region(kind: str, sign: int) -> Poly:
     """The kind away from the diagonal, where eps(t - t') = sign."""
     return smooth_part(kind) + eps_coefficient(kind) * sign
 
@@ -21,16 +21,16 @@ def test_regions_match_closed_forms():
     for sign in (1, -1):
         half = Fraction(sign, 2)
         closed = {
-            Kind.D: {(0, 1, 0): _HALF - half, (0, 0, 1): _HALF + half, (-1, 1, 1): -1},
-            Kind.DOT_LEFT: {(0, 0, 0): _HALF - half, (-1, 0, 1): -1},
-            Kind.DOT_RIGHT: {(0, 0, 0): _HALF + half, (-1, 1, 0): -1},
-            Kind.DOT_DOT: {(-1, 0, 0): -1},  # its delta part lives on the diagonal
+            "D": {(0, 1, 0): _HALF - half, (0, 0, 1): _HALF + half, (-1, 1, 1): -1},
+            "Dl": {(0, 0, 0): _HALF - half, (-1, 0, 1): -1},
+            "Dr": {(0, 0, 0): _HALF + half, (-1, 1, 0): -1},
+            "DD": {(-1, 0, 0): -1},  # its delta part lives on the diagonal
         }
         for kind, terms in closed.items():
             assert _region(kind, sign) == Poly(2, terms), (kind, sign)
 
 
-def _pinned(kind: Kind, slot: int, at_beta: bool) -> Poly:
+def _pinned(kind: str, slot: int, at_beta: bool) -> Poly:
     """The closed form with argument ``slot`` (0 is t, 1 is t') at 0 or at beta."""
     # The pinned argument lies below the other one at 0 and above it at beta.
     items = []
@@ -47,12 +47,12 @@ def _pinned(kind: Kind, slot: int, at_beta: bool) -> Poly:
 
 def test_diagonals():
     # D(tau, tau) = tau - tau^2/beta; the single-dotted diagonals coincide.
-    d = diagonal(Kind.D)
+    d = diagonal("D")
     assert d == Poly.monomial(1, 1, 0, (1,)) + Poly.monomial(1, -1, -1, (2,))
     half_minus = Poly.const(1, Fraction(1, 2)) + Poly.monomial(1, -1, -1, (1,))
-    assert diagonal(Kind.DOT_LEFT) == half_minus
-    assert diagonal(Kind.DOT_RIGHT) == half_minus
-    assert diagonal(Kind.DOT_DOT) == RegValue.delta0() - RegValue.beta(-1)
+    assert diagonal("Dl") == half_minus
+    assert diagonal("Dr") == half_minus
+    assert diagonal("DD") == RegValue.delta0() - RegValue.beta(-1)
 
 
 def test_diagonal_derivative_identities():
@@ -60,17 +60,17 @@ def test_diagonal_derivative_identities():
     def derivative(p: Poly) -> Poly:
         return Poly(1, {(b, e - 1): c * e for (b, e), c in p.terms().items() if e})
 
-    d = diagonal(Kind.D)
-    dl = diagonal(Kind.DOT_LEFT)
+    d = diagonal("D")
+    dl = diagonal("Dl")
     assert derivative(d) == dl * 2
     assert derivative(dl) == Poly.const(1, -1, beta_power=-1)
 
 
 def test_diagonal_integrals():
-    assert diagonal(Kind.D).integrate_cube() == RegValue.beta(2, Fraction(1, 6))
-    square = diagonal(Kind.DOT_LEFT) * diagonal(Kind.DOT_LEFT)
+    assert diagonal("D").integrate_cube() == RegValue.beta(2, Fraction(1, 6))
+    square = diagonal("Dl") * diagonal("Dl")
     assert square.integrate_cube() == RegValue.beta(1, Fraction(1, 12))
-    d_square = diagonal(Kind.D) * diagonal(Kind.D)
+    d_square = diagonal("D") * diagonal("D")
     assert d_square.integrate_cube() == RegValue.beta(3, Fraction(1, 30))
 
 
@@ -78,14 +78,14 @@ def test_boundary_values():
     # The undotted propagator vanishes at either pinned argument.
     for slot in (0, 1):
         for at_beta in (False, True):
-            assert not _pinned(Kind.D, slot, at_beta)
+            assert not _pinned("D", slot, at_beta)
     # Dl vanishes when its second argument is pinned, Dr when its first is.
     for at_beta in (False, True):
-        assert not _pinned(Kind.DOT_LEFT, 1, at_beta)
-        assert not _pinned(Kind.DOT_RIGHT, 0, at_beta)
+        assert not _pinned("Dl", 1, at_beta)
+        assert not _pinned("Dr", 0, at_beta)
     # Dr(tau, 0) = 1 - tau/beta and Dr(tau, beta) = -tau/beta.
-    at_zero = _pinned(Kind.DOT_RIGHT, 1, False)
-    at_beta = _pinned(Kind.DOT_RIGHT, 1, True)
+    at_zero = _pinned("Dr", 1, False)
+    at_beta = _pinned("Dr", 1, True)
     expect_zero = Poly.const(2, 1) + Poly.monomial(2, -1, -1, (1, 0))
     expect_beta = Poly.monomial(2, -1, -1, (1, 0))
     assert at_zero == expect_zero
@@ -100,6 +100,6 @@ def test_boundary_values():
 
 def test_average_of_regions_on_diagonal():
     # eps(0) = 0 means the diagonal value is the average of the two regions.
-    avg = (_region(Kind.DOT_LEFT, -1) + _region(Kind.DOT_LEFT, 1)) * Fraction(1, 2)
+    avg = (_region("Dl", -1) + _region("Dl", 1)) * Fraction(1, 2)
     collapsed = avg.remap((0, 0), 1)
-    assert collapsed == diagonal(Kind.DOT_LEFT)
+    assert collapsed == diagonal("Dl")

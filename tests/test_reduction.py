@@ -8,9 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from worldline.integrands import NAMED_INTEGRALS, ParsedProduct, parse
+from worldline.integrands import NAMED_INTEGRALS, ParsedProduct, SingularAtom, parse
 from worldline.integration import DIMREG, MODEREG
-from worldline.propagators import Kind
 from worldline.reduction import (
     Reducer,
     ReductionError,
@@ -129,6 +128,20 @@ def test_lift_rejects_odd_vertex():
     parsed = parse("Dl(1,2)*D(1,2)")[0]
     with pytest.raises(ReductionError, match="zero or two"):
         lift(parsed)
+
+
+def test_lift_refuses_an_unknown_kind():
+    product = ParsedProduct(RegValue.one(), (("Dx", 0, 1),), 2)
+    with pytest.raises(ReductionError) as info:
+        reduce_terms([product])
+    assert str(info.value) == "no legal reduction: unknown propagator kind 'Dx'"
+
+
+def test_a_lifted_delta_is_a_delta_atom_with_sorted_ends():
+    term = TTerm(RegValue.one(), 2, (TProp(1, 0, (), ("mu", "mu")),), ())
+    reduced = field_equation(term, 0)
+    assert reduced.deltas == (SingularAtom("delta", 0, 1),)
+    assert return_to_1d(reduced) == ([], reduced.deltas)
 
 
 def test_tag_classification():
@@ -318,7 +331,7 @@ def test_move_refusals(move, args, message):
 
 # -- exhaustive audit of small products -----------------------------------------
 
-KINDS = (Kind.D, Kind.DOT_LEFT, Kind.DOT_RIGHT, Kind.DOT_DOT)
+KINDS = ("D", "Dl", "Dr", "DD")
 
 
 def small_liftable_products():
@@ -334,8 +347,8 @@ def small_liftable_products():
                 used = set()
                 for kind, i, j in combo:
                     used.update((i, j))
-                    ends[i] += kind in (Kind.DOT_LEFT, Kind.DOT_DOT)
-                    ends[j] += kind in (Kind.DOT_RIGHT, Kind.DOT_DOT)
+                    ends[i] += kind in ("Dl", "DD")
+                    ends[j] += kind in ("Dr", "DD")
                 if len(used) == nvars and all(e in (0, 2) for e in ends):
                     yield ParsedProduct(RegValue.one(), combo, nvars)
 
@@ -343,9 +356,9 @@ def small_liftable_products():
 @pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda r: r.name)
 def test_every_small_liftable_product_reduces_or_refuses(rules):
     triangle = (
-        (Kind.DOT_DOT, 0, 1),
-        (Kind.DOT_DOT, 0, 2),
-        (Kind.DOT_DOT, 1, 2),
+        ("DD", 0, 1),
+        ("DD", 0, 2),
+        ("DD", 1, 2),
     )
     products = list(small_liftable_products())
     assert len(products) == 537

@@ -12,8 +12,7 @@ from expansion import IntegrandTerm
 from worldline.integrands import ParsedProduct, SingularAtom
 from worldline.integration import RuleSet
 from worldline.polynomials import Poly
-from worldline.propagators import Kind
-from worldline.reduction import TDelta, TProp, TTerm
+from worldline.reduction import TProp, TTerm
 from worldline.reports import CheckReport
 from worldline.tensors import Pattern
 from worldline.values import RegValue
@@ -116,7 +115,7 @@ _ATOM = SingularAtom("delta", 0, 1, 2)
 # One instance of each value type, built from all of its fields in order.
 _VALUES = {
     "Diagram": (Diagram, dict(
-        vertices=(_VERTEX,), edges=(((0, 0), Kind.D),), weight=RegValue.rational(Fraction(1, 2)),
+        vertices=(_VERTEX,), edges=(((0, 0), "D"),), weight=RegValue.rational(Fraction(1, 2)),
         tensor_label="R", local=True,
     )),
     "FlatTransform": (FlatTransform, dict(f_coefficients=(Fraction(-1, 3), Fraction(1, 5)))),
@@ -131,15 +130,15 @@ _VALUES = {
         delta0=1, nvars=2, poly=Poly.const(2, 3), atoms=(_ATOM,),
     )),
     "ParsedProduct": (ParsedProduct, dict(
-        coefficient=RegValue.one(), factors=((Kind.DOT_DOT, 0, 1),), nvars=2,
+        coefficient=RegValue.one(), factors=(("DD", 0, 1),), nvars=2,
     )),
     "RuleSet": (RuleSet, dict(
         name="Probe", value_eps2_delta=Fraction(1, 5), value_eps_delta=Fraction(1, 7),
     )),
     "TProp": (TProp, dict(i=0, j=1, left=("mu",), right=())),
-    "TDelta": (TDelta, dict(i=0, j=1)),
     "TTerm": (TTerm, dict(
-        coefficient=RegValue.one(), nvars=2, props=(TProp(0, 1, (), ()),), deltas=(TDelta(0, 1),),
+        coefficient=RegValue.one(), nvars=2, props=(TProp(0, 1, (), ()),),
+        deltas=(SingularAtom("delta", 0, 1),),
     )),
     "CheckReport": (CheckReport, dict(
         check_name="c", status="pass", expected={"a": "1"}, actual={"a": "1"},
