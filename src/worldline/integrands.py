@@ -72,6 +72,8 @@ def _expand_factor(kind: str, i: int, j: int, nvars: int) -> list[_Piece]:
     Equal arguments use the diagonal values directly, with DD(i,i) becoming
     the formal substitute delta0 - 1/beta.
     """
+    if kind not in ("D", "Dl", "Dr", "DD"):
+        raise ValueError(f"unknown propagator kind {kind!r}")
     if i == j:
         diag = diagonal(kind)
         if isinstance(diag, RegValue):

@@ -3,19 +3,20 @@
 A ``Poly`` is a polynomial in ``nvars`` time variables with coefficients in
 Q[beta, 1/beta].  Monomials are keyed by the flat exponent tuple
 (beta_power, e_0, ..., e_{nvars-1}), and the arithmetic is the sparse kernel
-of ``values``.  All integration in the package reduces to two exact
-primitives on these polynomials: integration of each variable independently
-over [0, beta], and integration over an ordered sector
-tau_{s1} < tau_{s2} < ... < tau_{sn}.
+of ``values``: int numerators over one shared denominator.  All integration
+in the package reduces to two exact primitives on these polynomials:
+integration of each variable independently over [0, beta], and integration
+over an ordered sector tau_{s1} < tau_{s2} < ... < tau_{sn}.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
-from .values import RegValue, add_terms, merge, mul_terms
+from .values import RegValue, _make as _value, _numerators, _reduce, add_terms, merge, mul_terms
 
 Rational = Union[int, Fraction]
 
@@ -24,7 +25,7 @@ Key = tuple[int, ...]
 
 
 class Poly:
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars", "_terms", "_den")
 
     def __init__(
         self,
@@ -41,9 +42,9 @@ class Poly:
                 raise ValueError("exponent tuple length does not match nvars")
             if any(e < 0 for e in key[1:]):
                 raise ValueError("variable exponents must be non-negative")
-            checked.append((key, Fraction(coeff)))
+            checked.append((key, coeff))
         self.nvars = nvars
-        self._terms = merge({}, checked)
+        self._terms, self._den = _numerators(checked)
 
     # -- constructors -----------------------------------------------------
 
@@ -60,12 +61,13 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly | Rational") -> "Poly":
-        return _make(self.nvars, add_terms(self._terms, self._coerce(other)._terms))
+        other = self._coerce(other)
+        return _make(self.nvars, *add_terms(self._terms, self._den, other._terms, other._den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _make(self.nvars, {k: -c for k, c in self._terms.items()})
+        return _make(self.nvars, {k: -c for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: "Poly | Rational") -> "Poly":
         return self + (-self._coerce(other))
@@ -74,7 +76,8 @@ class Poly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other: "Poly | Rational") -> "Poly":
-        return _make(self.nvars, mul_terms(self._terms, self._coerce(other)._terms))
+        other = self._coerce(other)
+        return _make(self.nvars, *mul_terms(self._terms, self._den, other._terms, other._den))
 
     __rmul__ = __mul__
 
@@ -94,19 +97,21 @@ class Poly:
             other = Poly.const(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        same = _reduce(self._terms, self._den) == _reduce(other._terms, other._den)
+        return self.nvars == other.nvars and same
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self._terms.items())))
+        terms, den = _reduce(self._terms, self._den)
+        return hash((self.nvars, den, frozenset(terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __repr__(self) -> str:
-        return f"Poly(nvars={self.nvars}, terms={sorted(self._terms.items())})"
+        return f"Poly(nvars={self.nvars}, terms={sorted(self.terms().items())})"
 
     def terms(self) -> dict[Key, Fraction]:
-        return dict(self._terms)
+        return {key: Fraction(coeff, self._den) for key, coeff in self._terms.items()}
 
     # -- variable manipulation ------------------------------------------------
 
@@ -137,23 +142,20 @@ class Poly:
                 new[slot] += key[source]
             return tuple(new)
 
-        return _make(nvars, merge({}, ((move(k), c) for k, c in self._terms.items())))
+        return _make(nvars, merge({}, ((move(k), c) for k, c in self._terms.items())), self._den)
 
     # -- exact integration --------------------------------------------------------
 
     def integrate_cube(self) -> RegValue:
         """Integrate every variable independently over [0, beta]."""
-        items = []
-        for (power, *exps), value in self._terms.items():
-            for e in exps:
-                value /= e + 1
-                power += e + 1
-            items.append(((power, 0), value))
-        return RegValue(items)
+        terms, den = self._terms, self._den
+        for slot in range(1, self.nvars + 1):
+            terms, den = _integrate_step(terms, den, slot, 0)
+        return _closed(terms, den)
 
     def integrate_out(self, index: int) -> "Poly":
         """Integrate variable ``index`` over [0, beta]; the result no longer depends on it."""
-        return _make(self.nvars, _integrate_step(self._terms, index + 1, 0))
+        return _make(self.nvars, *_integrate_step(self._terms, self._den, index + 1, 0))
 
     def integrate_sector(self, order: Sequence[int]) -> RegValue:
         """Integrate over 0 < tau_{order[0]} < tau_{order[1]} < ... < beta.
@@ -162,34 +164,43 @@ class Poly:
         """
         if sorted(order) != list(range(self.nvars)):
             raise ValueError("order must be a permutation of all variables")
-        terms = self._terms
+        terms, den = self._terms, self._den
         # Integrate variables from the innermost (smallest) outwards; each
         # integral runs from 0 to the next variable in the ordering, the last
         # from 0 to beta, whose exponent is slot 0 of the key.
         for pos, var in enumerate(order):
             upper = order[pos + 1] + 1 if pos + 1 < len(order) else 0
-            terms = _integrate_step(terms, var + 1, upper)
-        return RegValue(((key[0], 0), coeff) for key, coeff in terms.items())
+            terms, den = _integrate_step(terms, den, var + 1, upper)
+        return _closed(terms, den)
 
 
-def _integrate_step(terms: dict[Key, Fraction], slot: int, upper: int) -> dict[Key, Fraction]:
+def _closed(terms: dict[Key, int], den: int) -> RegValue:
+    """A polynomial with every variable integrated out, as a reduced RegValue."""
+    return _value(*_reduce({(key[0], 0): coeff for key, coeff in terms.items()}, den))
+
+
+def _integrate_step(terms: dict[Key, int], den: int, slot: int, upper: int) -> tuple[dict, int]:
     """Integrate key slot ``slot`` from 0 to the variable in slot ``upper``.
 
     Slot 0 holds the power of beta, so ``upper`` 0 integrates up to beta.
+    Each term divides by its new exponent; the numerators are scaled to the
+    lcm of those divisors, which multiplies the denominator.
     """
+    scale = lcm(*{key[slot] + 1 for key in terms})
     items = []
     for key, coeff in terms.items():
         e = key[slot] + 1
         new = list(key)
         new[slot] = 0
         new[upper] += e
-        items.append((tuple(new), coeff / e))
-    return merge({}, items)
+        items.append((tuple(new), coeff * (scale // e)))
+    return merge({}, items), den * scale
 
 
-def _make(nvars: int, terms: dict[Key, Fraction]) -> Poly:
-    """Wrap a dict whose coefficients are all nonzero."""
+def _make(nvars: int, terms: dict[Key, int], den: int) -> Poly:
+    """Wrap a dict of nonzero numerators over the positive denominator ``den``."""
     out = Poly.__new__(Poly)
     out.nvars = nvars
     out._terms = terms
+    out._den = den
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from typing import Union
 
@@ -23,12 +24,16 @@ Key = tuple[int, int]
 # -- the sparse kernel ----------------------------------------------------------
 #
 # Both exact rings of the package, RegValue here and Poly in polynomials.py,
-# store a dict from flat integer exponent tuples to nonzero Fractions.  These
-# three functions are their only addition and multiplication loops.
+# store a dict from flat integer exponent tuples to nonzero int numerators
+# over one positive int denominator.  Sums and products stay in int
+# arithmetic and leave any common factor in place.  It is divided out where a
+# value leaves the kernel: by ``_reduce`` for comparison, hashing, grades and
+# integrals, and by the Fraction constructor for coefficients and rendering.
+# Fractions enter through the constructors and appear again only there.
 
 
-def merge(acc: dict, items: Iterable[tuple[tuple[int, ...], Fraction]]) -> dict:
-    """Add (key, coeff) pairs into ``acc``, dropping keys that cancel."""
+def merge(acc: dict, items: Iterable[tuple[tuple[int, ...], int]]) -> dict:
+    """Add (key, numerator) pairs into ``acc``, dropping keys that cancel."""
     for key, coeff in items:
         if key in acc:
             total = acc[key] + coeff
@@ -41,12 +46,18 @@ def merge(acc: dict, items: Iterable[tuple[tuple[int, ...], Fraction]]) -> dict:
     return acc
 
 
-def add_terms(left: dict, right: dict) -> dict:
-    return merge(dict(left), right.items())
+def add_terms(left: dict, lden: int, right: dict, rden: int) -> tuple[dict, int]:
+    """Sum of left/lden and right/rden as numerators over the lcm of the denominators."""
+    if lden == rden:
+        return merge(dict(left), right.items()), lden
+    g = gcd(lden, rden)
+    lscale, rscale = rden // g, lden // g
+    scaled = {key: coeff * lscale for key, coeff in left.items()}
+    return merge(scaled, ((key, coeff * rscale) for key, coeff in right.items())), lden * lscale
 
 
-def mul_terms(left: dict, right: dict) -> dict:
-    """Product of two term dicts: keys add entrywise, coefficients multiply."""
+def mul_terms(left: dict, lden: int, right: dict, rden: int) -> tuple[dict, int]:
+    """Product of two term dicts: keys add entrywise, numerators and denominators multiply."""
     return merge(
         {},
         (
@@ -54,21 +65,34 @@ def mul_terms(left: dict, right: dict) -> dict:
             for k1, c1 in left.items()
             for k2, c2 in right.items()
         ),
-    )
+    ), lden * rden
 
 
-def _as_fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
+def _reduce(terms: dict, den: int) -> tuple[dict, int]:
+    """The same value with the numerators and the denominator coprime."""
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {key: coeff // g for key, coeff in terms.items()}, den // g
+
+
+def _checked(value: Rational) -> Rational:
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+def _numerators(items: Iterable[tuple[tuple[int, ...], Rational]]) -> tuple[dict, int]:
+    """(key, int or Fraction) pairs as numerators over the lcm of their denominators."""
+    items = [(key, _checked(coeff)) for key, coeff in items]
+    den = lcm(*(coeff.denominator for _, coeff in items))
+    return merge({}, ((key, c.numerator * (den // c.denominator)) for key, c in items)), den
 
 
 class RegValue:
     """Element of the exact ring Q[beta, 1/beta, delta0]."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(
         self,
@@ -79,8 +103,8 @@ class RegValue:
         for (beta_pow, delta0_pow), coeff in items:
             if delta0_pow < 0:
                 raise ValueError("delta0 power must be non-negative")
-            checked.append(((int(beta_pow), int(delta0_pow)), _as_fraction(coeff)))
-        self._terms = merge({}, checked)
+            checked.append(((int(beta_pow), int(delta0_pow)), coeff))
+        self._terms, self._den = _numerators(checked)
 
     # -- constructors -----------------------------------------------------
 
@@ -102,11 +126,11 @@ class RegValue:
 
     @classmethod
     def zero(cls) -> "RegValue":
-        return _make({})
+        return _make({}, 1)
 
     @classmethod
     def one(cls) -> "RegValue":
-        return _make({(0, 0): Fraction(1)})
+        return _make({(0, 0): 1}, 1)
 
     # -- ring operations ---------------------------------------------------
 
@@ -114,12 +138,12 @@ class RegValue:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _make(add_terms(self._terms, other._terms))
+        return _make(*add_terms(self._terms, self._den, other._terms, other._den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RegValue":
-        return _make({key: -coeff for key, coeff in self._terms.items()})
+        return _make({key: -coeff for key, coeff in self._terms.items()}, self._den)
 
     def __sub__(self, other: "RegValue | Rational") -> "RegValue":
         other = _coerce(other)
@@ -137,15 +161,14 @@ class RegValue:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _make(mul_terms(self._terms, other._terms))
+        return _make(*mul_terms(self._terms, self._den, other._terms, other._den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Rational) -> "RegValue":
-        factor = _as_fraction(other)
-        if factor == 0:
+        if _checked(other) == 0:
             raise ZeroDivisionError("division of a RegValue by zero")
-        return _make({key: coeff / factor for key, coeff in self._terms.items()})
+        return self * RegValue.rational(Fraction(other.denominator, other.numerator))
 
     # -- comparisons and hashing -------------------------------------------
 
@@ -154,10 +177,11 @@ class RegValue:
             other = RegValue.rational(other)
         if not isinstance(other, RegValue):
             return NotImplemented
-        return self._terms == other._terms
+        return _reduce(self._terms, self._den) == _reduce(other._terms, other._den)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        terms, den = _reduce(self._terms, self._den)
+        return hash((den, frozenset(terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -166,14 +190,15 @@ class RegValue:
 
     def items(self) -> list[tuple[Key, Fraction]]:
         """Terms sorted ascending by (beta_power, delta0_power)."""
-        return sorted(self._terms.items())
+        return sorted((key, Fraction(coeff, self._den)) for key, coeff in self._terms.items())
 
     def coefficient(self, beta_power: int = 0, delta0_power: int = 0) -> Fraction:
-        return self._terms.get((beta_power, delta0_power), Fraction(0))
+        return Fraction(self._terms.get((beta_power, delta0_power), 0), self._den)
 
     def grade(self, delta0_power: int) -> "RegValue":
         """The part of the value proportional to delta0**delta0_power."""
-        return _make({key: c for key, c in self._terms.items() if key[1] == delta0_power})
+        terms = {key: c for key, c in self._terms.items() if key[1] == delta0_power}
+        return _make(*_reduce(terms, self._den))
 
     def finite_part(self) -> "RegValue":
         return self.grade(0)
@@ -220,8 +245,9 @@ def _coerce(value: "RegValue | Rational") -> "RegValue":
     return NotImplemented
 
 
-def _make(terms: dict[Key, Fraction]) -> RegValue:
-    """Wrap a dict whose coefficients are all nonzero."""
+def _make(terms: dict[Key, int], den: int) -> RegValue:
+    """Wrap a dict of nonzero numerators over the positive denominator ``den``."""
     out = RegValue.__new__(RegValue)
     out._terms = terms
+    out._den = den
     return out

@@ -119,6 +119,12 @@ def test_branching_delta_graph_raises():
         integrate(terms, DIMREG)
 
 
+@pytest.mark.parametrize("factor", [("Dx", 0, 1), ("Dx", 1, 1)])
+def test_integrate_product_refuses_an_unknown_kind(factor):
+    with pytest.raises(ValueError, match=r"^unknown propagator kind 'Dx'$"):
+        integrate_product([factor], 2, DIMREG)
+
+
 def test_custom_ruleset_eps_value():
     # A rule set with int eps^2 delta = 1 reproduces the naive answer in
     # which eps^2 = 1 is used even at the coincidence point.

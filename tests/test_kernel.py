@@ -1,0 +1,136 @@
+"""The sparse kernel of int numerators over one denominator, against Fractions.
+
+``RegValue`` and ``Poly`` add and multiply int numerators and scale them to
+the lcm of two denominators; they reduce only where a value leaves the
+kernel.  Every operation here is compared with ``tests/fraction_ring.py``,
+which does the same work one Fraction at a time.  The inputs mix
+denominators, carry negative beta powers and include sums that cancel.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+import fraction_ring as ref
+from worldline.polynomials import Poly
+from worldline.values import RegValue
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def term_pairs(draw, keys):
+    """Two term dicts; the second cancels a drawn subset of the first's terms."""
+    a = draw(st.dictionaries(keys, rationals, max_size=4))
+    b = draw(st.dictionaries(keys, rationals, max_size=4))
+    for key in draw(st.sets(st.sampled_from(sorted(a)))) if a else ():
+        b[key] = -a[key]
+    return a, b
+
+
+def reg_keys():
+    return st.tuples(st.integers(-3, 3), st.integers(0, 2))
+
+
+def poly_keys(nvars):
+    return st.tuples(st.integers(-3, 3), *[st.integers(0, 3)] * nvars)
+
+
+def nonzero(terms):
+    return {key: Fraction(coeff) for key, coeff in terms.items() if coeff}
+
+
+@given(term_pairs(reg_keys()), st.dictionaries(reg_keys(), rationals, max_size=3), nonzero_rationals)
+def test_regvalue_matches_the_fraction_reference(pair, c, r):
+    (a, b), c = map(nonzero, pair), nonzero(c)
+    va, vb, vc = RegValue(a), RegValue(b), RegValue(c)
+    cases = [
+        (va + vb, ref.add(a, b)),
+        (va - vb, ref.add(a, ref.neg(b))),
+        (va * vb, ref.mul(a, b)),
+        (va / r, ref.div(a, r)),
+        (((va + vb) * vc - va) / r, ref.div(ref.add(ref.mul(ref.add(a, b), c), ref.neg(a)), r)),
+    ]
+    cases += [((va * vb + vc).grade(k), ref.grade(ref.add(ref.mul(a, b), c), k)) for k in range(3)]
+    for got, want in cases:
+        assert dict(got.items()) == want
+        assert bool(got) == bool(want)
+
+
+@given(st.data())
+def test_poly_matches_the_fraction_reference(data):
+    nvars = data.draw(st.integers(1, 3))
+    p_terms, q_terms = map(nonzero, data.draw(term_pairs(poly_keys(nvars))))
+    p, q = Poly(nvars, p_terms), Poly(nvars, q_terms)
+    pq, pq_terms = p * q + p, ref.add(ref.mul(p_terms, q_terms), p_terms)
+    index = data.draw(st.integers(0, nvars - 1))
+    order = data.draw(st.permutations(range(nvars)))
+    width = data.draw(st.integers(1, 3))
+    targets = [
+        data.draw(st.integers(0, width - 1) | (st.none() if not pq.depends_on(v) else st.nothing()))
+        for v in range(nvars)
+    ]
+    cases = [
+        (p + q, ref.add(p_terms, q_terms)),
+        (p - q, ref.add(p_terms, ref.neg(q_terms))),
+        (pq, pq_terms),
+        (pq.remap(targets, width), ref.remap(pq_terms, targets, width)),
+        (pq.integrate_out(index), ref.integrate_out(pq_terms, index)),
+    ]
+    for got, want in cases:
+        assert got.terms() == want
+        assert bool(got) == bool(want)
+    sector = pq.integrate_out(index).integrate_sector(order)
+    assert dict(sector.items()) == ref.integrate_sector(ref.integrate_out(pq_terms, index), order)
+    assert dict(pq.integrate_cube().items()) == ref.integrate_cube(pq_terms, nvars)
+
+
+@given(term_pairs(reg_keys()), nonzero_rationals)
+def test_regvalues_built_by_two_routes_compare_and_hash_equal(pair, r):
+    a, b = (RegValue(nonzero(terms)) for terms in pair)
+    routes = [
+        ((a + b) - b, a),
+        ((a * r) / r, a),
+        (a / r + b / r, (a + b) / r),
+        ((a + b) - (b + a), RegValue.zero()),
+    ]
+    for left, right in routes:
+        assert left == right
+        assert hash(left) == hash(right)
+
+
+@given(term_pairs(poly_keys(2)), nonzero_rationals)
+def test_polys_built_by_two_routes_compare_and_hash_equal(pair, r):
+    p, q = (Poly(2, nonzero(terms)) for terms in pair)
+    routes = [
+        ((p + q) - q, p),
+        (p * r * Poly.const(2, 1 / r), p),
+        ((p * r).integrate_out(0) * Poly.const(2, 1 / r), p.integrate_out(0)),
+        ((p + q) - (q + p), Poly.const(2, 0)),
+    ]
+    for left, right in routes:
+        assert left == right
+        assert hash(left) == hash(right)
+
+
+def test_the_kernel_does_no_fraction_arithmetic(monkeypatch):
+    # Fractions enter through the constructors and leave through items,
+    # terms and text; in between every operation is int arithmetic.
+    p = Poly(2, {(0, 1, 0): Fraction(1, 2), (-1, 1, 1): Fraction(-2, 3)})
+    q = Poly(2, {(1, 0, 2): Fraction(5, 7), (0, 0, 0): Fraction(1, 6)})
+    v = RegValue({(1, 0): Fraction(3, 4), (-2, 1): Fraction(-1, 9)})
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside the kernel")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pos__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    pq = p * q + p - q
+    value = (pq.integrate_out(1).integrate_sector((0, 1)) * v - v / Fraction(7, 5)).grade(0)
+    text = (value + pq.integrate_cube() + pq.integrate_sector((1, 0))).text()
+    monkeypatch.undo()
+    assert text == (value + pq.integrate_cube() + pq.integrate_sector((1, 0))).text() != "0"

@@ -25,6 +25,13 @@ def test_monomial_cube_oracle():
             assert p.integrate_cube() == expected
 
 
+@pytest.mark.parametrize("coeff", [0.1, "1/3", None])
+@pytest.mark.parametrize("build", [lambda c: Poly(1, {(0, 0): c}), lambda c: RegValue({(0, 0): c})])
+def test_constructors_refuse_non_rational_coefficients(build, coeff):
+    with pytest.raises(TypeError, match="expected an int or Fraction"):
+        build(coeff)
+
+
 def test_beta_powers_carried():
     # tau / beta integrates to beta / 2.
     p = Poly.monomial(1, 1, -1, (1,))
