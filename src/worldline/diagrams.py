@@ -16,8 +16,6 @@ ambiguous in one dimension are handled by the legal rewriting moves.
 
 from __future__ import annotations
 
-import copy
-import functools
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -240,37 +238,14 @@ def wick(vertex_set: Sequence[Vertex], order: int) -> List[Diagram]:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _reduce_topology(
-    edges: Tuple[Edge, ...], nvars: int, rules: RuleSet
-) -> Tuple[RegValue, Tuple[dict, ...]]:
-    """Unit-weight value and move log of one edge topology, once per process.
-
-    Reduction is linear in the coefficient: the only coefficient-dependent
-    decision, the fixed-point ratio test, compares two coefficients scaled
-    by the same nonzero weight, which does not change their ratio in
-    Q[beta, 1/beta, delta0].
-    """
-
-    parsed = ParsedProduct(
-        coefficient=RegValue.one(),
-        factors=tuple((kind, a, b) for (a, b), kind in edges),
-        nvars=nvars,
-    )
-    log: list = []
-    value = reduce_terms([parsed], rules, log=log)
-    return value, tuple(log)
-
-
 def evaluate_diagram(
     diagram: Diagram, rules: RuleSet = DIMREG, log: Optional[list] = None
 ) -> Tuple[RegValue, str]:
     """Value and tensor label of a diagram under a regularization scheme."""
 
-    value, entries = _reduce_topology(diagram.edges, len(diagram.vertices), rules)
-    if log is not None:
-        log.extend(copy.deepcopy(entries))
-    return value * diagram.weight, diagram.tensor_label
+    factors = tuple((kind, a, b) for (a, b), kind in diagram.edges)
+    parsed = ParsedProduct(diagram.weight, factors, len(diagram.vertices))
+    return reduce_terms([parsed], rules, log), diagram.tensor_label
 
 
 def _label_product(left: str, right: str) -> str:

@@ -26,6 +26,7 @@ partial integration is safe there).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import NamedTuple
@@ -36,7 +37,7 @@ from .integrands import (
     named_integral_text,
     parse,
 )
-from .integration import RuleSet, DIMREG, integrate_product
+from .integration import RuleSet, DIMREG, UnreducedSingularStructureError, integrate_product
 from .propagators import diagonal
 from .values import RegValue
 
@@ -411,15 +412,33 @@ class Reducer:
             factors=[p.describe() for p in term.props],
             variables=term.nvars,
         )
-        return self._resolve(term, _MAX_DEPTH)
+        start = len(self.log)
+        try:
+            return self._resolve(term, _MAX_DEPTH)
+        finally:
+            # Hits append the memo's own entries (text, numbers, lists): copy them.
+            self.log[start:] = [
+                {key: value.copy() if isinstance(value, list) else value for key, value in entry.items()}
+                for entry in self.log[start:]
+            ]
 
     def _resolve(self, term: TTerm, depth: int) -> RegValue:
         if not term.coefficient:
             return RegValue.zero()
+        value, error, log, notes = _reduce_lifted(
+            self.rules, term.nvars, term.props, term.deltas, depth
+        )
+        self.log.extend(log)
+        self.notes.extend(notes)
+        if error is not None:
+            raise error[0](error[1])
+        return value * term.coefficient
 
+    def _search(self, term: TTerm, depth: int) -> RegValue:
         tags = [tag(prop) for prop in term.props]
         # Moves that apply whenever their tag is present, in this order.  The
-        # table is built per call, so a wrapper installed on the module is seen.
+        # table is built per search, so a wrapper installed on the module is
+        # seen by every term searched after it (clear _reduce_lifted first).
         for forced, move, name in (
             ("MuMuEqualTime", equal_time_substitute, "EqualTimeSubstitute"),
             ("Laplacian", field_equation, "FieldEquation"),
@@ -526,6 +545,26 @@ class Reducer:
             "no legal reduction: every candidate move failed; tried "
             f"{len(failures)}: " + "; ".join(sorted(set(failures))[:3])
         )
+
+
+@functools.cache
+def _reduce_lifted(
+    rules: RuleSet, nvars: int, props: tuple[TProp, ...], deltas: tuple[SingularAtom, ...], depth: int
+) -> tuple[RegValue | None, tuple[type, str] | None, tuple[dict, ...], tuple[str, ...]]:
+    """(value, error class and text, log, notes) of one lifted term at unit coefficient.
+
+    ``depth`` is in the key because a success or a refusal can depend on the
+    budget left.  The coefficient is not: reduction is linear in it, and the
+    fixed-point ratio test compares two coefficients scaled by the same
+    nonzero factor, whose ratio Q[beta, 1/beta, delta0] keeps.
+    """
+    reducer = Reducer(rules)
+    value = error = None
+    try:
+        value = reducer._search(TTerm(RegValue.one(), nvars, props, deltas), depth)
+    except (ReductionError, UnreducedSingularStructureError) as err:
+        error = (type(err), str(err))
+    return value, error, tuple(reducer.log), tuple(reducer.notes)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 
 from worldline.integrands import ParsedProduct
 from worldline.integration import DIMREG, MODEREG, UnreducedSingularStructureError
-from worldline.reduction import Reducer, ReductionError
+from worldline.reduction import Reducer, ReductionError, _reduce_lifted
 from worldline.values import RegValue
 
 # (variable count, most factors) of the enumerated products.
@@ -86,3 +86,16 @@ def test_the_enumeration_holds_the_refused_triangle():
     assert (triangle, 3) in set(enumerated_products())
     with pytest.raises((ReductionError, UnreducedSingularStructureError)):
         Reducer(DIMREG).reduce_product(ParsedProduct(RegValue.one(), triangle, 3))
+
+
+@pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda rules: rules.name)
+def test_a_memo_hit_replays_the_search(rules):
+    # Cold, the memo searches every lifted term; warm, it answers every one
+    # from what it recorded.  Any value, refusal, move or note that a hit
+    # replays differently changes the digest.
+    _reduce_lifted.cache_clear()
+    cold = outcome_digest(rules, ((2, 4),))
+    searched = _reduce_lifted.cache_info().misses
+    warm = outcome_digest(rules, ((2, 4),))
+    assert _reduce_lifted.cache_info().misses == searched > 0
+    assert warm == cold

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from worldline import reduction
 from worldline.integrands import NAMED_INTEGRALS, ParsedProduct, SingularAtom, parse
-from worldline.integration import DIMREG, MODEREG
+from worldline.checks import run_standard_checks
+from worldline.integration import DIMREG, MODEREG, UnreducedSingularStructureError, integrate_product
 from worldline.reduction import (
     Reducer,
     ReductionError,
     TProp,
     TTerm,
+    _reduce_lifted,
     divergence_split,
     equal_time_substitute,
     evaluate_named,
@@ -399,3 +404,125 @@ def test_reduce_terms_returns_or_raises_value_error(text, rules):
     except ValueError:
         return
     assert isinstance(value, RegValue)
+
+
+# -- the memo ------------------------------------------------------------------
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """Counts each search of a lifted term by memo key; the memo starts and ends empty."""
+    counts = Counter()
+    search = Reducer._search
+
+    def counted(self, term, depth):
+        counts[self.rules, term.nvars, term.props, term.deltas, depth] += 1
+        return search(self, term, depth)
+
+    monkeypatch.setattr(Reducer, "_search", counted)
+    _reduce_lifted.cache_clear()
+    yield counts
+    _reduce_lifted.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "text, integrations, value, entries, digest",
+    [
+        (  # I2: 7 integrations without the memo
+            "D(1,1)*DD(1,2)*DD(1,2)*D(2,2)", 4, "-7/180 * beta^2 + 1/30 * beta^3 * delta0", 19,
+            "42ca27a5ff9893bdb4a2b3a70133bb2dbc46b8827205b17b8b5e0f3a9e6655bf",
+        ),
+        (  # I8: 7 without the memo
+            "D(1,2)*D(1,2)*DD(1,2)*DD(1,2)", 5, "-1/72 * beta^2 + 1/30 * beta^3 * delta0", 17,
+            "a5eb5944b95bd9b8c65278e06f02dee052db7fb8e555870ede4892a79fb02069",
+        ),
+        (  # 12 without the memo
+            "Dl(1,1)*Dr(1,2)*DD(1,3)*DD(2,3)", 5, "1/6 * beta", 44,
+            "7636418253a5fdfe41983123a61fc7a2d038c8187e28141d11e0ea51aa7fbf0e",
+        ),
+    ],
+)
+def test_each_distinct_leaf_is_integrated_once(text, integrations, value, entries, digest, searched, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        reduction, "integrate_product", lambda *args, **kw: calls.append(args) or integrate_product(*args, **kw)
+    )
+    log = []
+    assert reduce_terms(text, DIMREG, log).text() == value
+    assert len(calls) == integrations
+    # The move log is the one the search without a memo wrote.
+    assert len(log) == entries
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == digest
+    assert max(searched.values()) == 1
+
+
+@pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda r: r.name)
+def test_the_battery_searches_no_term_twice(rules, searched):
+    run_standard_checks(rules)
+    assert searched and max(searched.values()) == 1
+
+
+def test_the_slow_refusal_searches_each_term_once(searched):
+    # Without the memo the search backtracks through 23,218 calls on these
+    # 687 terms.  The refusal text is unchanged: 45,949 characters, one
+    # nested "every candidate move failed" per depth.
+    with pytest.raises(ReductionError) as refusal:
+        reduce_terms("Dr(2,3)*Dr(3,2)*DD(3,1)*Dr(1,1)*Dr(1,2)")
+    assert len(searched) == 687
+    assert max(searched.values()) == 1
+    text = str(refusal.value)
+    assert len(text) == 45949
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9454f5223666a0e4df01a6172272f393b3995de003059b2201948b6a96f1c14c"
+    )
+
+
+def test_a_refusal_replays_its_text_and_log():
+    triangle = "DD(1,2)*DD(1,3)*DD(2,3)*D(1,1)"
+    runs = []
+    for _ in range(2):
+        log = []
+        with pytest.raises(ReductionError) as refusal:
+            reduce_terms(triangle, MODEREG, log)
+        runs.append((str(refusal.value), log))
+    assert runs[0] == runs[1]
+    assert runs[0][0].startswith("no legal reduction: every candidate move failed")
+
+
+def test_an_integrator_refusal_replays_as_the_same_error(searched, monkeypatch):
+    def refuse(*args, **kw):
+        raise UnreducedSingularStructureError("unreduced singular structure: probe")
+
+    monkeypatch.setattr(reduction, "integrate_product", refuse)
+    runs = []
+    for _ in range(2):
+        log = []
+        with pytest.raises(UnreducedSingularStructureError, match="probe"):
+            reduce_terms("Dl(1,2)*Dr(1,2)*DD(1,2)", DIMREG, log)
+        runs.append(log)
+    assert runs[0] == runs[1]
+    assert runs[0][-1]["move"] == "ReturnTo1D"
+    assert max(searched.values()) == 1
+
+
+def test_a_caller_gets_its_own_log_entries():
+    first, second = [], []
+    reduce_terms("Dl(1,2)*Dr(1,2)*DD(1,2)", DIMREG, first)
+    for entry in first:
+        entry.get("factors", []).append("tampered")
+        entry["move"] = "tampered"
+    reduce_terms("Dl(1,2)*Dr(1,2)*DD(1,2)", DIMREG, second)
+    assert "tampered" not in repr(second)
+
+
+def test_eps_notes_do_not_depend_on_the_coefficient():
+    # The search runs at unit coefficient, so a note is recorded once per
+    # collapse, not once per delta0 grade of the coefficient that the
+    # equal-time substitute of DD(3,3) brings in.
+    factors = (("D", 0, 1), ("Dl", 0, 1), ("Dr", 0, 1), ("DD", 0, 1), ("DD", 2, 2), ("D", 0, 2))
+    notes = []
+    for coefficient in (RegValue.one(), RegValue.delta0() - RegValue.beta(-1)):
+        reducer = Reducer(MODEREG)
+        reducer.reduce_product(ParsedProduct(coefficient, factors, 3))
+        notes.append(reducer.notes)
+    assert notes[0] == notes[1] == ["eps^3*delta resolved to 0 (odd power)"] * 2
