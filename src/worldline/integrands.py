@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .polynomials import Poly
+from .polynomials import Poly, _make as _poly
 from .propagators import diagonal, eps_coefficient, has_delta, smooth_part
 from .values import RegValue
 
@@ -55,15 +55,13 @@ class SingularAtom(_AtomFields):
 _Piece = tuple[int, Poly, tuple[SingularAtom, ...]]
 
 
-def _grade_pieces(
-    value: RegValue, nvars: int, atoms: tuple[SingularAtom, ...] = ()
-) -> list[_Piece]:
-    """A ring value times ``atoms``, one constant-polynomial piece per delta0 grade."""
+def _grade_pieces(value: RegValue, nvars: int) -> list[_Piece]:
+    """A ring value, one constant-polynomial piece per delta0 grade."""
     grades: dict[int, Poly] = {}
     for (beta_pow, delta0_pow), coeff in value.items():
         const = Poly.const(nvars, coeff, beta_pow)
         grades[delta0_pow] = grades[delta0_pow] + const if delta0_pow in grades else const
-    return [(k, poly, atoms) for k, poly in grades.items()]
+    return [(k, poly, ()) for k, poly in grades.items()]
 
 
 def _expand_factor(kind: str, i: int, j: int, nvars: int) -> list[_Piece]:
@@ -90,9 +88,10 @@ def _expand_factor(kind: str, i: int, j: int, nvars: int) -> list[_Piece]:
     if eps_poly:
         if flip:
             eps_poly = -eps_poly
-        out.append((0, eps_poly, (SingularAtom("eps", lo, hi),)))
+        out.append((0, eps_poly, (SingularAtom._make(("eps", lo, hi, 1)),)))
     if has_delta(kind):
-        out.append((0, Poly.const(nvars, 1), (SingularAtom("delta", lo, hi),)))
+        unit = _poly(nvars, {(0,) * (nvars + 1): 1}, 1)
+        out.append((0, unit, (SingularAtom._make(("delta", lo, hi, 1)),)))
     return out
 
 
@@ -115,7 +114,7 @@ def _merge_atoms(atoms: tuple[SingularAtom, ...]) -> tuple[SingularAtom, ...]:
             if power % 2 == 0:
                 continue
             power = 1
-        merged.append(SingularAtom(kind, i, j, power))
+        merged.append(SingularAtom._make((kind, i, j, power)))
     return tuple(sorted(merged))
 
 

@@ -26,8 +26,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
-from .integrands import SingularAtom, _expand_factor, _grade_pieces, _merge_atoms
-from .polynomials import Poly
+from .integrands import SingularAtom, _expand_factor, _merge_atoms
+from .polynomials import Poly, _make as _poly
 from .values import RegValue
 
 
@@ -122,7 +122,7 @@ def _collapse_once(
             a, b = b, a
             if atom.kind == "eps" and atom.power % 2 == 1:
                 factor = -factor
-        renamed.append(SingularAtom(atom.kind, a, b, atom.power))
+        renamed.append(SingularAtom._make((atom.kind, a, b, atom.power)))
     return factor, squared, (i, j), _merge_atoms(tuple(renamed))
 
 
@@ -143,7 +143,7 @@ def _integrate_regular(poly: Poly, atoms: tuple[SingularAtom, ...]) -> RegValue:
             s = 1 if position[atom.i] > position[atom.j] else -1
             sign *= s**atom.power
         value = poly.integrate_sector(order)
-        total = total + (value * sign if sign != 1 else value)
+        total = total + value if sign == 1 else total - value
     return total
 
 
@@ -182,15 +182,18 @@ def integrate_term(
         delta0 += squared
         root = [i if r == j else r for r in root]
 
-    poly = poly.remap(root, nvars)
+    if root != list(range(nvars)):
+        poly = poly.remap(root, nvars)
     touched = {v for atom in atoms for v in (atom.i, atom.j)}
     for v in range(nvars):
         if still_open[v] and root[v] == v and v not in touched:
             poly = poly.integrate_out(v)
-    slot = {s: k for k, s in enumerate(sorted(touched))}
-    poly = poly.remap([slot.get(v) for v in range(nvars)], len(slot))
-    atoms = tuple(SingularAtom(a.kind, slot[a.i], slot[a.j], a.power) for a in atoms)
-    return RegValue.term(rational, 0, delta0) * _integrate_regular(poly, atoms)
+    if len(touched) < nvars:  # else every variable keeps its slot
+        slot = {s: k for k, s in enumerate(sorted(touched))}
+        poly = poly.remap([slot.get(v) for v in range(nvars)], len(slot))
+        atoms = tuple(SingularAtom._make((a.kind, slot[a.i], slot[a.j], a.power)) for a in atoms)
+    regular = _integrate_regular(poly, atoms)
+    return regular if rational == 1 and not delta0 else RegValue.term(rational, 0, delta0) * regular
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,7 @@ def _finish(state: tuple, poly: Poly, done: list[int]) -> tuple[tuple, Poly]:
         elif all(a.power == 1 for a in touching):
             first, *rest = touching
             u = first.i + first.j - v
-            renamed = [SingularAtom("delta", *sorted((u, a.i + a.j - v))) for a in rest]
+            renamed = [SingularAtom._make(("delta", *sorted((u, a.i + a.j - v)), 1)) for a in rest]
             atoms = tuple(sorted([a for a in atoms if a not in touching] + renamed))
             poly = poly.remap([u if x == v else x for x in range(poly.nvars)], poly.nvars)
         else:
@@ -255,20 +258,32 @@ def _deltas_resolve(atoms: tuple[SingularAtom, ...]) -> bool:
     return True
 
 
+def _integrate_partials(partials: dict, rules: RuleSet, notes: list[str] | None) -> RegValue:
+    """Merge the final partial terms by their merged atoms and integrate each, in sorted order."""
+    finals: dict[tuple, Poly] = {}
+    for (delta0, atoms, still_open), poly in partials.items():
+        state = (delta0, _merge_atoms(atoms), still_open)
+        finals[state] = finals[state] + poly if state in finals else poly
+    total = RegValue.zero()
+    for state in sorted(finals):
+        if finals[state]:
+            total = total + integrate_term(state, finals[state], rules, notes)
+    return total
+
+
 def integrate_product(
     factors: list[tuple[str, int, int]],
     nvars: int,
     rules: RuleSet,
     notes: list[str] | None = None,
     weight: Poly | None = None,
-    coefficient: RegValue = RegValue.one(),
     extra_atoms: tuple[SingularAtom, ...] = (),
 ) -> RegValue:
-    """Exact integral of coefficient * extra_atoms * the factors * w(tau_1)...w(tau_n).
+    """Exact integral of extra_atoms * the factors * w(tau_1)...w(tau_n).
 
     Each w(tau_v) multiplies the pieces of the last factor that touches v,
-    or the coefficient when none does.  The factors' pieces multiply in one
-    at a time and partial terms with equal states merge, so the 2**n
+    or the unit start piece when none does.  The factors' pieces multiply in
+    one at a time and partial terms with equal states merge, so the 2**n
     expanded terms are never listed (bucket elimination; Dechter, Artif.
     Intell. 113, 41 (1999)).  If ``_deltas_resolve`` holds, each variable is
     finished as soon as no pending factor touches it.  Otherwise nothing
@@ -283,7 +298,7 @@ def integrate_product(
     atoms = tuple(a for pieces in expanded for _, _, new in pieces for a in new)
     early = _deltas_resolve(atoms + extra_atoms)
     last = {v: index for index, (_, i, j) in enumerate(factors) for v in (i, j)}
-    start = _grade_pieces(coefficient, nvars, extra_atoms)
+    start = [(0, _poly(nvars, {(0,) * (nvars + 1): 1}, 1), extra_atoms)]
     if weight is not None:
         for v in range(nvars):
             pieces = expanded[last[v]] if v in last else start
@@ -293,12 +308,4 @@ def integrate_product(
     for index, pieces in enumerate(expanded):
         done = [v for v in range(nvars) if last.get(v, -1) <= index] if early else []
         partials = _multiply(partials, pieces, done)
-    finals: dict[tuple, Poly] = {}
-    for (delta0, atoms, still_open), poly in partials.items():
-        state = (delta0, _merge_atoms(atoms), still_open)
-        finals[state] = finals[state] + poly if state in finals else poly
-    total = RegValue.zero()
-    for state in sorted(finals):
-        if finals[state]:
-            total = total + integrate_term(state, finals[state], rules, notes)
-    return total
+    return _integrate_partials(partials, rules, notes)

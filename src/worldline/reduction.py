@@ -463,10 +463,8 @@ class Reducer:
                 + [f"delta({d.i + 1},{d.j + 1})" for d in term.deltas],
             )
             factors, extra = return_to_1d(term)
-            return integrate_product(
-                factors, term.nvars, self.rules, self.notes,
-                coefficient=term.coefficient, extra_atoms=extra,
-            )
+            # The search runs at unit coefficient (``_reduce_lifted``).
+            return integrate_product(factors, term.nvars, self.rules, self.notes, extra_atoms=extra)
 
         for first, second in itertools.combinations(munu, 2):
             if term.props[first] == term.props[second]:

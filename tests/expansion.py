@@ -75,7 +75,7 @@ def product(
     """
     if not isinstance(coefficient, RegValue):
         coefficient = RegValue.rational(coefficient)
-    pieces = _grade_pieces(coefficient, nvars, extra_atoms)
+    pieces = [(k, poly, extra_atoms) for k, poly, _ in _grade_pieces(coefficient, nvars)]
     for kind, i, j in factors:
         expanded = _expand_factor(kind, i, j, nvars)
         pieces = [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import worldline.integration
+import worldline.rings
 from expansion import IntegrandTerm, canonicalize, integrate, product
 from worldline.integrands import NAMED_INTEGRALS, SingularAtom, _merge_atoms, parse
 from worldline.integration import (
@@ -19,7 +20,7 @@ from worldline.integration import (
     integrate_product,
 )
 from worldline.polynomials import Poly
-from worldline.rings import PROFILES, _ring_value
+from worldline.rings import PROFILES, _ring_values, measure_cancellation
 from worldline.values import RegValue
 
 
@@ -235,7 +236,7 @@ def test_weight_on_eps_touched_variables_matches_dense(text, profile, rules):
     weight = PROFILES[profile]
     weighted = sum(
         (
-            integrate_product(list(p.factors), p.nvars, rules, weight=weight, coefficient=p.coefficient)
+            integrate_product(list(p.factors), p.nvars, rules, weight=weight) * p.coefficient
             for p in parse(text)
         ),
         RegValue.zero(),
@@ -510,7 +511,7 @@ def propagator_products(draw):
 
     Only products without eps parts finish variables early, so they are
     drawn as often as the rest.  Some draws add delta atoms or a ring
-    coefficient with a delta0 grade, as ``ReturnTo1D`` does.
+    coefficient with a delta0 grade, which multiplies the routed integral.
     """
     nvars = draw(st.integers(1, 4))
     variable = st.integers(0, nvars - 1)
@@ -526,7 +527,7 @@ def propagator_products(draw):
     coefficient = RegValue.one()
     if draw(st.booleans()):
         coefficient = RegValue.beta(draw(st.integers(-1, 1)), draw(rational)) + RegValue.delta0(
-            1, draw(rational)
+            1, draw(rational.filter(bool))
         )
     return factors, nvars, coefficient, extra
 
@@ -546,7 +547,7 @@ def test_one_factor_at_a_time_matches_the_full_expansion(drawn, rules, weight):
     factors, nvars, coefficient, extra = drawn
     notes = []
     routed = _outcome(
-        lambda: integrate_product(factors, nvars, rules, notes, weight, coefficient, extra)
+        lambda: integrate_product(factors, nvars, rules, notes, weight, extra) * coefficient
     )
     expected = _outcome(
         lambda: sum(
@@ -560,8 +561,9 @@ def test_one_factor_at_a_time_matches_the_full_expansion(drawn, rules, weight):
     assert routed == expected
     if routed is not UnreducedSingularStructureError:
         reference_notes = []
-        # The eps-power notes come in the order of the expanded terms.
-        integrate_dense(product(factors, nvars, coefficient, extra), rules, weight, reference_notes)
+        # The eps-power notes come in the order of the expanded terms, each
+        # once: the routed product is integrated at unit coefficient.
+        integrate_dense(product(factors, nvars, 1, extra), rules, weight, reference_notes)
         assert notes == reference_notes
 
 
@@ -603,18 +605,20 @@ RING_VALUES = {
 
 @pytest.mark.parametrize("profile", sorted(RING_VALUES))
 def test_every_ring_keeps_its_full_value(profile):
-    texts = [_ring_value(PROFILES[profile], n).text() for n in range(1, 13)]
+    texts = [ring.text() for ring in _ring_values(PROFILES[profile], 12)]
     assert texts == RING_VALUES[profile]
 
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))
-def test_rings_hold_few_partial_terms(profile, monkeypatch):
-    # Counted, not timed: the full expansion holds 2**n terms.  Factor k is
-    # DD(k, k+1) = delta - 1/beta, and the last is DD(0, n-1).  After factor
-    # k the variables 1..k are done, and each was integrated out or collapsed
-    # along its power-1 deltas, so every state has the same open variables:
-    # 0 and the ones from k+1 on.  The only atom that can remain is the
-    # delta chained from 0 to k+1.  With it or without it: at most 2 states.
+def test_the_ring_chain_equals_the_product_route(profile):
+    weight = PROFILES[profile]
+    products = [integrate_product(ring_factors(n), n, DIMREG, weight=weight) for n in range(1, 13)]
+    assert _ring_values(weight, 12) == products
+
+
+@pytest.fixture
+def multiply_sizes(monkeypatch):
+    """The number of partial terms after each ``_multiply`` call, in order."""
     sizes = []
     multiply = worldline.integration._multiply
 
@@ -624,7 +628,27 @@ def test_rings_hold_few_partial_terms(profile, monkeypatch):
         return partials
 
     monkeypatch.setattr(worldline.integration, "_multiply", counted)
-    for n in range(8, 13):
-        sizes.clear()
-        _ring_value(PROFILES[profile], n)
-        assert len(sizes) == n and max(sizes) <= 2
+    monkeypatch.setattr(worldline.rings, "_multiply", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_rings_hold_few_partial_terms(profile, multiply_sizes):
+    # Counted, not timed: the full expansion of ring n holds 2**n terms.
+    # Order 1 is one factor.  The chain multiplies in DD(0,1), then one step
+    # DD(end, next) per order from 3 on, and each order from 2 on closes a
+    # copy of it with DD(0, end): 2N - 1 calls for N orders.  After a step
+    # the old end is integrated out or collapsed along its power-1 deltas, so
+    # the only atom that can remain is the delta chained from 0 to the end.
+    # With it or without it: at most 2 partial terms.
+    for orders in (1, 2, 3, 12):
+        multiply_sizes.clear()
+        _ring_values(PROFILES[profile], orders)
+        assert len(multiply_sizes) == 2 * orders - 1 and max(multiply_sizes) <= 2
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_measure_cancellation_integrates_one_chain(profile, multiply_sizes):
+    # One ring from scratch per order would make 1 + 2 + ... + 8 = 36 calls.
+    measure_cancellation(profile, 8)
+    assert len(multiply_sizes) == 15 and max(multiply_sizes) <= 2
