@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .polynomials import Poly, _make as _poly
+from .polynomials import Poly
 from .propagators import diagonal, eps_coefficient, has_delta, smooth_part
 from .values import RegValue
 
@@ -90,8 +90,7 @@ def _expand_factor(kind: str, i: int, j: int, nvars: int) -> list[_Piece]:
             eps_poly = -eps_poly
         out.append((0, eps_poly, (SingularAtom._make(("eps", lo, hi, 1)),)))
     if has_delta(kind):
-        unit = _poly(nvars, {(0,) * (nvars + 1): 1}, 1)
-        out.append((0, unit, (SingularAtom._make(("delta", lo, hi, 1)),)))
+        out.append((0, Poly.const(nvars, 1), (SingularAtom._make(("delta", lo, hi, 1)),)))
     return out
 
 

@@ -27,7 +27,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .integrands import SingularAtom, _expand_factor, _merge_atoms
-from .polynomials import Poly, _make as _poly
+from .polynomials import Poly
 from .values import RegValue
 
 
@@ -298,7 +298,7 @@ def integrate_product(
     atoms = tuple(a for pieces in expanded for _, _, new in pieces for a in new)
     early = _deltas_resolve(atoms + extra_atoms)
     last = {v: index for index, (_, i, j) in enumerate(factors) for v in (i, j)}
-    start = [(0, _poly(nvars, {(0,) * (nvars + 1): 1}, 1), extra_atoms)]
+    start = [(0, Poly.const(nvars, 1), extra_atoms)]
     if weight is not None:
         for v in range(nvars):
             pieces = expanded[last[v]] if v in last else start
@@ -309,3 +309,35 @@ def integrate_product(
         done = [v for v in range(nvars) if last.get(v, -1) <= index] if early else []
         partials = _multiply(partials, pieces, done)
     return _integrate_partials(partials, rules, notes)
+
+
+def _ring_chain(weight: Poly, max_order: int) -> list[RegValue]:
+    """The weighted rings DD(0,1)DD(1,2)...DD(n-1,0) for n = 1..max_order.
+
+    Rings from order 2 share one chain, in a three-variable frame: tau_0, the
+    chain's end, the next variable.  A step multiplies in DD(end, next) w(end),
+    finishes the old end and renames the next variable into the end slot;
+    closed with DD(0, end) w(0) w(end), a copy of the chain is the ring.  The
+    weights sit where ``integrate_product`` puts them, and a ring's atoms are
+    deltas on one cycle, which ``_deltas_resolve`` accepts, so each old end
+    finishes early as it does there.
+    """
+    rings = [integrate_product([("DD", 0, 0)], 1, DIMREG, weight=weight)]
+    w0, w1 = (weight.remap((v,), 3) for v in (0, 1))
+    link = _expand_factor("DD", 0, 1, 3)
+    step = [(k, poly * w1, atoms) for k, poly, atoms in _expand_factor("DD", 1, 2, 3)]
+    close = [(k, poly * w0 * w1, atoms) for k, poly, atoms in link]
+    frame = (True, True, False)  # slot 2 holds no variable between steps
+    for n in range(2, max_order + 1):
+        if n == 2:
+            chain = _multiply({(0, (), frame): Poly.const(3, 1)}, link, [])
+        else:
+            # The finished end leaves no atom on slot 1: what remains is the
+            # delta chained from tau_0 to the next variable, if any.
+            chain = {
+                (delta0, tuple(SingularAtom._make((a.kind, a.i, 1, a.power)) for a in atoms), frame):
+                poly.remap((0, None, 1), 3)
+                for (delta0, atoms, _), poly in _multiply(chain, step, [1]).items()
+            }
+        rings.append(_integrate_partials(_multiply(chain, close, [0, 1]), DIMREG, None))
+    return rings

@@ -50,6 +50,8 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, coeff: Rational, beta_power: int = 0) -> "Poly":
+        if type(coeff) is int and coeff and nvars >= 0:  # already a numerator over 1
+            return _make(nvars, {(int(beta_power),) + (0,) * nvars: coeff}, 1)
         return cls(nvars, {(beta_power,) + (0,) * nvars: coeff})
 
     @classmethod

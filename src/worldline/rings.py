@@ -6,8 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict
 
-from .integrands import SingularAtom, _expand_factor
-from .integration import DIMREG, _integrate_partials, _multiply, integrate_product
+from .integration import _ring_chain
 from .polynomials import Poly
 from .reports import CheckReport, finish_report
 from .values import RegValue
@@ -40,38 +39,6 @@ def resolve_profile(text: str) -> str:
     raise ValueError(f"unknown mass profile {text!r}; known profiles: {known}")
 
 
-def _ring_values(density: Poly, max_order: int) -> list[RegValue]:
-    """The weighted rings DD(0,1)DD(1,2)...DD(n-1,0) for n = 1..max_order.
-
-    Rings from order 2 share one chain, in a three-variable frame: tau_0, the
-    chain's end, the next variable.  A step multiplies in DD(end, next) w(end),
-    finishes the old end and renames the next variable into the end slot;
-    closed with DD(0, end) w(0) w(end), a copy of the chain is the ring.  The
-    weights sit where ``integrate_product`` puts them, and a ring's atoms are
-    deltas on one cycle, which ``_deltas_resolve`` accepts, so each old end
-    finishes early as it does there.
-    """
-    rings = [integrate_product([("DD", 0, 0)], 1, DIMREG, weight=density)]
-    w0, w1 = (density.remap((v,), 3) for v in (0, 1))
-    link = _expand_factor("DD", 0, 1, 3)
-    step = [(k, poly * w1, atoms) for k, poly, atoms in _expand_factor("DD", 1, 2, 3)]
-    close = [(k, poly * w0 * w1, atoms) for k, poly, atoms in link]
-    frame = (True, True, False)  # slot 2 holds no variable between steps
-    for n in range(2, max_order + 1):
-        if n == 2:
-            chain = _multiply({(0, (), frame): Poly.const(3, 1)}, link, [])
-        else:
-            # The finished end leaves no atom on slot 1: what remains is the
-            # delta chained from tau_0 to the next variable, if any.
-            chain = {
-                (delta0, tuple(SingularAtom._make((a.kind, a.i, 1, a.power)) for a in atoms), frame):
-                poly.remap((0, None, 1), 3)
-                for (delta0, atoms, _), poly in _multiply(chain, step, [1]).items()
-            }
-        rings.append(_integrate_partials(_multiply(chain, close, [0, 1]), DIMREG, None))
-    return rings
-
-
 def measure_cancellation(profile: str, max_order: int = 6) -> CheckReport:
     """Divergent ring terms against the measure expansion, order by order.
 
@@ -92,7 +59,7 @@ def measure_cancellation(profile: str, max_order: int = 6) -> CheckReport:
     expected: Dict[str, str] = {}
     actual: Dict[str, str] = {}
     power = Poly.const(1, Fraction(1))
-    for n, ring in enumerate(_ring_values(density, max_order), 1):
+    for n, ring in enumerate(_ring_chain(density, max_order), 1):
         power = power * density
         prefactor = Fraction((-1) ** n, 2 * n)
         divergent = ring.grade(1) * prefactor

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import worldline.integration
-import worldline.rings
 from expansion import IntegrandTerm, canonicalize, integrate, product
 from worldline.integrands import NAMED_INTEGRALS, SingularAtom, _merge_atoms, parse
 from worldline.integration import (
@@ -17,10 +16,11 @@ from worldline.integration import (
     RuleSet,
     UnreducedSingularStructureError,
     _integrate_regular,
+    _ring_chain,
     integrate_product,
 )
 from worldline.polynomials import Poly
-from worldline.rings import PROFILES, _ring_values, measure_cancellation
+from worldline.rings import PROFILES, measure_cancellation
 from worldline.values import RegValue
 
 
@@ -511,7 +511,7 @@ def propagator_products(draw):
 
     Only products without eps parts finish variables early, so they are
     drawn as often as the rest.  Some draws add delta atoms or a ring
-    coefficient with a delta0 grade, which multiplies the routed integral.
+    coefficient with a delta0 grade, which multiplies both integrals.
     """
     nvars = draw(st.integers(1, 4))
     variable = st.integers(0, nvars - 1)
@@ -527,7 +527,7 @@ def propagator_products(draw):
     coefficient = RegValue.one()
     if draw(st.booleans()):
         coefficient = RegValue.beta(draw(st.integers(-1, 1)), draw(rational)) + RegValue.delta0(
-            1, draw(rational.filter(bool))
+            1, draw(rational)
         )
     return factors, nvars, coefficient, extra
 
@@ -553,10 +553,11 @@ def test_one_factor_at_a_time_matches_the_full_expansion(drawn, rules, weight):
         lambda: sum(
             (
                 reference_integrate_term(term, rules, weight)
-                for term in product(factors, nvars, coefficient, extra)
+                for term in product(factors, nvars, 1, extra)
             ),
             RegValue.zero(),
         )
+        * coefficient
     )
     assert routed == expected
     if routed is not UnreducedSingularStructureError:
@@ -605,7 +606,7 @@ RING_VALUES = {
 
 @pytest.mark.parametrize("profile", sorted(RING_VALUES))
 def test_every_ring_keeps_its_full_value(profile):
-    texts = [ring.text() for ring in _ring_values(PROFILES[profile], 12)]
+    texts = [ring.text() for ring in _ring_chain(PROFILES[profile], 12)]
     assert texts == RING_VALUES[profile]
 
 
@@ -613,7 +614,7 @@ def test_every_ring_keeps_its_full_value(profile):
 def test_the_ring_chain_equals_the_product_route(profile):
     weight = PROFILES[profile]
     products = [integrate_product(ring_factors(n), n, DIMREG, weight=weight) for n in range(1, 13)]
-    assert _ring_values(weight, 12) == products
+    assert _ring_chain(weight, 12) == products
 
 
 @pytest.fixture
@@ -628,7 +629,6 @@ def multiply_sizes(monkeypatch):
         return partials
 
     monkeypatch.setattr(worldline.integration, "_multiply", counted)
-    monkeypatch.setattr(worldline.rings, "_multiply", counted)
     return sizes
 
 
@@ -643,8 +643,22 @@ def test_rings_hold_few_partial_terms(profile, multiply_sizes):
     # With it or without it: at most 2 partial terms.
     for orders in (1, 2, 3, 12):
         multiply_sizes.clear()
-        _ring_values(PROFILES[profile], orders)
+        _ring_chain(PROFILES[profile], orders)
         assert len(multiply_sizes) == 2 * orders - 1 and max(multiply_sizes) <= 2
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_product_route_rings_hold_few_partial_terms(profile, multiply_sizes):
+    # The reducer's ReturnTo1D takes this route.  Factor k is DD(k, k+1) =
+    # delta - 1/beta, and the last is DD(0, n-1).  After factor k the
+    # variables 1..k are done, and each was integrated out or collapsed along
+    # its power-1 deltas, so every state has the same open variables: 0 and
+    # the ones from k+1 on.  The only atom that can remain is the delta
+    # chained from 0 to k+1.  With it or without it: at most 2 states.
+    for n in range(8, 13):
+        multiply_sizes.clear()
+        integrate_product(ring_factors(n), n, DIMREG, weight=PROFILES[profile])
+        assert len(multiply_sizes) == n and max(multiply_sizes) <= 2
 
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))
