@@ -132,7 +132,6 @@ def check_constraints(rules: RuleSet = DIMREG) -> CheckReport:
         actual,
         details=details,
         move_logs=logs,
-        ok=ok,
     )
 
 

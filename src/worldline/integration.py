@@ -182,8 +182,7 @@ def integrate_term(
         delta0 += squared
         root = [i if r == j else r for r in root]
 
-    if root != list(range(nvars)):
-        poly = poly.remap(root, nvars)
+    poly = poly.remap(root, nvars)
     touched = {v for atom in atoms for v in (atom.i, atom.j)}
     for v in range(nvars):
         if still_open[v] and root[v] == v and v not in touched:

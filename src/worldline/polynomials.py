@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Union
 
-from .values import RegValue, _make as _value, _numerators, _reduce, add_terms, merge, mul_terms
+from .values import RegValue, _reduce, _Sparse, merge
 
 Rational = Union[int, Fraction]
 
@@ -24,8 +24,8 @@ Rational = Union[int, Fraction]
 Key = tuple[int, ...]
 
 
-class Poly:
-    __slots__ = ("nvars", "_terms", "_den")
+class Poly(_Sparse):
+    __slots__ = ("nvars",)
 
     def __init__(
         self,
@@ -34,24 +34,21 @@ class Poly:
     ) -> None:
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        checked = []
-        for key, coeff in items:
-            key = tuple(int(e) for e in key)
-            if len(key) != nvars + 1:
-                raise ValueError("exponent tuple length does not match nvars")
-            if any(e < 0 for e in key[1:]):
-                raise ValueError("variable exponents must be non-negative")
-            checked.append((key, coeff))
         self.nvars = nvars
-        self._terms, self._den = _numerators(checked)
+        super().__init__(terms)
+
+    def _unit_key(self) -> Key:
+        return (0,) * (self.nvars + 1)
+
+    def _wrap(self, terms: dict[Key, int], den: int) -> "Poly":
+        return _make(self.nvars, terms, den)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def const(cls, nvars: int, coeff: Rational, beta_power: int = 0) -> "Poly":
-        if type(coeff) is int and coeff and nvars >= 0:  # already a numerator over 1
-            return _make(nvars, {(int(beta_power),) + (0,) * nvars: coeff}, 1)
+        if type(coeff) is int and coeff and nvars >= 0 and type(beta_power) is int:  # a numerator over 1
+            return _make(nvars, {(beta_power,) + (0,) * nvars: coeff}, 1)
         return cls(nvars, {(beta_power,) + (0,) * nvars: coeff})
 
     @classmethod
@@ -59,55 +56,6 @@ class Poly:
         cls, nvars: int, coeff: Rational, beta_power: int, exps: Sequence[int]
     ) -> "Poly":
         return cls(nvars, {(beta_power, *exps): coeff})
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "Poly | Rational") -> "Poly":
-        other = self._coerce(other)
-        return _make(self.nvars, *add_terms(self._terms, self._den, other._terms, other._den))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return _make(self.nvars, {k: -c for k, c in self._terms.items()}, self._den)
-
-    def __sub__(self, other: "Poly | Rational") -> "Poly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: "Poly | Rational") -> "Poly":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other: "Poly | Rational") -> "Poly":
-        other = self._coerce(other)
-        return _make(self.nvars, *mul_terms(self._terms, self._den, other._terms, other._den))
-
-    __rmul__ = __mul__
-
-    def _coerce(self, value: "Poly | Rational") -> "Poly":
-        if isinstance(value, (int, Fraction)):
-            return Poly.const(self.nvars, value)
-        if not isinstance(value, Poly):
-            raise TypeError(f"cannot combine Poly with {type(value).__name__}")
-        if value.nvars != self.nvars:
-            raise ValueError("polynomials over different variable counts")
-        return value
-
-    # -- comparisons ---------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        same = _reduce(self._terms, self._den) == _reduce(other._terms, other._den)
-        return self.nvars == other.nvars and same
-
-    def __hash__(self) -> int:
-        terms, den = _reduce(self._terms, self._den)
-        return hash((self.nvars, den, frozenset(terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __repr__(self) -> str:
         return f"Poly(nvars={self.nvars}, terms={sorted(self.terms().items())})"
@@ -128,6 +76,8 @@ class Poly:
         """
         if len(targets) != self.nvars:
             raise ValueError("remap needs one target per variable")
+        if nvars == self.nvars and list(targets) == list(range(nvars)):
+            return self  # no Poly is changed in place, so the identity can be shared
         moves = []
         for v, target in enumerate(targets):
             if target is None:
@@ -178,7 +128,7 @@ class Poly:
 
 def _closed(terms: dict[Key, int], den: int) -> RegValue:
     """A polynomial with every variable integrated out, as a reduced RegValue."""
-    return _value(*_reduce({(key[0], 0): coeff for key, coeff in terms.items()}, den))
+    return RegValue._wrap(*_reduce({(key[0], 0): coeff for key, coeff in terms.items()}, den))
 
 
 def _integrate_step(terms: dict[Key, int], den: int, slot: int, upper: int) -> tuple[dict, int]:

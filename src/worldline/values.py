@@ -24,12 +24,13 @@ Key = tuple[int, int]
 # -- the sparse kernel ----------------------------------------------------------
 #
 # Both exact rings of the package, RegValue here and Poly in polynomials.py,
-# store a dict from flat integer exponent tuples to nonzero int numerators
-# over one positive int denominator.  Sums and products stay in int
-# arithmetic and leave any common factor in place.  It is divided out where a
-# value leaves the kernel: by ``_reduce`` for comparison, hashing, grades and
-# integrals, and by the Fraction constructor for coefficients and rendering.
-# Fractions enter through the constructors and appear again only there.
+# subclass ``_Sparse``: a dict from flat integer exponent tuples to nonzero
+# int numerators over one positive int denominator, with the ring operators
+# written once.  Sums and products stay in int arithmetic and leave any
+# common factor in place.  It is divided out where a value leaves the
+# kernel: by ``_reduce`` for comparison, hashing, grades and integrals, and
+# by the Fraction constructor for coefficients and rendering.  Fractions
+# enter through the constructors and appear again only there.
 
 
 def merge(acc: dict, items: Iterable[tuple[tuple[int, ...], int]]) -> dict:
@@ -46,28 +47,6 @@ def merge(acc: dict, items: Iterable[tuple[tuple[int, ...], int]]) -> dict:
     return acc
 
 
-def add_terms(left: dict, lden: int, right: dict, rden: int) -> tuple[dict, int]:
-    """Sum of left/lden and right/rden as numerators over the lcm of the denominators."""
-    if lden == rden:
-        return merge(dict(left), right.items()), lden
-    g = gcd(lden, rden)
-    lscale, rscale = rden // g, lden // g
-    scaled = {key: coeff * lscale for key, coeff in left.items()}
-    return merge(scaled, ((key, coeff * rscale) for key, coeff in right.items())), lden * lscale
-
-
-def mul_terms(left: dict, lden: int, right: dict, rden: int) -> tuple[dict, int]:
-    """Product of two term dicts: keys add entrywise, numerators and denominators multiply."""
-    return merge(
-        {},
-        (
-            (tuple(map(add, k1, k2)), c1 * c2)
-            for k1, c1 in left.items()
-            for k2, c2 in right.items()
-        ),
-    ), lden * rden
-
-
 def _reduce(terms: dict, den: int) -> tuple[dict, int]:
     """The same value with the numerators and the denominator coprime."""
     g = gcd(den, *terms.values())
@@ -82,29 +61,127 @@ def _checked(value: Rational) -> Rational:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
-def _numerators(items: Iterable[tuple[tuple[int, ...], Rational]]) -> tuple[dict, int]:
-    """(key, int or Fraction) pairs as numerators over the lcm of their denominators."""
-    items = [(key, _checked(coeff)) for key, coeff in items]
-    den = lcm(*(coeff.denominator for _, coeff in items))
-    return merge({}, ((key, c.numerator * (den // c.denominator)) for key, c in items)), den
+class _Sparse:
+    """Ring operators over int numerators (``_terms``) and one denominator (``_den``).
 
-
-class RegValue:
-    """Element of the exact ring Q[beta, 1/beta, delta0]."""
+    A subclass supplies ``_wrap``, which makes a result of its own shape
+    from a numerator dict and a denominator, and ``_unit_key``, the
+    exponent tuple of its constant term.  Keys of one element all have
+    that length; the first exponent is the power of beta, and only it may
+    be negative.  Two elements combine only when their unit keys agree.
+    """
 
     __slots__ = ("_terms", "_den")
 
     def __init__(
         self,
-        terms: Mapping[Key, Rational] | Iterable[tuple[Key, Rational]] = (),
+        terms: Mapping[tuple[int, ...], Rational] | Iterable[tuple[tuple[int, ...], Rational]] = (),
     ) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        checked = []
-        for (beta_pow, delta0_pow), coeff in items:
-            if delta0_pow < 0:
-                raise ValueError("delta0 power must be non-negative")
-            checked.append(((int(beta_pow), int(delta0_pow)), coeff))
-        self._terms, self._den = _numerators(checked)
+        """Store (key, int or Fraction) pairs as numerators over the lcm of their denominators."""
+        width = len(self._unit_key())
+        items = []
+        for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            key = tuple(key)
+            for e in key:
+                if not isinstance(e, int):
+                    raise TypeError(f"expected an int exponent, got {type(e).__name__}")
+            if len(key) != width:
+                raise ValueError(f"expected {width} exponents, got {len(key)}")
+            if any(e < 0 for e in key[1:]):
+                raise ValueError("only the beta power may be negative")
+            items.append((key, _checked(coeff)))
+        den = lcm(*(coeff.denominator for _, coeff in items))
+        self._terms = merge({}, ((key, c.numerator * (den // c.denominator)) for key, c in items))
+        self._den = den
+
+    def _coerce(self, value: object) -> "_Sparse":
+        """``value`` as an element of this one's shape, or NotImplemented."""
+        if type(value) is type(self):
+            if value._unit_key() != self._unit_key():
+                raise ValueError("polynomials over different variable counts")
+            return value
+        if isinstance(value, (int, Fraction)):
+            terms = {self._unit_key(): value.numerator} if value else {}
+            return self._wrap(terms, value.denominator)
+        return NotImplemented
+
+    def __add__(self, other: "_Sparse | Rational") -> "_Sparse":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        left, lden, right, rden = self._terms, self._den, other._terms, other._den
+        if lden == rden:
+            return self._wrap(merge(dict(left), right.items()), lden)
+        g = gcd(lden, rden)
+        lscale, rscale = rden // g, lden // g
+        scaled = {key: coeff * lscale for key, coeff in left.items()}
+        return self._wrap(
+            merge(scaled, ((key, coeff * rscale) for key, coeff in right.items())), lden * lscale
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Sparse":
+        return self._wrap({key: -coeff for key, coeff in self._terms.items()}, self._den)
+
+    def __sub__(self, other: "_Sparse | Rational") -> "_Sparse":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other: "_Sparse | Rational") -> "_Sparse":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other: "_Sparse | Rational") -> "_Sparse":
+        """Keys add entrywise, numerators and denominators multiply."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        products = (
+            (tuple(map(add, k1, k2)), c1 * c2)
+            for k1, c1 in self._terms.items()
+            for k2, c2 in other._terms.items()
+        )
+        return self._wrap(merge({}, products), self._den * other._den)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+        elif type(other) is not type(self):
+            return NotImplemented
+        same = _reduce(self._terms, self._den) == _reduce(other._terms, other._den)
+        return same and self._unit_key() == other._unit_key()
+
+    def __hash__(self) -> int:
+        terms, den = _reduce(self._terms, self._den)
+        return hash((den, frozenset(terms.items())))
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+
+class RegValue(_Sparse):
+    """Element of the exact ring Q[beta, 1/beta, delta0]."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _unit_key() -> Key:
+        return (0, 0)
+
+    @staticmethod
+    def _wrap(terms: dict[Key, int], den: int) -> "RegValue":
+        """Wrap a dict of nonzero numerators over the positive denominator ``den``."""
+        out = RegValue.__new__(RegValue)
+        out._terms = terms
+        out._den = den
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -126,65 +203,16 @@ class RegValue:
 
     @classmethod
     def zero(cls) -> "RegValue":
-        return _make({}, 1)
+        return cls._wrap({}, 1)
 
     @classmethod
     def one(cls) -> "RegValue":
-        return _make({(0, 0): 1}, 1)
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "RegValue | Rational") -> "RegValue":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _make(*add_terms(self._terms, self._den, other._terms, other._den))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RegValue":
-        return _make({key: -coeff for key, coeff in self._terms.items()}, self._den)
-
-    def __sub__(self, other: "RegValue | Rational") -> "RegValue":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: "RegValue | Rational") -> "RegValue":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other: "RegValue | Rational") -> "RegValue":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _make(*mul_terms(self._terms, self._den, other._terms, other._den))
-
-    __rmul__ = __mul__
+        return cls._wrap({(0, 0): 1}, 1)
 
     def __truediv__(self, other: Rational) -> "RegValue":
         if _checked(other) == 0:
             raise ZeroDivisionError("division of a RegValue by zero")
         return self * RegValue.rational(Fraction(other.denominator, other.numerator))
-
-    # -- comparisons and hashing -------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RegValue.rational(other)
-        if not isinstance(other, RegValue):
-            return NotImplemented
-        return _reduce(self._terms, self._den) == _reduce(other._terms, other._den)
-
-    def __hash__(self) -> int:
-        terms, den = _reduce(self._terms, self._den)
-        return hash((den, frozenset(terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     # -- structure access ---------------------------------------------------
 
@@ -198,7 +226,7 @@ class RegValue:
     def grade(self, delta0_power: int) -> "RegValue":
         """The part of the value proportional to delta0**delta0_power."""
         terms = {key: c for key, c in self._terms.items() if key[1] == delta0_power}
-        return _make(*_reduce(terms, self._den))
+        return self._wrap(*_reduce(terms, self._den))
 
     def finite_part(self) -> "RegValue":
         return self.grade(0)
@@ -236,18 +264,3 @@ class RegValue:
     def __repr__(self) -> str:
         return f"RegValue({self.text()!r})"
 
-
-def _coerce(value: "RegValue | Rational") -> "RegValue":
-    if isinstance(value, RegValue):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RegValue.rational(value)
-    return NotImplemented
-
-
-def _make(terms: dict[Key, int], den: int) -> RegValue:
-    """Wrap a dict of nonzero numerators over the positive denominator ``den``."""
-    out = RegValue.__new__(RegValue)
-    out._terms = terms
-    out._den = den
-    return out

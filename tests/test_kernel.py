@@ -9,8 +9,10 @@ denominators, carry negative beta powers and include sums that cancel.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 import fraction_ring as ref
@@ -114,6 +116,34 @@ def test_polys_built_by_two_routes_compare_and_hash_equal(pair, r):
     for left, right in routes:
         assert left == right
         assert hash(left) == hash(right)
+
+
+@pytest.mark.parametrize("value", [Poly(1, {(0, 1): Fraction(1, 2)}), RegValue({(0, 1): Fraction(1, 2)})])
+def test_both_rings_mix_with_rationals_and_refuse_other_operands(value):
+    def terms(x):
+        return x.terms() if isinstance(x, Poly) else dict(x.items())
+
+    assert terms(1 - value) == {(0, 0): 1, (0, 1): Fraction(-1, 2)}
+    assert terms(value - 1) == {(0, 0): -1, (0, 1): Fraction(1, 2)}
+    assert terms(Fraction(1, 3) - value) == {(0, 0): Fraction(1, 3), (0, 1): Fraction(-1, 2)}
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(value, "x")
+        with pytest.raises(TypeError):
+            op("x", value)
+
+
+def test_polys_over_different_variable_counts_neither_mix_nor_compare_equal():
+    with pytest.raises(ValueError, match="different variable counts"):
+        Poly.const(1, 1) + Poly.const(2, 1)
+    assert Poly.const(1, 1) != Poly.const(2, 1)
+    assert Poly.const(1, 0) != Poly.const(2, 0)
+
+
+def test_a_regvalue_never_equals_a_poly():
+    for value, poly in [(RegValue.one(), Poly.const(0, 1)), (RegValue.zero(), Poly.const(0, 0))]:
+        assert value != poly and poly != value
+        assert not value == poly
 
 
 def test_the_kernel_does_no_fraction_arithmetic(monkeypatch):

@@ -32,6 +32,21 @@ def test_constructors_refuse_non_rational_coefficients(build, coeff):
         build(coeff)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RegValue({(0.5, 0): 1}),
+        lambda: RegValue.beta(1.5),
+        lambda: Poly(1, {(0, 1.7): 1}),
+        lambda: Poly(1, {("1", "2"): 1}),
+        lambda: Poly.const(2, 1, 0.5),
+    ],
+)
+def test_constructors_refuse_non_int_exponents(build):
+    with pytest.raises(TypeError, match="expected an int exponent"):
+        build()
+
+
 def test_beta_powers_carried():
     # tau / beta integrates to beta / 2.
     p = Poly.monomial(1, 1, -1, (1,))
