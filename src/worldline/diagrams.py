@@ -41,7 +41,6 @@ class Diagram(NamedTuple):
     edges: Tuple[Edge, ...]
     weight: RegValue
     tensor_label: str
-    local: bool
 
 
 def classify(diagram: Diagram) -> str:
@@ -220,16 +219,7 @@ def wick(vertex_set: Sequence[Vertex], order: int) -> List[Diagram]:
     for (vertices, edges, label), weight in accumulator.items():
         if weight == RegValue.zero():
             continue
-        local = all(a == b for (a, b), _ in edges)
-        diagrams.append(
-            Diagram(
-                vertices=vertices,
-                edges=edges,
-                weight=weight,
-                tensor_label=label,
-                local=local,
-            )
-        )
+        diagrams.append(Diagram(vertices, edges, weight, label))
     return sorted(diagrams, key=_diagram_sort_key)
 
 
@@ -238,14 +228,12 @@ def wick(vertex_set: Sequence[Vertex], order: int) -> List[Diagram]:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_diagram(
-    diagram: Diagram, rules: RuleSet = DIMREG, log: Optional[list] = None
-) -> Tuple[RegValue, str]:
-    """Value and tensor label of a diagram under a regularization scheme."""
+def evaluate_diagram(diagram: Diagram, rules: RuleSet = DIMREG) -> RegValue:
+    """Value of a diagram under a regularization scheme."""
 
     factors = tuple((kind, a, b) for (a, b), kind in diagram.edges)
     parsed = ParsedProduct(diagram.weight, factors, len(diagram.vertices))
-    return reduce_terms([parsed], rules, log), diagram.tensor_label
+    return reduce_terms([parsed], rules)
 
 
 def _label_product(left: str, right: str) -> str:
@@ -270,8 +258,8 @@ def sum_order(model, order: int, rules: RuleSet = DIMREG) -> Dict[str, RegValue]
 
     totals: Dict[str, RegValue] = {}
     for diagram in wick(model_vertices(model), order=order):
-        value, label = evaluate_diagram(diagram, rules)
-        totals[label] = totals.get(label, RegValue.zero()) + value
+        label = diagram.tensor_label
+        totals[label] = totals.get(label, RegValue.zero()) + evaluate_diagram(diagram, rules)
     if order == 2:
         first = sum_order(model, 1, rules)
         for label, value in measure_terms(model).items():
@@ -297,8 +285,8 @@ def catalog(model, order: int, rules: RuleSet = DIMREG) -> List[dict]:
             "edges": [[kind, a + 1, b + 1] for (a, b), kind in diagram.edges],
             "weight": diagram.weight.text(),
             "tensor_label": diagram.tensor_label,
-            "local": diagram.local,
+            "local": all(a == b for (a, b), _ in diagram.edges),
             "order_in_eps": order,
-            "value": evaluate_diagram(diagram, rules)[0].text(),
+            "value": evaluate_diagram(diagram, rules).text(),
         })
     return entries

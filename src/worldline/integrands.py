@@ -1,7 +1,21 @@
 """Products of propagator factors with their singular content made explicit.
 
-Each propagator factor expands into pieces  delta0**k * poly(tau_1..tau_n) *
-product of atoms, where each atom is a power of eps(tau_i - tau_j) or
+A propagator factor is one of four kinds, each named by its text: the
+two-point function of a free particle pinned to zero at both ends of
+[0, beta], and its left, right, and mixed time derivatives:
+
+    D(t, t')  = -eps(t - t')*(t - t')/2 + (t + t')/2 - t*t'/beta
+    Dl(t, t') = -eps(t - t')/2 + 1/2 - t'/beta          (derivative on t)
+    Dr(t, t') = +eps(t - t')/2 + 1/2 - t/beta           (derivative on t')
+    DD(t, t') = delta(t - t') - 1/beta                  (one derivative each)
+
+``eps`` is the sign function with eps(0) = 0, so the equal-time values of Dl
+and Dr are the averages 1/2 - t/beta.  DD never has a pointwise value: its
+delta part is kept as a singular atom and its equal-time substitute is the
+formal combination ``EQUAL_TIME_DD`` = delta0 - 1/beta.
+
+Each factor expands into pieces  delta0**k * poly(tau_1..tau_n) * product
+of atoms, where each atom is a power of eps(tau_i - tau_j) or
 delta(tau_i - tau_j); ``integration.integrate_product`` multiplies the
 pieces of a product together and merges their atoms.  The text grammar
 accepted by :func:`parse` writes products the way they are tabled, e.g.
@@ -16,7 +30,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .polynomials import Poly
-from .propagators import diagonal, eps_coefficient, has_delta, smooth_part
 from .values import RegValue
 
 # ---------------------------------------------------------------------------
@@ -55,6 +68,32 @@ class SingularAtom(_AtomFields):
 _Piece = tuple[int, Poly, tuple[SingularAtom, ...]]
 
 
+# ---------------------------------------------------------------------------
+# propagator kinds
+# ---------------------------------------------------------------------------
+
+_HALF = Fraction(1, 2)
+
+# Smooth part and eps-coefficient of each kind over (t, t'), keyed (beta, t,
+# t') exponents: the docstring's closed forms.
+_SMOOTH: dict[str, Poly] = {
+    "D": Poly(2, {(0, 1, 0): _HALF, (0, 0, 1): _HALF, (-1, 1, 1): -1}),
+    "Dl": Poly(2, {(0, 0, 0): _HALF, (-1, 0, 1): -1}),
+    "Dr": Poly(2, {(0, 0, 0): _HALF, (-1, 1, 0): -1}),
+    "DD": Poly(2, {(-1, 0, 0): -1}),
+}
+
+_EPS_COEFF: dict[str, Poly] = {
+    "D": Poly(2, {(0, 1, 0): -_HALF, (0, 0, 1): _HALF}),
+    "Dl": Poly(2, {(0, 0, 0): -_HALF}),
+    "Dr": Poly(2, {(0, 0, 0): _HALF}),
+    "DD": Poly(2),
+}
+
+# The formal equal-time value of DD, which has no pointwise one.
+EQUAL_TIME_DD = RegValue.delta0() - RegValue.beta(-1)
+
+
 def _grade_pieces(value: RegValue, nvars: int) -> list[_Piece]:
     """A ring value, one constant-polynomial piece per delta0 grade."""
     grades: dict[int, Poly] = {}
@@ -67,29 +106,25 @@ def _grade_pieces(value: RegValue, nvars: int) -> list[_Piece]:
 def _expand_factor(kind: str, i: int, j: int, nvars: int) -> list[_Piece]:
     """One propagator factor as a sum of (delta0 power, poly, atoms) pieces.
 
-    Equal arguments use the diagonal values directly, with DD(i,i) becoming
-    the formal substitute delta0 - 1/beta.
+    Equal arguments give the smooth part alone, since eps(0) = 0, with
+    DD(i,i) becoming the formal substitute ``EQUAL_TIME_DD``.
     """
-    if kind not in ("D", "Dl", "Dr", "DD"):
+    if kind not in _SMOOTH:
         raise ValueError(f"unknown propagator kind {kind!r}")
     if i == j:
-        diag = diagonal(kind)
-        if isinstance(diag, RegValue):
-            return _grade_pieces(diag, nvars)
-        return [(0, diag.remap((i,), nvars), ())]
+        if kind == "DD":
+            return _grade_pieces(EQUAL_TIME_DD, nvars)
+        return [(0, _SMOOTH[kind].remap((i, i), nvars), ())]
 
     lo, hi = (i, j) if i < j else (j, i)
     flip = i > j  # eps(tau_i - tau_j) = -eps(tau_lo - tau_hi) when i > j
-    out: list[_Piece] = []
-    smooth = smooth_part(kind).remap((i, j), nvars)
-    if smooth:
-        out.append((0, smooth, ()))
-    eps_poly = eps_coefficient(kind).remap((i, j), nvars)
+    out: list[_Piece] = [(0, _SMOOTH[kind].remap((i, j), nvars), ())]
+    eps_poly = _EPS_COEFF[kind].remap((i, j), nvars)
     if eps_poly:
         if flip:
             eps_poly = -eps_poly
         out.append((0, eps_poly, (SingularAtom._make(("eps", lo, hi, 1)),)))
-    if has_delta(kind):
+    if kind == "DD":
         out.append((0, Poly.const(nvars, 1), (SingularAtom._make(("delta", lo, hi, 1)),)))
     return out
 

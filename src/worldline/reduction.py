@@ -4,11 +4,11 @@ A product whose one-dimensional value depends on the order of partial
 integrations is lifted to d dimensions: the time coordinate becomes a
 d-vector, every dotted propagator end becomes a contracted vector index,
 and the equal-time double-dotted factor becomes the self-contraction that
-may be substituted by delta0 - 1/beta.  Four moves then reduce the lifted
-term:
+may be substituted by DD's formal equal-time value.  Four moves then reduce
+the lifted term:
 
 * ``EqualTimeSubstitute``  -- the self-contracted equal-time factor becomes
-  the number delta0 - 1/beta.
+  the number ``integrands.EQUAL_TIME_DD``.
 * ``FieldEquation``        -- a twice-same-side-differentiated factor (the
   Laplacian tag) becomes -delta(tau_i - tau_j), or -delta0 at equal times.
 * ``PartialIntegration``   -- moves one derivative end off a factor onto
@@ -32,13 +32,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .integrands import (
+    EQUAL_TIME_DD,
     ParsedProduct,
     SingularAtom,
     named_integral_text,
     parse,
 )
 from .integration import RuleSet, DIMREG, UnreducedSingularStructureError, integrate_product
-from .propagators import diagonal
 from .values import RegValue
 
 
@@ -171,7 +171,7 @@ def equal_time_substitute(term: TTerm, index: int) -> TTerm:
             f"self-contracted equal-time factor, not {prop.describe()}"
         )
     props = term.props[:index] + term.props[index + 1 :]
-    return term._replace(coefficient=term.coefficient * diagonal("DD"), props=props)
+    return term._replace(coefficient=term.coefficient * EQUAL_TIME_DD, props=props)
 
 
 def field_equation(term: TTerm, index: int) -> TTerm:
@@ -370,17 +370,6 @@ def _signature(term: TTerm) -> tuple:
     return min(map(key, itertools.permutations(range(len(labels)))))
 
 
-def _ratio(num: RegValue, den: RegValue) -> Fraction | None:
-    """num / den when the two values are rationally proportional."""
-    den_items = den.items()
-    if not den_items:
-        return None
-    key, base = den_items[0]
-    r = num.coefficient(*key) / base
-    scaled = den * r
-    return r if scaled == num else None
-
-
 # ---------------------------------------------------------------------------
 # the reducer
 # ---------------------------------------------------------------------------
@@ -513,11 +502,12 @@ class Reducer:
                 ratio_sum = Fraction(0)
                 others: list[TTerm] = []
                 for piece in pieces:
-                    if _signature(piece) == base_sig:
-                        r = _ratio(piece.coefficient, term.coefficient)
-                        if r is not None:
-                            ratio_sum += r
-                            continue
+                    # The term has unit coefficient, so a piece that repeats
+                    # it with a rational coefficient r is r times the term.
+                    terms = dict(piece.coefficient.items())
+                    if terms.keys() <= {(0, 0)} and _signature(piece) == base_sig:
+                        ratio_sum += terms.get((0, 0), 0)
+                        continue
                     others.append(piece)
                 if ratio_sum == 1:
                     raise ReductionError(
@@ -552,9 +542,9 @@ def _reduce_lifted(
     """(value, error class and text, log, notes) of one lifted term at unit coefficient.
 
     ``depth`` is in the key because a success or a refusal can depend on the
-    budget left.  The coefficient is not: reduction is linear in it, and the
-    fixed-point ratio test compares two coefficients scaled by the same
-    nonzero factor, whose ratio Q[beta, 1/beta, delta0] keeps.
+    budget left.  The coefficient is not: reduction is linear in it, and at
+    unit coefficient the fixed-point test reads the ratio of a piece that
+    repeats the term straight off the piece's coefficient.
     """
     reducer = Reducer(rules)
     value = error = None

@@ -220,9 +220,6 @@ class RegValue(_Sparse):
         """Terms sorted ascending by (beta_power, delta0_power)."""
         return sorted((key, Fraction(coeff, self._den)) for key, coeff in self._terms.items())
 
-    def coefficient(self, beta_power: int = 0, delta0_power: int = 0) -> Fraction:
-        return Fraction(self._terms.get((beta_power, delta0_power), 0), self._den)
-
     def grade(self, delta0_power: int) -> "RegValue":
         """The part of the value proportional to delta0**delta0_power."""
         terms = {key: c for key, c in self._terms.items() if key[1] == delta0_power}

@@ -45,8 +45,7 @@ def _family_total(diagrams, shape, rules=DIMREG):
     total = RegValue.zero()
     for diagram in diagrams:
         if classify(diagram) == shape:
-            value, _ = evaluate_diagram(diagram, rules)
-            total = total + value
+            total = total + evaluate_diagram(diagram, rules)
     return total
 
 
@@ -341,13 +340,9 @@ def test_evaluate_diagram_applies_weight():
         edges=(((0, 0), "D"), ((0, 0), "DD")),
         weight=RegValue.rational(6),
         tensor_label="one",
-        local=True,
     )
-    value, label = evaluate_diagram(diagram)
-    assert label == "one"
-    assert value == (RegValue.delta0() - RegValue.beta(-1)) * RegValue.beta(
-        2, Fraction(1, 6)
-    ) * 6
+    expected = (RegValue.delta0() - RegValue.beta(-1)) * RegValue.beta(2, Fraction(1, 6)) * 6
+    assert evaluate_diagram(diagram) == expected
 
 
 def _random_weight(rng: random.Random) -> RegValue:
@@ -368,7 +363,6 @@ def test_evaluate_diagram_equals_direct_weighted_reduction(model, rules):
     for diagram in wick(vertices(model), order=2):
         for weight in (diagram.weight, _random_weight(rng), _random_weight(rng)):
             weighted = diagram._replace(weight=weight)
-            direct_log: list = []
             direct = reduce_terms(
                 [
                     ParsedProduct(
@@ -378,22 +372,8 @@ def test_evaluate_diagram_equals_direct_weighted_reduction(model, rules):
                     )
                 ],
                 rules,
-                log=direct_log,
             )
-            log: list = []
-            value, label = evaluate_diagram(weighted, rules, log=log)
-            assert value == direct, (diagram.edges, weight)
-            assert label == diagram.tensor_label
-            assert log == direct_log
-            # The caller owns its copy of the move log.
-            for entry in log:
-                entry["move"] = "edited"
-                for item in entry.values():
-                    if isinstance(item, list):
-                        item.append("edited")
-            again: list = []
-            evaluate_diagram(weighted, rules, log=again)
-            assert again == direct_log
+            assert evaluate_diagram(weighted, rules) == direct, (diagram.edges, weight)
 
 
 def _report_json(reports) -> str:

@@ -116,7 +116,7 @@ _ATOM = SingularAtom("delta", 0, 1, 2)
 _VALUES = {
     "Diagram": (Diagram, dict(
         vertices=(_VERTEX,), edges=(((0, 0), "D"),), weight=RegValue.rational(Fraction(1, 2)),
-        tensor_label="R", local=True,
+        tensor_label="R",
     )),
     "FlatTransform": (FlatTransform, dict(f_coefficients=(Fraction(-1, 3), Fraction(1, 5)))),
     "NormalCoords": (NormalCoords, dict()),

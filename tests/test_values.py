@@ -27,8 +27,8 @@ def values(draw):
 
 def test_basic_constructors():
     assert RegValue.rational(Fraction(1, 3)) == Fraction(1, 3)
-    assert RegValue.beta(2, Fraction(1, 90)).coefficient(2, 0) == Fraction(1, 90)
-    assert RegValue.delta0().coefficient(0, 1) == 1
+    assert RegValue.beta(2, Fraction(1, 90)).items() == [((2, 0), Fraction(1, 90))]
+    assert RegValue.delta0().items() == [((0, 1), 1)]
     assert not RegValue.zero()
     assert RegValue.one()
 
