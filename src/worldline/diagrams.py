@@ -158,8 +158,9 @@ def _contract(
     ]
     mirror = len(vertices) == 2 and vertices[0] == vertices[1]
 
-    # Rational coefficient of each (edges, label), scaled by prefactor once.
-    totals: Dict[Tuple[Tuple[Edge, ...], str], Fraction] = {}
+    # The decomposition is linear, so the pairings of each edge multiset
+    # are decomposed together and each sum is scaled by prefactor once.
+    groups: Dict[Tuple[Edge, ...], List[List[Tuple[int, int]]]] = {}
     count = 0
     for matching in perfect_matchings(range(len(fields))):
         count += 1
@@ -170,14 +171,12 @@ def _contract(
         for (pa, _, sa), (pb, _, sb) in pairs:
             if sa is not None and sb is not None:
                 pairing.append((sa + offsets[pa], sb + offsets[pb]))
-        coefficients = invariant_coefficients(factors, pairing)
-        edges = _canonical_edges(pairs, mirror)
-        for label, coefficient in coefficients.items():
-            totals[edges, label] = totals.get((edges, label), 0) + coefficient
+        groups.setdefault(_canonical_edges(pairs, mirror), []).append(pairing)
     assert count == _double_factorial(len(fields) - 1)
-    for (edges, label), total in totals.items():
-        key = (vertices, edges, label)
-        accumulator[key] = accumulator.get(key, RegValue.zero()) + prefactor * total
+    for edges, pairings in groups.items():
+        for label, total in invariant_coefficients(factors, *pairings).items():
+            key = (vertices, edges, label)
+            accumulator[key] = accumulator.get(key, RegValue.zero()) + prefactor * total
 
 
 def _diagram_sort_key(diagram: Diagram):

@@ -54,20 +54,18 @@ def metric_series(model: FlatTransform) -> Dict[int, Fraction]:
     slope: Dict[int, Fraction] = {0: Fraction(1)}
     for index, coefficient in enumerate(model.f_coefficients):
         slope[2 * (index + 1)] = (2 * index + 3) * Fraction(coefficient)
-    series: Dict[int, Fraction] = {}
+    series = dict.fromkeys((0, 2, 4), Fraction(0))
     for pa, ca in slope.items():
         for pb, cb in slope.items():
-            power = pa + pb
-            if power <= 4:
-                series[power] = series.get(power, Fraction(0)) + ca * cb
-    return dict(sorted(series.items()))
+            if pa + pb <= 4:
+                series[pa + pb] += ca * cb
+    return series
 
 
 def _log_series(series: Dict[int, Fraction]) -> Dict[int, Fraction]:
     """Logarithm of an even series with unit constant term, through q^4."""
 
-    u2 = series.get(2, Fraction(0))
-    u4 = series.get(4, Fraction(0))
+    u2, u4 = series[2], series[4]
     return {2: u2, 4: u4 - u2 * u2 / 2}
 
 
@@ -174,7 +172,9 @@ def _normal_vertices() -> List[Vertex]:
     # The quadratic coefficients are stored with the sign that combines
     # with the curvature measure term into the heat-kernel value; the
     # quartic vertices enter results squared or alone, with the written
-    # sign.
+    # sign.  The measure vertex's Ricci factor is the Riemann pattern
+    # traced over its first and third slots, which is minus the Ricci
+    # tensor, so -1/6 ric(q, q) is written +1/6 with that trace.
     return [
         Vertex(
             name="curvature_kinetic",
@@ -193,9 +193,10 @@ def _normal_vertices() -> List[Vertex]:
             q_power=2,
             qdot_power=0,
             delta0_power=1,
-            coefficient=Fraction(-1, 6),
-            tensors=("ric",),
-            q_slots=(0, 1),
+            coefficient=Fraction(1, 6),
+            tensors=("riem",),
+            q_slots=(1, 3),
+            internal=((0, 2),),
         ),
         Vertex(
             name="curvature_kinetic_quartic",

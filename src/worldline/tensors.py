@@ -1,26 +1,26 @@
 """Contractions of curvature tensors on a maximally symmetric target.
 
-Wick pairings of curved-space vertices produce products of Riemann and
-Ricci tensors fully contracted with Kronecker deltas.  On a maximally
-symmetric target the Riemann tensor is an antisymmetrized product of
-metric deltas times a single scale, so every full contraction evaluates
-to a signed sum over delta cycles whose value is a polynomial in the
-target dimension n, with one term n**cycles per branch combination.
-Matching the integer coefficients of that polynomial against those of
-the curvature invariants on the same target recovers the invariant
-decomposition exactly, with no symbolic index algebra.
+Wick pairings of curved-space vertices produce products of Riemann
+tensors fully contracted with Kronecker deltas; a Ricci factor is a
+Riemann factor whose first and third slots the vertex contracts itself.
+On a maximally symmetric target the Riemann tensor is an antisymmetrized
+product of metric deltas times a single scale, so every full contraction
+evaluates to a signed sum over delta cycles whose value is a polynomial
+in the target dimension n, with one term n**cycles per branch
+combination.  Matching the integer coefficients of that polynomial
+against those of the curvature invariants on the same target recovers
+the invariant decomposition exactly, with no symbolic index algebra.
 
-Conventions baked into the patterns: the four-index tensor is
-antisymmetric in slots (0, 1) and in (2, 3); tracing a pair of first and
-third slots gives minus the Ricci tensor; the scalar curvature of a
-sphere is positive.  Each factor carries one power of the overall scale,
-so matching at unit scale determines the invariant coefficients for every
-maximally symmetric target at once.
+Conventions baked into the pattern: the four-index tensor is
+antisymmetric in slots (0, 1) and in (2, 3); tracing its first and third
+slots gives minus the Ricci tensor, ric(a, b) = -sum_c riem(c, a, c, b);
+the scalar curvature of a sphere is positive.  Each factor carries one
+power of the overall scale, so matching at unit scale determines the
+invariant coefficients for every maximally symmetric target at once.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
@@ -36,14 +36,12 @@ Branch = Tuple[int, Tuple[Edge, ...]]
 class Pattern(NamedTuple):
     """Delta expansion of one tensor factor.
 
-    ``externals`` slots are visible to the caller and must be contracted
-    by the pairing; ``aux`` slots are internal summation indices.  Each
-    branch is a sign together with the delta edges it contributes, using
-    local slot numbers (externals first, then aux).
+    All ``externals`` slots are visible to the caller and must be
+    contracted by the pairing.  Each branch is a sign together with the
+    delta edges it contributes, using local slot numbers.
     """
 
     externals: int
-    aux: int
     branches: Tuple[Branch, ...]
 
 
@@ -52,21 +50,9 @@ PATTERNS: Dict[str, Pattern] = {
     #   delta(0,2) delta(1,3) - delta(0,3) delta(1,2), times the scale.
     "riem": Pattern(
         externals=4,
-        aux=0,
         branches=(
             (+1, ((0, 2), (1, 3))),
             (-1, ((0, 3), (1, 2))),
-        ),
-    ),
-    # Ricci tensor with written slots (0, 1), defined as minus the trace
-    # of the four-index pattern over its first and third slots; slots 2
-    # and 3 are the auxiliary trace pair.
-    "ric": Pattern(
-        externals=2,
-        aux=2,
-        branches=(
-            (-1, ((2, 3), (2, 3), (0, 1))),
-            (+1, ((2, 3), (2, 1), (0, 3))),
         ),
     ),
 }
@@ -108,39 +94,24 @@ def _cycle_terms(
 ) -> List[Tuple[int, int]]:
     """(sign, cycle count) of every branch combination; the same for all n."""
 
-    patterns = []
+    # Each factor's slots follow those of the factors before it.
+    combos = [(1, list(pairing))]
+    nslots = 0
     for name in factors:
         try:
-            patterns.append(PATTERNS[name])
+            pattern = PATTERNS[name]
         except KeyError:
             raise ValueError(f"unknown tensor pattern {name!r}") from None
-
-    # Global slots: every factor's externals in order, then every aux.
-    total_ext = sum(pat.externals for pat in patterns)
-    nslots = total_ext + sum(pat.aux for pat in patterns)
+        combos = [
+            (sign * branch_sign, edges + [(a + nslots, b + nslots) for a, b in branch_edges])
+            for sign, edges in combos
+            for branch_sign, branch_edges in pattern.branches
+        ]
+        nslots += pattern.externals
     stray = sorted({slot for edge in pairing for slot in edge if not 0 <= slot < nslots})
     if stray:
         raise ValueError(_UNPAIRED.format(stray))
-    branches = []
-    ext, aux = 0, total_ext
-    for pat in patterns:
-        place = [*range(ext, ext + pat.externals), *range(aux, aux + pat.aux)]
-        branches.append([
-            (sign, [(place[a], place[b]) for a, b in edges])
-            for sign, edges in pat.branches
-        ])
-        ext += pat.externals
-        aux += pat.aux
-
-    terms = []
-    for combo in itertools.product(*branches):
-        sign = 1
-        edges = list(pairing)
-        for branch_sign, branch_edges in combo:
-            sign *= branch_sign
-            edges += branch_edges
-        terms.append((sign, _cycle_count(edges, nslots)))
-    return terms
+    return [(sign, _cycle_count(edges, nslots)) for sign, edges in combos]
 
 
 # ---------------------------------------------------------------------------
@@ -158,32 +129,33 @@ def _cycle_terms(
 
 
 def invariant_coefficients(
-    factors: Sequence[str], pairing: Sequence[Edge]
+    factors: Sequence[str], *pairings: Sequence[Edge]
 ) -> Dict[str, Fraction]:
-    """Decompose a full contraction over the curvature invariants.
+    """Decompose the sum of full contractions over the curvature invariants.
 
-    Returns the exact coefficients of ``one`` (no factors), ``R`` (one
-    factor), or ``Rsq``/``RicciSq``/``RiemannSq`` (two factors), dropping
-    zero entries.  Raises ``ValueError`` when the coefficients of the
-    contraction polynomial do not lie in the corresponding basis, which
-    would mean the pairing is inconsistent with the patterns.
+    Every pairing contracts the same ``factors``; their contraction
+    polynomials are summed and the sum is decomposed once.  Returns the
+    exact coefficients of ``one`` (no factors), ``R`` (one factor), or
+    ``Rsq``/``RicciSq``/``RiemannSq`` (two factors), dropping zero
+    entries, so no pairings give ``{}``.  Raises ``ValueError`` when the
+    coefficients of the summed polynomial do not lie in the corresponding
+    basis, which would mean a pairing is inconsistent with the patterns.
     """
 
     count = len(factors)
-    if count == 0:
-        if pairing:
-            raise ValueError("a contraction without tensor factors takes no pairing")
-        return {"one": Fraction(1)}
     if count > 2:
         raise ValueError(
             "contractions with more than two curvature factors exceed second order"
         )
     powers: Dict[int, int] = {}
-    for sign, cycles in _cycle_terms(factors, pairing):
-        powers[cycles] = powers.get(cycles, 0) + sign
+    for pairing in pairings:
+        for sign, cycles in _cycle_terms(factors, pairing):
+            powers[cycles] = powers.get(cycles, 0) + sign
     # p[k] is the coefficient of n**k; anything left in ``powers`` lies
     # above the basis degree.
     p = [powers.pop(k, 0) for k in range(2 * count + 1)]
+    if count == 0:
+        return {"one": Fraction(p[0])} if p[0] else {}
     leftover = p[0] or any(powers.values())
     if count == 1:
         scalar = -p[2]

@@ -252,6 +252,13 @@ def test_flat_sums_vanish_for_every_coordinate_change(f1, f2):
         assert total == RegValue.zero()
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_identity_transform_has_no_diagrams(order):
+    # x = q: the metric is exactly flat, so every vertex coefficient is 0.
+    assert sum_order(FlatTransform(()), order) == {}
+    assert catalog(FlatTransform(()), order) == []
+
+
 def test_flat_second_order_mode_regularization_residual():
     total = sum_order(FlatTransform(), 2, MODEREG)["one"]
     assert total == RegValue.beta(2, Fraction(-1, 36))
@@ -320,8 +327,9 @@ def test_curved_quartic_kinetic_vertex_alone():
 
 def test_wick_multiplies_values_once_per_catalog_entry(monkeypatch):
     # Counted, not timed: the order-2 normal catalog contracts 128 matchings
-    # into 20 entries.  Each matching's rational coefficient is summed per
-    # entry, and each sum is scaled by its vertex prefactor once.
+    # into 20 entries.  The pairings of each vertex tuple are grouped by
+    # edge multiset, each group is decomposed in one call, and each label's
+    # sum is scaled by its vertex prefactor once.
     products = []
     multiply = RegValue.__mul__
 
@@ -329,9 +337,41 @@ def test_wick_multiplies_values_once_per_catalog_entry(monkeypatch):
         products.append(right)
         return multiply(left, right)
 
+    # Per contraction of a vertex tuple: its edge multisets, and the
+    # number of pairings of each decomposition it asks for.
+    contractions = []
+    contract = worldline.diagrams._contract
+    canonical = worldline.diagrams._canonical_edges
+    decompose = worldline.diagrams.invariant_coefficients
+
+    def counted_contract(*args, **kwargs):
+        contractions.append((set(), []))
+        contract(*args, **kwargs)
+
+    def counted_canonical(*args):
+        edges = canonical(*args)
+        contractions[-1][0].add(edges)
+        return edges
+
+    def counted_decompose(factors, *pairings):
+        contractions[-1][1].append(len(pairings))
+        return decompose(factors, *pairings)
+
+    monkeypatch.setattr(worldline.diagrams, "_contract", counted_contract)
+    monkeypatch.setattr(worldline.diagrams, "_canonical_edges", counted_canonical)
+    monkeypatch.setattr(worldline.diagrams, "invariant_coefficients", counted_decompose)
     monkeypatch.setattr(RegValue, "__mul__", counted)
     diagrams = wick(vertices(NormalCoords()), 2)
     assert 0 < len(products) <= len(diagrams)
+    assert sum(sum(calls) for _, calls in contractions) == 128
+
+    # The battery's six catalogs contract 272 matchings in 46 groups.
+    contractions.clear()
+    run_standard_checks()
+    for edge_multisets, calls in contractions:
+        assert len(calls) == len(edge_multisets) and all(calls)
+    assert sum(sum(calls) for _, calls in contractions) == 272
+    assert sum(len(calls) for _, calls in contractions) == 46
 
 
 def test_evaluate_diagram_applies_weight():

@@ -50,6 +50,10 @@ def test_metric_series_is_squared_slope(c1, c2):
     assert series[4] == 9 * c1 * c1 + 10 * c2
 
 
+def test_identity_transform_has_every_even_power():
+    assert metric_series(FlatTransform(())) == {0: 1, 2: 0, 4: 0}
+
+
 def test_flat_vertices_default_coefficients():
     table = {v.name: v for v in vertices(FlatTransform())}
     assert table["kinetic_quadratic"].coefficient == -1
@@ -82,10 +86,13 @@ def test_normal_vertex_table():
     assert kinetic.tensors == ("riem",)
     assert kinetic.q_slots == (1, 3)
     assert kinetic.qdot_slots == (0, 2)
+    # -1/6 ric(q, q), with ric(a, b) = -sum_c riem(c, a, c, b).
     measure = table["curvature_measure"]
-    assert measure.coefficient == Fraction(-1, 6)
+    assert measure.coefficient == Fraction(1, 6)
     assert measure.delta0_power == 1
-    assert measure.tensors == ("ric",)
+    assert measure.tensors == ("riem",)
+    assert measure.q_slots == (1, 3)
+    assert measure.internal == ((0, 2),)
     quartic = table["curvature_kinetic_quartic"]
     assert quartic.coefficient == Fraction(1, 45)
     assert quartic.internal == ((3, 7),)

@@ -18,13 +18,39 @@ def contraction_value(factors, pairing, n):
     return sum(sign * n**cycles for sign, cycles in _cycle_terms(factors, pairing))
 
 
+_ARITY = {"riem": 4, "ric": 2}
+
+
+def _traced(factors, pairing):
+    """A contraction written with Ricci factors, in traced-Riemann form.
+
+    ric(a, b) = -sum_c riem(c, a, c, b), so each "ric" becomes a Riemann
+    factor with slots (0, 2) traced and a, b in slots 1 and 3, as the
+    normal-coordinate measure vertex writes it.  The value changes sign
+    once per Ricci factor.
+    """
+    place, traces = [], []
+    for position, name in enumerate(factors):
+        base = 4 * position
+        if name == "ric":
+            place += [base + 1, base + 3]
+            traces.append((base, base + 2))
+        else:
+            place += range(base, base + 4)
+    pairing = traces + [(place[a], place[b]) for a, b in pairing]
+    return ("riem",) * len(factors), pairing
+
+
 # ---------------------------------------------------------------------------
 # single-factor contractions
 # ---------------------------------------------------------------------------
 
 
 def test_ricci_trace_is_scalar_curvature():
-    assert invariant_coefficients(("ric",), ((0, 1),)) == {"R": Fraction(1)}
+    # The traced-Riemann form of the Ricci trace is minus R.
+    factors, pairing = _traced(("ric",), ((0, 1),))
+    assert (factors, pairing) == (("riem",), [(0, 2), (1, 3)])
+    assert invariant_coefficients(factors, pairing) == {"R": Fraction(-1)}
 
 
 def test_riemann_first_third_trace_pair():
@@ -67,18 +93,17 @@ def test_double_trace_is_scalar_squared():
 
 
 def test_ricci_pair_square():
-    assert invariant_coefficients(("ric", "ric"), ((0, 2), (1, 3))) == {
-        "RicciSq": Fraction(1)
-    }
+    # Two Ricci factors, two sign changes.
+    factors, pairing = _traced(("ric", "ric"), ((0, 2), (1, 3)))
+    assert pairing == [(0, 2), (4, 6), (1, 5), (3, 7)]
+    assert invariant_coefficients(factors, pairing) == {"RicciSq": Fraction(1)}
 
 
 def test_mixed_ricci_riemann_contraction():
     # Sum over R_ij times the (0, 2)-trace of the four-index factor,
-    # which is minus the Ricci tensor.
-    pairing = ((2, 4), (0, 3), (1, 5))
-    assert invariant_coefficients(("ric", "riem"), pairing) == {
-        "RicciSq": Fraction(-1)
-    }
+    # which is minus the Ricci tensor; the traced form changes the sign.
+    factors, pairing = _traced(("ric", "riem"), ((2, 4), (0, 3), (1, 5)))
+    assert invariant_coefficients(factors, pairing) == {"RicciSq": Fraction(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +164,7 @@ def test_values_outside_the_invariant_basis_are_refused(
 ):
     # One branch closing its two slots on each other: every contraction
     # is a single cycle, so its value is n, in neither basis.
-    monkeypatch.setitem(tensors.PATTERNS, "probe", Pattern(2, 0, ((1, ((0, 1),)),)))
+    monkeypatch.setitem(tensors.PATTERNS, "probe", Pattern(2, ((1, ((0, 1),)),)))
     assert contraction_value(factors, pairing, 5) == 5
     with pytest.raises(ValueError) as refusal:
         invariant_coefficients(factors, pairing)
@@ -148,6 +173,18 @@ def test_values_outside_the_invariant_basis_are_refused(
 
 def test_no_factors_means_unit():
     assert invariant_coefficients((), ()) == {"one": Fraction(1)}
+    assert invariant_coefficients((), (), ()) == {"one": Fraction(2)}
+
+
+@pytest.mark.parametrize("factors", [(), ("riem",), ("riem", "riem")])
+def test_no_pairings_sum_to_nothing(factors):
+    # An empty sum is zero, and zero entries are dropped.
+    assert invariant_coefficients(factors) == {}
+
+
+def test_a_factorless_contraction_refuses_a_pairing():
+    with pytest.raises(ValueError, match="exactly two contractions"):
+        invariant_coefficients((), ((0, 1),))
 
 
 def test_three_factors_are_rejected():
@@ -232,7 +269,6 @@ def _components(name, n):
 
 def _brute_force_value(factors, pairing, n):
     """Sum the contracted product over every index assignment."""
-    arity = {"riem": 4, "ric": 2}
     slot_edge = {}
     for edge, (a, b) in enumerate(pairing):
         slot_edge[a] = slot_edge[b] = edge
@@ -241,8 +277,8 @@ def _brute_force_value(factors, pairing, n):
     for values in itertools.product(range(n), repeat=len(pairing)):
         term, slot = 1, 0
         for name, component in zip(factors, components):
-            indices = [values[slot_edge[s]] for s in range(slot, slot + arity[name])]
-            slot += arity[name]
+            indices = [values[slot_edge[s]] for s in range(slot, slot + _ARITY[name])]
+            slot += _ARITY[name]
             term *= component(*indices)
             if not term:
                 break
@@ -260,27 +296,65 @@ def _perfect_matchings(slots):
             yield ((first, partner),) + tail
 
 
-_FACTOR_TUPLES = [("riem",), ("ric",), ("ric", "ric"), ("ric", "riem"), ("riem", "riem")]
+_RICCI_TUPLES = [("ric",), ("ric", "ric"), ("ric", "riem")]
+_FACTOR_TUPLES = [("riem",), *_RICCI_TUPLES, ("riem", "riem")]
 
 
 def _pairings(factors):
-    nslots = sum({"riem": 4, "ric": 2}[name] for name in factors)
+    nslots = sum(_ARITY[name] for name in factors)
     return _perfect_matchings(tuple(range(nslots)))
+
+
+def _traced_pairings(factors):
+    """Every pairing of the written slots, in traced-Riemann form."""
+    return [_traced(factors, pairing) for pairing in _pairings(factors)]
 
 
 @pytest.mark.parametrize("factors", _FACTOR_TUPLES)
 def test_every_pairing_is_rebuilt_from_its_coefficients(factors):
-    for pairing in _pairings(factors):
-        coefficients = invariant_coefficients(factors, pairing)
+    for riemann, pairing in _traced_pairings(factors):
+        coefficients = invariant_coefficients(riemann, pairing)
         for n in range(1, 10):
             rebuilt = sum(value * _BASIS[label](n) for label, value in coefficients.items())
-            assert rebuilt == contraction_value(factors, pairing, n), (factors, pairing, n)
+            assert rebuilt == contraction_value(riemann, pairing, n), (factors, pairing, n)
 
 
 @pytest.mark.parametrize("factors", _FACTOR_TUPLES)
 def test_contraction_value_matches_a_brute_force_recount(factors):
-    for pairing in _pairings(factors):
+    for riemann, pairing in _traced_pairings(factors):
         for n in range(2, 8):
-            assert contraction_value(factors, pairing, n) == _brute_force_value(
-                factors, pairing, n
+            assert contraction_value(riemann, pairing, n) == _brute_force_value(
+                riemann, pairing, n
             ), (factors, pairing, n)
+
+
+@pytest.mark.parametrize("factors", _RICCI_TUPLES)
+def test_traced_riemann_equals_the_ricci_factor_it_replaces(factors):
+    # The reference is the Ricci components -(n - 1) delta(a, b).
+    sign = (-1) ** factors.count("ric")
+    for pairing in _pairings(factors):
+        riemann, traced = _traced(factors, pairing)
+        for n in range(2, 8):
+            assert _brute_force_value(factors, pairing, n) == sign * contraction_value(
+                riemann, traced, n
+            ), (factors, pairing, n)
+
+
+_SUMMABLE = {
+    factors: list(_pairings(factors)) for factors in [("riem",), ("riem", "riem")]
+}
+
+
+@given(st.data())
+def test_summed_pairings_decompose_as_the_sum_of_single_pairings(data):
+    factors = data.draw(st.sampled_from(sorted(_SUMMABLE)))
+    pairings = data.draw(
+        st.lists(st.sampled_from(_SUMMABLE[factors]), min_size=1, max_size=6)
+    )
+    expected = {}
+    for pairing in pairings:
+        for label, value in invariant_coefficients(factors, pairing).items():
+            expected[label] = expected.get(label, 0) + value
+    assert invariant_coefficients(factors, *pairings) == {
+        label: value for label, value in expected.items() if value
+    }

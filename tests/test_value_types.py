@@ -64,7 +64,7 @@ def _vertex(**changes) -> Vertex:
         ),
         (lambda: _vertex(delta0_power=2), "vertices carry at most one equal-time constant"),
         (
-            lambda: _vertex(tensors=("ric",), q_slots=(0,)),
+            lambda: _vertex(tensors=("riem",), q_slots=(0,)),
             "each field needs a tensor slot",
         ),
         (
@@ -72,7 +72,7 @@ def _vertex(**changes) -> Vertex:
             "each derivative field needs a tensor slot",
         ),
         (
-            lambda: _vertex(tensors=("ric",), q_slots=(0, 2)),
+            lambda: _vertex(tensors=("riem",), q_slots=(0, 2)),
             "tensor slots must cover 0..slot_count-1 exactly once",
         ),
         (
@@ -109,7 +109,7 @@ def test_integrand_term_merges_and_sorts_its_atoms() -> None:
     )
 
 
-_VERTEX = _vertex(tensors=("ric",), q_slots=(0, 1))
+_VERTEX = _vertex(tensors=("riem",), q_slots=(0, 1))
 _ATOM = SingularAtom("delta", 0, 1, 2)
 
 # One instance of each value type, built from all of its fields in order.
@@ -121,7 +121,7 @@ _VALUES = {
     "FlatTransform": (FlatTransform, dict(f_coefficients=(Fraction(-1, 3), Fraction(1, 5)))),
     "NormalCoords": (NormalCoords, dict()),
     "Vertex": (Vertex, dict(
-        name="ric", order_in_eps=2, q_power=2, qdot_power=2, delta0_power=0,
+        name="riem", order_in_eps=2, q_power=2, qdot_power=2, delta0_power=0,
         coefficient=Fraction(-1, 3), tensors=("riem",), q_slots=(0, 2), qdot_slots=(1, 3),
         internal=(),
     )),
@@ -144,7 +144,7 @@ _VALUES = {
         check_name="c", status="pass", expected={"a": "1"}, actual={"a": "1"},
         tolerance="exact", details=("d",), move_logs=None,
     )),
-    "Pattern": (Pattern, dict(externals=2, aux=0, branches=((1, ((0, 1),)),))),
+    "Pattern": (Pattern, dict(externals=2, branches=((1, ((0, 1),)),))),
 }
 
 
