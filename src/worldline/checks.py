@@ -11,7 +11,6 @@ and the measure rings of :mod:`.rings`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List
 
 from .diagrams import sum_order
 from .geometry import (
@@ -45,8 +44,8 @@ def check_flat(order: int, rules: RuleSet = DIMREG) -> CheckReport:
     """
 
     totals = sum_order(FlatTransform(), order, rules)
-    expected: Dict[str, str] = {}
-    actual: Dict[str, str] = {}
+    expected: dict[str, str] = {}
+    actual: dict[str, str] = {}
     for label, value in sorted(totals.items()):
         for grade in range(order + 1):
             key = f"{label}[delta0^{grade}]"
@@ -77,15 +76,15 @@ def check_constraints(rules: RuleSet = DIMREG) -> CheckReport:
     dictionary, which rewrites the total as ``-1/24 * beta`` times R.
     """
 
-    values: Dict[str, RegValue] = {}
-    logs: Dict[str, List[dict]] = {}
+    values: dict[str, RegValue] = {}
+    logs: dict[str, list[dict]] = {}
     for name in _CONSTRAINT_INTEGRALS:
-        log: List[dict] = []
+        log: list[dict] = []
         values[name] = evaluate_named(name, rules, log=log)
         logs[name] = log
 
-    expected: Dict[str, str] = {}
-    actual: Dict[str, str] = {}
+    expected: dict[str, str] = {}
+    actual: dict[str, str] = {}
     combinations = {
         "I14 + I15R": (
             values["I14"] + values["I15R"],
@@ -105,7 +104,7 @@ def check_constraints(rules: RuleSet = DIMREG) -> CheckReport:
         expected[key] = want.text()
         actual[key] = got.text()
 
-    patterns: Dict[str, RegValue] = {name: RegValue.zero() for name in GAMMA_PATTERNS}
+    patterns: dict[str, RegValue] = {name: RegValue.zero() for name in GAMMA_PATTERNS}
     for prefactor, multiplicities, integral in GAMMA_SQUARED_LINES:
         line_value = values[integral] * prefactor
         for pattern, multiplicity in multiplicities.items():
@@ -155,8 +154,8 @@ def check_seeley(order: int) -> CheckReport:
             totals[label] = totals.get(label, RegValue.zero()) + value
     reference = seeley_reference(model, order)
 
-    expected: Dict[str, str] = {}
-    actual: Dict[str, str] = {}
+    expected: dict[str, str] = {}
+    actual: dict[str, str] = {}
     for label in sorted(set(totals) | set(reference)):
         value = totals.get(label, RegValue.zero())
         expected[label] = reference.get(label, RegValue.zero()).text()
@@ -172,7 +171,7 @@ def check_seeley(order: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def run_standard_checks(rules: RuleSet = DIMREG) -> List[CheckReport]:
+def run_standard_checks(rules: RuleSet = DIMREG) -> list[CheckReport]:
     """The full battery.
 
     The flat and constraint checks honor the requested ruleset; the

@@ -21,11 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-if TYPE_CHECKING:
-    from .reports import CheckReport
+# Annotations are not evaluated, so ``reports.CheckReport`` needs no import here.
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +55,7 @@ def _report_payload(report: CheckReport, dump_moves: bool) -> dict:
     return payload
 
 
-def _print_moves(log: List[dict], indent: str) -> None:
+def _print_moves(log: list[dict], indent: str) -> None:
     for entry in log:
         print(indent + ", ".join(f"{k}={v}" for k, v in sorted(entry.items())))
 
@@ -76,7 +75,7 @@ def _print_report(report: CheckReport, dump_moves: bool) -> None:
             _print_moves(log, " " * 8)
 
 
-def _emit_reports(reports: List[CheckReport], as_json: bool, dump_moves: bool) -> int:
+def _emit_reports(reports: list[CheckReport], as_json: bool, dump_moves: bool) -> int:
     if as_json:
         payload = [_report_payload(report, dump_moves) for report in reports]
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -100,14 +99,14 @@ def _run_integral(args: argparse.Namespace) -> int:
     from .reduction import evaluate_named
 
     rules = RULESETS[args.ruleset]
-    log: Optional[List[dict]] = [] if args.dump_moves else None
+    log: list[dict] | None = [] if args.dump_moves else None
     try:
         value = evaluate_named(args.name, rules, log=log)
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2
     if args.json:
-        payload: Dict[str, object] = {
+        payload: dict[str, object] = {
             "name": args.name,
             "ruleset": rules.name,
             "value": value.text(),
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -16,8 +16,9 @@ ambiguous in one dimension are handled by the legal rewriting moves.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import Vertex, measure_terms, vertices as model_vertices
 from .integrands import ParsedProduct
@@ -26,7 +27,7 @@ from .reduction import reduce_terms
 from .tensors import invariant_coefficients
 from .values import RegValue
 
-Edge = Tuple[Tuple[int, int], str]  # ((a, b), kind), a <= b
+Edge = tuple[tuple[int, int], str]  # ((a, b), kind), a <= b
 
 
 # ---------------------------------------------------------------------------
@@ -34,13 +35,10 @@ Edge = Tuple[Tuple[int, int], str]  # ((a, b), kind), a <= b
 # ---------------------------------------------------------------------------
 
 
-class Diagram(NamedTuple):
+class Diagram(namedtuple("Diagram", "vertices edges weight tensor_label")):
     """One catalog entry: a vertex tuple with a canonical edge multiset."""
 
-    vertices: Tuple[Vertex, ...]
-    edges: Tuple[Edge, ...]
-    weight: RegValue
-    tensor_label: str
+    __slots__ = ()
 
 
 def classify(diagram: Diagram) -> str:
@@ -59,7 +57,7 @@ def classify(diagram: Diagram) -> str:
 # ---------------------------------------------------------------------------
 
 
-def perfect_matchings(items: Sequence[int]) -> Iterator[Tuple[Tuple[int, int], ...]]:
+def perfect_matchings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
     """All perfect matchings of an even collection, first-element pivot."""
 
     items = tuple(items)
@@ -81,14 +79,14 @@ def _double_factorial(m: int) -> int:
     return result
 
 
-_Field = Tuple[int, str, Optional[int]]  # (vertex position, "q"|"qdot", tensor slot)
+_Field = tuple[int, str, int | None]  # (vertex position, "q"|"qdot", tensor slot)
 
 
-def _fields(vertices: Sequence[Vertex]) -> List[_Field]:
-    fields: List[_Field] = []
+def _fields(vertices: Sequence[Vertex]) -> list[_Field]:
+    fields: list[_Field] = []
     for position, vertex in enumerate(vertices):
-        q_slots: Sequence[Optional[int]] = vertex.q_slots or (None,) * vertex.q_power
-        qdot_slots: Sequence[Optional[int]] = (
+        q_slots: Sequence[int | None] = vertex.q_slots or (None,) * vertex.q_power
+        qdot_slots: Sequence[int | None] = (
             vertex.qdot_slots or (None,) * vertex.qdot_power
         )
         fields.extend((position, "q", slot) for slot in q_slots)
@@ -112,7 +110,7 @@ def _edge(a: _Field, b: _Field) -> Edge:
     return ((pa, pb), kind)
 
 
-def _mirror_edges(edges: List[Edge]) -> List[Edge]:
+def _mirror_edges(edges: list[Edge]) -> list[Edge]:
     mirrored = []
     for (a, b), kind in edges:
         na, nb = 1 - a, 1 - b
@@ -124,8 +122,8 @@ def _mirror_edges(edges: List[Edge]) -> List[Edge]:
 
 
 def _canonical_edges(
-    raw: Iterable[Tuple[_Field, _Field]], mirror: bool
-) -> Tuple[Edge, ...]:
+    raw: Iterable[tuple[_Field, _Field]], mirror: bool
+) -> tuple[Edge, ...]:
     edges = sorted(_edge(a, b) for a, b in raw)
     if mirror:
         edges = min(edges, _mirror_edges(edges))
@@ -138,14 +136,14 @@ def _canonical_edges(
 
 
 def _contract(
-    accumulator: Dict[Tuple[Tuple[Vertex, ...], Tuple[Edge, ...], str], RegValue],
-    vertices: Tuple[Vertex, ...],
+    accumulator: dict[tuple[tuple[Vertex, ...], tuple[Edge, ...], str], RegValue],
+    vertices: tuple[Vertex, ...],
     prefactor: RegValue,
     connected_only: bool,
 ) -> None:
     fields = _fields(vertices)
-    factors: Tuple[str, ...] = ()
-    offsets: List[int] = []
+    factors: tuple[str, ...] = ()
+    offsets: list[int] = []
     offset = 0
     for vertex in vertices:
         offsets.append(offset)
@@ -160,7 +158,7 @@ def _contract(
 
     # The decomposition is linear, so the pairings of each edge multiset
     # are decomposed together and each sum is scaled by prefactor once.
-    groups: Dict[Tuple[Edge, ...], List[List[Tuple[int, int]]]] = {}
+    groups: dict[tuple[Edge, ...], list[list[tuple[int, int]]]] = {}
     count = 0
     for matching in perfect_matchings(range(len(fields))):
         count += 1
@@ -183,7 +181,7 @@ def _diagram_sort_key(diagram: Diagram):
     return (len(diagram.vertices), diagram.edges, diagram.tensor_label)
 
 
-def wick(vertex_set: Sequence[Vertex], order: int) -> List[Diagram]:
+def wick(vertex_set: Sequence[Vertex], order: int) -> list[Diagram]:
     """Catalog of connected vacuum diagrams from a vertex set.
 
     Every vertex is contracted with itself, and every unordered pair of
@@ -196,7 +194,7 @@ def wick(vertex_set: Sequence[Vertex], order: int) -> List[Diagram]:
 
     if order not in (1, 2):
         raise ValueError("diagram catalogs are implemented through second order")
-    accumulator: Dict[Tuple[Tuple[Vertex, ...], Tuple[Edge, ...], str], RegValue] = {}
+    accumulator: dict[tuple[tuple[Vertex, ...], tuple[Edge, ...], str], RegValue] = {}
     for vertex in vertex_set:
         if vertex.order_in_eps != order:
             continue
@@ -245,7 +243,7 @@ def _label_product(left: str, right: str) -> str:
     raise ValueError(f"no label for the product of {left!r} and {right!r}")
 
 
-def sum_order(model, order: int, rules: RuleSet = DIMREG) -> Dict[str, RegValue]:
+def sum_order(model, order: int, rules: RuleSet = DIMREG) -> dict[str, RegValue]:
     """Total of all order-``order`` diagrams of a model, by tensor label.
 
     At second order this includes the disconnected square of the complete
@@ -255,7 +253,7 @@ def sum_order(model, order: int, rules: RuleSet = DIMREG) -> Dict[str, RegValue]
     the geometry layer.
     """
 
-    totals: Dict[str, RegValue] = {}
+    totals: dict[str, RegValue] = {}
     for diagram in wick(model_vertices(model), order=order):
         label = diagram.tensor_label
         totals[label] = totals.get(label, RegValue.zero()) + evaluate_diagram(diagram, rules)
@@ -273,7 +271,7 @@ def sum_order(model, order: int, rules: RuleSet = DIMREG) -> Dict[str, RegValue]
     return dict(sorted(totals.items()))
 
 
-def catalog(model, order: int, rules: RuleSet = DIMREG) -> List[dict]:
+def catalog(model, order: int, rules: RuleSet = DIMREG) -> list[dict]:
     """JSON-ready listing of the order-``order`` diagram catalog."""
 
     entries = []

@@ -9,8 +9,8 @@ heat-kernel coefficients.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Tuple, Union
 
 from .values import RegValue
 
@@ -20,7 +20,9 @@ from .values import RegValue
 # ---------------------------------------------------------------------------
 
 
-class FlatTransform(NamedTuple):
+class FlatTransform(
+    namedtuple("FlatTransform", "f_coefficients", defaults=((Fraction(-1, 3), Fraction(1, 5)),))
+):
     """Flat line reparametrized by an odd coordinate change.
 
     The new coordinate q is related to the Cartesian one by
@@ -29,18 +31,20 @@ class FlatTransform(NamedTuple):
     derivative and every curvature invariant vanishes identically.
     """
 
-    f_coefficients: Tuple[Fraction, ...] = (Fraction(-1, 3), Fraction(1, 5))
+    __slots__ = ()
 
 
-class NormalCoords(NamedTuple):
+class NormalCoords(namedtuple("NormalCoords", ())):
     """Curved target in normal coordinates around the expansion point.
 
     The metric expansion is organized through quartic order in the
     fluctuation; results are polynomial in the curvature labels.
     """
 
+    __slots__ = ()
 
-MetricModel = Union[FlatTransform, NormalCoords]
+
+MetricModel = FlatTransform | NormalCoords
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +52,10 @@ MetricModel = Union[FlatTransform, NormalCoords]
 # ---------------------------------------------------------------------------
 
 
-def metric_series(model: FlatTransform) -> Dict[int, Fraction]:
+def metric_series(model: FlatTransform) -> dict[int, Fraction]:
     """Coefficients of the metric as an even power series in q, through q^4."""
 
-    slope: Dict[int, Fraction] = {0: Fraction(1)}
+    slope: dict[int, Fraction] = {0: Fraction(1)}
     for index, coefficient in enumerate(model.f_coefficients):
         slope[2 * (index + 1)] = (2 * index + 3) * Fraction(coefficient)
     series = dict.fromkeys((0, 2, 4), Fraction(0))
@@ -62,7 +66,7 @@ def metric_series(model: FlatTransform) -> Dict[int, Fraction]:
     return series
 
 
-def _log_series(series: Dict[int, Fraction]) -> Dict[int, Fraction]:
+def _log_series(series: dict[int, Fraction]) -> dict[int, Fraction]:
     """Logarithm of an even series with unit constant term, through q^4."""
 
     u2, u4 = series[2], series[4]
@@ -74,20 +78,14 @@ def _log_series(series: Dict[int, Fraction]) -> Dict[int, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-class _VertexFields(NamedTuple):
-    name: str
-    order_in_eps: int
-    q_power: int
-    qdot_power: int
-    delta0_power: int
-    coefficient: Fraction
-    tensors: Tuple[str, ...] = ()
-    q_slots: Tuple[int, ...] = ()
-    qdot_slots: Tuple[int, ...] = ()
-    internal: Tuple[Tuple[int, int], ...] = ()
-
-
-class Vertex(_VertexFields):
+class Vertex(
+    namedtuple(
+        "Vertex",
+        "name order_in_eps q_power qdot_power delta0_power coefficient"
+        " tensors q_slots qdot_slots internal",
+        defaults=((), (), (), ()),
+    )
+):
     """One interaction monomial of the expanded action.
 
     ``coefficient`` multiplies the integrated monomial
@@ -129,7 +127,7 @@ class Vertex(_VertexFields):
         return len(self.q_slots) + len(self.qdot_slots) + 2 * len(self.internal)
 
 
-def _flat_vertices(model: FlatTransform) -> List[Vertex]:
+def _flat_vertices(model: FlatTransform) -> list[Vertex]:
     g = metric_series(model)
     log_g = _log_series(g)
     return [
@@ -168,7 +166,7 @@ def _flat_vertices(model: FlatTransform) -> List[Vertex]:
     ]
 
 
-def _normal_vertices() -> List[Vertex]:
+def _normal_vertices() -> list[Vertex]:
     # The quadratic coefficients are stored with the sign that combines
     # with the curvature measure term into the heat-kernel value; the
     # quartic vertices enter results squared or alone, with the written
@@ -224,7 +222,7 @@ def _normal_vertices() -> List[Vertex]:
     ]
 
 
-def vertices(model: MetricModel) -> List[Vertex]:
+def vertices(model: MetricModel) -> list[Vertex]:
     """Interaction vertices of a model through second order, first order first."""
 
     if isinstance(model, FlatTransform):
@@ -234,7 +232,7 @@ def vertices(model: MetricModel) -> List[Vertex]:
     raise TypeError(f"unknown model {model!r}")
 
 
-def measure_terms(model: MetricModel) -> Dict[str, RegValue]:
+def measure_terms(model: MetricModel) -> dict[str, RegValue]:
     """Finite first-order measure contributions, by tensor label.
 
     The flat models keep their measure inside the log-det vertices, so
@@ -255,7 +253,7 @@ def measure_terms(model: MetricModel) -> Dict[str, RegValue]:
 
 
 # Heat-kernel expansion coefficients in the curvature-label basis, by order.
-SEELEY: Dict[int, Dict[str, Fraction]] = {
+SEELEY: dict[int, dict[str, Fraction]] = {
     1: {"R": Fraction(1, 12)},
     2: {
         "Rsq": Fraction(1, 288),
@@ -265,7 +263,7 @@ SEELEY: Dict[int, Dict[str, Fraction]] = {
 }
 
 
-def seeley_reference(model: MetricModel, order: int) -> Dict[str, RegValue]:
+def seeley_reference(model: MetricModel, order: int) -> dict[str, RegValue]:
     """Expected heat-kernel term of a model at a given order."""
 
     if order not in SEELEY:
@@ -298,7 +296,7 @@ def seeley_reference(model: MetricModel, order: int) -> Dict[str, RegValue]:
 #   laplace_trace     sum_{ik} d_k d_k g_ii
 #   double_divergence sum_{ik} d_i d_k g_ik
 
-GAMMA_PATTERNS: Tuple[str, ...] = (
+GAMMA_PATTERNS: tuple[str, ...] = (
     "trace_trace",
     "trace_gtrace",
     "gtrace_gtrace",
@@ -311,9 +309,9 @@ GAMMA_PATTERNS: Tuple[str, ...] = (
 # Each first-order two-vertex contraction line: an overall prefactor, the
 # pattern multiplicities it multiplies, and the named two-time integral
 # carrying its propagator content.
-GammaLine = Tuple[Fraction, Dict[str, int], str]
+GammaLine = tuple[Fraction, dict[str, int], str]
 
-GAMMA_SQUARED_LINES: Tuple[GammaLine, ...] = (
+GAMMA_SQUARED_LINES: tuple[GammaLine, ...] = (
     (Fraction(1, 2), {"trace_trace": 1}, "I11"),
     (Fraction(1), {"trace_trace": 1, "trace_gtrace": 1}, "I12"),
     (Fraction(1, 2), {"gtrace_gtrace": 1, "trace_trace": 1, "trace_gtrace": 2}, "I13"),
@@ -323,13 +321,13 @@ GAMMA_SQUARED_LINES: Tuple[GammaLine, ...] = (
 
 # Single-vertex (equal-time) contribution of the second-derivative
 # vertices, already integrated.
-SECOND_DERIVATIVE_TERMS: Dict[str, RegValue] = {
+SECOND_DERIVATIVE_TERMS: dict[str, RegValue] = {
     "laplace_trace": RegValue.beta(1, Fraction(1, 24)),
     "double_divergence": RegValue.beta(1, Fraction(-1, 24)),
 }
 
 # The scalar curvature at the expansion point in terms of the patterns.
-CURVATURE_DICTIONARY: Dict[str, Fraction] = {
+CURVATURE_DICTIONARY: dict[str, Fraction] = {
     "double_divergence": Fraction(1),
     "laplace_trace": Fraction(-1),
     "full_square": Fraction(1),

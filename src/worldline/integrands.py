@@ -26,8 +26,8 @@ prefactors, and ``d0`` for an explicit delta(0).
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .polynomials import Poly
 from .values import RegValue
@@ -37,20 +37,16 @@ from .values import RegValue
 # ---------------------------------------------------------------------------
 
 
-# Value types are NamedTuples (cheap to define at import).  A checked type runs
-# its checks in ``__new__`` on a thin subclass; ``_make`` and ``_replace`` skip
-# them, so they take only fields that are already valid.
+# Value types are ``collections.namedtuple`` subclasses, cheap to define at
+# import.  A checked type runs its checks in ``__new__``; ``_make`` and
+# ``_replace`` skip them, so they take only fields that are already valid.
 
 
-class _AtomFields(NamedTuple):
-    kind: str  # "eps" | "delta"
-    i: int
-    j: int
-    power: int = 1
+class SingularAtom(namedtuple("SingularAtom", "kind i j power", defaults=(1,))):
+    """A power of eps(tau_i - tau_j) or delta(tau_i - tau_j), with i < j.
 
-
-class SingularAtom(_AtomFields):
-    """A power of eps(tau_i - tau_j) or delta(tau_i - tau_j), with i < j."""
+    ``kind`` is "eps" or "delta"; ``power`` defaults to 1.
+    """
 
     __slots__ = ()
 
@@ -164,12 +160,10 @@ _TOKEN = re.compile(
 )
 
 
-class ParsedProduct(NamedTuple):
-    """One summand of a parsed integrand expression."""
+class ParsedProduct(namedtuple("ParsedProduct", "coefficient factors nvars")):
+    """One summand of a parsed integrand: a RegValue, its (kind, i, j) factors, nvars."""
 
-    coefficient: RegValue
-    factors: tuple[tuple[str, int, int], ...]
-    nvars: int
+    __slots__ = ()
 
 
 def parse(text: str) -> list[ParsedProduct]:

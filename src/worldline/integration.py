@@ -22,9 +22,9 @@ way; they differ only at coincident eps factors.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
-from typing import NamedTuple
 
 from .integrands import SingularAtom, _expand_factor, _merge_atoms
 from .polynomials import Poly
@@ -35,10 +35,10 @@ class UnreducedSingularStructureError(ValueError):
     """Raised when a term's delta content has no assigned resolution."""
 
 
-class RuleSet(NamedTuple):
-    name: str
-    value_eps2_delta: Fraction
-    value_eps_delta: Fraction
+class RuleSet(namedtuple("RuleSet", "name value_eps2_delta value_eps_delta")):
+    """A named rule set: the ``Fraction`` values of eps**2*delta and eps*delta."""
+
+    __slots__ = ()
 
     def eps_power_delta_value(self, power: int, notes: list[str] | None = None) -> Fraction:
         """Value of  int eps(t)**power delta(t) dt  under this rule set."""
@@ -243,18 +243,29 @@ def _multiply(partials: dict, pieces: list, done: list[int]) -> dict:
 def _deltas_resolve(atoms: tuple[SingularAtom, ...]) -> bool:
     """True when the atoms are deltas and their whole graph collapses.
 
-    A delta graph collapses exactly when no part of it holds two cycles, so
-    then every subgraph, and every term of the expansion, collapses too.
+    In a connected component a tree collapses, one cycle (a squared delta
+    is a 2-cycle) leaves one delta0, and a second cycle has no rule.  So the
+    graph collapses exactly when no component's delta powers outnumber its
+    vertices, and then every subgraph, and every term of the expansion,
+    collapses too.
     """
     if any(atom.kind == "eps" for atom in atoms):
         return False
-    atoms = _merge_atoms(atoms)
-    while atoms:
-        step = _collapse_once(atoms, DIMREG, None)
-        if step is None:
-            return False
-        atoms = step[3]
-    return True
+    parent: dict[int, int] = {}
+
+    def root(v: int) -> int:
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    for atom in atoms:
+        parent[root(atom.i)] = root(atom.j)
+    surplus: dict[int, int] = {}
+    for v in parent:
+        surplus[root(v)] = surplus.get(root(v), 0) - 1
+    for atom in atoms:
+        surplus[root(atom.i)] += atom.power
+    return all(count <= 0 for count in surplus.values())
 
 
 def _integrate_partials(partials: dict, rules: RuleSet, notes: list[str] | None) -> RegValue:

@@ -14,11 +14,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Union
 
 from .values import RegValue, _reduce, _Sparse, merge
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 # Monomial key: (beta_power, exponent of variable 0, ..., of variable n-1).
 Key = tuple[int, ...]
@@ -40,13 +39,13 @@ class Poly(_Sparse):
     def _unit_key(self) -> Key:
         return (0,) * (self.nvars + 1)
 
-    def _wrap(self, terms: dict[Key, int], den: int) -> "Poly":
+    def _wrap(self, terms: dict[Key, int], den: int) -> Poly:
         return _make(self.nvars, terms, den)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def const(cls, nvars: int, coeff: Rational, beta_power: int = 0) -> "Poly":
+    def const(cls, nvars: int, coeff: Rational, beta_power: int = 0) -> Poly:
         if type(coeff) is int and coeff and nvars >= 0 and type(beta_power) is int:  # a numerator over 1
             return _make(nvars, {(beta_power,) + (0,) * nvars: coeff}, 1)
         return cls(nvars, {(beta_power,) + (0,) * nvars: coeff})
@@ -54,7 +53,7 @@ class Poly(_Sparse):
     @classmethod
     def monomial(
         cls, nvars: int, coeff: Rational, beta_power: int, exps: Sequence[int]
-    ) -> "Poly":
+    ) -> Poly:
         return cls(nvars, {(beta_power, *exps): coeff})
 
     def __repr__(self) -> str:
@@ -68,7 +67,7 @@ class Poly(_Sparse):
     def depends_on(self, index: int) -> bool:
         return any(key[index + 1] for key in self._terms)
 
-    def remap(self, targets: Sequence[int | None], nvars: int) -> "Poly":
+    def remap(self, targets: Sequence[int | None], nvars: int) -> Poly:
         """Move variable v to slot ``targets[v]`` of an ``nvars``-variable poly.
 
         Variables sent to one slot multiply, so their exponents add.  A
@@ -105,7 +104,7 @@ class Poly(_Sparse):
             terms, den = _integrate_step(terms, den, slot, 0)
         return _closed(terms, den)
 
-    def integrate_out(self, index: int) -> "Poly":
+    def integrate_out(self, index: int) -> Poly:
         """Integrate variable ``index`` over [0, beta]; the result no longer depends on it."""
         return _make(self.nvars, *_integrate_step(self._terms, self._den, index + 1, 0))
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .integrands import (
     EQUAL_TIME_DD,
@@ -53,13 +53,10 @@ _LABELS = ("mu", "nu", "rho", "sigma", "lam", "kap")
 # ---------------------------------------------------------------------------
 
 
-class TProp(NamedTuple):
+class TProp(namedtuple("TProp", "i j left right")):
     """A lifted propagator factor with derivative labels on each argument."""
 
-    i: int
-    j: int
-    left: tuple[str, ...]
-    right: tuple[str, ...]
+    __slots__ = ()
 
     def describe(self) -> str:
         l = ",".join(self.left)
@@ -67,11 +64,10 @@ class TProp(NamedTuple):
         return f"[{l}]D[{r}]({self.i + 1},{self.j + 1})"
 
 
-class TTerm(NamedTuple):
-    coefficient: RegValue
-    nvars: int
-    props: tuple[TProp, ...]
-    deltas: tuple[SingularAtom, ...]  # delta atoms, power 1 each
+class TTerm(namedtuple("TTerm", "coefficient nvars props deltas")):
+    """A ``RegValue`` times lifted factors and delta atoms of power 1 each."""
+
+    __slots__ = ()
 
 
 def tag(prop: TProp) -> str:

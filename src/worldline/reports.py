@@ -6,21 +6,25 @@ actual values, so failures show the residual rather than a bare flag.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from collections import namedtuple
+from collections.abc import Iterable
 
 
-class CheckReport(NamedTuple):
-    """Outcome of one check, with rendered values on both routes."""
+class CheckReport(
+    namedtuple(
+        "CheckReport",
+        "check_name status expected actual tolerance details move_logs",
+        defaults=((), None),
+    )
+):
+    """Outcome of one check, with rendered values on both routes.
 
-    check_name: str
-    status: str  # "pass" | "fail" | "error"
-    expected: Dict[str, str]
-    actual: Dict[str, str]
-    tolerance: Union[str, float]
-    details: Tuple[str, ...] = ()
-    move_logs: Optional[Dict[str, List[dict]]] = None
+    ``status`` is "pass", "fail" or "error"; ``tolerance`` is "exact" or a float.
+    """
 
-    def mismatches(self) -> List[str]:
+    __slots__ = ()
+
+    def mismatches(self) -> list[str]:
         """Keys whose expected and actual renderings differ."""
         return sorted(
             key
@@ -31,12 +35,12 @@ class CheckReport(NamedTuple):
 
 def finish_report(
     name: str,
-    expected: Dict[str, str],
-    actual: Dict[str, str],
-    tolerance: Union[str, float] = "exact",
+    expected: dict[str, str],
+    actual: dict[str, str],
+    tolerance: str | float = "exact",
     details: Iterable[str] = (),
-    move_logs: Optional[Dict[str, List[dict]]] = None,
-    ok: Optional[bool] = None,
+    move_logs: dict[str, list[dict]] | None = None,
+    ok: bool | None = None,
 ) -> CheckReport:
     """A passing or failing report; by default it passes when both routes agree."""
     if ok is None:
@@ -52,6 +56,6 @@ def finish_report(
     )
 
 
-def error_report(name: str, tolerance: Union[str, float], detail: str) -> CheckReport:
+def error_report(name: str, tolerance: str | float, detail: str) -> CheckReport:
     """A check that could not run, with the one-line reason."""
     return CheckReport(name, "error", {}, {}, tolerance, (detail,))

@@ -4,7 +4,6 @@ square-root measure of the weighted kinetic operator, order by order."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict
 
 from .integration import _ring_chain
 from .polynomials import Poly
@@ -19,7 +18,7 @@ from .values import RegValue
 
 # Kinetic weights 1 + u p(tau): each rational one-variable profile p,
 # keyed by its formula.
-PROFILES: Dict[str, Poly] = {
+PROFILES: dict[str, Poly] = {
     "1": Poly.const(1, Fraction(1)),
     "tau/beta": Poly.monomial(1, Fraction(1), -1, (1,)),
     "tau*(beta-tau)/beta^2": Poly.monomial(1, Fraction(1), -1, (1,))
@@ -56,8 +55,8 @@ def measure_cancellation(profile: str, max_order: int = 6) -> CheckReport:
             "the ring expansion is implemented through order u^8: "
             f"the max order must be in 1..8, got {max_order}"
         )
-    expected: Dict[str, str] = {}
-    actual: Dict[str, str] = {}
+    expected: dict[str, str] = {}
+    actual: dict[str, str] = {}
     power = Poly.const(1, Fraction(1))
     for n, ring in enumerate(_ring_chain(density, max_order), 1):
         power = power * density

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, Union
 
 from .reports import CheckReport, error_report, finish_report
 
@@ -21,7 +21,7 @@ from .reports import CheckReport, error_report, finish_report
 _PI = Decimal("3.1415926535897932384626433832795028841971693993751058209749")
 
 
-def _to_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
+def _to_fraction(value: int | float | str | Fraction) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
@@ -40,7 +40,7 @@ def _degeneracy(dimension: int, level: int) -> int:
 
 def _series_reference_coefficients(
     dimension: int, radius: Fraction
-) -> Tuple[Fraction, Fraction]:
+) -> tuple[Fraction, Fraction]:
     """Heat-kernel coefficients c1 and c2 of the sphere of dimension ``dimension - 1``."""
 
     d = dimension
@@ -53,7 +53,7 @@ def _series_reference_coefficients(
 
 def _spectral_deviation_float(
     dimension: int, radius: Fraction, beta: Fraction, l_max: int
-) -> Tuple[float, float, float]:
+) -> tuple[float, float, float]:
     r = float(radius)
     b = float(beta)
     # The volume overflows for every dimension above 343; computing it first
@@ -100,7 +100,7 @@ def _decimal(fraction: Fraction) -> Decimal:
 
 def _spectral_deviation_decimal(
     dimension: int, radius: Fraction, beta: Fraction, l_max: int
-) -> Tuple[float, float, float]:
+) -> tuple[float, float, float]:
     with localcontext() as context:
         context.prec = 50
         b = _decimal(beta)
@@ -147,10 +147,10 @@ _MAX_TRUNCATION_BOUND = 10_000
 
 def _sphere_inputs(
     dimension: int,
-    radius: Union[int, float, str, Fraction],
-    betas: Iterable[Union[float, str, Fraction]],
+    radius: int | float | str | Fraction,
+    betas: Iterable[float | str | Fraction],
     l_max: int,
-) -> Tuple[Fraction, Tuple[Fraction, ...]]:
+) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact radius and betas of a sphere check, or the one-line reason they are unusable."""
 
     if dimension < 2:
@@ -178,8 +178,8 @@ def _sphere_inputs(
 
 def sphere_spectral_check(
     dimension: int = 3,
-    radius: Union[int, float, str, Fraction] = 1,
-    beta: Union[float, str, Fraction] = Fraction(1, 100),
+    radius: int | float | str | Fraction = 1,
+    beta: float | str | Fraction = Fraction(1, 100),
     l_max: int = 1000,
     tolerance: float = 1e-6,
 ) -> CheckReport:
@@ -229,7 +229,7 @@ def sphere_spectral_check(
 
 
 def sphere_scaling_check(
-    dimension: int = 3, radius: Union[int, float, str, Fraction] = 1, l_max: int = 1000
+    dimension: int = 3, radius: int | float | str | Fraction = 1, l_max: int = 1000
 ) -> CheckReport:
     """Deviation from the truncated series must shrink like the next power.
 
@@ -264,8 +264,8 @@ def sphere_scaling_check(
     except ArithmeticError as error:
         return error_report(name, band, _arithmetic_detail(dimension, error))
     low, high = _SCALING_BAND
-    expected: Dict[str, str] = {}
-    actual: Dict[str, str] = {}
+    expected: dict[str, str] = {}
+    actual: dict[str, str] = {}
     ok = True
     for index in range(len(betas) - 1):
         ratio = deviations[index] / deviations[index + 1]
@@ -282,7 +282,7 @@ def sphere_scaling_check(
 # zeta-regularized series
 # ---------------------------------------------------------------------------
 
-ZETA_AT_NEGATIVE_INTEGERS: Dict[int, Fraction] = {
+ZETA_AT_NEGATIVE_INTEGERS: dict[int, Fraction] = {
     0: Fraction(-1, 2),
     1: Fraction(-1, 12),
     2: Fraction(0),
@@ -291,16 +291,16 @@ ZETA_AT_NEGATIVE_INTEGERS: Dict[int, Fraction] = {
 
 
 def _poly_in_level_mul(
-    left: Dict[int, Fraction], right: Dict[int, Fraction]
-) -> Dict[int, Fraction]:
-    out: Dict[int, Fraction] = {}
+    left: dict[int, Fraction], right: dict[int, Fraction]
+) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
     for ka, ca in left.items():
         for kb, cb in right.items():
             out[ka + kb] = out.get(ka + kb, Fraction(0)) + ca * cb
     return out
 
 
-def _regularized_sum(coefficients: Dict[int, Fraction]) -> Fraction:
+def _regularized_sum(coefficients: dict[int, Fraction]) -> Fraction:
     """Zeta-regularized sum over levels l >= 0 of a polynomial in l.
 
     The l = 0 term is kept verbatim; the tail over l >= 1 is assigned

@@ -21,11 +21,12 @@ invariant coefficients for every maximally symmetric target at once.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-Edge = Tuple[int, int]
-Branch = Tuple[int, Tuple[Edge, ...]]
+Edge = tuple[int, int]
+Branch = tuple[int, tuple[Edge, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +34,7 @@ Branch = Tuple[int, Tuple[Edge, ...]]
 # ---------------------------------------------------------------------------
 
 
-class Pattern(NamedTuple):
+class Pattern(namedtuple("Pattern", "externals branches")):
     """Delta expansion of one tensor factor.
 
     All ``externals`` slots are visible to the caller and must be
@@ -41,11 +42,10 @@ class Pattern(NamedTuple):
     delta edges it contributes, using local slot numbers.
     """
 
-    externals: int
-    branches: Tuple[Branch, ...]
+    __slots__ = ()
 
 
-PATTERNS: Dict[str, Pattern] = {
+PATTERNS: dict[str, Pattern] = {
     # Riemann tensor with written slots (0, 1, 2, 3):
     #   delta(0,2) delta(1,3) - delta(0,3) delta(1,2), times the scale.
     "riem": Pattern(
@@ -91,7 +91,7 @@ def _cycle_count(edges: Sequence[Edge], nslots: int) -> int:
 
 def _cycle_terms(
     factors: Sequence[str], pairing: Sequence[Edge]
-) -> List[Tuple[int, int]]:
+) -> list[tuple[int, int]]:
     """(sign, cycle count) of every branch combination; the same for all n."""
 
     # Each factor's slots follow those of the factors before it.
@@ -130,7 +130,7 @@ def _cycle_terms(
 
 def invariant_coefficients(
     factors: Sequence[str], *pairings: Sequence[Edge]
-) -> Dict[str, Fraction]:
+) -> dict[str, Fraction]:
     """Decompose the sum of full contractions over the curvature invariants.
 
     Every pairing contracts the same ``factors``; their contraction
@@ -147,7 +147,7 @@ def invariant_coefficients(
         raise ValueError(
             "contractions with more than two curvature factors exceed second order"
         )
-    powers: Dict[int, int] = {}
+    powers: dict[int, int] = {}
     for pairing in pairings:
         for sign, cycles in _cycle_terms(factors, pairing):
             powers[cycles] = powers.get(cycles, 0) + sign

@@ -13,9 +13,8 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 # A term key is (beta_power, delta0_power).
 Key = tuple[int, int]
@@ -94,7 +93,7 @@ class _Sparse:
         self._terms = merge({}, ((key, c.numerator * (den // c.denominator)) for key, c in items))
         self._den = den
 
-    def _coerce(self, value: object) -> "_Sparse":
+    def _coerce(self, value: object) -> _Sparse:
         """``value`` as an element of this one's shape, or NotImplemented."""
         if type(value) is type(self):
             if value._unit_key() != self._unit_key():
@@ -105,7 +104,7 @@ class _Sparse:
             return self._wrap(terms, value.denominator)
         return NotImplemented
 
-    def __add__(self, other: "_Sparse | Rational") -> "_Sparse":
+    def __add__(self, other: _Sparse | Rational) -> _Sparse:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -121,22 +120,22 @@ class _Sparse:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "_Sparse":
+    def __neg__(self) -> _Sparse:
         return self._wrap({key: -coeff for key, coeff in self._terms.items()}, self._den)
 
-    def __sub__(self, other: "_Sparse | Rational") -> "_Sparse":
+    def __sub__(self, other: _Sparse | Rational) -> _Sparse:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: "_Sparse | Rational") -> "_Sparse":
+    def __rsub__(self, other: _Sparse | Rational) -> _Sparse:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other + (-self)
 
-    def __mul__(self, other: "_Sparse | Rational") -> "_Sparse":
+    def __mul__(self, other: _Sparse | Rational) -> _Sparse:
         """Keys add entrywise, numerators and denominators multiply."""
         other = self._coerce(other)
         if other is NotImplemented:
@@ -176,7 +175,7 @@ class RegValue(_Sparse):
         return (0, 0)
 
     @staticmethod
-    def _wrap(terms: dict[Key, int], den: int) -> "RegValue":
+    def _wrap(terms: dict[Key, int], den: int) -> RegValue:
         """Wrap a dict of nonzero numerators over the positive denominator ``den``."""
         out = RegValue.__new__(RegValue)
         out._terms = terms
@@ -186,30 +185,30 @@ class RegValue(_Sparse):
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def rational(cls, value: Rational) -> "RegValue":
+    def rational(cls, value: Rational) -> RegValue:
         return cls({(0, 0): value})
 
     @classmethod
-    def term(cls, coeff: Rational, beta_power: int = 0, delta0_power: int = 0) -> "RegValue":
+    def term(cls, coeff: Rational, beta_power: int = 0, delta0_power: int = 0) -> RegValue:
         return cls({(beta_power, delta0_power): coeff})
 
     @classmethod
-    def beta(cls, power: int = 1, coeff: Rational = 1) -> "RegValue":
+    def beta(cls, power: int = 1, coeff: Rational = 1) -> RegValue:
         return cls({(power, 0): coeff})
 
     @classmethod
-    def delta0(cls, power: int = 1, coeff: Rational = 1) -> "RegValue":
+    def delta0(cls, power: int = 1, coeff: Rational = 1) -> RegValue:
         return cls({(0, power): coeff})
 
     @classmethod
-    def zero(cls) -> "RegValue":
+    def zero(cls) -> RegValue:
         return cls._wrap({}, 1)
 
     @classmethod
-    def one(cls) -> "RegValue":
+    def one(cls) -> RegValue:
         return cls._wrap({(0, 0): 1}, 1)
 
-    def __truediv__(self, other: Rational) -> "RegValue":
+    def __truediv__(self, other: Rational) -> RegValue:
         if _checked(other) == 0:
             raise ZeroDivisionError("division of a RegValue by zero")
         return self * RegValue.rational(Fraction(other.denominator, other.numerator))
@@ -220,12 +219,12 @@ class RegValue(_Sparse):
         """Terms sorted ascending by (beta_power, delta0_power)."""
         return sorted((key, Fraction(coeff, self._den)) for key, coeff in self._terms.items())
 
-    def grade(self, delta0_power: int) -> "RegValue":
+    def grade(self, delta0_power: int) -> RegValue:
         """The part of the value proportional to delta0**delta0_power."""
         terms = {key: c for key, c in self._terms.items() if key[1] == delta0_power}
         return self._wrap(*_reduce(terms, self._den))
 
-    def finite_part(self) -> "RegValue":
+    def finite_part(self) -> RegValue:
         return self.grade(0)
 
     # -- rendering -----------------------------------------------------------

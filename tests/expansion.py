@@ -10,8 +10,8 @@ the one-factor-at-a-time route must match.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from worldline.integrands import SingularAtom, _expand_factor, _grade_pieces, _merge_atoms
 from worldline.integration import DIMREG, RuleSet, integrate_term
@@ -19,14 +19,7 @@ from worldline.polynomials import Poly
 from worldline.values import RegValue
 
 
-class _TermFields(NamedTuple):
-    delta0: int
-    nvars: int
-    poly: Poly
-    atoms: tuple[SingularAtom, ...]
-
-
-class IntegrandTerm(_TermFields):
+class IntegrandTerm(namedtuple("IntegrandTerm", "delta0 nvars poly atoms")):
     """delta0 to the power ``delta0``, times ``poly``, times the atoms.
 
     Beta and the rationals live in ``poly``.  The atoms are stored merged

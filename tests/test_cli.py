@@ -315,9 +315,10 @@ def test_parser_choices_are_the_engine_tables(monkeypatch, capsys) -> None:
 
 # argv (None: import the CLI and build the parser only), then either the
 # exact set of package modules the process loads or the package modules it
-# must not load.  No case may load the standard library's dataclasses or
-# inspect either: they cost a fresh process more than the smaller verbs'
-# own work.
+# must not load.  No case may load the standard library's dataclasses,
+# inspect or typing either: they cost a fresh process more than the smaller
+# verbs' own work.  The child runs under -S, as the CI stdlib-only step does,
+# so that no .pth hook of site imports them first.
 _IMPORT_CASES = {
     "parser": (None, {"cli"}, None),
     "sphere": (["sphere", "--json"], {"cli", "spectral", "reports"}, None),
@@ -345,7 +346,7 @@ if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = worldline.cli.main(argv)
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "worldline")
-slow = sorted({"dataclasses", "inspect"} & set(sys.modules))
+slow = sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))
 print(json.dumps({"exit": code, "loaded": loaded, "slow": slow}))
 """
 
@@ -355,7 +356,7 @@ def test_each_verb_imports_only_its_layers(case: str) -> None:
     argv, exactly, forbidden = _IMPORT_CASES[case]
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_SCRIPT, json.dumps(argv)],
+        [sys.executable, "-S", "-c", _IMPORT_SCRIPT, json.dumps(argv)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert run.returncode == 0, run.stderr

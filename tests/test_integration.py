@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from worldline.integration import (
     MODEREG,
     RuleSet,
     UnreducedSingularStructureError,
+    _collapse_once,
+    _deltas_resolve,
     _integrate_regular,
     _ring_chain,
     integrate_product,
@@ -495,6 +498,49 @@ def test_unsorted_chain_atoms_collapse_in_canonical_order():
     )
     value = integrate([IntegrandTerm(0, 3, Poly.const(3, 1), atoms)], MODEREG)
     assert value == beta(1, "1/3")
+
+
+# -- the early-finishing guard against the collapse replay ------------------
+#
+# The reference replays _collapse_once over the merged atoms until none is
+# left; it is the loop that the component count in _deltas_resolve replaced.
+
+
+def _reference_deltas_resolve(atoms):
+    if any(atom.kind == "eps" for atom in atoms):
+        return False
+    atoms = _merge_atoms(atoms)
+    while atoms:
+        step = _collapse_once(atoms, DIMREG, None)
+        if step is None:
+            return False
+        atoms = step[3]
+    return True
+
+
+def _delta_multigraphs():
+    """Every multiset of delta atoms on five variables: powers 1-3 up to four atoms, then power 1."""
+    typed = [
+        SingularAtom("delta", i, j, power)
+        for i, j in itertools.combinations(range(5), 2)
+        for power in (1, 2, 3)
+    ]
+    for count in range(5):
+        yield from itertools.combinations_with_replacement(typed, count)
+    yield from itertools.combinations_with_replacement([a for a in typed if a.power == 1], 5)
+
+
+def test_component_count_matches_the_collapse_replay():
+    outcomes = {True: 0, False: 0}
+    for atoms in _delta_multigraphs():
+        resolves = _deltas_resolve(atoms)
+        assert resolves == _reference_deltas_resolve(atoms), atoms
+        outcomes[resolves] += 1
+    assert outcomes == {True: 2_788, False: 45_590}
+    # Any eps atom stops early finishing, on the chain's pair or off it.
+    chain = (SingularAtom("delta", 0, 1), SingularAtom("delta", 1, 2))
+    for eps in (SingularAtom("eps", 0, 1), SingularAtom("eps", 0, 3)):
+        assert not _deltas_resolve(chain + (eps,))
 
 
 def test_integrand_term_rejects_a_negative_delta0_power():

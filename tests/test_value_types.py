@@ -163,3 +163,21 @@ def test_value_types_hash_as_the_tuple_of_their_fields(name: str) -> None:
     # CheckReport holds dicts, so both sides refuse with the same message.
     assert _hash(value) == _hash(tuple(fields.values()))
     assert value == cls(*fields.values())
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_value_types_keep_no_instance_dict_and_print_their_fields(name: str) -> None:
+    # A subclass that forgets ``__slots__ = ()`` gives every instance a dict.
+    cls, fields = _VALUES[name]
+    value = cls(**fields)
+    assert not hasattr(value, "__dict__")
+    assert repr(value) == f"{name}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+
+
+def test_make_and_replace_skip_the_constructor_checks() -> None:
+    # The package calls them only with fields that are already valid.
+    assert SingularAtom._make(("theta", 1, 1, 0)) == ("theta", 1, 1, 0)
+    assert _ATOM._replace(power=0).power == 0
+    fields = dict(_VALUES["Vertex"][1], order_in_eps=3, qdot_power=1)
+    assert Vertex._make(fields.values()).order_in_eps == 3
+    assert _VERTEX._replace(q_slots=(0,)).q_slots == (0,)
