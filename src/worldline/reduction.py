@@ -367,168 +367,141 @@ def _signature(term: TTerm) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the reducer
+# the move search
 # ---------------------------------------------------------------------------
 
 _MAX_DEPTH = 6
 
 
-class Reducer:
-    """Deterministic reduction of lifted terms under a rule set."""
+def _record(log: list[dict], move: str, **info) -> None:
+    log.append({"move": move, **info})
 
-    def __init__(self, rules: RuleSet, log: list[dict] | None = None) -> None:
-        self.rules = rules
-        self.log: list[dict] = log if log is not None else []
-        self.notes: list[str] = []
 
-    def _record(self, move: str, **info) -> None:
-        entry = {"move": move}
-        entry.update(info)
-        self.log.append(entry)
+def _resolve(rules: RuleSet, term: TTerm, depth: int, log: list[dict], notes: list[str]) -> RegValue:
+    """Value of ``term`` from the memo; its moves and notes go onto ``log`` and ``notes``."""
+    if not term.coefficient:
+        return RegValue.zero()
+    value, error, entries, found = _reduce_lifted(rules, term.nvars, term.props, term.deltas, depth)
+    log.extend(entries)
+    notes.extend(found)
+    if error is not None:
+        raise error[0](error[1])
+    return value * term.coefficient
 
-    def reduce_product(self, parsed: ParsedProduct) -> RegValue:
-        if not parsed.factors:
-            # A bare coefficient: every variable integrates to a factor of
-            # beta, and with no factors there are no variables.
-            return parsed.coefficient
-        term = lift(parsed)
-        self._record(
-            "Lift",
-            factors=[p.describe() for p in term.props],
-            variables=term.nvars,
-        )
-        start = len(self.log)
-        try:
-            return self._resolve(term, _MAX_DEPTH)
-        finally:
-            # Hits append the memo's own entries (text, numbers, lists): copy them.
-            self.log[start:] = [
-                {key: value.copy() if isinstance(value, list) else value for key, value in entry.items()}
-                for entry in self.log[start:]
-            ]
 
-    def _resolve(self, term: TTerm, depth: int) -> RegValue:
-        if not term.coefficient:
-            return RegValue.zero()
-        value, error, log, notes = _reduce_lifted(
-            self.rules, term.nvars, term.props, term.deltas, depth
-        )
-        self.log.extend(log)
-        self.notes.extend(notes)
-        if error is not None:
-            raise error[0](error[1])
-        return value * term.coefficient
+def _search(rules: RuleSet, term: TTerm, depth: int, log: list[dict], notes: list[str]) -> RegValue:
+    """Reduce one lifted term by the first legal sequence of moves."""
+    tags = [tag(prop) for prop in term.props]
+    # Moves that apply whenever their tag is present, in this order.  The
+    # table reads the module's names on every search, so a wrapper installed
+    # on a move (or on ``_search``) is seen by every term searched after it;
+    # clear ``_reduce_lifted`` first, since a memo hit searches nothing.
+    for forced, move, name in (
+        ("MuMuEqualTime", equal_time_substitute, "EqualTimeSubstitute"),
+        ("Laplacian", field_equation, "FieldEquation"),
+    ):
+        if forced in tags:
+            idx = tags.index(forced)
+            _record(log, name, factor=term.props[idx].describe(), tag=forced)
+            return _resolve(rules, move(term, idx), depth, log, notes)
 
-    def _search(self, term: TTerm, depth: int) -> RegValue:
-        tags = [tag(prop) for prop in term.props]
-        # Moves that apply whenever their tag is present, in this order.  The
-        # table is built per search, so a wrapper installed on the module is
-        # seen by every term searched after it (clear _reduce_lifted first).
-        for forced, move, name in (
-            ("MuMuEqualTime", equal_time_substitute, "EqualTimeSubstitute"),
-            ("Laplacian", field_equation, "FieldEquation"),
-        ):
-            if forced in tags:
-                idx = tags.index(forced)
-                self._record(name, factor=term.props[idx].describe(), tag=forced)
-                return self._resolve(move(term, idx), depth)
-
-        if "Unknown" in tags:
-            prop = term.props[tags.index("Unknown")]
-            raise ReductionError(
-                f"no legal reduction: factor {prop.describe()} is outside "
-                "the move table"
-            )
-
-        munu = [idx for idx, t in enumerate(tags) if t == "MuNu"]
-        if not munu:
-            self._record(
-                "ReturnTo1D",
-                factors=[p.describe() for p in term.props]
-                + [f"delta({d.i + 1},{d.j + 1})" for d in term.deltas],
-            )
-            factors, extra = return_to_1d(term)
-            # The search runs at unit coefficient (``_reduce_lifted``).
-            return integrate_product(factors, term.nvars, self.rules, self.notes, extra_atoms=extra)
-
-        for first, second in itertools.combinations(munu, 2):
-            if term.props[first] == term.props[second]:
-                self._record(
-                    "PartialIntegration",
-                    composite="add-and-subtract squared delta",
-                    factor=term.props[first].describe(),
-                    tag="MuNu",
-                )
-                split = divergence_split(term, first, second)
-                total = RegValue.zero()
-                for piece in split:
-                    total = total + self._resolve(piece, depth - 1)
-                return total
-
-        if depth <= 0:
-            raise ReductionError(
-                "no legal reduction: move search exceeded its depth budget"
-            )
-
-        # Prefer moving the derivative of a mixed factor itself: that is the
-        # move that shortens every tabled chain.
-        candidates = sorted(
-            (var, t != "MuNu", idx, side)
-            for idx, (prop, t) in enumerate(zip(term.props, tags))
-            for side, labels, var in ((0, prop.left, prop.i), (1, prop.right, prop.j))
-            if len(labels) == 1
-        )
-        base_sig = _signature(term)
-        failures: list[str] = []
-        for var, _, idx, side in candidates:
-            prop = term.props[idx]
-            try:
-                pieces = partial_integration(term, idx, side)
-            except ReductionError as err:
-                failures.append(str(err))
-                continue
-            checkpoint = len(self.log)
-            self._record(
-                "PartialIntegration",
-                factor=prop.describe(),
-                side="left" if side == 0 else "right",
-                variable=var + 1,
-            )
-            try:
-                ratio_sum = Fraction(0)
-                others: list[TTerm] = []
-                for piece in pieces:
-                    # The term has unit coefficient, so a piece that repeats
-                    # it with a rational coefficient r is r times the term.
-                    terms = dict(piece.coefficient.items())
-                    if terms.keys() <= {(0, 0)} and _signature(piece) == base_sig:
-                        ratio_sum += terms.get((0, 0), 0)
-                        continue
-                    others.append(piece)
-                if ratio_sum == 1:
-                    raise ReductionError(
-                        "no legal reduction: the partial integration only "
-                        "restates the term"
-                    )
-                total = RegValue.zero()
-                for piece in others:
-                    total = total + self._resolve(piece, depth - 1)
-                if ratio_sum:
-                    self._record(
-                        "FixedPoint",
-                        ratio=str(ratio_sum),
-                        note="term reproduced itself under the move",
-                    )
-                    total = total / (1 - ratio_sum)
-                return total
-            except ReductionError as err:
-                del self.log[checkpoint:]
-                failures.append(str(err))
-                continue
+    if "Unknown" in tags:
+        prop = term.props[tags.index("Unknown")]
         raise ReductionError(
-            "no legal reduction: every candidate move failed; tried "
-            f"{len(failures)}: " + "; ".join(sorted(set(failures))[:3])
+            f"no legal reduction: factor {prop.describe()} is outside "
+            "the move table"
         )
+
+    munu = [idx for idx, t in enumerate(tags) if t == "MuNu"]
+    if not munu:
+        _record(
+            log,
+            "ReturnTo1D",
+            factors=[p.describe() for p in term.props]
+            + [f"delta({d.i + 1},{d.j + 1})" for d in term.deltas],
+        )
+        factors, extra = return_to_1d(term)
+        # The search runs at unit coefficient (``_reduce_lifted``).
+        return integrate_product(factors, term.nvars, rules, notes, extra_atoms=extra)
+
+    for first, second in itertools.combinations(munu, 2):
+        if term.props[first] == term.props[second]:
+            _record(
+                log,
+                "PartialIntegration",
+                composite="add-and-subtract squared delta",
+                factor=term.props[first].describe(),
+                tag="MuNu",
+            )
+            total = RegValue.zero()
+            for piece in divergence_split(term, first, second):
+                total = total + _resolve(rules, piece, depth - 1, log, notes)
+            return total
+
+    if depth <= 0:
+        raise ReductionError(
+            "no legal reduction: move search exceeded its depth budget"
+        )
+
+    # Prefer moving the derivative of a mixed factor itself: that is the
+    # move that shortens every tabled chain.
+    candidates = sorted(
+        (var, t != "MuNu", idx, side)
+        for idx, (prop, t) in enumerate(zip(term.props, tags))
+        for side, labels, var in ((0, prop.left, prop.i), (1, prop.right, prop.j))
+        if len(labels) == 1
+    )
+    base_sig = _signature(term)
+    failures: list[str] = []
+    for var, _, idx, side in candidates:
+        prop = term.props[idx]
+        try:
+            pieces = partial_integration(term, idx, side)
+        except ReductionError as err:
+            failures.append(str(err))
+            continue
+        # A failed candidate takes its moves off the log; its notes stay.
+        checkpoint = len(log)
+        _record(
+            log,
+            "PartialIntegration",
+            factor=prop.describe(),
+            side="left" if side == 0 else "right",
+            variable=var + 1,
+        )
+        try:
+            ratio_sum = Fraction(0)
+            others: list[TTerm] = []
+            for piece in pieces:
+                # The term has unit coefficient, so a piece that repeats
+                # it with a rational coefficient r is r times the term.
+                terms = dict(piece.coefficient.items())
+                if terms.keys() <= {(0, 0)} and _signature(piece) == base_sig:
+                    ratio_sum += terms.get((0, 0), 0)
+                    continue
+                others.append(piece)
+            if ratio_sum == 1:
+                raise ReductionError(
+                    "no legal reduction: the partial integration only "
+                    "restates the term"
+                )
+            total = RegValue.zero()
+            for piece in others:
+                total = total + _resolve(rules, piece, depth - 1, log, notes)
+            if ratio_sum:
+                _record(
+                    log, "FixedPoint", ratio=str(ratio_sum), note="term reproduced itself under the move"
+                )
+                total = total / (1 - ratio_sum)
+            return total
+        except ReductionError as err:
+            del log[checkpoint:]
+            failures.append(str(err))
+            continue
+    raise ReductionError(
+        "no legal reduction: every candidate move failed; tried "
+        f"{len(failures)}: " + "; ".join(sorted(set(failures))[:3])
+    )
 
 
 @functools.cache
@@ -542,13 +515,37 @@ def _reduce_lifted(
     unit coefficient the fixed-point test reads the ratio of a piece that
     repeats the term straight off the piece's coefficient.
     """
-    reducer = Reducer(rules)
+    log: list[dict] = []
+    notes: list[str] = []
     value = error = None
     try:
-        value = reducer._search(TTerm(RegValue.one(), nvars, props, deltas), depth)
+        value = _search(rules, TTerm(RegValue.one(), nvars, props, deltas), depth, log, notes)
     except (ReductionError, UnreducedSingularStructureError) as err:
         error = (type(err), str(err))
-    return value, error, tuple(reducer.log), tuple(reducer.notes)
+    return value, error, tuple(log), tuple(notes)
+
+
+def _reduce_product(
+    rules: RuleSet, parsed: ParsedProduct, log: list[dict] | None, notes: list[str]
+) -> RegValue:
+    """Value of one product, lifted and reduced; its moves go onto ``log`` if one is given."""
+    if not parsed.factors:
+        # A bare coefficient: every variable integrates to a factor of
+        # beta, and with no factors there are no variables.
+        return parsed.coefficient
+    term = lift(parsed)
+    if log is None:
+        return _resolve(rules, term, _MAX_DEPTH, [], notes)
+    _record(log, "Lift", factors=[p.describe() for p in term.props], variables=term.nvars)
+    start = len(log)
+    try:
+        return _resolve(rules, term, _MAX_DEPTH, log, notes)
+    finally:
+        # The memo's own entries (text, numbers, lists) were appended: copy them.
+        log[start:] = [
+            {key: value.copy() if isinstance(value, list) else value for key, value in entry.items()}
+            for entry in log[start:]
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +560,10 @@ def reduce_terms(
 ) -> RegValue:
     """Reduce a sum of lifted products to its exact value."""
     parsed = parse(text_or_parsed) if isinstance(text_or_parsed, str) else text_or_parsed
-    reducer = Reducer(rules, log)
+    notes: list[str] = []
     total = RegValue.zero()
     for item in parsed:
-        total = total + reducer.reduce_product(item)
+        total = total + _reduce_product(rules, item, log, notes)
     return total
 
 

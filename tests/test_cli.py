@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -111,6 +112,27 @@ def test_verify_dump_moves_includes_logs(capsys: pytest.CaptureFixture) -> None:
     out = capsys.readouterr().out
     assert "moves[I14]:" in out
     assert "move=FixedPoint" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["integral", "I14", "--dump-moves"], 0,
+         "3727336619b7a706c595e5ca7699422ef08df64974fb0f750972ad42b1cfebd8"),
+        (["integral", "I14", "--dump-moves", "--ruleset", "modereg"], 0,
+         "7caa6fc94a9b37efae1ea3931ccda10a9a72cc3c84ae313f37b19fdbf65163f1"),
+        (["verify", "--case", "arbitrary", "--json", "--dump-moves"], 0,
+         "5044c2451e1dfc4dc3e500451c96b24f07def3952173e39d47cf3a37a4a58979"),
+        (["verify", "--case", "arbitrary", "--json", "--dump-moves", "--ruleset", "modereg"], 1,
+         "886a70f991cd49b8c96a270570961d3a69167532fa1651a3f46aa1efd5f5b66e"),
+    ],
+)
+def test_move_logs_keep_their_output(argv: list, code: int, digest: str, capsys: pytest.CaptureFixture) -> None:
+    # No stored reference covers the move-log paths; these hashes pin their
+    # stdout, cold or warm memo alike.
+    for _ in range(2):
+        assert main(argv) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_verify_rejects_unknown_case(capsys: pytest.CaptureFixture) -> None:

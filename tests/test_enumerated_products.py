@@ -3,7 +3,7 @@
 The products are the multisets of ``(kind, i, j)`` factors with i <= j on
 1-2 variables with up to 5 factors and on 3 variables with up to 4 factors,
 where every variable occurs and carries 0 or 2 dotted ends.  Each one runs
-through ``Reducer.reduce_product``; its factors, value or error text, move
+through ``reduction._reduce_product``; its factors, value or error text, move
 log and eps-power notes go into one sha256 per rule set.  A refactor of the
 reducer or the integrator that changes any value, refusal, move or note of
 these 2,502 products changes the hash.
@@ -19,7 +19,7 @@ import pytest
 
 from worldline.integrands import ParsedProduct
 from worldline.integration import DIMREG, MODEREG, UnreducedSingularStructureError
-from worldline.reduction import Reducer, ReductionError, _reduce_lifted
+from worldline.reduction import ReductionError, _reduce_lifted, _reduce_product
 from worldline.values import RegValue
 
 # (variable count, most factors) of the enumerated products.
@@ -63,13 +63,13 @@ def outcome_digest(rules, sizes=SIZES) -> tuple[int, str]:
     count = 0
     for factors, nvars in enumerated_products(sizes):
         log: list[dict] = []
-        reducer = Reducer(rules, log)
+        notes: list[str] = []
         try:
-            text = reducer.reduce_product(ParsedProduct(RegValue.one(), factors, nvars)).text()
+            text = _reduce_product(rules, ParsedProduct(RegValue.one(), factors, nvars), log, notes).text()
         except (ReductionError, UnreducedSingularStructureError) as error:
             text = f"{type(error).__name__}: {error}"
         described = [(kind, i, j) for kind, i, j in factors]
-        digest.update(repr((described, text, log, reducer.notes)).encode())
+        digest.update(repr((described, text, log, notes)).encode())
         digest.update(b"\n")
         count += 1
     return count, digest.hexdigest()
@@ -85,7 +85,7 @@ def test_the_enumeration_holds_the_refused_triangle():
     triangle = (("DD", 0, 1), ("DD", 0, 2), ("DD", 1, 2))
     assert (triangle, 3) in set(enumerated_products())
     with pytest.raises((ReductionError, UnreducedSingularStructureError)):
-        Reducer(DIMREG).reduce_product(ParsedProduct(RegValue.one(), triangle, 3))
+        _reduce_product(DIMREG, ParsedProduct(RegValue.one(), triangle, 3), None, [])
 
 
 @pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda rules: rules.name)

@@ -15,11 +15,11 @@ from worldline.integrands import NAMED_INTEGRALS, ParsedProduct, SingularAtom, p
 from worldline.checks import run_standard_checks
 from worldline.integration import DIMREG, MODEREG, UnreducedSingularStructureError, integrate_product
 from worldline.reduction import (
-    Reducer,
     ReductionError,
     TProp,
     TTerm,
     _reduce_lifted,
+    _reduce_product,
     divergence_split,
     equal_time_substitute,
     evaluate_named,
@@ -371,7 +371,7 @@ def test_every_small_liftable_product_reduces_or_refuses(rules):
     for parsed in products:
         log = []
         try:
-            value = Reducer(rules, log).reduce_product(parsed)
+            value = _reduce_product(rules, parsed, log, [])
         except ReductionError:
             refused.append(parsed.factors)
         else:
@@ -413,13 +413,13 @@ def test_reduce_terms_returns_or_raises_value_error(text, rules):
 def searched(monkeypatch):
     """Counts each search of a lifted term by memo key; the memo starts and ends empty."""
     counts = Counter()
-    search = Reducer._search
+    search = reduction._search
 
-    def counted(self, term, depth):
-        counts[self.rules, term.nvars, term.props, term.deltas, depth] += 1
-        return search(self, term, depth)
+    def counted(rules, term, depth, log, notes):
+        counts[rules, term.nvars, term.props, term.deltas, depth] += 1
+        return search(rules, term, depth, log, notes)
 
-    monkeypatch.setattr(Reducer, "_search", counted)
+    monkeypatch.setattr(reduction, "_search", counted)
     _reduce_lifted.cache_clear()
     yield counts
     _reduce_lifted.cache_clear()
@@ -515,6 +515,33 @@ def test_a_caller_gets_its_own_log_entries():
     assert "tampered" not in repr(second)
 
 
+def test_a_bare_coefficient_records_no_moves():
+    log = []
+    assert reduce_terms("3", log=log).text() == "3"
+    assert log == []
+
+
+def test_a_zero_product_records_only_its_lift():
+    log = []
+    assert reduce_terms("0*Dl(1,2)*Dr(1,2)*DD(1,2)", log=log).text() == "0"
+    assert log == [
+        {"move": "Lift", "factors": ["[mu]D[](1,2)", "[]D[nu](1,2)", "[mu]D[nu](1,2)"], "variables": 2}
+    ]
+    assert list(log[0]) == ["move", "factors", "variables"]
+
+
+def test_a_sum_records_one_lift_led_segment_per_product():
+    first, second = "Dl(1,2)*Dr(1,2)*DD(1,2)", "D(1,1)*DD(1,2)*DD(1,2)*D(2,2)"
+    segments = []
+    for text in (first, second):
+        segments.append([])
+        reduce_terms(text, DIMREG, segments[-1])
+    log = []
+    reduce_terms(f"{first} + 2*{second}", DIMREG, log)
+    assert log == segments[0] + segments[1]
+    assert [index for index, entry in enumerate(log) if entry["move"] == "Lift"] == [0, len(segments[0])]
+
+
 def test_eps_notes_do_not_depend_on_the_coefficient():
     # The search runs at unit coefficient, so a note is recorded once per
     # collapse, not once per delta0 grade of the coefficient that the
@@ -522,7 +549,6 @@ def test_eps_notes_do_not_depend_on_the_coefficient():
     factors = (("D", 0, 1), ("Dl", 0, 1), ("Dr", 0, 1), ("DD", 0, 1), ("DD", 2, 2), ("D", 0, 2))
     notes = []
     for coefficient in (RegValue.one(), RegValue.delta0() - RegValue.beta(-1)):
-        reducer = Reducer(MODEREG)
-        reducer.reduce_product(ParsedProduct(coefficient, factors, 3))
-        notes.append(reducer.notes)
+        notes.append([])
+        _reduce_product(MODEREG, ParsedProduct(coefficient, factors, 3), None, notes[-1])
     assert notes[0] == notes[1] == ["eps^3*delta resolved to 0 (odd power)"] * 2
