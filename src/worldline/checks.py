@@ -36,14 +36,17 @@ from .values import RegValue
 # ---------------------------------------------------------------------------
 
 
-def check_flat(order: int, rules: RuleSet = DIMREG) -> CheckReport:
+def check_flat(
+    order: int, rules: RuleSet = DIMREG, first: dict[str, RegValue] | None = None
+) -> CheckReport:
     """A coordinate change on the flat line must contribute nothing.
 
     The diagram total is graded by powers of the equal-time constant and
-    every grade must vanish on its own.
+    every grade must vanish on its own.  ``first`` is the order-1 total
+    under ``rules``, if the caller has it (``sum_order``).
     """
 
-    totals = sum_order(FlatTransform(), order, rules)
+    totals = sum_order(FlatTransform(), order, rules, first)
     expected: dict[str, str] = {}
     actual: dict[str, str] = {}
     for label, value in sorted(totals.items()):
@@ -139,16 +142,17 @@ def check_constraints(rules: RuleSet = DIMREG) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def check_seeley(order: int) -> CheckReport:
+def check_seeley(order: int, first: dict[str, RegValue] | None = None) -> CheckReport:
     """Normal-coordinate totals against the heat-kernel coefficients.
 
     First order adds the curvature measure term to the diagram total;
     second order already contains the disconnected square of the complete
     first-order value.  Divergent grades must vanish label by label.
+    ``first`` is the order-1 diagram total, if the caller has it.
     """
 
     model = NormalCoords()
-    totals = dict(sum_order(model, order, DIMREG))
+    totals = dict(sum_order(model, order, DIMREG, first))
     if order == 1:
         for label, value in measure_terms(model).items():
             totals[label] = totals.get(label, RegValue.zero()) + value
@@ -179,12 +183,15 @@ def run_standard_checks(rules: RuleSet = DIMREG) -> list[CheckReport]:
     evaluated in the dimensional scheme.
     """
 
+    # Each model's order-1 total is built once and passed to order 2.
+    flat = sum_order(FlatTransform(), 1, rules)
+    normal = sum_order(NormalCoords(), 1)
     reports = [
-        check_flat(1, rules),
-        check_flat(2, rules),
+        check_flat(1, rules, flat),
+        check_flat(2, rules, flat),
         check_constraints(rules),
-        check_seeley(1),
-        check_seeley(2),
+        check_seeley(1, normal),
+        check_seeley(2, normal),
         zeta_series_check(),
         sphere_spectral_check(),
         sphere_scaling_check(),

@@ -243,22 +243,27 @@ def _label_product(left: str, right: str) -> str:
     raise ValueError(f"no label for the product of {left!r} and {right!r}")
 
 
-def sum_order(model, order: int, rules: RuleSet = DIMREG) -> dict[str, RegValue]:
+def sum_order(
+    model, order: int, rules: RuleSet = DIMREG, first: dict[str, RegValue] | None = None
+) -> dict[str, RegValue]:
     """Total of all order-``order`` diagrams of a model, by tensor label.
 
     At second order this includes the disconnected square of the complete
     first-order total (vertex diagrams plus the model's measure terms),
     which belongs to the amplitude at that order.  The first-order total
     itself excludes the measure terms; they are reported separately by
-    the geometry layer.
+    the geometry layer.  ``first`` is ``sum_order(model, 1, rules)`` when
+    the caller has it already; it is not recomputed.
     """
 
+    if order == 1 and first is not None:
+        return first
     totals: dict[str, RegValue] = {}
     for diagram in wick(model_vertices(model), order=order):
         label = diagram.tensor_label
         totals[label] = totals.get(label, RegValue.zero()) + evaluate_diagram(diagram, rules)
     if order == 2:
-        first = sum_order(model, 1, rules)
+        first = dict(sum_order(model, 1, rules) if first is None else first)
         for label, value in measure_terms(model).items():
             first[label] = first.get(label, RegValue.zero()) + value
         items = list(first.items())

@@ -377,25 +377,72 @@ def _record(log: list[dict], move: str, **info) -> None:
     log.append({"move": move, **info})
 
 
-def _resolve(rules: RuleSet, term: TTerm, depth: int, log: list[dict], notes: list[str]) -> RegValue:
+class _Reading:
+    """A rule set that records whether ``eps_power_delta_value``, where rule sets differ, was read."""
+
+    __slots__ = ("rules", "read")
+
+    def __init__(self, rules: RuleSet) -> None:
+        self.rules, self.read = rules, False
+
+    def eps_power_delta_value(self, power: int, notes: list[str] | None = None) -> Fraction:
+        self.read = True
+        return self.rules.eps_power_delta_value(power, notes)
+
+
+def _memo(compute):
+    """Memoize ``compute(reading, log, notes, *key)``, keyed by rule set only if it read one.
+
+    An entry holds the value or the refusal (error class and text) and the
+    log and notes that ``compute`` appended; a lookup appends them to the
+    caller's lists, then returns the value or raises the error again.  An
+    entry that read its ``_Reading``, itself or through an entry it looked
+    up, is stored under ``(rules, *key)`` and marks the caller's reading
+    read; any other is stored under ``key`` and serves every rule set.
+    """
+    entries: dict = {}
+
+    @functools.wraps(compute)
+    def lookup(reading: _Reading, log: list[dict], notes: list[str], *key):
+        ruled = (reading.rules, *key)
+        stored = entries.get(key) or entries.get(ruled)
+        if stored is None:
+            inner, moves, found = _Reading(reading.rules), [], []
+            value = error = None
+            try:
+                value = compute(inner, moves, found, *key)
+            except (ReductionError, UnreducedSingularStructureError) as err:
+                error = (type(err), str(err))
+            stored = value, error, tuple(moves), tuple(found), inner.read
+            entries[ruled if inner.read else key] = stored
+        value, error, moves, found, read = stored
+        reading.read |= read
+        log.extend(moves)
+        notes.extend(found)
+        if error is not None:
+            raise error[0](error[1])
+        return value
+
+    lookup.cache_clear = entries.clear
+    lookup.cache_info = lambda: {"currsize": len(entries), "ruled": sum(isinstance(k[0], RuleSet) for k in entries)}
+    return lookup
+
+
+def _resolve(rules: _Reading, term: TTerm, depth: int, log: list[dict], notes: list[str]) -> RegValue:
     """Value of ``term`` from the memo; its moves and notes go onto ``log`` and ``notes``."""
     if not term.coefficient:
         return RegValue.zero()
-    value, error, entries, found = _reduce_lifted(rules, term.nvars, term.props, term.deltas, depth)
-    log.extend(entries)
-    notes.extend(found)
-    if error is not None:
-        raise error[0](error[1])
-    return value * term.coefficient
+    return _reduce_lifted(rules, log, notes, term.nvars, term.props, term.deltas, depth) * term.coefficient
 
 
-def _search(rules: RuleSet, term: TTerm, depth: int, log: list[dict], notes: list[str]) -> RegValue:
+def _search(rules: _Reading, term: TTerm, depth: int, log: list[dict], notes: list[str]) -> RegValue:
     """Reduce one lifted term by the first legal sequence of moves."""
     tags = [tag(prop) for prop in term.props]
     # Moves that apply whenever their tag is present, in this order.  The
     # table reads the module's names on every search, so a wrapper installed
     # on a move (or on ``_search``) is seen by every term searched after it;
-    # clear ``_reduce_lifted`` first, since a memo hit searches nothing.
+    # clear ``_reduce_lifted`` and ``_integrate_leaf`` first, since a memo
+    # hit searches nothing.
     for forced, move, name in (
         ("MuMuEqualTime", equal_time_substitute, "EqualTimeSubstitute"),
         ("Laplacian", field_equation, "FieldEquation"),
@@ -422,7 +469,7 @@ def _search(rules: RuleSet, term: TTerm, depth: int, log: list[dict], notes: lis
         )
         factors, extra = return_to_1d(term)
         # The search runs at unit coefficient (``_reduce_lifted``).
-        return integrate_product(factors, term.nvars, rules, notes, extra_atoms=extra)
+        return _integrate_leaf(rules, log, notes, tuple(factors), term.nvars, extra)
 
     for first, second in itertools.combinations(munu, 2):
         if term.props[first] == term.props[second]:
@@ -504,25 +551,28 @@ def _search(rules: RuleSet, term: TTerm, depth: int, log: list[dict], notes: lis
     )
 
 
-@functools.cache
+@_memo
 def _reduce_lifted(
-    rules: RuleSet, nvars: int, props: tuple[TProp, ...], deltas: tuple[SingularAtom, ...], depth: int
-) -> tuple[RegValue | None, tuple[type, str] | None, tuple[dict, ...], tuple[str, ...]]:
-    """(value, error class and text, log, notes) of one lifted term at unit coefficient.
+    rules: _Reading, log: list[dict], notes: list[str],
+    nvars: int, props: tuple[TProp, ...], deltas: tuple[SingularAtom, ...], depth: int,
+) -> RegValue:
+    """One lifted term at unit coefficient, searched.
 
     ``depth`` is in the key because a success or a refusal can depend on the
     budget left.  The coefficient is not: reduction is linear in it, and at
     unit coefficient the fixed-point test reads the ratio of a piece that
     repeats the term straight off the piece's coefficient.
     """
-    log: list[dict] = []
-    notes: list[str] = []
-    value = error = None
-    try:
-        value = _search(rules, TTerm(RegValue.one(), nvars, props, deltas), depth, log, notes)
-    except (ReductionError, UnreducedSingularStructureError) as err:
-        error = (type(err), str(err))
-    return value, error, tuple(log), tuple(notes)
+    return _search(rules, TTerm(RegValue.one(), nvars, props, deltas), depth, log, notes)
+
+
+@_memo
+def _integrate_leaf(
+    rules: _Reading, log: list[dict], notes: list[str],
+    factors: tuple[tuple[str, int, int], ...], nvars: int, extra_atoms: tuple[SingularAtom, ...],
+) -> RegValue:
+    """One ``ReturnTo1D`` leaf at unit coefficient, integrated."""
+    return integrate_product(list(factors), nvars, rules, notes, extra_atoms=extra_atoms)
 
 
 def _reduce_product(
@@ -534,12 +584,13 @@ def _reduce_product(
         # beta, and with no factors there are no variables.
         return parsed.coefficient
     term = lift(parsed)
+    reading = _Reading(rules)
     if log is None:
-        return _resolve(rules, term, _MAX_DEPTH, [], notes)
+        return _resolve(reading, term, _MAX_DEPTH, [], notes)
     _record(log, "Lift", factors=[p.describe() for p in term.props], variables=term.nvars)
     start = len(log)
     try:
-        return _resolve(rules, term, _MAX_DEPTH, log, notes)
+        return _resolve(reading, term, _MAX_DEPTH, log, notes)
     finally:
         # The memo's own entries (text, numbers, lists) were appended: copy them.
         log[start:] = [

@@ -259,6 +259,16 @@ def test_identity_transform_has_no_diagrams(order):
     assert catalog(FlatTransform(()), order) == []
 
 
+@pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda r: r.name)
+@pytest.mark.parametrize("model", [FlatTransform(), NormalCoords()], ids=lambda m: type(m).__name__)
+def test_order_two_takes_the_order_one_totals_unchanged(model, rules):
+    first = sum_order(model, 1, rules)
+    kept = dict(first)
+    assert sum_order(model, 1, rules, first) is first
+    assert sum_order(model, 2, rules, first) == sum_order(model, 2, rules)
+    assert first == kept
+
+
 def test_flat_second_order_mode_regularization_residual():
     total = sum_order(FlatTransform(), 2, MODEREG)["one"]
     assert total == RegValue.beta(2, Fraction(-1, 36))
@@ -365,13 +375,17 @@ def test_wick_multiplies_values_once_per_catalog_entry(monkeypatch):
     assert 0 < len(products) <= len(diagrams)
     assert sum(sum(calls) for _, calls in contractions) == 128
 
-    # The battery's six catalogs contract 272 matchings in 46 groups.
+    # The battery builds four catalogs, each model's order 1 and order 2
+    # once: 4 + 128 matchings in 3 + 17 groups per model, 264 in 40.
     contractions.clear()
+    catalogs = []
+    monkeypatch.setattr(worldline.diagrams, "wick", lambda *args, **kw: catalogs.append(args) or wick(*args, **kw))
     run_standard_checks()
+    assert len(catalogs) == 4
     for edge_multisets, calls in contractions:
         assert len(calls) == len(edge_multisets) and all(calls)
-    assert sum(sum(calls) for _, calls in contractions) == 272
-    assert sum(len(calls) for _, calls in contractions) == 46
+    assert sum(sum(calls) for _, calls in contractions) == 264
+    assert sum(len(calls) for _, calls in contractions) == 40
 
 
 def test_evaluate_diagram_applies_weight():

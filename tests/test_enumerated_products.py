@@ -16,10 +16,11 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from worldline.integrands import ParsedProduct
 from worldline.integration import DIMREG, MODEREG, UnreducedSingularStructureError
-from worldline.reduction import ReductionError, _reduce_lifted, _reduce_product
+from worldline.reduction import ReductionError, _integrate_leaf, _reduce_lifted, _reduce_product
 from worldline.values import RegValue
 
 # (variable count, most factors) of the enumerated products.
@@ -57,22 +58,32 @@ def enumerated_products(sizes=SIZES):
                     yield factors, nvars
 
 
+def outcome(rules, factors, nvars) -> tuple[str, list[dict], list[str]]:
+    """(value or error text, move log, notes) of one product reduced under ``rules``."""
+    log: list[dict] = []
+    notes: list[str] = []
+    try:
+        text = _reduce_product(rules, ParsedProduct(RegValue.one(), factors, nvars), log, notes).text()
+    except (ReductionError, UnreducedSingularStructureError) as error:
+        text = f"{type(error).__name__}: {error}"
+    return text, log, notes
+
+
 def outcome_digest(rules, sizes=SIZES) -> tuple[int, str]:
     """(product count, sha256 of every product's reduced outcome) under ``rules``."""
     digest = hashlib.sha256()
     count = 0
     for factors, nvars in enumerated_products(sizes):
-        log: list[dict] = []
-        notes: list[str] = []
-        try:
-            text = _reduce_product(rules, ParsedProduct(RegValue.one(), factors, nvars), log, notes).text()
-        except (ReductionError, UnreducedSingularStructureError) as error:
-            text = f"{type(error).__name__}: {error}"
         described = [(kind, i, j) for kind, i, j in factors]
-        digest.update(repr((described, text, log, notes)).encode())
+        digest.update(repr((described, *outcome(rules, factors, nvars))).encode())
         digest.update(b"\n")
         count += 1
     return count, digest.hexdigest()
+
+
+def clear_memos():
+    _reduce_lifted.cache_clear()
+    _integrate_leaf.cache_clear()
 
 
 @pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda rules: rules.name)
@@ -90,12 +101,33 @@ def test_the_enumeration_holds_the_refused_triangle():
 
 @pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda rules: rules.name)
 def test_a_memo_hit_replays_the_search(rules):
-    # Cold, the memo searches every lifted term; warm, it answers every one
-    # from what it recorded.  Any value, refusal, move or note that a hit
-    # replays differently changes the digest.
-    _reduce_lifted.cache_clear()
+    # Cold, the memos search every lifted term and integrate every leaf;
+    # warm, they answer each from what they recorded, and a search or an
+    # integration would add an entry.  Any value, refusal, move or note that
+    # a hit replays differently changes the digest.
+    memos = (_reduce_lifted, _integrate_leaf)
+    clear_memos()
     cold = outcome_digest(rules, ((2, 4),))
-    searched = _reduce_lifted.cache_info().misses
+    searched = [memo.cache_info()["currsize"] for memo in memos]
     warm = outcome_digest(rules, ((2, 4),))
-    assert _reduce_lifted.cache_info().misses == searched > 0
+    assert [memo.cache_info()["currsize"] for memo in memos] == searched
+    assert min(searched) > 0
     assert warm == cold
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(list(enumerated_products(((1, 4), (2, 4), (3, 4))))),
+    st.sampled_from([(DIMREG, MODEREG), (MODEREG, DIMREG)]),
+)
+def test_one_memo_serves_both_rule_sets_as_two_fresh_ones_would(product, schemes):
+    # An entry that never looked up an eps power serves the other rule set
+    # too.  Whichever scheme runs first, each one's value or refusal, move
+    # log and notes are those of a fresh memo.
+    fresh = []
+    for rules in schemes:
+        clear_memos()
+        fresh.append(outcome(rules, *product))
+    clear_memos()
+    assert [outcome(rules, *product) for rules in schemes] == fresh
+    clear_memos()

@@ -3,8 +3,9 @@
 ``RegValue`` and ``Poly`` add and multiply int numerators and scale them to
 the lcm of two denominators; they reduce only where a value leaves the
 kernel.  Every operation here is compared with ``tests/fraction_ring.py``,
-which does the same work one Fraction at a time.  The inputs mix
-denominators, carry negative beta powers and include sums that cancel.
+which does the same work one Fraction at a time on exponent tuples.  The
+inputs mix denominators, carry beta powers far beyond any field and
+exponents up to the field bound, and include sums that cancel.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import given, strategies as st
 
 import fraction_ring as ref
 from worldline.polynomials import Poly
-from worldline.values import RegValue
+from worldline.values import _FIELD_MAX, RegValue
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 nonzero_rationals = rationals.filter(bool)
@@ -33,12 +34,25 @@ def term_pairs(draw, keys):
     return a, b
 
 
+# A key packs its unsigned exponents into _FIELD_BITS-bit fields under the
+# signed beta power.  An operand's exponents may sum to HALF, so that a
+# product's reach the field bound; beta has no bound.
+HALF = (_FIELD_MAX - 2) // 2
+betas = st.integers(-3, 3) | st.integers(-(10**9), 10**9)
+
+
+def exponents(bound):
+    """Small exponents, or exponents just under ``bound``."""
+    return st.integers(0, 3) | st.integers(max(bound - 3, 0), bound)
+
+
 def reg_keys():
-    return st.tuples(st.integers(-3, 3), st.integers(0, 2))
+    return st.tuples(betas, exponents(HALF))
 
 
 def poly_keys(nvars):
-    return st.tuples(st.integers(-3, 3), *[st.integers(0, 3)] * nvars)
+    # Each key's exponents sum to at most HALF.
+    return st.tuples(betas, *[exponents(HALF // nvars - 3)] * nvars)
 
 
 def nonzero(terms):
@@ -134,10 +148,42 @@ def test_both_rings_mix_with_rationals_and_refuse_other_operands(value):
 
 
 def test_polys_over_different_variable_counts_neither_mix_nor_compare_equal():
-    with pytest.raises(ValueError, match="different variable counts"):
-        Poly.const(1, 1) + Poly.const(2, 1)
+    # tau_0 of a one-variable Poly and tau_1 of a two-variable one have the
+    # same packed key, so without the check they would combine.
+    one, two = Poly.monomial(1, 1, 0, (1,)), Poly.monomial(2, 1, 0, (0, 1))
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((one, two), (two, one), (Poly.const(1, 1), Poly.const(2, 1))):
+            with pytest.raises(ValueError, match="different variable counts"):
+                op(left, right)
     assert Poly.const(1, 1) != Poly.const(2, 1)
     assert Poly.const(1, 0) != Poly.const(2, 0)
+    assert one != two
+
+
+def test_an_exponent_that_could_carry_out_of_its_field_raises():
+    top = Poly.monomial(2, 1, 0, (_FIELD_MAX - 1, 0))
+    with pytest.raises(OverflowError):
+        Poly.monomial(2, 1, 0, (_FIELD_MAX, 1))
+    with pytest.raises(OverflowError):
+        RegValue.delta0(_FIELD_MAX + 1)
+    # A product whose exponent sums could pass the bound raises, even where
+    # the terms that meet would fit: the check reads one bound per operand.
+    with pytest.raises(OverflowError):
+        top * Poly.monomial(2, 1, 0, (0, 2))
+    with pytest.raises(OverflowError):
+        RegValue.delta0(HALF + 2) * RegValue.delta0(HALF + 2)
+    # Integrating tau_0 up to tau_1 raises tau_1's exponent by one more.
+    with pytest.raises(OverflowError):
+        (top * Poly.monomial(2, 1, 0, (0, 1))).integrate_sector((0, 1))
+    # At the bound itself nothing carries: a product, a merge of two
+    # variables into one field, and integrals up to beta and up to tau_1.
+    at_bound = top * Poly.monomial(2, 1, 0, (1, 0))
+    assert at_bound.terms() == {(0, _FIELD_MAX, 0): 1}
+    merged = Poly.monomial(2, 1, -2, (_FIELD_MAX - 1, 1)).remap((0, 0), 1)
+    assert merged.terms() == {(-2, _FIELD_MAX): 1}
+    assert at_bound.integrate_out(0).terms() == {(_FIELD_MAX + 1, 0, 0): Fraction(1, _FIELD_MAX + 1)}
+    assert dict(top.integrate_sector((0, 1)).items()) == {(_FIELD_MAX + 1, 0): Fraction(1, _FIELD_MAX * (_FIELD_MAX + 1))}
+    assert (RegValue.delta0(_FIELD_MAX - 1) * RegValue.delta0()).items() == [((0, _FIELD_MAX), 1)]
 
 
 def test_a_regvalue_never_equals_a_poly():

@@ -18,6 +18,7 @@ from worldline.reduction import (
     ReductionError,
     TProp,
     TTerm,
+    _integrate_leaf,
     _reduce_lifted,
     _reduce_product,
     divergence_split,
@@ -409,47 +410,57 @@ def test_reduce_terms_returns_or_raises_value_error(text, rules):
 # -- the memo ------------------------------------------------------------------
 
 
+def clear_memos():
+    _reduce_lifted.cache_clear()
+    _integrate_leaf.cache_clear()
+
+
 @pytest.fixture
 def searched(monkeypatch):
-    """Counts each search of a lifted term by memo key; the memo starts and ends empty."""
+    """Counts each search of a lifted term by rule set and memo key; the memos start and end empty."""
     counts = Counter()
     search = reduction._search
 
     def counted(rules, term, depth, log, notes):
-        counts[rules, term.nvars, term.props, term.deltas, depth] += 1
+        counts[rules.rules, term.nvars, term.props, term.deltas, depth] += 1
         return search(rules, term, depth, log, notes)
 
     monkeypatch.setattr(reduction, "_search", counted)
-    _reduce_lifted.cache_clear()
+    clear_memos()
     yield counts
-    _reduce_lifted.cache_clear()
+    clear_memos()
 
 
 @pytest.mark.parametrize(
     "text, integrations, value, entries, digest",
     [
-        (  # I2: 7 integrations without the memo
+        (  # I2: 7 integrations without a memo, 4 with the lifted-term memo alone
             "D(1,1)*DD(1,2)*DD(1,2)*D(2,2)", 4, "-7/180 * beta^2 + 1/30 * beta^3 * delta0", 19,
             "42ca27a5ff9893bdb4a2b3a70133bb2dbc46b8827205b17b8b5e0f3a9e6655bf",
         ),
-        (  # I8: 7 without the memo
-            "D(1,2)*D(1,2)*DD(1,2)*DD(1,2)", 5, "-1/72 * beta^2 + 1/30 * beta^3 * delta0", 17,
+        (  # I8: 7 without a memo, 5 with the lifted-term memo alone
+            "D(1,2)*D(1,2)*DD(1,2)*DD(1,2)", 4, "-1/72 * beta^2 + 1/30 * beta^3 * delta0", 17,
             "a5eb5944b95bd9b8c65278e06f02dee052db7fb8e555870ede4892a79fb02069",
         ),
-        (  # 12 without the memo
-            "Dl(1,1)*Dr(1,2)*DD(1,3)*DD(2,3)", 5, "1/6 * beta", 44,
+        (  # 12 without a memo, 5 with the lifted-term memo alone
+            "Dl(1,1)*Dr(1,2)*DD(1,3)*DD(2,3)", 1, "1/6 * beta", 44,
             "7636418253a5fdfe41983123a61fc7a2d038c8187e28141d11e0ea51aa7fbf0e",
         ),
     ],
 )
 def test_each_distinct_leaf_is_integrated_once(text, integrations, value, entries, digest, searched, monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        reduction, "integrate_product", lambda *args, **kw: calls.append(args) or integrate_product(*args, **kw)
-    )
+    # Lifted terms that differ only in their labels return to the same
+    # one-dimensional leaf, which the leaf memo integrates once.
+    leaves = []
+
+    def counted(factors, nvars, rules, notes, extra_atoms):
+        leaves.append((tuple(factors), nvars, extra_atoms))
+        return integrate_product(factors, nvars, rules, notes, extra_atoms=extra_atoms)
+
+    monkeypatch.setattr(reduction, "integrate_product", counted)
     log = []
     assert reduce_terms(text, DIMREG, log).text() == value
-    assert len(calls) == integrations
+    assert len(leaves) == len(set(leaves)) == integrations
     # The move log is the one the search without a memo wrote.
     assert len(log) == entries
     assert hashlib.sha256(repr(log).encode()).hexdigest() == digest
@@ -460,6 +471,34 @@ def test_each_distinct_leaf_is_integrated_once(text, integrations, value, entrie
 def test_the_battery_searches_no_term_twice(rules, searched):
     run_standard_checks(rules)
     assert searched and max(searched.values()) == 1
+
+
+@pytest.mark.parametrize("name, searches", [("I10", 0), ("I12", 0), ("I14", 3)])
+def test_modereg_after_dimreg_searches_only_the_terms_that_read_the_rule_set(name, searches, searched):
+    # I10 and I12 never look up an eps power, so the terms DimReg searched
+    # serve ModeReg as they are; I14's three terms read the eps^2*delta
+    # value, so each is searched again under ModeReg.
+    runs = []
+    for rules in (DIMREG, MODEREG):
+        log = []
+        runs.append((evaluate_named(name, rules, log).text(), log))
+    assert sum(count for key, count in searched.items() if key[0] == MODEREG) == searches
+    assert max(searched.values()) == 1
+    clear_memos()
+    log = []
+    assert (evaluate_named(name, MODEREG, log).text(), log) == runs[1]
+
+
+def test_a_cold_modereg_battery_integrates_at_most_32_leaves(searched, monkeypatch):
+    # 57 without the leaf memo, 40 of which never read the rule set.  They
+    # are 26 distinct leaves, and 6 of those read it under both schemes,
+    # since the heat-kernel checks run in DimReg.
+    leaves = []
+    monkeypatch.setattr(
+        reduction, "integrate_product", lambda *args, **kw: leaves.append(args) or integrate_product(*args, **kw)
+    )
+    run_standard_checks(MODEREG)
+    assert 0 < len(leaves) <= 32
 
 
 def test_the_slow_refusal_searches_each_term_once(searched):
