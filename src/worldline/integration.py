@@ -6,18 +6,16 @@ delta atoms resolved first by collapsing variables; what survives is a
 regionwise polynomial integral evaluated exactly, sector by sector, with
 every eps factor resolved to a sign.
 
-Products of distributions at coincident points have no unique value.  A
-``RuleSet`` fixes the convention:
-
-* ``value_eps_delta``   -- the value assigned to  int eps(t) delta(t) dt
-* ``value_eps2_delta``  -- the value assigned to  int eps(t)^2 delta(t) dt
-
-``DIMREG`` assigns zero to both eps integrals, the values forced by
-continuing the time coordinate to d dimensions.  ``MODEREG`` keeps the
-value 1/3 for the eps**2 integral, which is what straight mode expansion
-(equivalently: insisting on partial integration with delta = eps'/2)
-produces.  Both rule sets resolve squares and chains of deltas the same
-way; they differ only at coincident eps factors.
+Products of distributions at coincident points have no unique value.
+Since eps is odd and delta even, int eps(t)**k delta(t) dt = 0 for every
+odd k (``_collapse_once``).  A ``RuleSet`` fixes the one remaining number,
+``value_eps2_delta`` = int eps(t)**2 delta(t) dt.  ``DIMREG`` assigns 0, the
+value forced by continuing the time coordinate to d dimensions.  ``MODEREG``
+assigns 1/3, which is what straight mode expansion (equivalently: insisting
+on partial integration with delta = eps'/2) produces.  Higher even powers
+follow the square: 0, or 1/(k+1) when the square survives.  Both rule sets
+resolve squares and chains of deltas the same way; they differ only at
+coincident even powers of eps.
 """
 
 from __future__ import annotations
@@ -35,32 +33,20 @@ class UnreducedSingularStructureError(ValueError):
     """Raised when a term's delta content has no assigned resolution."""
 
 
-class RuleSet(namedtuple("RuleSet", "name value_eps2_delta value_eps_delta")):
-    """A named rule set: the ``Fraction`` values of eps**2*delta and eps*delta."""
+class RuleSet(namedtuple("RuleSet", "name value_eps2_delta")):
+    """A named rule set: the ``Fraction`` value of eps**2*delta."""
 
     __slots__ = ()
 
-    def eps_power_delta_value(self, power: int, notes: list[str] | None = None) -> Fraction:
-        """Value of  int eps(t)**power delta(t) dt  under this rule set."""
-        if power == 1:
-            return self.value_eps_delta
-        if power == 2:
-            return self.value_eps2_delta
-        if power % 2 == 1:
-            if notes is not None:
-                notes.append(f"eps^{power}*delta resolved to 0 (odd power)")
-            return Fraction(0)
-        # Even powers beyond 2 never occur in the shipped catalogs; they
-        # follow the same pattern as the square (0, or 1/(power+1) when the
-        # square survives) and are flagged so a caller can tell.
-        value = Fraction(0) if self.value_eps2_delta == 0 else Fraction(1, power + 1)
-        if notes is not None:
-            notes.append(f"eps^{power}*delta resolved to {value} ({self.name})")
-        return value
+    def eps_power_delta_value(self, power: int) -> Fraction:
+        """Value of  int eps(t)**power delta(t) dt  for an even power."""
+        if power == 2 or not self.value_eps2_delta:
+            return self.value_eps2_delta  # higher powers vanish with the square
+        return Fraction(1, power + 1)
 
 
-DIMREG = RuleSet("DimReg", value_eps2_delta=Fraction(0), value_eps_delta=Fraction(0))
-MODEREG = RuleSet("ModeReg", value_eps2_delta=Fraction(1, 3), value_eps_delta=Fraction(0))
+DIMREG = RuleSet("DimReg", value_eps2_delta=Fraction(0))
+MODEREG = RuleSet("ModeReg", value_eps2_delta=Fraction(1, 3))
 
 RULESETS = {"dimreg": DIMREG, "modereg": MODEREG}
 
@@ -115,7 +101,13 @@ def _collapse_once(
         if atom is target_atom:
             continue
         if atom.kind == "eps" and (atom.i, atom.j) == (i, j):
-            factor *= rules.eps_power_delta_value(atom.power, notes)
+            # eps is odd and delta even, so an odd power integrates to 0.
+            odd = atom.power % 2
+            value = Fraction(0) if odd else rules.eps_power_delta_value(atom.power)
+            if atom.power > 2 and notes is not None:
+                why = "odd power" if odd else rules.name
+                notes.append(f"eps^{atom.power}*delta resolved to {value} ({why})")
+            factor *= value
             continue
         a, b = (i if v == j else v for v in (atom.i, atom.j))
         if a > b:

@@ -12,7 +12,8 @@ the lifted term:
 * ``FieldEquation``        -- a twice-same-side-differentiated factor (the
   Laplacian tag) becomes -delta(tau_i - tau_j), or -delta0 at equal times.
 * ``PartialIntegration``   -- moves one derivative end off a factor onto
-  the rest of the product, with 1D boundary bookkeeping.
+  the rest of the product, with 1D boundary bookkeeping; never off a
+  variable that a lifted delta touches.
 * ``ReturnTo1D``           -- maps the label-free remainder back to plain
   one-dimensional propagator factors and integrates them.
 
@@ -253,7 +254,8 @@ def partial_integration(term: TTerm, index: int, side: int) -> list[TTerm]:
 
     Returns the product-rule terms.  The endpoint terms must vanish: chains
     whose boundary contributions survive are outside the move table and are
-    rejected.  With nothing left to differentiate the
+    rejected.  So is a variable that a delta touches, whose derivative the
+    product rule would drop.  With nothing left to differentiate the
     integrand was a total derivative with zero boundary terms, so the list
     is empty: the whole term vanishes.
     """
@@ -266,6 +268,10 @@ def partial_integration(term: TTerm, index: int, side: int) -> list[TTerm]:
         )
     label = labels[0]
     var = source.i if side == 0 else source.j
+    if any(var in (delta.i, delta.j) for delta in term.deltas):
+        raise ReductionError(
+            f"no legal reduction: a delta on variable {var + 1} blocks partial integration there"
+        )
     stub = TProp(
         source.i,
         source.j,
@@ -380,14 +386,15 @@ def _record(log: list[dict], move: str, **info) -> None:
 class _Reading:
     """A rule set that records whether ``eps_power_delta_value``, where rule sets differ, was read."""
 
-    __slots__ = ("rules", "read")
+    __slots__ = ("rules", "name", "read")
 
     def __init__(self, rules: RuleSet) -> None:
-        self.rules, self.read = rules, False
+        # ``name`` is read only in the note that follows such a lookup.
+        self.rules, self.name, self.read = rules, rules.name, False
 
-    def eps_power_delta_value(self, power: int, notes: list[str] | None = None) -> Fraction:
+    def eps_power_delta_value(self, power: int) -> Fraction:
         self.read = True
-        return self.rules.eps_power_delta_value(power, notes)
+        return self.rules.eps_power_delta_value(power)
 
 
 def _memo(compute):

@@ -10,11 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from worldline import spectral
+from worldline import integration, reduction, spectral
 from worldline.checks import check_constraints, check_flat, check_seeley, run_standard_checks
 from worldline.cli import main
-from worldline.diagrams import perfect_matchings
-from worldline.integration import DIMREG, MODEREG
+from worldline.diagrams import perfect_matchings, sum_order
+from worldline.geometry import FlatTransform, NormalCoords, measure_terms, seeley_reference
+from worldline.integration import DIMREG, MODEREG, RuleSet
+from worldline.reduction import evaluate_named
 from worldline.reports import CheckReport
 from worldline.rings import PROFILES, measure_cancellation, resolve_profile
 from worldline.spectral import (
@@ -112,6 +114,151 @@ def test_constraints_fail_in_mode_scheme_with_recorded_values() -> None:
     assert report.actual["I8R - 2*I9 + I10"] == "-1/18 * beta^2"
     assert report.actual["pattern[full_square]"] == "-1/12 * beta"
     assert report.actual["pattern[cross]"] == "0"
+
+
+# ---------------------------------------------------------------------------
+# the rule, derived
+# ---------------------------------------------------------------------------
+
+
+def _interpolate(points: list[Fraction], values: list[Fraction]) -> list[Fraction]:
+    """Coefficients, lowest first, of the least-degree polynomial through the points (Lagrange)."""
+    coefficients = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        basis, scale = [Fraction(1)], Fraction(1)
+        for j, xj in enumerate(points):
+            if j != i:  # basis *= (x - xj)
+                basis = [low - xj * high for low, high in zip([Fraction(0), *basis], [*basis, Fraction(0)])]
+                scale *= xi - xj
+        coefficients = [c + yi * b / scale for c, b in zip(coefficients, basis)]
+    while coefficients and not coefficients[-1]:
+        coefficients.pop()
+    return coefficients
+
+
+def _monic_gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    """Monic greatest common divisor of two nonzero polynomials over Q (Euclid)."""
+    while q:
+        r = list(p)
+        while len(r) >= len(q):
+            lead, shift = r[-1] / q[-1], len(r) - len(q)
+            r = [c - lead * q[k - shift] if k >= shift else c for k, c in enumerate(r)][:-1]
+            while r and not r[-1]:
+                r.pop()
+        p, q = q, r
+    return [c / p[-1] for c in p]
+
+
+def _at(coefficients_by_key: dict, x: Fraction) -> RegValue:
+    total = RegValue.zero()
+    for (beta_power, delta0_power), coefficients in coefficients_by_key.items():
+        value = sum(c * x**k for k, c in enumerate(coefficients))
+        total = total + RegValue.term(value, beta_power, delta0_power)
+    return total
+
+
+def test_the_battery_derives_that_eps_squared_delta_vanishes(monkeypatch) -> None:
+    """x = int eps^2 delta is the only number a rule set sets; the battery fixes it at 0.
+
+    Each quantity that must vanish -- the flat totals, the four constraint
+    sum rules less their stated values, the heat-kernel totals less their
+    references -- is computed under ``RuleSet("X", x)`` at sample points
+    other than 0 and 1/3, and interpolated exactly over Q.  A term's value
+    carries one factor x per eps^2*delta lookup, so every reduced value is a
+    polynomial of degree at most d, the most lookups any term makes.  The
+    order-2 totals add the square of order 1, which comes out constant, so
+    d + 2 points determine each quantity with one to spare.
+    """
+    reduction._reduce_lifted.cache_clear()  # a memo hit makes no lookup to count
+    reduction._integrate_leaf.cache_clear()
+    lookups: dict[int, int] = {}
+    per_term: list[dict[int, int]] = []
+    integrate_term, eps_power_delta_value = integration.integrate_term, RuleSet.eps_power_delta_value
+
+    def counted_term(*args):
+        per_term.append({})
+        try:
+            return integrate_term(*args)
+        finally:
+            for power, count in per_term.pop().items():
+                lookups[power] = max(lookups.get(power, 0), count)
+
+    def counted_value(rules, power):
+        per_term[-1][power] = per_term[-1].get(power, 0) + 1
+        return eps_power_delta_value(rules, power)
+
+    monkeypatch.setattr(integration, "integrate_term", counted_term)
+    monkeypatch.setattr(RuleSet, "eps_power_delta_value", counted_value)
+
+    model = NormalCoords()
+    reference = {order: seeley_reference(model, order) for order in (1, 2)}
+    zero = RegValue.zero()
+    stated = {
+        "I14 + I15R": RegValue.beta(1, Fraction(-1, 12)),
+        "I8R + 4*I9 + I10": RegValue.beta(2, Fraction(-1, 120)),
+    }
+
+    def quantities(x: Fraction) -> dict[str, RegValue]:
+        rules = RuleSet("X", x)
+        flat, normal = sum_order(FlatTransform(), 1, rules), sum_order(model, 1, rules)
+        out = {f"flat order 1 {k}": v for k, v in flat.items()}
+        out |= {f"flat order 2 {k}": v for k, v in sum_order(FlatTransform(), 2, rules, flat).items()}
+        totals = {1: dict(normal), 2: sum_order(model, 2, rules, normal)}
+        for label, value in measure_terms(model).items():
+            totals[1][label] = totals[1].get(label, zero) + value
+        for order, total in totals.items():
+            for k in set(total) | set(reference[order]):
+                out[f"heat kernel order {order} {k}"] = total.get(k, zero) - reference[order].get(k, zero)
+        i = {name: evaluate_named(name, rules) for name in ("I8R", "I9", "I10", "I14", "I15R")}
+        out["I14 + I15R"] = i["I14"] + i["I15R"] - stated["I14 + I15R"]
+        out["3*I14 + I15R"] = i["I14"] * 3 + i["I15R"]
+        out["I8R + 4*I9 + I10"] = i["I8R"] + i["I9"] * 4 + i["I10"] - stated["I8R + 4*I9 + I10"]
+        out["I8R - 2*I9 + I10"] = i["I8R"] - i["I9"] * 2 + i["I10"]
+        return out
+
+    samples = [Fraction(2), Fraction(-5, 7), Fraction(3, 2), Fraction(7), Fraction(-1, 4)]
+    results = [quantities(samples[0])]
+    d = max(lookups.values())
+    points = samples[: d + 2]
+    results += [quantities(x) for x in points[1:]]
+    assert set(lookups) == {2}, "only eps^2*delta is looked up; no eps^4*delta"
+    assert max(lookups.values()) == d
+
+    polynomials: dict[str, dict] = {}
+    for name in results[0]:
+        keys = sorted({key for result in results for key, _ in result[name].items()})
+        samples_by_key = [dict(result[name].items()) for result in results]
+        polynomials[name] = {
+            key: _interpolate(points, [values.get(key, Fraction(0)) for values in samples_by_key])
+            for key in keys
+        }
+    for name, by_key in polynomials.items():
+        assert all(len(c) <= d + 1 for c in by_key.values()), name
+        if "order 1" in name:
+            assert all(len(c) <= 1 for c in by_key.values()), f"{name} depends on x"
+
+    # x = 0 is the one common root, and it is DimReg's value.
+    nonzero = [c for by_key in polynomials.values() for c in by_key.values() if c]
+    assert all(c[0] == 0 for c in nonzero)
+    common = nonzero[0]
+    for c in nonzero[1:]:
+        common = _monic_gcd(common, c)
+    assert common == [0, 1]
+    assert DIMREG.value_eps2_delta == 0
+    assert polynomials["flat order 2 one"] == {(2, 0): [0, Fraction(-1, 12)]}  # -x beta^2/12
+    assert polynomials["I14 + I15R"] == {(1, 0): [0, Fraction(-1, 4)]}  # -x beta/4
+    assert polynomials["I8R + 4*I9 + I10"] == {(2, 0): [0, Fraction(-1, 24)]}
+    assert polynomials["I8R - 2*I9 + I10"] == {(2, 0): [0, Fraction(-1, 6)]}
+    assert polynomials["heat kernel order 2 RiemannSq"] == {(2, 0): [0, Fraction(-1, 144)]}
+    assert not polynomials["3*I14 + I15R"], "holds for every x, so it cannot see the rule"
+    # Criterion 4's typed ModeReg residues are these polynomials at x = 1/3.
+    third = MODEREG.value_eps2_delta
+    assert third == Fraction(1, 3)
+    flat = _at(polynomials["flat order 2 one"], third).text()
+    assert flat == check_flat(2, MODEREG).actual["one[delta0^0]"] == "-1/36 * beta^2"
+    residue = _at(polynomials["I14 + I15R"], third)
+    mode = evaluate_named("I14", MODEREG) + evaluate_named("I15R", MODEREG)
+    assert residue and residue == mode - stated["I14 + I15R"]
 
 
 # ---------------------------------------------------------------------------

@@ -246,13 +246,14 @@ def test_parameter_dependence_matches_rule_value():
 
 @pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda r: r.name)
 def test_move_search_falls_back_to_a_later_candidate(rules):
-    # Pins current behaviour: this product reduces only because the move
-    # search backtracks past its first partial-integration candidate; a
-    # search that stops after the first candidate raises ReductionError.
-    # There is no independent oracle, because the direct integral is the
-    # naive route.
+    # This product reduces only because the move search backtracks past the
+    # first partial-integration candidate of a node below the top, which a
+    # delta on its variable refuses; a search that stops after the first
+    # candidate raises ReductionError.  The value follows from the exact
+    # convolution int dtau_3 DD(1,3) DD(2,3) = DD(1,2) (DD = delta - 1/beta)
+    # and Dl(1,1)*Dr(1,2)*DD(1,2) = beta/12.
     value = reduce_terms("Dl(1,1)*Dr(1,2)*DD(1,3)*DD(2,3)", rules)
-    assert value == beta(1, "1/6")
+    assert value == beta(1, "1/12") == reduce_terms("Dl(1,1)*Dr(1,2)*DD(1,2)", rules)
 
 
 # -- refusals of the public moves ----------------------------------------------
@@ -442,9 +443,9 @@ def searched(monkeypatch):
             "D(1,2)*D(1,2)*DD(1,2)*DD(1,2)", 4, "-1/72 * beta^2 + 1/30 * beta^3 * delta0", 17,
             "a5eb5944b95bd9b8c65278e06f02dee052db7fb8e555870ede4892a79fb02069",
         ),
-        (  # 12 without a memo, 5 with the lifted-term memo alone
-            "Dl(1,1)*Dr(1,2)*DD(1,3)*DD(2,3)", 1, "1/6 * beta", 44,
-            "7636418253a5fdfe41983123a61fc7a2d038c8187e28141d11e0ea51aa7fbf0e",
+        (  # beta/12 by the convolution int dtau_3 DD(1,3) DD(2,3) = DD(1,2)
+            "Dl(1,1)*Dr(1,2)*DD(1,3)*DD(2,3)", 2, "1/12 * beta", 42,
+            "36fd6a303879a612413fddd6f7faa6380c8d64fc304f72301a09552981e79c86",
         ),
     ],
 )
@@ -502,17 +503,16 @@ def test_a_cold_modereg_battery_integrates_at_most_32_leaves(searched, monkeypat
 
 
 def test_the_slow_refusal_searches_each_term_once(searched):
-    # Without the memo the search backtracks through 23,218 calls on these
-    # 687 terms.  The refusal text is unchanged: 45,949 characters, one
-    # nested "every candidate move failed" per depth.
+    # The search refuses 599 terms, each once.  The refusal text has 45,569
+    # characters, one nested "every candidate move failed" per depth.
     with pytest.raises(ReductionError) as refusal:
         reduce_terms("Dr(2,3)*Dr(3,2)*DD(3,1)*Dr(1,1)*Dr(1,2)")
-    assert len(searched) == 687
+    assert len(searched) == 599
     assert max(searched.values()) == 1
     text = str(refusal.value)
-    assert len(text) == 45949
+    assert len(text) == 45569
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "9454f5223666a0e4df01a6172272f393b3995de003059b2201948b6a96f1c14c"
+        "2ab88fa1d1af1eb315fe3ab3e604b7d75b5b8e944ec77841ad30a49e719bb3a3"
     )
 
 

@@ -132,9 +132,7 @@ _VALUES = {
     "ParsedProduct": (ParsedProduct, dict(
         coefficient=RegValue.one(), factors=(("DD", 0, 1),), nvars=2,
     )),
-    "RuleSet": (RuleSet, dict(
-        name="Probe", value_eps2_delta=Fraction(1, 5), value_eps_delta=Fraction(1, 7),
-    )),
+    "RuleSet": (RuleSet, dict(name="Probe", value_eps2_delta=Fraction(1, 5))),
     "TProp": (TProp, dict(i=0, j=1, left=("mu",), right=())),
     "TTerm": (TTerm, dict(
         coefficient=RegValue.one(), nvars=2, props=(TProp(0, 1, (), ()),),
