@@ -130,17 +130,46 @@ def _expand_factor(kind: str, i: int, j: int, nvars: int) -> list[_Piece]:
 # ---------------------------------------------------------------------------
 
 
+def _components(atoms: tuple[SingularAtom, ...]) -> tuple[dict[int, int], dict[int, int]]:
+    """The connected components of the delta atoms' graph: (root, surplus).
+
+    ``root[v]``, for each variable a delta touches, is the smallest variable
+    joined to v by a path of deltas; ``surplus[r]`` is the delta power of
+    r's component minus its variable count.  A tree has surplus -1, one
+    cycle (a squared delta is a 2-cycle) 0, and a second cycle more.
+    """
+    root: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while root.setdefault(v, v) != v:
+            v = root[v]
+        return v
+
+    deltas = [atom for atom in atoms if atom.kind == "delta"]
+    for atom in deltas:
+        a, b = sorted((find(atom.i), find(atom.j)))
+        root[b] = a
+    surplus: dict[int, int] = {}
+    for v in root:
+        root[v] = r = find(v)
+        surplus[r] = surplus.get(r, 0) - 1
+    for atom in deltas:
+        surplus[root[atom.i]] += atom.power
+    return root, surplus
+
+
 def _merge_atoms(atoms: tuple[SingularAtom, ...]) -> tuple[SingularAtom, ...]:
     powers: dict[tuple[str, int, int], int] = {}
     for atom in atoms:
         key = (atom.kind, atom.i, atom.j)
         powers[key] = powers.get(key, 0) + atom.power
-    delta_pairs = {(i, j) for (kind, i, j) in powers if kind == "delta"}
+    kinds = {kind for kind, _, _ in powers}
+    root = _components(atoms)[0] if len(kinds) == 2 else {}
     merged: list[SingularAtom] = []
     for (kind, i, j), power in powers.items():
-        if kind == "eps" and (i, j) not in delta_pairs:
-            # Away from coincidence eps**2 = 1; with no delta on the same
-            # pair the coincidence point has measure zero.
+        if kind == "eps" and root.get(i, i) != root.get(j, j):
+            # Away from coincidence eps**2 = 1.  Unless a path of deltas
+            # joins i and j, tau_i = tau_j has measure zero.
             if power % 2 == 0:
                 continue
             power = 1

@@ -2,20 +2,23 @@
 
 ``integrate_product`` integrates a product of propagator factors over
 [0, beta]**n, one factor at a time.  Each partial term it ends with has its
-delta atoms resolved first by collapsing variables; what survives is a
-regionwise polynomial integral evaluated exactly, sector by sector, with
-every eps factor resolved to a sign.
+delta atoms resolved first, one connected component of the delta graph at
+a time (``integrate_term``); what survives is a regionwise polynomial
+integral evaluated exactly, sector by sector, with every eps factor
+resolved to a sign.
 
 Products of distributions at coincident points have no unique value.
 Since eps is odd and delta even, int eps(t)**k delta(t) dt = 0 for every
-odd k (``_collapse_once``).  A ``RuleSet`` fixes the one remaining number,
+odd k.  A ``RuleSet`` fixes the one remaining number,
 ``value_eps2_delta`` = int eps(t)**2 delta(t) dt.  ``DIMREG`` assigns 0, the
 value forced by continuing the time coordinate to d dimensions.  ``MODEREG``
 assigns 1/3, which is what straight mode expansion (equivalently: insisting
 on partial integration with delta = eps'/2) produces.  Higher even powers
-follow the square: 0, or 1/(k+1) when the square survives.  Both rule sets
-resolve squares and chains of deltas the same way; they differ only at
-coincident even powers of eps.
+follow the square: 0, or 1/(k+1) when the square survives.  An eps power
+whose ends a path of deltas joins is resolved once against that path, as
+if its delta sat on its own pair.  Under DimReg every such value is 0;
+under ModeReg resolving each atom on its own is a convention, which a mode
+limit has yet to confirm.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 
-from .integrands import SingularAtom, _expand_factor, _merge_atoms
+from .integrands import SingularAtom, _components, _expand_factor, _merge_atoms
 from .polynomials import Poly
 from .values import RegValue
 
@@ -49,73 +52,6 @@ DIMREG = RuleSet("DimReg", value_eps2_delta=Fraction(0))
 MODEREG = RuleSet("ModeReg", value_eps2_delta=Fraction(1, 3))
 
 RULESETS = {"dimreg": DIMREG, "modereg": MODEREG}
-
-
-# ---------------------------------------------------------------------------
-# delta resolution
-# ---------------------------------------------------------------------------
-
-
-def _collapse_once(
-    atoms: tuple[SingularAtom, ...], rules: RuleSet, notes: list[str] | None
-) -> tuple[Fraction, int, tuple[int, int], tuple[SingularAtom, ...]] | None:
-    """Resolve one delta edge by setting tau_j := tau_i, with i < j.
-
-    Variables keep their indices; j just stops occurring in the atoms.
-    Returns (rational factor, delta0 power, (i, j), remaining atoms), or
-    None when no delta edge has an assigned resolution.
-    """
-    deltas = [a for a in atoms if a.kind == "delta"]
-    target_atom = None
-    squared = 0
-
-    degree: dict[int, int] = {}
-    for atom in deltas:
-        degree[atom.i] = degree.get(atom.i, 0) + atom.power
-        degree[atom.j] = degree.get(atom.j, 0) + atom.power
-
-    for atom in deltas:
-        if atom.power == 1 and (degree[atom.i] == 1 or degree[atom.j] == 1):
-            target_atom = atom  # a loose end of a chain: plain collapse
-            break
-    if target_atom is None:
-        for atom in deltas:
-            if atom.power == 2 and degree[atom.i] == 2 and degree[atom.j] == 2:
-                # An isolated squared delta (possibly the residue of a closed
-                # chain): one factor of delta0, then a plain collapse.
-                target_atom = atom
-                squared = 1
-                break
-    if target_atom is None:
-        for atom in deltas:
-            if atom.power == 1 and degree[atom.i] == 2 and degree[atom.j] == 2:
-                target_atom = atom  # an edge of a closed chain
-                break
-    if target_atom is None:
-        return None
-
-    i, j = target_atom.i, target_atom.j
-    factor = Fraction(1)
-    renamed: list[SingularAtom] = []
-    for atom in atoms:
-        if atom is target_atom:
-            continue
-        if atom.kind == "eps" and (atom.i, atom.j) == (i, j):
-            # eps is odd and delta even, so an odd power integrates to 0.
-            odd = atom.power % 2
-            value = Fraction(0) if odd else rules.eps_power_delta_value(atom.power)
-            if atom.power > 2 and notes is not None:
-                why = "odd power" if odd else rules.name
-                notes.append(f"eps^{atom.power}*delta resolved to {value} ({why})")
-            factor *= value
-            continue
-        a, b = (i if v == j else v for v in (atom.i, atom.j))
-        if a > b:
-            a, b = b, a
-            if atom.kind == "eps" and atom.power % 2 == 1:
-                factor = -factor
-        renamed.append(SingularAtom._make((atom.kind, a, b, atom.power)))
-    return factor, squared, (i, j), _merge_atoms(tuple(renamed))
 
 
 # ---------------------------------------------------------------------------
@@ -148,36 +84,58 @@ def integrate_term(
     """Integrate one partial term over the variables it leaves open.
 
     ``state`` is (delta0 power, merged atoms, whether each variable is still
-    open); a variable that is not open is integrated out already.
-    Collapsing tau_j := tau_i keeps every index and records root[v], the
-    variable that tau_v now equals.  After the last delta each open survivor
-    that no eps atom touches is integrated out, and one remap moves the
-    polynomial to the rest, which the sector sum integrates.
+    open); a variable that is not open is integrated out already.  Each
+    component of the delta graph collapses onto its smallest variable, its
+    root: a tree needs no rule and one cycle gives one delta0.  A component
+    with a second cycle has no assigned value, and the term raises whatever
+    else it holds, unless its polynomial is 0.  Each eps atom with both ends in one component is
+    resolved once against it: an odd power gives 0 by parity, an even one
+    the rule set's value.  Every other eps atom moves to the roots of its
+    ends.  Then each open survivor that no eps atom touches is integrated
+    out, and one remap moves the polynomial to the rest, which the sector
+    sum integrates.
     """
     delta0, atoms, still_open = state
     nvars = poly.nvars
-    root = list(range(nvars))
     rational = Fraction(1)
-    while any(atom.kind == "delta" for atom in atoms):
-        step = _collapse_once(atoms, rules, notes)
-        if step is None:
-            if not poly.remap(root, nvars):
-                return RegValue.zero()  # the polynomial vanished on an earlier collapse
+    root: dict[int, int] = {}
+    if any(atom.kind == "delta" for atom in atoms):
+        root, surplus = _components(atoms)
+        if max(surplus.values()) > 0:
+            if not poly:
+                return RegValue.zero()
             raise UnreducedSingularStructureError(
                 "unreduced singular structure: delta powers beyond 2 or branching "
                 "delta graphs have no assigned value"
             )
-        factor, squared, (i, j), atoms = step
-        if factor == 0:
-            return RegValue.zero()
-        rational *= factor
-        delta0 += squared
-        root = [i if r == j else r for r in root]
+        delta0 += sum(count == 0 for count in surplus.values())
+        renamed: list[SingularAtom] = []
+        for atom in atoms:
+            if atom.kind == "delta":
+                continue
+            a, b = root.get(atom.i, atom.i), root.get(atom.j, atom.j)
+            if a == b:
+                # eps is odd and delta even, so an odd power integrates to 0.
+                odd = atom.power % 2
+                value = Fraction(0) if odd else rules.eps_power_delta_value(atom.power)
+                if atom.power > 2 and notes is not None:
+                    why = "odd power" if odd else rules.name
+                    notes.append(f"eps^{atom.power}*delta resolved to {value} ({why})")
+                if not value:
+                    return RegValue.zero()
+                rational *= value
+                continue
+            if a > b:
+                a, b = b, a
+                if atom.power % 2:
+                    rational = -rational
+            renamed.append(SingularAtom._make((atom.kind, a, b, atom.power)))
+        atoms = _merge_atoms(tuple(renamed))
+        poly = poly.remap([root.get(v, v) for v in range(nvars)], nvars)
 
-    poly = poly.remap(root, nvars)
     touched = {v for atom in atoms for v in (atom.i, atom.j)}
     for v in range(nvars):
-        if still_open[v] and root[v] == v and v not in touched:
+        if still_open[v] and root.get(v, v) == v and v not in touched:
             poly = poly.integrate_out(v)
     if len(touched) < nvars:  # else every variable keeps its slot
         slot = {s: k for k, s in enumerate(sorted(touched))}
@@ -232,34 +190,6 @@ def _multiply(partials: dict, pieces: list, done: list[int]) -> dict:
     return {state: poly for state, poly in step.items() if poly}
 
 
-def _deltas_resolve(atoms: tuple[SingularAtom, ...]) -> bool:
-    """True when the atoms are deltas and their whole graph collapses.
-
-    In a connected component a tree collapses, one cycle (a squared delta
-    is a 2-cycle) leaves one delta0, and a second cycle has no rule.  So the
-    graph collapses exactly when no component's delta powers outnumber its
-    vertices, and then every subgraph, and every term of the expansion,
-    collapses too.
-    """
-    if any(atom.kind == "eps" for atom in atoms):
-        return False
-    parent: dict[int, int] = {}
-
-    def root(v: int) -> int:
-        while parent.setdefault(v, v) != v:
-            v = parent[v]
-        return v
-
-    for atom in atoms:
-        parent[root(atom.i)] = root(atom.j)
-    surplus: dict[int, int] = {}
-    for v in parent:
-        surplus[root(v)] = surplus.get(root(v), 0) - 1
-    for atom in atoms:
-        surplus[root(atom.i)] += atom.power
-    return all(count <= 0 for count in surplus.values())
-
-
 def _integrate_partials(partials: dict, rules: RuleSet, notes: list[str] | None) -> RegValue:
     """Merge the final partial terms by their merged atoms and integrate each, in sorted order."""
     finals: dict[tuple, Poly] = {}
@@ -287,8 +217,9 @@ def integrate_product(
     or the unit start piece when none does.  The factors' pieces multiply in
     one at a time and partial terms with equal states merge, so the 2**n
     expanded terms are never listed (bucket elimination; Dechter, Artif.
-    Intell. 113, 41 (1999)).  If ``_deltas_resolve`` holds, each variable is
-    finished as soon as no pending factor touches it.  Otherwise nothing
+    Intell. 113, 41 (1999)).  If no factor has an eps part and no component
+    of the delta graph has a positive surplus (``_components``), each
+    variable is finished as soon as no pending factor touches it.  Otherwise nothing
     finishes early: an eps factor could meet a collapsed delta and change
     what merges first, or a merge could cancel a term that would raise.  The
     final states merge once more by their merged atoms and
@@ -297,8 +228,8 @@ def integrate_product(
     eps notes and errors come in the same order as term by term.
     """
     expanded = [_expand_factor(kind, i, j, nvars) for kind, i, j in factors]
-    atoms = tuple(a for pieces in expanded for _, _, new in pieces for a in new)
-    early = _deltas_resolve(atoms + extra_atoms)
+    atoms = extra_atoms + tuple(a for pieces in expanded for _, _, new in pieces for a in new)
+    early = all(a.kind == "delta" for a in atoms) and max(_components(atoms)[1].values(), default=0) <= 0
     last = {v: index for index, (_, i, j) in enumerate(factors) for v in (i, j)}
     start = [(0, Poly.const(nvars, 1), extra_atoms)]
     if weight is not None:
@@ -321,7 +252,7 @@ def _ring_chain(weight: Poly, max_order: int) -> list[RegValue]:
     finishes the old end and renames the next variable into the end slot;
     closed with DD(0, end) w(0) w(end), a copy of the chain is the ring.  The
     weights sit where ``integrate_product`` puts them, and a ring's atoms are
-    deltas on one cycle, which ``_deltas_resolve`` accepts, so each old end
+    deltas on one cycle, a component of surplus 0, so each old end
     finishes early as it does there.
     """
     rings = [integrate_product([("DD", 0, 0)], 1, DIMREG, weight=weight)]

@@ -6,7 +6,10 @@ where every variable occurs and carries 0 or 2 dotted ends.  Each one runs
 through ``reduction._reduce_product``; its factors, value or error text, move
 log and eps-power notes go into one sha256 per rule set.  A refactor of the
 reducer or the integrator that changes any value, refusal, move or note of
-these 2,502 products changes the hash.
+these 2,502 products changes the hash.  The same outcomes, with each
+product's direct integral, must not change under a renaming of the
+variables, and must satisfy the convolution int dtau DD(a,tau) DD(tau,b) =
+DD(a,b).
 """
 
 from __future__ import annotations
@@ -14,14 +17,14 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from worldline import reduction
 from worldline.integrands import ParsedProduct, SingularAtom
-from worldline.integration import DIMREG, MODEREG, UnreducedSingularStructureError
+from worldline.integration import DIMREG, MODEREG, UnreducedSingularStructureError, integrate_product
 from worldline.reduction import (
     ReductionError,
     TProp,
@@ -39,8 +42,8 @@ from worldline.values import RegValue
 SIZES = ((1, 5), (2, 5), (3, 4))
 
 EXPECTED = {
-    "DimReg": "fb0d8d3936db6729d4602bedecbfe5ba0c5204686b7a849e0dd5ed4a37a24423",
-    "ModeReg": "1ae5f179d9f314b1995a4368ddab27cde06408fc0509fd8d9696cf6df0b53218",
+    "DimReg": "cfeefec7eb56aaab2abd51853a3b65fa43cb50363f02d73135e0b43fc5ce1e0a",
+    "ModeReg": "3c01bd75749b6d7af91e61698ea8c056b65e05c6b62e96cd3ff55657b9891b7d",
 }
 
 
@@ -81,16 +84,22 @@ def outcome(rules, factors, nvars) -> tuple[str, list[dict], list[str]]:
     return text, log, notes
 
 
-def outcome_digest(rules, sizes=SIZES) -> tuple[int, str]:
-    """(product count, sha256 of every product's reduced outcome) under ``rules``."""
+def direct(rules, factors, nvars) -> str:
+    """The value or refusal text of one product integrated directly under ``rules``."""
+    try:
+        return integrate_product(list(factors), nvars, rules).text()
+    except UnreducedSingularStructureError as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def outcome_digest(outcomes: dict) -> tuple[int, str]:
+    """(product count, sha256 of every product's reduced outcome), in enumeration order."""
     digest = hashlib.sha256()
-    count = 0
-    for factors, nvars in enumerated_products(sizes):
+    for (factors, _), reduced in outcomes.items():
         described = [(kind, i, j) for kind, i, j in factors]
-        digest.update(repr((described, *outcome(rules, factors, nvars))).encode())
+        digest.update(repr((described, *reduced)).encode())
         digest.update(b"\n")
-        count += 1
-    return count, digest.hexdigest()
+    return len(outcomes), digest.hexdigest()
 
 
 def clear_memos():
@@ -98,9 +107,120 @@ def clear_memos():
     _integrate_leaf.cache_clear()
 
 
+@pytest.fixture(scope="module")
+def enumerated():
+    """Per rule set, computed once: each product's reducer outcome and its direct value."""
+    tables = {}
+
+    def table(rules):
+        if rules.name not in tables:
+            products = list(enumerated_products())
+            tables[rules.name] = (
+                {product: outcome(rules, *product) for product in products},
+                {product: direct(rules, *product) for product in products},
+            )
+        return tables[rules.name]
+
+    return table
+
+
 @pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda rules: rules.name)
-def test_every_small_product_keeps_its_outcome(rules):
-    assert outcome_digest(rules) == (2502, EXPECTED[rules.name])
+def test_every_small_product_keeps_its_outcome(rules, enumerated):
+    reduced, _ = enumerated(rules)
+    assert outcome_digest(reduced) == (2502, EXPECTED[rules.name])
+
+
+# -- relabelling and convolution -------------------------------------------------
+
+_KINDS = ("D", "Dl", "Dr", "DD")
+_REVERSED = {"D": "D", "Dl": "Dr", "Dr": "Dl", "DD": "DD"}  # Dl(i,j) = Dr(j,i)
+
+
+def listed(factors) -> tuple[tuple[str, int, int], ...]:
+    """Factors with i <= j in the order the enumeration lists them."""
+    ordered = []
+    for kind, i, j in factors:
+        ordered.append((kind, i, j) if i <= j else (_REVERSED[kind], j, i))
+    return tuple(sorted(ordered, key=lambda f: (_KINDS.index(f[0]), f[1], f[2])))
+
+
+def contractions(factors, nvars):
+    """Each product that int dtau DD(a,tau) DD(tau,b) = DD(a,b) turns this one into.
+
+    Exact, since DD = delta - 1/beta.  It applies where a variable tau
+    touches exactly two DD factors, with a != b, and nothing else; the
+    variables above tau move down by one.
+    """
+    for tau in range(nvars):
+        touching = [f for f in factors if tau in f[1:]]
+        if len(touching) != 2 or any(kind != "DD" or i == j for kind, i, j in touching):
+            continue
+        a, b = sorted(i + j - tau for _, i, j in touching)
+        if a == b:
+            continue
+        rest = list(factors)
+        for f in touching:
+            rest.remove(f)
+        shifted = [(kind, i - (i > tau), j - (j > tau)) for kind, i, j in rest + [("DD", a, b)]]
+        yield listed(shifted), nvars - 1
+
+
+@pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda rules: rules.name)
+def test_renaming_the_variables_keeps_the_value(rules, enumerated):
+    # Every renaming of an enumerated product is enumerated too; the reducer
+    # and the direct route each give it the same value, or refuse both.
+    reduced, directly = enumerated(rules)
+    for texts in ({p: reduced[p][0] for p in reduced}, directly):
+        values = {p: text.partition(":")[0] for p, text in texts.items()}  # a refusal by its class
+        changed = {
+            (factors, nvars)
+            for (factors, nvars), value in values.items()
+            for order in permutations(range(nvars))
+            if values[listed((kind, order[i], order[j]) for kind, i, j in factors), nvars] != value
+        }
+        assert changed == set()
+
+
+# The closed delta triangle DD(1,2)*DD(1,3)*DD(2,3), which the reducer refuses
+# (ROADMAP direction 15), and under ModeReg the I14 chain
+# Dl(1,2)*Dr(1,2)*DD(1,3)*DD(2,3) with its renamings: the reducer gives 0,
+# where the convolution puts I14's beta/12.
+_TRIANGLE = {("DD", 0, 1), ("DD", 0, 2), ("DD", 1, 2)}
+_I14_CHAINS = {
+    (("Dl", 0, 1), ("Dr", 0, 1), ("DD", 0, 2), ("DD", 1, 2)),
+    (("Dl", 0, 2), ("Dr", 0, 2), ("DD", 0, 1), ("DD", 1, 2)),
+    (("Dl", 1, 2), ("Dr", 1, 2), ("DD", 0, 1), ("DD", 0, 2)),
+}
+
+
+@pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda rules: rules.name)
+def test_a_variable_between_two_dd_factors_integrates_to_one_dd(rules, enumerated):
+    reduced, directly = enumerated(rules)
+    # The direct route, with the four-variable products whose contraction is
+    # enumerated: the identity holds in every case.
+    four = {
+        product: direct(rules, *product)
+        for product in enumerated_products(((4, 4),))
+        if any(contractions(*product))
+    }
+    values = {**directly, **four}
+    cases = [(p, q) for p in values for q in contractions(*p)]
+    assert len(cases) == 183
+    assert [(p, q) for p, q in cases if ":" in values[p] or values[p] != values[q]] == []
+    # The reducer fails only where it refuses the triangle, and on the I14
+    # chains under ModeReg.
+    failed = [
+        p for p in reduced for q in contractions(*p)
+        if ":" in reduced[p][0] or reduced[p][0] != reduced[q][0]
+    ]
+    triangles = [p for p in failed if _TRIANGLE <= set(p[0])]
+    assert len(triangles) == 12
+    assert all(reduced[p][0].startswith("ReductionError") for p in triangles)
+    chains = {factors for factors, _ in failed} - {factors for factors, _ in triangles}
+    assert chains == (_I14_CHAINS if rules is MODEREG else set())
+    for factors in chains:
+        assert reduced[factors, 3][0] == "0"
+        assert reduced[listed([("Dl", 0, 1), ("Dr", 0, 1), ("DD", 0, 1)]), 2][0] == "1/12 * beta"
 
 
 def test_the_enumeration_holds_the_refused_triangle():
@@ -118,10 +238,11 @@ def test_a_memo_hit_replays_the_search(rules):
     # integration would add an entry.  Any value, refusal, move or note that
     # a hit replays differently changes the digest.
     memos = (_reduce_lifted, _integrate_leaf)
+    products = list(enumerated_products(((2, 4),)))
     clear_memos()
-    cold = outcome_digest(rules, ((2, 4),))
+    cold = outcome_digest({product: outcome(rules, *product) for product in products})
     searched = [memo.cache_info()["currsize"] for memo in memos]
-    warm = outcome_digest(rules, ((2, 4),))
+    warm = outcome_digest({product: outcome(rules, *product) for product in products})
     assert [memo.cache_info()["currsize"] for memo in memos] == searched
     assert min(searched) > 0
     assert warm == cold
@@ -190,21 +311,6 @@ _SPLIT_NODE = TTerm(
     (TProp(0, 0, ("mu",), ()), TProp(0, 1, ("mu",), ("nu",)), TProp(1, 2, ("nu",), ())),
     (SingularAtom("delta", 0, 2),),
 )
-# Under ModeReg two lifted terms still split, at every depth they are
-# searched: Dl(1,3)*Dr(1,3)*DD(1,2)*DD(2,3) and Dl(2,3)*Dr(1,3)*DD(1,2)*DD(1,3)
-# as lifted.  Their leaves carry eps atoms on two pairs of one delta chain,
-# which ``integration._collapse_once`` resolves edge by edge, so the value
-# depends on which edge collapses first (ROADMAP direction 3).  Under DimReg
-# every such eps power resolves to 0 and the candidates agree.
-_KNOWN_SPLITS = {
-    "DimReg": set(),
-    "ModeReg": {
-        ("[]D[rho](1,3)", "[mu]D[](1,3)", "[mu]D[nu](1,2)", "[nu]D[rho](2,3)"),
-        ("[]D[rho](1,3)", "[mu]D[nu](1,2)", "[mu]D[rho](1,3)", "[nu]D[](2,3)"),
-    },
-}
-
-
 @pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda rules: rules.name)
 def test_every_succeeding_partial_integration_gives_one_value(rules, monkeypatch):
     # Every other three-variable product that holds a DD, plus the one whose
@@ -242,4 +348,4 @@ def test_every_succeeding_partial_integration_gives_one_value(rules, monkeypatch
         _node_text(term) for term, depth in nodes if len(set(_candidate_values(rules, term, depth).values())) > 1
     }
     clear_memos()
-    assert split == _KNOWN_SPLITS[rules.name]
+    assert split == set()

@@ -10,14 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import worldline.integration
 from expansion import IntegrandTerm, canonicalize, integrate, product
-from worldline.integrands import NAMED_INTEGRALS, SingularAtom, _merge_atoms, parse
+from worldline.integrands import NAMED_INTEGRALS, SingularAtom, _components, _merge_atoms, parse
 from worldline.integration import (
     DIMREG,
     MODEREG,
     RuleSet,
     UnreducedSingularStructureError,
-    _collapse_once,
-    _deltas_resolve,
     _integrate_regular,
     _ring_chain,
     integrate_product,
@@ -388,6 +386,19 @@ def _pair(a, b):
     return (a, b) if a < b else (b, a)
 
 
+def _off_paths(atoms):
+    """Whether each eps atom that deltas join is its component's only one, on a delta's own pair."""
+    root = _components(atoms)[0]
+    pairs = {(a.i, a.j) for a in atoms if a.kind == "delta"}
+    inside = [a for a in atoms if a.kind == "eps" and root.get(a.i, a.i) == root.get(a.j, a.j)]
+    return len({root[a.i] for a in inside}) == len(inside) and all((a.i, a.j) in pairs for a in inside)
+
+
+def _collapses(atoms):
+    """Whether the collapse loop resolves every delta of ``atoms``."""
+    return _old_deltas_resolve(tuple(a for a in atoms if a.kind == "delta"))
+
+
 @st.composite
 def delta_terms(draw):
     """Terms over 2..5 variables with a delta graph, eps atoms and a polynomial.
@@ -415,8 +426,13 @@ def delta_terms(draw):
     if j - i > 1 and draw(st.booleans()):
         # eps(tau_a - tau_j) with i < a < j flips its sign when tau_j := tau_i.
         eps_pairs.append((draw(st.integers(i + 1, j - 1)), j))
+    # Only eps atoms off delta paths: across two components, or alone in its
+    # component on a delta's own pair.  There the collapse loop resolves
+    # each atom on its own delta, as the pass over components does.
     for i, j in eps_pairs:
-        atoms.append(SingularAtom("eps", i, j, draw(st.integers(1, 3))))
+        eps = SingularAtom("eps", i, j, draw(st.integers(1, 3)))
+        if _off_paths(atoms + [eps]):
+            atoms.append(eps)
 
     rational = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
     exponents = st.tuples(*[st.integers(0, 2)] * n)
@@ -444,8 +460,13 @@ def nonzero_weights(draw):
     st.one_of(st.none(), nonzero_weights()),
 )
 def test_in_place_collapse_matches_the_renumbering_loop(term, rules, weight):
+    # A term whose delta graph does not collapse raises, where the loop could
+    # still give 0 from an edge it collapsed before it got stuck.
     canonical = canonicalize([term])
     collapsed = _outcome(lambda: integrate_dense(canonical, rules, weight))
+    if not _collapses(term.atoms):
+        assert collapsed is UnreducedSingularStructureError
+        return
     expected = _outcome(
         lambda: sum(
             (reference_integrate_term(t, rules, weight) for t in canonical), RegValue.zero()
@@ -455,9 +476,10 @@ def test_in_place_collapse_matches_the_renumbering_loop(term, rules, weight):
 
 
 def test_chain_eps_merge_order_under_modereg():
-    # delta(1,2) delta(2,3): the loose end (1,2) collapses first.  eps(1,2)
-    # meets its delta alone and gives int eps delta = 0; eps(1,3) eps(2,3)
-    # merge into eps(1,3)**2 first and give int eps**2 delta = 1/3.
+    # delta(1,2) delta(2,3) joins all three variables, and each eps atom on
+    # the chain is resolved once against it, whatever order a collapse edge
+    # by edge would merge them in: eps(1,3) and eps(2,3) are two odd powers,
+    # 0 each, not eps(1,3)**2 = 1/3.  Under ModeReg this is a convention.
     chain = (SingularAtom("delta", 0, 1), SingularAtom("delta", 1, 2))
     one = Poly.const(3, 1)
 
@@ -466,7 +488,9 @@ def test_chain_eps_merge_order_under_modereg():
         return integrate([IntegrandTerm(0, 3, one, atoms)], MODEREG)
 
     assert value((0, 1), (1, 2)) == RegValue.zero()
-    assert value((0, 2), (1, 2)) == beta(1, "1/3")
+    assert value((0, 2), (1, 2)) == RegValue.zero()
+    # eps(1,3)**2 has no delta on its own pair, but the chain joins its ends.
+    assert value((0, 2), (0, 2)) == beta(1, "1/3")
 
 
 def test_collapse_flips_an_eps_that_changes_order():
@@ -490,7 +514,7 @@ def test_repeated_delta_atoms_merge_into_a_square():
 
 def test_unsorted_chain_atoms_collapse_in_canonical_order():
     # The ModeReg chain of test_chain_eps_merge_order_under_modereg, given
-    # with its atoms out of order: the loose end (1,2) still collapses first.
+    # with its atoms out of order: each eps atom is still resolved on its own.
     atoms = (
         SingularAtom("eps", 1, 2),
         SingularAtom("eps", 0, 2),
@@ -498,25 +522,117 @@ def test_unsorted_chain_atoms_collapse_in_canonical_order():
         SingularAtom("delta", 0, 1),
     )
     value = integrate([IntegrandTerm(0, 3, Poly.const(3, 1), atoms)], MODEREG)
-    assert value == beta(1, "1/3")
+    assert value == RegValue.zero()
 
 
-# -- the early-finishing guard against the collapse replay ------------------
+def test_an_eps_power_on_a_delta_path_is_not_dropped():
+    # int dtau_3 delta(1,3) delta(2,3) = delta(1,2): the path puts eps(1,2)**2
+    # at coincidence just as the delta on its own pair does.
+    path = (SingularAtom("delta", 0, 2), SingularAtom("delta", 1, 2))
+    edge = (SingularAtom("delta", 0, 1),)
+    factors = [("Dl", 0, 1), ("Dr", 0, 1)]
+    for rules, expected in ((DIMREG, beta(1, "1/12")), (MODEREG, RegValue.zero())):
+        assert integrate_product(factors, 2, rules, extra_atoms=edge) == expected
+        assert integrate_product(factors, 3, rules, extra_atoms=path) == expected
+
+
+def test_a_stuck_component_raises_whatever_else_the_term_holds():
+    # delta(1,2)**3 has no assigned value.  The other component alone would
+    # give 0, by parity or because t3 - t4 vanishes at tau_4 = tau_3, but the
+    # term still raises.
+    stuck = SingularAtom("delta", 0, 1, 3)
+    delta34 = SingularAtom("delta", 2, 3)
+    t3, t4 = (Poly.monomial(4, 1, 0, [int(v == k) for v in range(4)]) for k in (2, 3))
+    for poly, atoms in (
+        (Poly.const(4, 1), (stuck, delta34, SingularAtom("eps", 2, 3))),
+        (t3 - t4, (stuck, delta34)),
+    ):
+        with pytest.raises(UnreducedSingularStructureError):
+            integrate([IntegrandTerm(0, 4, poly, atoms)], DIMREG)
+
+
+# -- the component pass against the collapse replay ---------------------------
 #
-# The reference replays _collapse_once over the merged atoms until none is
-# left; it is the loop that the component count in _deltas_resolve replaced.
+# The edge-by-edge collapse and its early-finishing test, as they stood
+# before one pass over each component of the delta graph replaced them.
 
 
-def _reference_deltas_resolve(atoms):
+def _old_collapse_once(atoms, rules):
+    deltas = [a for a in atoms if a.kind == "delta"]
+    target_atom = None
+    squared = 0
+
+    degree = {}
+    for atom in deltas:
+        degree[atom.i] = degree.get(atom.i, 0) + atom.power
+        degree[atom.j] = degree.get(atom.j, 0) + atom.power
+
+    for atom in deltas:
+        if atom.power == 1 and (degree[atom.i] == 1 or degree[atom.j] == 1):
+            target_atom = atom
+            break
+    if target_atom is None:
+        for atom in deltas:
+            if atom.power == 2 and degree[atom.i] == 2 and degree[atom.j] == 2:
+                target_atom = atom
+                squared = 1
+                break
+    if target_atom is None:
+        for atom in deltas:
+            if atom.power == 1 and degree[atom.i] == 2 and degree[atom.j] == 2:
+                target_atom = atom
+                break
+    if target_atom is None:
+        return None
+
+    i, j = target_atom.i, target_atom.j
+    factor = Fraction(1)
+    renamed = []
+    for atom in atoms:
+        if atom is target_atom:
+            continue
+        if atom.kind == "eps" and (atom.i, atom.j) == (i, j):
+            factor *= 0 if atom.power % 2 else rules.eps_power_delta_value(atom.power)
+            continue
+        a, b = (i if v == j else v for v in (atom.i, atom.j))
+        if a > b:
+            a, b = b, a
+            if atom.kind == "eps" and atom.power % 2 == 1:
+                factor = -factor
+        renamed.append(SingularAtom(atom.kind, a, b, atom.power))
+    return factor, squared, (i, j), _merge_atoms(tuple(renamed))
+
+
+def _old_deltas_resolve(atoms):
     if any(atom.kind == "eps" for atom in atoms):
         return False
-    atoms = _merge_atoms(atoms)
+    parent = {}
+
+    def root(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    for atom in atoms:
+        parent[root(atom.i)] = root(atom.j)
+    surplus = {}
+    for v in parent:
+        surplus[root(v)] = surplus.get(root(v), 0) - 1
+    for atom in atoms:
+        surplus[root(atom.i)] += atom.power
+    return all(count <= 0 for count in surplus.values())
+
+
+def _old_replay(atoms):
+    """The delta0 power of collapsing every delta edge by edge, or None when one is stuck."""
+    atoms, delta0 = _merge_atoms(atoms), 0
     while atoms:
-        step = _collapse_once(atoms, DIMREG, None)
+        step = _old_collapse_once(atoms, DIMREG)
         if step is None:
-            return False
+            return None
+        delta0 += step[1]
         atoms = step[3]
-    return True
+    return delta0
 
 
 def _delta_multigraphs():
@@ -532,16 +648,38 @@ def _delta_multigraphs():
 
 
 def test_component_count_matches_the_collapse_replay():
+    # A graph collapses when no component has a positive surplus, and then
+    # each component of surplus 0, one cycle, leaves one delta0.
     outcomes = {True: 0, False: 0}
     for atoms in _delta_multigraphs():
-        resolves = _deltas_resolve(atoms)
-        assert resolves == _reference_deltas_resolve(atoms), atoms
+        root, surplus = _components(atoms)
+        resolves = max(surplus.values(), default=0) <= 0
+        replayed = _old_replay(atoms)
+        assert resolves == _old_deltas_resolve(atoms) == (replayed is not None), atoms
+        if resolves:
+            assert sum(count == 0 for count in surplus.values()) == replayed, atoms
+            assert all(root[v] == min(u for u in root if root[u] == root[v]) for v in root)
         outcomes[resolves] += 1
     assert outcomes == {True: 2_788, False: 45_590}
-    # Any eps atom stops early finishing, on the chain's pair or off it.
-    chain = (SingularAtom("delta", 0, 1), SingularAtom("delta", 1, 2))
-    for eps in (SingularAtom("eps", 0, 1), SingularAtom("eps", 0, 3)):
-        assert not _deltas_resolve(chain + (eps,))
+
+
+def test_any_eps_atom_stops_early_finishing(monkeypatch):
+    # An eps part on the chain's pair or off it: no variable finishes early.
+    calls = []
+    finish = worldline.integration._finish
+
+    def counted(*args):
+        calls.append(args)
+        return finish(*args)
+
+    monkeypatch.setattr(worldline.integration, "_finish", counted)
+    chain = [("DD", 0, 1), ("DD", 1, 2)]
+    integrate_product(chain, 4, DIMREG)
+    assert calls
+    for extra in (("Dl", 0, 1), ("Dl", 0, 3)):
+        calls.clear()
+        integrate_product(chain + [extra], 4, DIMREG)
+        assert not calls
 
 
 def test_integrand_term_rejects_a_negative_delta0_power():
@@ -592,27 +730,23 @@ _ZERO_MEAN = Poly(1, {(0, 0): 1, (-1, 1): -2})
 )
 def test_one_factor_at_a_time_matches_the_full_expansion(drawn, rules, weight):
     factors, nvars, coefficient, extra = drawn
-    notes = []
+    terms = product(factors, nvars, 1, extra)
+    notes, dense_notes = [], []
     routed = _outcome(
         lambda: integrate_product(factors, nvars, rules, notes, weight, extra) * coefficient
     )
-    expected = _outcome(
-        lambda: sum(
-            (
-                reference_integrate_term(term, rules, weight)
-                for term in product(factors, nvars, 1, extra)
-            ),
-            RegValue.zero(),
-        )
-        * coefficient
-    )
-    assert routed == expected
+    assert routed == _outcome(lambda: integrate_dense(terms, rules, weight, dense_notes) * coefficient)
     if routed is not UnreducedSingularStructureError:
-        reference_notes = []
         # The eps-power notes come in the order of the expanded terms, each
         # once: the routed product is integrated at unit coefficient.
-        integrate_dense(product(factors, nvars, 1, extra), rules, weight, reference_notes)
-        assert notes == reference_notes
+        assert notes == dense_notes
+    # The collapse loop is a second reference where no term's eps atom spans
+    # a delta path and every term's deltas collapse.
+    if all(_off_paths(term.atoms) and _collapses(term.atoms) for term in terms):
+        expected = sum(
+            (reference_integrate_term(term, rules, weight) for term in terms), RegValue.zero()
+        )
+        assert routed == expected * coefficient
 
 
 # The full RegValue of every measure ring: u^1..u^8 captured from the full
