@@ -16,8 +16,9 @@ ambiguous in one dimension are handled by the legal rewriting moves.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .geometry import Vertex, measure_terms, vertices as model_vertices
@@ -53,52 +54,46 @@ def classify(diagram: Diagram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# pairings
+# class multigraphs
 # ---------------------------------------------------------------------------
 
 
-def perfect_matchings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect matchings of an even collection, first-element pivot."""
-
-    items = tuple(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for index, partner in enumerate(rest):
-        remaining = rest[:index] + rest[index + 1 :]
-        for tail in perfect_matchings(remaining):
-            yield ((first, partner),) + tail
+_Graph = tuple[tuple[int, int], ...]
 
 
-def _double_factorial(m: int) -> int:
-    result = 1
-    while m > 1:
-        result *= m
-        m -= 2
-    return result
+def _multigraphs(
+    free: list[int], out: list[tuple[_Graph, int]], graph: _Graph = (), denominator: int = 1, repeat: int = 0
+) -> list[tuple[_Graph, int]]:
+    """Every multigraph, loops allowed, with ``free[c]`` edge ends at node c.
+
+    Appends each to ``out`` once, as its sorted edges (c, d) with c <= d,
+    together with prod(2**l * l!) over its loop counts l times prod(m!)
+    over its other edge multiplicities m, and returns ``out``.  ``free``
+    is used up and restored in place.
+    """
+
+    last = graph[-1] if graph else None
+    c = last[0] if last else 0
+    while c < len(free) and not free[c]:
+        c += 1
+    if c == len(free):
+        out.append((graph, denominator))
+        return out
+    for d in range(last[1] if last and last[0] == c else c, len(free)):
+        if free[d] > (d == c):
+            edge = (c, d)
+            run = repeat + 1 if edge == last else 1
+            free[c] -= 1
+            free[d] -= 1
+            _multigraphs(free, out, graph + (edge,), denominator * run * (2 if c == d else 1), run)
+            free[c] += 1
+            free[d] += 1
+    return out
 
 
-_Field = tuple[int, str, int | None]  # (vertex position, "q"|"qdot", tensor slot)
+def _edge(pa: int, ta: str, pb: int, tb: str) -> Edge:
+    """The propagator joining field type ``ta`` at ``pa`` to ``tb`` at ``pb``."""
 
-
-def _fields(vertices: Sequence[Vertex]) -> list[_Field]:
-    fields: list[_Field] = []
-    for position, vertex in enumerate(vertices):
-        q_slots: Sequence[int | None] = vertex.q_slots or (None,) * vertex.q_power
-        qdot_slots: Sequence[int | None] = (
-            vertex.qdot_slots or (None,) * vertex.qdot_power
-        )
-        fields.extend((position, "q", slot) for slot in q_slots)
-        fields.extend((position, "qdot", slot) for slot in qdot_slots)
-    return fields
-
-
-_MIRROR_KIND = {"D": "D", "DD": "DD", "Dl": "Dr", "Dr": "Dl"}
-
-
-def _edge(a: _Field, b: _Field) -> Edge:
-    (pa, ta, _), (pb, tb, _) = a, b
     if pa > pb:
         pa, ta, pb, tb = pb, tb, pa, ta
     if ta == tb:
@@ -110,24 +105,12 @@ def _edge(a: _Field, b: _Field) -> Edge:
     return ((pa, pb), kind)
 
 
-def _mirror_edges(edges: list[Edge]) -> list[Edge]:
-    mirrored = []
-    for (a, b), kind in edges:
-        na, nb = 1 - a, 1 - b
-        if na > nb:
-            na, nb = nb, na
-            kind = _MIRROR_KIND[kind]
-        mirrored.append(((na, nb), kind))
-    return sorted(mirrored)
-
-
-def _canonical_edges(
-    raw: Iterable[tuple[_Field, _Field]], mirror: bool
-) -> tuple[Edge, ...]:
-    edges = sorted(_edge(a, b) for a, b in raw)
-    if mirror:
-        edges = min(edges, _mirror_edges(edges))
-    return tuple(edges)
+# An edge multiset is an int holding a 3-bit count per edge (a diagram has
+# at most four edges), the least edge in the top field.  Between multisets
+# of one size, the greater int is the lesser sorted edge list.
+_EDGES = sorted(((a, b), kind) for a, b in ((0, 0), (0, 1), (1, 1)) for kind in ("D", "DD", "Dl", "Dr"))
+_FIELD = {edge: 8 ** (len(_EDGES) - 1 - rank) for rank, edge in enumerate(_EDGES)}
+_LOCAL = sum(7 * field for ((a, b), _), field in _FIELD.items() if a == b)
 
 
 # ---------------------------------------------------------------------------
@@ -136,45 +119,69 @@ def _canonical_edges(
 
 
 def _contract(
-    accumulator: dict[tuple[tuple[Vertex, ...], tuple[Edge, ...], str], RegValue],
+    accumulator: dict[tuple[tuple[Edge, ...], str], RegValue],
     vertices: tuple[Vertex, ...],
     prefactor: RegValue,
     connected_only: bool,
 ) -> None:
-    fields = _fields(vertices)
+    # Fields of one type at one vertex with no tensor slot are
+    # interchangeable and form one class; a slotted field is a class of
+    # its own.  Matchings are enumerated as multigraphs on the classes,
+    # each standing for prod(n!) / (prod(2**l * l!) * prod(m!)) matchings
+    # of the fields, n the class sizes.
     factors: tuple[str, ...] = ()
-    offsets: list[int] = []
+    internal: list[tuple[int, int]] = []
+    classes: list[tuple[int, str, int | None]] = []  # (position, type, slot)
+    sizes: list[int] = []
     offset = 0
-    for vertex in vertices:
-        offsets.append(offset)
+    for position, vertex in enumerate(vertices):
         factors += vertex.tensors
+        internal += [(a + offset, b + offset) for a, b in vertex.internal]
+        for kind, power, slots in (
+            ("q", vertex.q_power, vertex.q_slots),
+            ("qdot", vertex.qdot_power, vertex.qdot_slots),
+        ):
+            if slots:
+                classes += [(position, kind, slot + offset) for slot in slots]
+                sizes += [1] * power
+            elif power:
+                classes.append((position, kind, None))
+                sizes.append(power)
         offset += vertex.slot_count
-    internal = [
-        (a + offsets[p], b + offsets[p])
-        for p, vertex in enumerate(vertices)
-        for a, b in vertex.internal
-    ]
+    # Per class pair: its edge, the edge's image under the vertex swap,
+    # and its tensor-slot pair.
+    code, mirrored, slot_pairs = {}, {}, {}
+    for c, (pa, ta, sa) in enumerate(classes):
+        for d, (pb, tb, sb) in enumerate(classes[c:], c):
+            code[c, d] = _FIELD[_edge(pa, ta, pb, tb)]
+            mirrored[c, d] = _FIELD[_edge(1 - pa, ta, 1 - pb, tb)]
+            if sa is not None and sb is not None:
+                slot_pairs[c, d] = (sa, sb)
     mirror = len(vertices) == 2 and vertices[0] == vertices[1]
+    matchings = math.prod(map(math.factorial, sizes))
 
     # The decomposition is linear, so the pairings of each edge multiset
     # are decomposed together and each sum is scaled by prefactor once.
-    groups: dict[tuple[Edge, ...], list[list[tuple[int, int]]]] = {}
-    count = 0
-    for matching in perfect_matchings(range(len(fields))):
-        count += 1
-        pairs = [(fields[i], fields[j]) for i, j in matching]
-        if connected_only and all(a[0] == b[0] for a, b in pairs):
+    groups: dict[int, list] = {}
+    for graph, denominator in _multigraphs(sizes, []):
+        key = sum(map(code.__getitem__, graph))
+        if connected_only and not key & ~_LOCAL:
             continue
-        pairing = list(internal)
-        for (pa, _, sa), (pb, _, sb) in pairs:
-            if sa is not None and sb is not None:
-                pairing.append((sa + offsets[pa], sb + offsets[pb]))
-        groups.setdefault(_canonical_edges(pairs, mirror), []).append(pairing)
-    assert count == _double_factorial(len(fields) - 1)
-    for edges, pairings in groups.items():
-        for label, total in invariant_coefficients(factors, *pairings).items():
-            key = (vertices, edges, label)
-            accumulator[key] = accumulator.get(key, RegValue.zero()) + prefactor * total
+        if mirror:
+            key = max(key, sum(map(mirrored.__getitem__, graph)))
+        group = groups.setdefault(key, [0, []])
+        weight = matchings // denominator
+        group[0] += weight
+        if factors:
+            pairing = internal + [slot_pairs[pair] for pair in graph if pair in slot_pairs]
+            group[1] += [pairing] * weight
+    for key, (count, pairings) in groups.items():
+        edges = tuple(edge for edge in _EDGES for _ in range(key // _FIELD[edge] & 7))
+        totals = invariant_coefficients(factors, *pairings) if factors else {"one": count}
+        for label, total in totals.items():
+            entry = (edges, label)
+            weight = prefactor * total
+            accumulator[entry] = accumulator[entry] + weight if entry in accumulator else weight
 
 
 def _diagram_sort_key(diagram: Diagram):
@@ -194,12 +201,14 @@ def wick(vertex_set: Sequence[Vertex], order: int) -> list[Diagram]:
 
     if order not in (1, 2):
         raise ValueError("diagram catalogs are implemented through second order")
-    accumulator: dict[tuple[tuple[Vertex, ...], tuple[Edge, ...], str], RegValue] = {}
+    # Catalog weights by vertex tuple, then by (edges, tensor label).
+    accumulator: dict[tuple[Vertex, ...], dict[tuple[tuple[Edge, ...], str], RegValue]] = {}
     for vertex in vertex_set:
         if vertex.order_in_eps != order:
             continue
         prefactor = RegValue.delta0(vertex.delta0_power, -vertex.coefficient)
-        _contract(accumulator, (vertex,), prefactor, connected_only=False)
+        entries = accumulator.setdefault((vertex,), {})
+        _contract(entries, (vertex,), prefactor, connected_only=False)
     if order == 2:
         first_order = [v for v in vertex_set if v.order_in_eps == 1]
         for i, left in enumerate(first_order):
@@ -210,13 +219,15 @@ def wick(vertex_set: Sequence[Vertex], order: int) -> list[Diagram]:
                 prefactor = RegValue.delta0(
                     left.delta0_power + right.delta0_power, coefficient
                 )
-                _contract(accumulator, (left, right), prefactor, connected_only=True)
+                entries = accumulator.setdefault((left, right), {})
+                _contract(entries, (left, right), prefactor, connected_only=True)
 
-    diagrams = []
-    for (vertices, edges, label), weight in accumulator.items():
-        if weight == RegValue.zero():
-            continue
-        diagrams.append(Diagram(vertices, edges, weight, label))
+    diagrams = [
+        Diagram(vertices, edges, weight, label)
+        for vertices, entries in accumulator.items()
+        for (edges, label), weight in entries.items()
+        if weight
+    ]
     return sorted(diagrams, key=_diagram_sort_key)
 
 

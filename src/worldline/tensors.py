@@ -22,7 +22,7 @@ invariant coefficients for every maximally symmetric target at once.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 Edge = tuple[int, int]
@@ -65,53 +65,64 @@ PATTERNS: dict[str, Pattern] = {
 _UNPAIRED = "every tensor slot must appear in exactly two contractions; slots {} do not"
 
 
-def _cycle_count(edges: Sequence[Edge], nslots: int) -> int:
-    """Number of closed delta cycles in a 2-regular contraction graph."""
+def _contraction_powers(
+    factors: Sequence[str], pairings: Iterable[Sequence[Edge]]
+) -> dict[int, int]:
+    """Coefficient of n**k, by k, in the summed values of the contractions.
 
-    degree = [0] * nslots
-    parent = list(range(nslots))
-    cycles = nslots
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-            cycles -= 1
-    bad = [slot for slot, count in enumerate(degree) if count != 2]
-    if bad:
-        raise ValueError(_UNPAIRED.format(bad))
-    return cycles
-
-
-def _cycle_terms(
-    factors: Sequence[str], pairing: Sequence[Edge]
-) -> list[tuple[int, int]]:
-    """(sign, cycle count) of every branch combination; the same for all n."""
+    Every pairing and every branch combination adds its sign to the power
+    given by its number of delta cycles, the same for all n.  A branch
+    joins each slot of its factor to one other, and a pairing joins each
+    slot of the contraction to one other, so the delta graph alternates
+    between the two partner maps and is walked, not rebuilt.
+    """
 
     # Each factor's slots follow those of the factors before it.
-    combos = [(1, list(pairing))]
-    nslots = 0
+    combos: list[tuple[int, list[int]]] = [(1, [])]
     for name in factors:
         try:
             pattern = PATTERNS[name]
         except KeyError:
             raise ValueError(f"unknown tensor pattern {name!r}") from None
+        base = len(combos[0][1])
+        branches = []
+        for branch_sign, branch_edges in pattern.branches:
+            partner = [-1] * pattern.externals
+            for a, b in branch_edges:
+                partner[a], partner[b] = b + base, a + base
+            if sorted(partner) != list(range(base, base + pattern.externals)):
+                raise ValueError(f"a branch of {name!r} must join each slot to one other")
+            branches.append((branch_sign, partner))
         combos = [
-            (sign * branch_sign, edges + [(a + nslots, b + nslots) for a, b in branch_edges])
-            for sign, edges in combos
-            for branch_sign, branch_edges in pattern.branches
+            (sign * branch_sign, partner + branch_partner)
+            for sign, partner in combos
+            for branch_sign, branch_partner in branches
         ]
-        nslots += pattern.externals
-    stray = sorted({slot for edge in pairing for slot in edge if not 0 <= slot < nslots})
-    if stray:
-        raise ValueError(_UNPAIRED.format(stray))
-    return [(sign, _cycle_count(edges, nslots)) for sign, edges in combos]
+    nslots = len(combos[0][1])
+    slots = list(range(nslots))
+    powers: dict[int, int] = {}
+    for pairing in pairings:
+        ends = sorted([slot for edge in pairing for slot in edge])
+        if ends != slots:
+            bad = {s for s in slots + ends if ends.count(s) != 1 or not 0 <= s < nslots}
+            raise ValueError(_UNPAIRED.format(sorted(bad)))
+        paired = slots[:]
+        for a, b in pairing:
+            paired[a], paired[b] = b, a
+        for sign, partner in combos:
+            # Every cycle passes through a pairing edge.
+            seen = [False] * nslots
+            cycles = 0
+            for start, _ in pairing:
+                if not seen[start]:
+                    cycles += 1
+                    slot = start
+                    while not seen[slot]:
+                        other = paired[slot]
+                        seen[slot] = seen[other] = True
+                        slot = partner[other]
+            powers[cycles] = powers.get(cycles, 0) + sign
+    return powers
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +141,15 @@ def _cycle_terms(
 
 def invariant_coefficients(
     factors: Sequence[str], *pairings: Sequence[Edge]
-) -> dict[str, Fraction]:
+) -> dict[str, int | Fraction]:
     """Decompose the sum of full contractions over the curvature invariants.
 
     Every pairing contracts the same ``factors``; their contraction
     polynomials are summed and the sum is decomposed once.  Returns the
     exact coefficients of ``one`` (no factors), ``R`` (one factor), or
-    ``Rsq``/``RicciSq``/``RiemannSq`` (two factors), dropping zero
-    entries, so no pairings give ``{}``.  Raises ``ValueError`` when the
+    ``Rsq``/``RicciSq``/``RiemannSq`` (two factors), as ints (a
+    half-integer ``RiemannSq`` is a Fraction), dropping zero entries, so
+    no pairings give ``{}``.  Raises ``ValueError`` when the
     coefficients of the summed polynomial do not lie in the corresponding
     basis, which would mean a pairing is inconsistent with the patterns.
     """
@@ -147,15 +159,12 @@ def invariant_coefficients(
         raise ValueError(
             "contractions with more than two curvature factors exceed second order"
         )
-    powers: dict[int, int] = {}
-    for pairing in pairings:
-        for sign, cycles in _cycle_terms(factors, pairing):
-            powers[cycles] = powers.get(cycles, 0) + sign
+    powers = _contraction_powers(factors, pairings)
     # p[k] is the coefficient of n**k; anything left in ``powers`` lies
     # above the basis degree.
     p = [powers.pop(k, 0) for k in range(2 * count + 1)]
     if count == 0:
-        return {"one": Fraction(p[0])} if p[0] else {}
+        return {"one": p[0]} if p[0] else {}
     leftover = p[0] or any(powers.values())
     if count == 1:
         scalar = -p[2]
@@ -163,18 +172,15 @@ def invariant_coefficients(
             raise ValueError(
                 "single-factor contraction is not proportional to the scalar curvature"
             )
-        return {"R": Fraction(scalar)} if scalar else {}
+        return {"R": scalar} if scalar else {}
     r_sq = p[4]
     ricci_sq = p[3] + 2 * r_sq
-    riemann_sq = Fraction(p[2] - r_sq + 2 * ricci_sq, 2)
+    twice = p[2] - r_sq + 2 * ricci_sq
+    riemann_sq = twice // 2 if twice % 2 == 0 else Fraction(twice, 2)
     if leftover or p[1] != ricci_sq - 2 * riemann_sq:
         raise ValueError(
             "two-factor contraction values do not lie in the "
             "quadratic curvature-invariant basis"
         )
-    decomposition = {
-        "Rsq": Fraction(r_sq),
-        "RicciSq": Fraction(ricci_sq),
-        "RiemannSq": riemann_sq,
-    }
+    decomposition = {"Rsq": r_sq, "RicciSq": ricci_sq, "RiemannSq": riemann_sq}
     return {label: value for label, value in decomposition.items() if value}

@@ -180,6 +180,9 @@ class _Sparse:
 
     def __hash__(self) -> int:
         terms, den = _reduce(self._terms, self._den)
+        if terms.keys() <= {0}:
+            # A constant equals the rational it holds, so it hashes as one.
+            return hash(Fraction(terms.get(0, 0), den))
         return hash((den, frozenset(terms.items())))
 
     def __bool__(self) -> bool:

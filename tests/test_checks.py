@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from worldline import integration, reduction, spectral
 from worldline.checks import check_constraints, check_flat, check_seeley, run_standard_checks
 from worldline.cli import main
-from worldline.diagrams import perfect_matchings, sum_order
+from worldline.diagrams import sum_order
 from worldline.geometry import FlatTransform, NormalCoords, measure_terms, seeley_reference
 from worldline.integration import DIMREG, MODEREG, RuleSet
 from worldline.reduction import evaluate_named
@@ -28,6 +28,9 @@ from worldline.spectral import (
     zeta_series_check,
 )
 from worldline.values import RegValue
+
+from test_diagrams import perfect_matchings
+
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -642,6 +645,10 @@ def test_float_sum_equals_the_full_loop(dimension, radius, beta, l_max) -> None:
         (4, Fraction(3, 2), Fraction(1, 10), 800, True),
         (10, 1, Fraction(1, 50), 600, True),
         (60, 2, Fraction(1, 5), 400, True),
+        # Small betas: hundreds of levels, each decay one product further
+        # from the exp of the full loop.
+        (3, 1, Fraction(1, 1000), 3000, True),
+        (5, Fraction(1, 2), Fraction(1, 2000), 3000, True),
     ],
 )
 def test_decimal_sum_equals_the_full_loop(

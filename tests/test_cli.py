@@ -172,6 +172,28 @@ def test_catalog_json_is_deterministic(capsys: pytest.CaptureFixture) -> None:
     assert first == capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "model, order, ruleset, digest",
+    [
+        ("flat", "1", "dimreg", "ba3770734e3a07ee800f3533b7b11a3d9529065f846a070fac85e80fa7f506d9"),
+        ("flat", "1", "modereg", "ba3770734e3a07ee800f3533b7b11a3d9529065f846a070fac85e80fa7f506d9"),
+        ("flat", "2", "dimreg", "28a76b0e332f6c602b49612dc1ef421826fe98288667d28c3f86c3d7122a6124"),
+        ("flat", "2", "modereg", "ca2a53f9b1abaa587a5a47c0013ca23d9d3a49145eec60dff3fda1eaf884c36b"),
+        ("normal", "1", "dimreg", "f784ed7ac78275c2071c16aee9496d9bfeb3a29fa6edd9d07c49fe6ca1a04ae1"),
+        ("normal", "1", "modereg", "f784ed7ac78275c2071c16aee9496d9bfeb3a29fa6edd9d07c49fe6ca1a04ae1"),
+        ("normal", "2", "dimreg", "088e63f03d2586c20d694b298f8a4777f090e057436be7cdaf04880b9b19e02d"),
+        ("normal", "2", "modereg", "28445de80fb995be90119c6e7e88841af46030aa1a255e67c85c51ce563e8f9c"),
+    ],
+)
+def test_catalog_json_keeps_its_output(
+    model: str, order: str, ruleset: str, digest: str, capsys: pytest.CaptureFixture
+) -> None:
+    # The stored references hold only the order-2 catalogs; these hashes pin
+    # all eight listings, row order included.
+    assert main(["catalog", "--json", "--model", model, "--order", order, "--ruleset", ruleset]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # sphere verb
 # ---------------------------------------------------------------------------

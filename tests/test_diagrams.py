@@ -13,17 +13,21 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import worldline
+from worldline import tensors
 from worldline.checks import run_standard_checks
 from worldline.diagrams import (
     Diagram,
+    _contract,
+    _multigraphs,
     catalog,
     classify,
     evaluate_diagram,
-    perfect_matchings,
     sum_order,
     wick,
 )
@@ -31,6 +35,7 @@ from worldline.geometry import FlatTransform, NormalCoords, Vertex, vertices
 from worldline.integrands import ParsedProduct
 from worldline.integration import DIMREG, MODEREG
 from worldline.reduction import reduce_terms
+from worldline.tensors import PATTERNS, Pattern, _contraction_powers, invariant_coefficients
 from worldline.values import RegValue
 
 
@@ -50,13 +55,254 @@ def _family_total(diagrams, shape, rules=DIMREG):
 
 
 # ---------------------------------------------------------------------------
-# pairings
+# the contraction as it was written before field classes
 # ---------------------------------------------------------------------------
+
+# Every matching of single fields is enumerated, its edges are built and
+# sorted one by one, and each branch combination's delta graph is rebuilt
+# and union-found.  The class-multigraph contraction and the partner walk
+# of ``tensors`` must give the same catalog entries and cycle counts.
+
+
+def perfect_matchings(items):
+    """All perfect matchings of an even collection, first-element pivot."""
+
+    items = tuple(items)
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for index, partner in enumerate(rest):
+        remaining = rest[:index] + rest[index + 1 :]
+        for tail in perfect_matchings(remaining):
+            yield ((first, partner),) + tail
+
+
+def _double_factorial(m):
+    result = 1
+    while m > 1:
+        result *= m
+        m -= 2
+    return result
+
+
+def _old_fields(vertices):
+    fields = []
+    for position, vertex in enumerate(vertices):
+        q_slots = vertex.q_slots or (None,) * vertex.q_power
+        qdot_slots = vertex.qdot_slots or (None,) * vertex.qdot_power
+        fields.extend((position, "q", slot) for slot in q_slots)
+        fields.extend((position, "qdot", slot) for slot in qdot_slots)
+    return fields
+
+
+_MIRROR_KIND = {"D": "D", "DD": "DD", "Dl": "Dr", "Dr": "Dl"}
+
+
+def _old_edge(a, b):
+    (pa, ta, _), (pb, tb, _) = a, b
+    if pa > pb:
+        pa, ta, pb, tb = pb, tb, pa, ta
+    if ta == tb:
+        kind = "DD" if ta == "qdot" else "D"
+    elif pa == pb or ta == "qdot":
+        kind = "Dl"
+    else:
+        kind = "Dr"
+    return ((pa, pb), kind)
+
+
+def _old_mirror_edges(edges):
+    mirrored = []
+    for (a, b), kind in edges:
+        na, nb = 1 - a, 1 - b
+        if na > nb:
+            na, nb = nb, na
+            kind = _MIRROR_KIND[kind]
+        mirrored.append(((na, nb), kind))
+    return sorted(mirrored)
+
+
+def _old_canonical_edges(raw, mirror):
+    edges = sorted(_old_edge(a, b) for a, b in raw)
+    if mirror:
+        edges = min(edges, _old_mirror_edges(edges))
+    return tuple(edges)
+
+
+def _old_contract(accumulator, vertices, prefactor, connected_only):
+    fields = _old_fields(vertices)
+    factors = ()
+    offsets = []
+    offset = 0
+    for vertex in vertices:
+        offsets.append(offset)
+        factors += vertex.tensors
+        offset += vertex.slot_count
+    internal = [
+        (a + offsets[p], b + offsets[p])
+        for p, vertex in enumerate(vertices)
+        for a, b in vertex.internal
+    ]
+    mirror = len(vertices) == 2 and vertices[0] == vertices[1]
+    groups = {}
+    count = 0
+    for matching in perfect_matchings(range(len(fields))):
+        count += 1
+        pairs = [(fields[i], fields[j]) for i, j in matching]
+        if connected_only and all(a[0] == b[0] for a, b in pairs):
+            continue
+        pairing = list(internal)
+        for (pa, _, sa), (pb, _, sb) in pairs:
+            if sa is not None and sb is not None:
+                pairing.append((sa + offsets[pa], sb + offsets[pb]))
+        groups.setdefault(_old_canonical_edges(pairs, mirror), []).append(pairing)
+    assert count == _double_factorial(len(fields) - 1)
+    for edges, pairings in groups.items():
+        for label, total in invariant_coefficients(factors, *pairings).items():
+            key = (vertices, edges, label)
+            accumulator[key] = accumulator.get(key, RegValue.zero()) + prefactor * total
+
+
+_UNPAIRED = "every tensor slot must appear in exactly two contractions; slots {} do not"
+
+
+def _old_cycle_count(edges, nslots):
+    degree = [0] * nslots
+    parent = list(range(nslots))
+    cycles = nslots
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            cycles -= 1
+    bad = [slot for slot, count in enumerate(degree) if count != 2]
+    if bad:
+        raise ValueError(_UNPAIRED.format(bad))
+    return cycles
+
+
+def _old_cycle_terms(factors, pairing):
+    combos = [(1, list(pairing))]
+    nslots = 0
+    for name in factors:
+        pattern = PATTERNS[name]
+        combos = [
+            (sign * branch_sign, edges + [(a + nslots, b + nslots) for a, b in branch_edges])
+            for sign, edges in combos
+            for branch_sign, branch_edges in pattern.branches
+        ]
+        nslots += pattern.externals
+    stray = sorted({slot for edge in pairing for slot in edge if not 0 <= slot < nslots})
+    if stray:
+        raise ValueError(_UNPAIRED.format(stray))
+    return [(sign, _old_cycle_count(edges, nslots)) for sign, edges in combos]
+
+
+def _vertex_tuples(model):
+    """(tuple, order) of every contraction a catalog of ``model`` makes."""
+
+    table = vertices(model)
+    first = [v for v in table if v.order_in_eps == 1]
+    singles = [((v,), v.order_in_eps) for v in table]
+    return singles + [((a, b), 2) for i, a in enumerate(first) for b in first[i:]]
+
+
+_MODELS = [FlatTransform(), NormalCoords(), FlatTransform((Fraction(2, 3), Fraction(-5, 4)))]
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=["flat", "normal", "flat_other"])
+@pytest.mark.parametrize("connected_only", [False, True], ids=["all", "connected"])
+def test_class_contraction_matches_the_per_matching_one(model, connected_only):
+    prefactor = RegValue.delta0(1, Fraction(3, 7)) + RegValue.beta(-1, 2)
+    orders = set()
+    for vertex_tuple, order in _vertex_tuples(model):
+        orders.add(order)
+        old = {}
+        _old_contract(old, vertex_tuple, prefactor, connected_only)
+        new = {}
+        _contract(new, vertex_tuple, prefactor, connected_only)
+        assert new == {(edges, label): v for (_, edges, label), v in old.items()}
+        # A single vertex has no connected matching.
+        assert bool(new) != (connected_only and len(vertex_tuple) == 1), vertex_tuple
+    assert orders == {1, 2}
 
 
 @pytest.mark.parametrize("nfields,count", [(2, 1), (4, 3), (6, 15), (8, 105)])
 def test_matching_counts_are_double_factorials(nfields, count):
+    # Single fields, one class of them all, and every split into two or
+    # three classes stand for the same (nfields - 1)!! matchings.
     assert sum(1 for _ in perfect_matchings(range(nfields))) == count
+    graphs = _multigraphs([1] * nfields, [])
+    assert len(graphs) == count and {d for _, d in graphs} == {1}
+    for sizes in [[nfields]] + [[k, nfields - k] for k in range(1, nfields)] + [[1, 1, nfields - 2]]:
+        total = math.prod(map(math.factorial, sizes))
+        assert sum(total // d for _, d in _multigraphs(sizes, [])) == count, sizes
+        assert all(total % d == 0 for _, d in _multigraphs(sizes, [])), sizes
+
+
+def test_flat_catalog_enumerates_class_multigraphs():
+    # The 128 connected field matchings of the order-2 tuples (141 with the
+    # disconnected ones) collapse to 20 connected class multigraphs.
+    counts = []
+    for vertex_tuple, order in _vertex_tuples(FlatTransform()):
+        if order == 2:
+            classes = [
+                (p, n) for p, v in enumerate(vertex_tuple) for n in (v.q_power, v.qdot_power) if n
+            ]
+            graphs = _multigraphs([n for _, n in classes], [])
+            connected = [
+                g for g, _ in graphs
+                if len(vertex_tuple) == 1 or any(classes[c][0] != classes[d][0] for c, d in g)
+            ]
+            counts.append(len(connected))
+    assert counts == [2, 1, 13, 3, 1]
+
+
+def test_class_weights_count_the_field_matchings():
+    # kinetic_quartic: q^4 qdot^2 has 3 matchings with a qdot loop and 12
+    # with two q-qdot edges.
+    graphs = dict(_multigraphs([4, 2], []))
+    assert {graph: 24 * 2 // d for graph, d in graphs.items()} == {
+        ((0, 0), (0, 0), (1, 1)): 3,
+        ((0, 0), (0, 1), (0, 1)): 12,
+    }
+
+
+# Branch signs 1, 2 and 3, 5 make the four combinations of two factors
+# carry 3, 5, 6 and 10, whose subset sums all differ, so the summed powers
+# pin each combination's cycle count.
+_PROBES = {
+    "riem": Pattern(4, ((1, ((0, 2), (1, 3))), (2, ((0, 3), (1, 2))))),
+    "riem2": Pattern(4, ((3, ((0, 2), (1, 3))), (5, ((0, 3), (1, 2))))),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_partner_walk_counts_the_cycles_of_the_rebuilt_graph(data):
+    factors = data.draw(
+        st.sampled_from([(), ("riem",), ("riem", "riem"), ("riem", "riem2"), ("riem2", "riem")])
+    )
+    probe = data.draw(st.booleans())
+    nslots = 4 * len(factors)
+    pairings = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        order = data.draw(st.permutations(range(nslots)))
+        pairings.append([tuple(order[k : k + 2]) for k in range(0, nslots, 2)])
+    with mock.patch.dict(tensors.PATTERNS, _PROBES if probe else {"riem2": PATTERNS["riem"]}):
+        expected = {}
+        for pairing in pairings:
+            for sign, cycles in _old_cycle_terms(factors, pairing):
+                expected[cycles] = expected.get(cycles, 0) + sign
+        assert _contraction_powers(factors, pairings) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +581,25 @@ def test_curved_quartic_kinetic_vertex_alone():
 # ---------------------------------------------------------------------------
 
 
+def _old_edge_multisets(vertex_tuple, connected_only):
+    """Canonical edge multisets of a tuple's matchings, one matching at a time."""
+
+    fields = _old_fields(vertex_tuple)
+    mirror = len(vertex_tuple) == 2 and vertex_tuple[0] == vertex_tuple[1]
+    found = set()
+    for matching in perfect_matchings(range(len(fields))):
+        pairs = [(fields[i], fields[j]) for i, j in matching]
+        if not connected_only or any(a[0] != b[0] for a, b in pairs):
+            found.add(_old_canonical_edges(pairs, mirror))
+    return found
+
+
 def test_wick_multiplies_values_once_per_catalog_entry(monkeypatch):
-    # Counted, not timed: the order-2 normal catalog contracts 128 matchings
-    # into 20 entries.  The pairings of each vertex tuple are grouped by
-    # edge multiset, each group is decomposed in one call, and each label's
-    # sum is scaled by its vertex prefactor once.
+    # Counted, not timed.  The matchings of each vertex tuple are grouped
+    # by edge multiset.  A tuple with curvature factors decomposes each
+    # group in one call; a tuple without them counts the group's matchings
+    # and makes no call.  Each label's sum is scaled by its vertex
+    # prefactor once, so every catalog entry costs one product.
     products = []
     multiply = RegValue.__mul__
 
@@ -347,46 +607,48 @@ def test_wick_multiplies_values_once_per_catalog_entry(monkeypatch):
         products.append(right)
         return multiply(left, right)
 
-    # Per contraction of a vertex tuple: its edge multisets, and the
-    # number of pairings of each decomposition it asks for.
+    # Per contraction of a vertex tuple: the tuple, whether only connected
+    # matchings count, and the number of pairings of each decomposition.
     contractions = []
     contract = worldline.diagrams._contract
-    canonical = worldline.diagrams._canonical_edges
     decompose = worldline.diagrams.invariant_coefficients
 
-    def counted_contract(*args, **kwargs):
-        contractions.append((set(), []))
-        contract(*args, **kwargs)
-
-    def counted_canonical(*args):
-        edges = canonical(*args)
-        contractions[-1][0].add(edges)
-        return edges
+    def counted_contract(entries, vertex_tuple, prefactor, connected_only):
+        contractions.append((vertex_tuple, connected_only, []))
+        contract(entries, vertex_tuple, prefactor, connected_only)
 
     def counted_decompose(factors, *pairings):
-        contractions[-1][1].append(len(pairings))
+        contractions[-1][2].append(len(pairings))
         return decompose(factors, *pairings)
 
     monkeypatch.setattr(worldline.diagrams, "_contract", counted_contract)
-    monkeypatch.setattr(worldline.diagrams, "_canonical_edges", counted_canonical)
     monkeypatch.setattr(worldline.diagrams, "invariant_coefficients", counted_decompose)
     monkeypatch.setattr(RegValue, "__mul__", counted)
-    diagrams = wick(vertices(NormalCoords()), 2)
-    assert 0 < len(products) <= len(diagrams)
-    assert sum(sum(calls) for _, calls in contractions) == 128
+    # The order-2 normal catalog decomposes 128 pairings in 17 calls into
+    # 20 entries; the flat one makes no call for its 128 matchings.
+    for model, calls, pairings in ((NormalCoords(), 17, 128), (FlatTransform(), 0, 0)):
+        products.clear()
+        contractions.clear()
+        diagrams = wick(vertices(model), 2)
+        assert len(products) == len(diagrams)
+        assert sum(len(made) for *_, made in contractions) == calls
+        assert sum(sum(made) for *_, made in contractions) == pairings
 
     # The battery builds four catalogs, each model's order 1 and order 2
-    # once: 4 + 128 matchings in 3 + 17 groups per model, 264 in 40.
+    # once, and decomposes once per (curved tuple, edge multiset): 4 + 128
+    # pairings in 3 + 17 calls, all from the normal model.
     contractions.clear()
     catalogs = []
     monkeypatch.setattr(worldline.diagrams, "wick", lambda *args, **kw: catalogs.append(args) or wick(*args, **kw))
     run_standard_checks()
     assert len(catalogs) == 4
-    for edge_multisets, calls in contractions:
-        assert len(calls) == len(edge_multisets) and all(calls)
-    assert sum(sum(calls) for _, calls in contractions) == 264
-    assert sum(len(calls) for _, calls in contractions) == 40
-
+    assert len(contractions) == 14
+    for vertex_tuple, connected_only, made in contractions:
+        curved = any(v.tensors for v in vertex_tuple)
+        assert len(made) == (len(_old_edge_multisets(vertex_tuple, connected_only)) if curved else 0)
+        assert all(made)
+    assert sum(sum(made) for *_, made in contractions) == 132
+    assert sum(len(made) for *_, made in contractions) == 20
 
 def test_evaluate_diagram_applies_weight():
     diagram = Diagram(

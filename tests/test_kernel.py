@@ -132,6 +132,24 @@ def test_polys_built_by_two_routes_compare_and_hash_equal(pair, r):
         assert hash(left) == hash(right)
 
 
+@given(rationals, st.integers(0, 3), reg_keys())
+def test_a_constant_hashes_as_the_rational_it_equals(r, nvars, key):
+    # Equal objects hash equal, so a set or dict holding a rational finds
+    # the constant of either ring that equals it, and the other way round.
+    constants = [RegValue.rational(r), Poly.const(nvars, r), Poly(nvars, {(0,) * (nvars + 1): r})]
+    for constant in constants:
+        assert constant == r and r == constant
+        assert hash(constant) == hash(r)
+        assert len({constant, r}) == 1
+        assert {r: "found"}.get(constant) == "found"
+        if r.denominator == 1:
+            assert constant == int(r) and hash(constant) == hash(int(r))
+    # A value with any other term equals no rational.
+    if key != (0, 0):
+        other = RegValue.rational(r) + RegValue({key: 1})
+        assert other != r and len({other, r}) == 2
+
+
 @pytest.mark.parametrize("value", [Poly(1, {(0, 1): Fraction(1, 2)}), RegValue({(0, 1): Fraction(1, 2)})])
 def test_both_rings_mix_with_rationals_and_refuse_other_operands(value):
     def terms(x):

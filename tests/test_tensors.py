@@ -10,12 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from worldline import tensors
-from worldline.tensors import Pattern, _cycle_terms, invariant_coefficients
+from worldline.tensors import Pattern, _contraction_powers, invariant_coefficients
 
 
 def contraction_value(factors, pairing, n):
     """The full contraction on an n-dimensional target at unit scale."""
-    return sum(sign * n**cycles for sign, cycles in _cycle_terms(factors, pairing))
+    return sum(c * n**k for k, c in _contraction_powers(factors, [pairing]).items())
 
 
 _ARITY = {"riem": 4, "ric": 2}
@@ -191,6 +191,15 @@ def test_three_factors_are_rejected():
     pairing = tuple((2 * k, 2 * k + 1) for k in range(6))
     with pytest.raises(ValueError):
         invariant_coefficients(("riem", "riem", "riem"), pairing)
+
+
+@pytest.mark.parametrize("edges", [((0, 1),), ((0, 1), (1, 2)), ((0, 0), (2, 3))])
+def test_a_branch_that_leaves_a_slot_unjoined_is_refused(edges, monkeypatch):
+    # The walk needs each branch to join every slot of its factor to
+    # exactly one other.
+    monkeypatch.setitem(tensors.PATTERNS, "probe", Pattern(4, ((1, edges),)))
+    with pytest.raises(ValueError, match="must join each slot to one other"):
+        invariant_coefficients(("probe",), ((0, 1), (2, 3)))
 
 
 def test_unknown_pattern_is_rejected():
