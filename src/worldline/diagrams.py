@@ -105,14 +105,6 @@ def _edge(pa: int, ta: str, pb: int, tb: str) -> Edge:
     return ((pa, pb), kind)
 
 
-# An edge multiset is an int holding a 3-bit count per edge (a diagram has
-# at most four edges), the least edge in the top field.  Between multisets
-# of one size, the greater int is the lesser sorted edge list.
-_EDGES = sorted(((a, b), kind) for a, b in ((0, 0), (0, 1), (1, 1)) for kind in ("D", "DD", "Dl", "Dr"))
-_FIELD = {edge: 8 ** (len(_EDGES) - 1 - rank) for rank, edge in enumerate(_EDGES)}
-_LOCAL = sum(7 * field for ((a, b), _), field in _FIELD.items() if a == b)
-
-
 # ---------------------------------------------------------------------------
 # contraction of a vertex tuple
 # ---------------------------------------------------------------------------
@@ -148,13 +140,15 @@ def _contract(
                 classes.append((position, kind, None))
                 sizes.append(power)
         offset += vertex.slot_count
+    if sum(sizes) % 2:
+        raise ValueError("a vertex tuple with an odd number of fields has no Wick matchings")
     # Per class pair: its edge, the edge's image under the vertex swap,
     # and its tensor-slot pair.
-    code, mirrored, slot_pairs = {}, {}, {}
+    edge, mirrored, slot_pairs = {}, {}, {}
     for c, (pa, ta, sa) in enumerate(classes):
         for d, (pb, tb, sb) in enumerate(classes[c:], c):
-            code[c, d] = _FIELD[_edge(pa, ta, pb, tb)]
-            mirrored[c, d] = _FIELD[_edge(1 - pa, ta, 1 - pb, tb)]
+            edge[c, d] = _edge(pa, ta, pb, tb)
+            mirrored[c, d] = _edge(1 - pa, ta, 1 - pb, tb)
             if sa is not None and sb is not None:
                 slot_pairs[c, d] = (sa, sb)
     mirror = len(vertices) == 2 and vertices[0] == vertices[1]
@@ -162,23 +156,21 @@ def _contract(
 
     # The decomposition is linear, so the pairings of each edge multiset
     # are decomposed together and each sum is scaled by prefactor once.
-    groups: dict[int, list] = {}
+    groups: dict[tuple[Edge, ...], list[list[tuple[int, int]]]] = {}
+    count = 0
     for graph, denominator in _multigraphs(sizes, []):
-        key = sum(map(code.__getitem__, graph))
-        if connected_only and not key & ~_LOCAL:
+        matched = matchings // denominator
+        count += matched
+        edges = sorted(map(edge.__getitem__, graph))
+        if connected_only and all(a == b for (a, b), _ in edges):
             continue
         if mirror:
-            key = max(key, sum(map(mirrored.__getitem__, graph)))
-        group = groups.setdefault(key, [0, []])
-        weight = matchings // denominator
-        group[0] += weight
-        if factors:
-            pairing = internal + [slot_pairs[pair] for pair in graph if pair in slot_pairs]
-            group[1] += [pairing] * weight
-    for key, (count, pairings) in groups.items():
-        edges = tuple(edge for edge in _EDGES for _ in range(key // _FIELD[edge] & 7))
-        totals = invariant_coefficients(factors, *pairings) if factors else {"one": count}
-        for label, total in totals.items():
+            edges = min(edges, sorted(map(mirrored.__getitem__, graph)))
+        pairing = internal + [slot_pairs[pair] for pair in graph if pair in slot_pairs]
+        groups.setdefault(tuple(edges), []).extend([pairing] * matched)
+    assert count == math.prod(range(sum(sizes) - 1, 0, -2))
+    for edges, pairings in groups.items():
+        for label, total in invariant_coefficients(factors, *pairings).items():
             entry = (edges, label)
             weight = prefactor * total
             accumulator[entry] = accumulator[entry] + weight if entry in accumulator else weight

@@ -276,6 +276,16 @@ def test_class_weights_count_the_field_matchings():
     }
 
 
+def test_a_large_vertex_keeps_every_matching_and_an_odd_one_is_refused():
+    # Sixteen q fields are 15!! = 2027025 matchings, all eight D loops;
+    # seven fields have none.
+    (large,) = wick([Vertex("large", 1, 16, 0, 0, 1)], 1)
+    assert large.edges == (((0, 0), "D"),) * 8
+    assert large.weight == RegValue.rational(-math.prod(range(15, 0, -2)))
+    with pytest.raises(ValueError, match="odd number of fields"):
+        wick([Vertex("odd", 1, 7, 0, 0, 1)], 1)
+
+
 # Branch signs 1, 2 and 3, 5 make the four combinations of two factors
 # carry 3, 5, 6 and 10, whose subset sums all differ, so the summed powers
 # pin each combination's cycle count.
@@ -596,10 +606,9 @@ def _old_edge_multisets(vertex_tuple, connected_only):
 
 def test_wick_multiplies_values_once_per_catalog_entry(monkeypatch):
     # Counted, not timed.  The matchings of each vertex tuple are grouped
-    # by edge multiset.  A tuple with curvature factors decomposes each
-    # group in one call; a tuple without them counts the group's matchings
-    # and makes no call.  Each label's sum is scaled by its vertex
-    # prefactor once, so every catalog entry costs one product.
+    # by edge multiset and each group is decomposed in one call.  Each
+    # label's sum is scaled by its vertex prefactor once, so every catalog
+    # entry costs one product.
     products = []
     multiply = RegValue.__mul__
 
@@ -624,19 +633,19 @@ def test_wick_multiplies_values_once_per_catalog_entry(monkeypatch):
     monkeypatch.setattr(worldline.diagrams, "_contract", counted_contract)
     monkeypatch.setattr(worldline.diagrams, "invariant_coefficients", counted_decompose)
     monkeypatch.setattr(RegValue, "__mul__", counted)
-    # The order-2 normal catalog decomposes 128 pairings in 17 calls into
-    # 20 entries; the flat one makes no call for its 128 matchings.
-    for model, calls, pairings in ((NormalCoords(), 17, 128), (FlatTransform(), 0, 0)):
+    # Each order-2 catalog decomposes its 128 connected matchings in 17
+    # calls, into 20 normal and 17 flat entries.
+    for model in (NormalCoords(), FlatTransform()):
         products.clear()
         contractions.clear()
         diagrams = wick(vertices(model), 2)
         assert len(products) == len(diagrams)
-        assert sum(len(made) for *_, made in contractions) == calls
-        assert sum(sum(made) for *_, made in contractions) == pairings
+        assert sum(len(made) for *_, made in contractions) == 17
+        assert sum(sum(made) for *_, made in contractions) == 128
 
     # The battery builds four catalogs, each model's order 1 and order 2
-    # once, and decomposes once per (curved tuple, edge multiset): 4 + 128
-    # pairings in 3 + 17 calls, all from the normal model.
+    # once, and decomposes once per (vertex tuple, edge multiset): 4 + 128
+    # matchings in 3 + 17 calls per model, 264 in 40.
     contractions.clear()
     catalogs = []
     monkeypatch.setattr(worldline.diagrams, "wick", lambda *args, **kw: catalogs.append(args) or wick(*args, **kw))
@@ -644,11 +653,11 @@ def test_wick_multiplies_values_once_per_catalog_entry(monkeypatch):
     assert len(catalogs) == 4
     assert len(contractions) == 14
     for vertex_tuple, connected_only, made in contractions:
-        curved = any(v.tensors for v in vertex_tuple)
-        assert len(made) == (len(_old_edge_multisets(vertex_tuple, connected_only)) if curved else 0)
+        assert len(made) == len(_old_edge_multisets(vertex_tuple, connected_only))
         assert all(made)
-    assert sum(sum(made) for *_, made in contractions) == 132
-    assert sum(len(made) for *_, made in contractions) == 20
+    assert sum(sum(made) for *_, made in contractions) == 264
+    assert sum(len(made) for *_, made in contractions) == 40
+
 
 def test_evaluate_diagram_applies_weight():
     diagram = Diagram(
