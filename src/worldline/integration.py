@@ -54,6 +54,19 @@ MODEREG = RuleSet("ModeReg", value_eps2_delta=Fraction(1, 3))
 RULESETS = {"dimreg": DIMREG, "modereg": MODEREG}
 
 
+def _reads_rules(factors: tuple[tuple[str, int, int], ...], deltas: tuple[SingularAtom, ...]) -> bool:
+    """Whether integrating DD-free ``factors`` times ``deltas`` can look a rule set up.
+
+    ``integrate_term`` looks one up only for an even eps power on a pair
+    that a path of deltas joins.  Without a ``DD`` every delta is in
+    ``deltas``, and each factor on two distinct variables carries one eps of
+    power 1 on its pair, so such a power needs two factors on one pair.
+    """
+    root = _components(deltas)[0]
+    pairs = [(min(i, j), max(i, j)) for _, i, j in factors if i != j and root.get(i, i) == root.get(j, j)]
+    return len(set(pairs)) < len(pairs)
+
+
 # ---------------------------------------------------------------------------
 # regionwise integration
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .integrands import (
     named_integral_text,
     parse,
 )
-from .integration import RuleSet, DIMREG, UnreducedSingularStructureError, integrate_product
+from .integration import RuleSet, DIMREG, _reads_rules, integrate_product
 from .values import RegValue
 
 
@@ -378,78 +378,32 @@ def _signature(term: TTerm) -> tuple:
 
 _MAX_DEPTH = 6
 
+# A ``ReturnTo1D`` leaf: (factors, nvars, deltas), integrated at unit coefficient.
+_Leaf = tuple[tuple[tuple[str, int, int], ...], int, tuple[SingularAtom, ...]]
+
 
 def _record(log: list[dict], move: str, **info) -> None:
     log.append({"move": move, **info})
 
 
-class _Reading:
-    """A rule set that records whether ``eps_power_delta_value``, where rule sets differ, was read."""
-
-    __slots__ = ("rules", "name", "read")
-
-    def __init__(self, rules: RuleSet) -> None:
-        # ``name`` is read only in the note that follows such a lookup.
-        self.rules, self.name, self.read = rules, rules.name, False
-
-    def eps_power_delta_value(self, power: int) -> Fraction:
-        self.read = True
-        return self.rules.eps_power_delta_value(power)
-
-
-def _memo(compute):
-    """Memoize ``compute(reading, log, notes, *key)``, keyed by rule set only if it read one.
-
-    An entry holds the value or the refusal (error class and text) and the
-    log and notes that ``compute`` appended; a lookup appends them to the
-    caller's lists, then returns the value or raises the error again.  An
-    entry that read its ``_Reading``, itself or through an entry it looked
-    up, is stored under ``(rules, *key)`` and marks the caller's reading
-    read; any other is stored under ``key`` and serves every rule set.
-    """
-    entries: dict = {}
-
-    @functools.wraps(compute)
-    def lookup(reading: _Reading, log: list[dict], notes: list[str], *key):
-        ruled = (reading.rules, *key)
-        stored = entries.get(key) or entries.get(ruled)
-        if stored is None:
-            inner, moves, found = _Reading(reading.rules), [], []
-            value = error = None
-            try:
-                value = compute(inner, moves, found, *key)
-            except (ReductionError, UnreducedSingularStructureError) as err:
-                error = (type(err), str(err))
-            stored = value, error, tuple(moves), tuple(found), inner.read
-            entries[ruled if inner.read else key] = stored
-        value, error, moves, found, read = stored
-        reading.read |= read
-        log.extend(moves)
-        notes.extend(found)
-        if error is not None:
-            raise error[0](error[1])
-        return value
-
-    lookup.cache_clear = entries.clear
-    lookup.cache_info = lambda: {"currsize": len(entries), "ruled": sum(isinstance(k[0], RuleSet) for k in entries)}
-    return lookup
-
-
-def _resolve(rules: _Reading, term: TTerm, depth: int, log: list[dict], notes: list[str]) -> RegValue:
-    """Value of ``term`` from the memo; its moves and notes go onto ``log`` and ``notes``."""
+def _resolve(term: TTerm, depth: int, log: list[dict], leaves: list[tuple[RegValue, _Leaf]]) -> None:
+    """Search ``term`` through the memo; its moves go onto ``log``, its scaled leaves onto ``leaves``."""
     if not term.coefficient:
-        return RegValue.zero()
-    return _reduce_lifted(rules, log, notes, term.nvars, term.props, term.deltas, depth) * term.coefficient
+        return
+    found, moves, refusal = _reduce_lifted(term.nvars, term.props, term.deltas, depth)
+    log.extend(moves)
+    if refusal is not None:
+        raise ReductionError(refusal)
+    leaves.extend((coefficient * term.coefficient, leaf) for coefficient, leaf in found)
 
 
-def _search(rules: _Reading, term: TTerm, depth: int, log: list[dict], notes: list[str]) -> RegValue:
-    """Reduce one lifted term by the first legal sequence of moves."""
+def _search(term: TTerm, depth: int, log: list[dict], leaves: list[tuple[RegValue, _Leaf]]) -> None:
+    """Reduce one lifted term by the first legal sequence of moves, down to its leaves."""
     tags = [tag(prop) for prop in term.props]
     # Moves that apply whenever their tag is present, in this order.  The
     # table reads the module's names on every search, so a wrapper installed
     # on a move (or on ``_search``) is seen by every term searched after it;
-    # clear ``_reduce_lifted`` and ``_integrate_leaf`` first, since a memo
-    # hit searches nothing.
+    # clear ``_reduce_lifted`` first, since a memo hit searches nothing.
     for forced, move, name in (
         ("MuMuEqualTime", equal_time_substitute, "EqualTimeSubstitute"),
         ("Laplacian", field_equation, "FieldEquation"),
@@ -457,7 +411,7 @@ def _search(rules: _Reading, term: TTerm, depth: int, log: list[dict], notes: li
         if forced in tags:
             idx = tags.index(forced)
             _record(log, name, factor=term.props[idx].describe(), tag=forced)
-            return _resolve(rules, move(term, idx), depth, log, notes)
+            return _resolve(move(term, idx), depth, log, leaves)
 
     if "Unknown" in tags:
         prop = term.props[tags.index("Unknown")]
@@ -476,7 +430,8 @@ def _search(rules: _Reading, term: TTerm, depth: int, log: list[dict], notes: li
         )
         factors, extra = return_to_1d(term)
         # The search runs at unit coefficient (``_reduce_lifted``).
-        return _integrate_leaf(rules, log, notes, tuple(factors), term.nvars, extra)
+        leaves.append((RegValue.one(), (tuple(factors), term.nvars, extra)))
+        return
 
     for first, second in itertools.combinations(munu, 2):
         if term.props[first] == term.props[second]:
@@ -487,10 +442,9 @@ def _search(rules: _Reading, term: TTerm, depth: int, log: list[dict], notes: li
                 factor=term.props[first].describe(),
                 tag="MuNu",
             )
-            total = RegValue.zero()
             for piece in divergence_split(term, first, second):
-                total = total + _resolve(rules, piece, depth - 1, log, notes)
-            return total
+                _resolve(piece, depth - 1, log, leaves)
+            return
 
     if depth <= 0:
         raise ReductionError(
@@ -514,8 +468,8 @@ def _search(rules: _Reading, term: TTerm, depth: int, log: list[dict], notes: li
         except ReductionError as err:
             failures.append(str(err))
             continue
-        # A failed candidate takes its moves off the log; its notes stay.
-        checkpoint = len(log)
+        # A failed candidate takes its moves and leaves back off.
+        checkpoint, first_leaf = len(log), len(leaves)
         _record(
             log,
             "PartialIntegration",
@@ -539,17 +493,17 @@ def _search(rules: _Reading, term: TTerm, depth: int, log: list[dict], notes: li
                     "no legal reduction: the partial integration only "
                     "restates the term"
                 )
-            total = RegValue.zero()
             for piece in others:
-                total = total + _resolve(rules, piece, depth - 1, log, notes)
+                _resolve(piece, depth - 1, log, leaves)
             if ratio_sum:
                 _record(
                     log, "FixedPoint", ratio=str(ratio_sum), note="term reproduced itself under the move"
                 )
-                total = total / (1 - ratio_sum)
-            return total
+                scale = 1 / (1 - ratio_sum)
+                leaves[first_leaf:] = [(coefficient * scale, leaf) for coefficient, leaf in leaves[first_leaf:]]
+            return
         except ReductionError as err:
-            del log[checkpoint:]
+            del log[checkpoint:], leaves[first_leaf:]
             failures.append(str(err))
             continue
     raise ReductionError(
@@ -558,28 +512,49 @@ def _search(rules: _Reading, term: TTerm, depth: int, log: list[dict], notes: li
     )
 
 
-@_memo
+@functools.cache
 def _reduce_lifted(
-    rules: _Reading, log: list[dict], notes: list[str],
-    nvars: int, props: tuple[TProp, ...], deltas: tuple[SingularAtom, ...], depth: int,
-) -> RegValue:
-    """One lifted term at unit coefficient, searched.
+    nvars: int, props: tuple[TProp, ...], deltas: tuple[SingularAtom, ...], depth: int
+) -> tuple[tuple[tuple[RegValue, _Leaf], ...], tuple[dict, ...], str | None]:
+    """One lifted term at unit coefficient, searched: (leaves, moves, refusal text or None).
 
     ``depth`` is in the key because a success or a refusal can depend on the
     budget left.  The coefficient is not: reduction is linear in it, and at
     unit coefficient the fixed-point test reads the ratio of a piece that
     repeats the term straight off the piece's coefficient.
     """
-    return _search(rules, TTerm(RegValue.one(), nvars, props, deltas), depth, log, notes)
+    moves: list[dict] = []
+    leaves: list[tuple[RegValue, _Leaf]] = []
+    try:
+        _search(TTerm(RegValue.one(), nvars, props, deltas), depth, moves, leaves)
+    except ReductionError as err:
+        return (), tuple(moves), str(err)
+    return tuple(leaves), tuple(moves), None
 
 
-@_memo
+@functools.cache
 def _integrate_leaf(
-    rules: _Reading, log: list[dict], notes: list[str],
-    factors: tuple[tuple[str, int, int], ...], nvars: int, extra_atoms: tuple[SingularAtom, ...],
-) -> RegValue:
-    """One ``ReturnTo1D`` leaf at unit coefficient, integrated."""
-    return integrate_product(list(factors), nvars, rules, notes, extra_atoms=extra_atoms)
+    rules: RuleSet, factors: tuple[tuple[str, int, int], ...], nvars: int, deltas: tuple[SingularAtom, ...]
+) -> tuple[RegValue, tuple[str, ...]]:
+    """One ``ReturnTo1D`` leaf at unit coefficient, integrated: (value, eps notes)."""
+    notes: list[str] = []
+    value = integrate_product(list(factors), nvars, rules, notes, extra_atoms=deltas)
+    return value, tuple(notes)
+
+
+def _integrate_leaves(rules: RuleSet, leaves: list[tuple[RegValue, _Leaf]], notes: list[str]) -> RegValue:
+    """Sum of coefficient times value over ``leaves``; their notes go onto ``notes`` in order.
+
+    A leaf that cannot look the rule set up has one value under every rule
+    set, so it is integrated once, under ``DIMREG``.
+    """
+    total = RegValue.zero()
+    for coefficient, (factors, nvars, deltas) in leaves:
+        key = rules if _reads_rules(factors, deltas) else DIMREG
+        value, found = _integrate_leaf(key, factors, nvars, deltas)
+        notes.extend(found)
+        total = total + coefficient * value
+    return total
 
 
 def _reduce_product(
@@ -591,19 +566,19 @@ def _reduce_product(
         # beta, and with no factors there are no variables.
         return parsed.coefficient
     term = lift(parsed)
-    reading = _Reading(rules)
-    if log is None:
-        return _resolve(reading, term, _MAX_DEPTH, [], notes)
-    _record(log, "Lift", factors=[p.describe() for p in term.props], variables=term.nvars)
-    start = len(log)
+    moves: list[dict] = []
+    leaves: list[tuple[RegValue, _Leaf]] = []
     try:
-        return _resolve(reading, term, _MAX_DEPTH, log, notes)
+        _resolve(term, _MAX_DEPTH, moves, leaves)
     finally:
-        # The memo's own entries (text, numbers, lists) were appended: copy them.
-        log[start:] = [
-            {key: value.copy() if isinstance(value, list) else value for key, value in entry.items()}
-            for entry in log[start:]
-        ]
+        if log is not None:
+            _record(log, "Lift", factors=[p.describe() for p in term.props], variables=term.nvars)
+            # The memo's own entries (text, numbers, lists) were appended: copy them.
+            log.extend(
+                {key: value.copy() if isinstance(value, list) else value for key, value in entry.items()}
+                for entry in moves
+            )
+    return _integrate_leaves(rules, leaves, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ reducer or the integrator that changes any value, refusal, move or note of
 these 2,502 products changes the hash.  The same outcomes, with each
 product's direct integral, must not change under a renaming of the
 variables, and must satisfy the convolution int dtau DD(a,tau) DD(tau,b) =
-DD(a,b).
+DD(a,b), for a = b too.  Where the reducer and the direct route disagree,
+each exception set is pinned by its cause.
 """
 
 from __future__ import annotations
@@ -24,17 +25,25 @@ from hypothesis import given, settings, strategies as st
 
 from worldline import reduction
 from worldline.integrands import ParsedProduct, SingularAtom
-from worldline.integration import DIMREG, MODEREG, UnreducedSingularStructureError, integrate_product
+from worldline.integration import (
+    DIMREG,
+    MODEREG,
+    RuleSet,
+    UnreducedSingularStructureError,
+    _reads_rules,
+    integrate_product,
+)
 from worldline.reduction import (
     ReductionError,
     TProp,
     TTerm,
     _integrate_leaf,
-    _Reading,
+    _integrate_leaves,
     _reduce_lifted,
     _reduce_product,
     _resolve,
     _signature,
+    lift,
 )
 from worldline.values import RegValue
 
@@ -144,19 +153,21 @@ def listed(factors) -> tuple[tuple[str, int, int], ...]:
     return tuple(sorted(ordered, key=lambda f: (_KINDS.index(f[0]), f[1], f[2])))
 
 
-def contractions(factors, nvars):
+def contractions(factors, nvars, closed=False):
     """Each product that int dtau DD(a,tau) DD(tau,b) = DD(a,b) turns this one into.
 
-    Exact, since DD = delta - 1/beta.  It applies where a variable tau
-    touches exactly two DD factors, with a != b, and nothing else; the
-    variables above tau move down by one.
+    Exact, since DD = delta - 1/beta is the projection 1 - P0.  It applies
+    where a variable tau touches exactly two DD factors, neither at equal
+    times, and nothing else; the variables above tau move down by one.  The
+    cases have a != b, or with ``closed`` a = b, where DD(a,a) is the
+    equal-time DD.
     """
     for tau in range(nvars):
         touching = [f for f in factors if tau in f[1:]]
         if len(touching) != 2 or any(kind != "DD" or i == j for kind, i, j in touching):
             continue
         a, b = sorted(i + j - tau for _, i, j in touching)
-        if a == b:
+        if (a == b) != closed:
             continue
         rest = list(factors)
         for f in touching:
@@ -223,6 +234,111 @@ def test_a_variable_between_two_dd_factors_integrates_to_one_dd(rules, enumerate
         assert reduced[listed([("Dl", 0, 1), ("Dr", 0, 1), ("DD", 0, 1)]), 2][0] == "1/12 * beta"
 
 
+def squared_dd(factors) -> bool:
+    """Whether the product holds some DD(i,j)**2 with i != j."""
+    return any(kind == "DD" and i != j and factors.count((kind, i, j)) > 1 for kind, i, j in factors)
+
+
+def isolated_square(factors) -> bool:
+    """Whether some DD(i,j)**2 with i != j is the only factor on i and on j."""
+    return any(
+        kind == "DD" and i != j and factors.count((kind, i, j)) == 2
+        and all(f == (kind, i, j) or not {i, j} & set(f[1:]) for f in factors)
+        for kind, i, j in factors
+    )
+
+
+def test_a_closed_dd_loop_integrates_to_the_equal_time_dd(enumerated):
+    # int dtau DD(a,tau) DD(tau,a) = DD(a,a) = delta0 - 1/beta.  The direct
+    # route meets every case.  The reducer gives a DD(i,j)**2 that nothing
+    # else touches beta*delta0, and DD(a,a) beta*delta0 - 1, so it fails
+    # both cases of each such product, in both schemes.  That set is known
+    # until ROADMAP direction 17 settles which delta0 a lifted square carries.
+    for rules in (DIMREG, MODEREG):
+        reduced, directly = enumerated(rules)
+        cases = [(p, q) for p in reduced for q in contractions(*p, closed=True)]
+        assert len(cases) == 110
+        assert [(p, q) for p, q in cases if ":" in directly[p] or directly[p] != directly[q]] == []
+        failed = [p for p, q in cases if ":" in reduced[p][0] or reduced[p][0] != reduced[q][0]]
+        assert len(failed) == 44
+        assert set(failed) == {p for p, _ in cases if isolated_square(p[0])}
+        assert len(set(failed)) == 22
+
+
+# Dl(1,2)*Dl(2,3)*DD(1,3)*DD(2,3) and its renamings: eps atoms on two pairs
+# of one delta component (ROADMAP direction 3).
+_TWO_PAIR_CHAINS = {
+    (listed((kind, order[i], order[j]) for kind, i, j in (("Dl", 0, 1), ("Dl", 1, 2), ("DD", 0, 2), ("DD", 1, 2))), 3)
+    for order in permutations(range(3))
+}
+
+
+def test_the_dimreg_reducer_meets_the_direct_route_but_for_known_causes(enumerated):
+    # The route-agreement table of ROADMAP direction 18: the DimReg reducer
+    # against the direct route with int eps^2 delta = x.  x = 0 and 1/3 are
+    # DimReg's and ModeReg's values; 1/2 is the value that raw products
+    # seem to need.  Each set of products where the routes differ is
+    # pinned by its cause.
+    reduced, at_zero = enumerated(DIMREG)
+    modereg, at_third = enumerated(MODEREG)
+    at_half = {p: direct(RuleSet("X", Fraction(1, 2)), *p) for p in reduced}
+    answered = {p for p, (text, _, _) in reduced.items() if ":" not in text}
+    squares = {p for p in answered if squared_dd(p[0])}
+    assert (len(answered), len(squares)) == (2495, 125)
+    # Without a square the routes differ at x = 0 and 1/3 exactly where the
+    # reducer gives the two schemes different values, and at x = 1/2 on the
+    # two-pair chains alone.
+    scheme_dependent = {p for p in answered - squares if reduced[p][0] != modereg[p][0]}
+    assert len(scheme_dependent) == 31
+    table = ((at_zero, scheme_dependent), (at_third, scheme_dependent), (at_half, _TWO_PAIR_CHAINS))
+    # With a square (ROADMAP direction 17), the same 47 differ at every x.
+    failing_squares = set()
+    for directly, differ_without_square in table:
+        differ = {p for p in answered if directly[p] != reduced[p][0]}
+        assert differ - squares == differ_without_square
+        failing_squares.add(frozenset(differ & squares))
+    assert [len(s) for s in failing_squares] == [47]
+
+
+def test_the_leaf_check_flags_exactly_the_leaves_that_read_the_rule_set(monkeypatch):
+    # Every leaf that a search reaches, in a branch it keeps or drops, is
+    # integrated under both schemes.  ``_reads_rules`` must flag exactly the
+    # leaves that look an eps power up: a leaf it missed would hand one
+    # scheme's value to the other through the leaf memo.
+    leaves = set()
+    return_to_1d = reduction.return_to_1d
+
+    def recording(term):
+        factors, deltas = return_to_1d(term)
+        leaves.add((tuple(factors), term.nvars, deltas))
+        return factors, deltas
+
+    monkeypatch.setattr(reduction, "return_to_1d", recording)
+    clear_memos()  # a memo hit reaches no leaf
+    for factors, nvars in enumerated_products():
+        try:
+            _resolve(lift(ParsedProduct(RegValue.one(), factors, nvars)), reduction._MAX_DEPTH, [], [])
+        except ReductionError:
+            pass
+    clear_memos()
+    monkeypatch.undo()
+    lookups = []
+    eps_power_delta_value = RuleSet.eps_power_delta_value
+    monkeypatch.setattr(
+        RuleSet, "eps_power_delta_value", lambda rules, power: lookups.append(power) or eps_power_delta_value(rules, power)
+    )
+    flagged = {leaf for leaf in leaves if _reads_rules(leaf[0], leaf[2])}
+    for rules in (DIMREG, MODEREG):
+        reading = set()
+        for factors, nvars, deltas in leaves:
+            lookups.clear()
+            integrate_product(list(factors), nvars, rules, extra_atoms=deltas)
+            if lookups:
+                reading.add((factors, nvars, deltas))
+        assert reading == flagged
+    assert (len(leaves), len(flagged)) == (2020, 60)
+
+
 def test_the_enumeration_holds_the_refused_triangle():
     # DD(1,2)*DD(1,3)*DD(2,3): a closed delta triangle that the reducer refuses.
     triangle = (("DD", 0, 1), ("DD", 0, 2), ("DD", 1, 2))
@@ -241,9 +357,9 @@ def test_a_memo_hit_replays_the_search(rules):
     products = list(enumerated_products(((2, 4),)))
     clear_memos()
     cold = outcome_digest({product: outcome(rules, *product) for product in products})
-    searched = [memo.cache_info()["currsize"] for memo in memos]
+    searched = [memo.cache_info().currsize for memo in memos]
     warm = outcome_digest({product: outcome(rules, *product) for product in products})
-    assert [memo.cache_info()["currsize"] for memo in memos] == searched
+    assert [memo.cache_info().currsize for memo in memos] == searched
     assert min(searched) > 0
     assert warm == cold
 
@@ -275,7 +391,8 @@ def _candidate_values(rules, term, depth) -> dict[tuple[int, int], RegValue]:
     """The value of ``term`` through each partial-integration candidate that succeeds.
 
     Each candidate is taken as ``_search`` takes one: its pieces are reduced,
-    and the ones that repeat the term solve for it as a fixed point.
+    and the ones that repeat the term solve for it as a fixed point.  The
+    leaves of the other pieces are integrated under ``rules``.
     """
     values = {}
     signature = _signature(term)
@@ -284,13 +401,14 @@ def _candidate_values(rules, term, depth) -> dict[tuple[int, int], RegValue]:
             if len(labels) != 1:
                 continue
             try:
-                ratio, total = Fraction(0), RegValue.zero()
+                ratio, leaves = Fraction(0), []
                 for piece in reduction.partial_integration(term, idx, side):
                     terms = dict(piece.coefficient.items())
                     if terms.keys() <= {(0, 0)} and _signature(piece) == signature:
                         ratio += terms.get((0, 0), 0)
                     else:
-                        total = total + _resolve(_Reading(rules), piece, depth - 1, [], [])
+                        _resolve(piece, depth - 1, [], leaves)
+                total = _integrate_leaves(rules, leaves, [])
             except _REFUSALS:
                 continue
             if ratio != 1:
@@ -323,10 +441,10 @@ def test_every_succeeding_partial_integration_gives_one_value(rules, monkeypatch
     stack, nodes = [], {}
     search, partial_integration = reduction._search, reduction.partial_integration
 
-    def recording_search(reading, term, depth, log, notes):
+    def recording_search(term, depth, log, leaves):
         stack.append((term, depth))
         try:
-            return search(reading, term, depth, log, notes)
+            return search(term, depth, log, leaves)
         finally:
             stack.pop()
 
