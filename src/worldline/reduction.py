@@ -377,6 +377,9 @@ def _signature(term: TTerm) -> tuple:
 # ---------------------------------------------------------------------------
 
 _MAX_DEPTH = 6
+# The refusal of a node whose candidate moves all failed (``_search``).
+_ALL_FAILED = "no legal reduction: every candidate move failed; tried "
+_FIRST = "; the first failed with: "
 
 # A ``ReturnTo1D`` leaf: (factors, nvars, deltas), integrated at unit coefficient.
 _Leaf = tuple[tuple[tuple[str, int, int], ...], int, tuple[SingularAtom, ...]]
@@ -506,10 +509,17 @@ def _search(term: TTerm, depth: int, log: list[dict], leaves: list[tuple[RegValu
             del log[checkpoint:], leaves[first_leaf:]
             failures.append(str(err))
             continue
-    raise ReductionError(
-        "no legal reduction: every candidate move failed; tried "
-        f"{len(failures)}: " + "; ".join(sorted(set(failures))[:3])
-    )
+    # Where every candidate was refused outright, the line lists up to three
+    # of the distinct reasons.  Failures deeper in the search are counted, not
+    # quoted: the line names the first candidate's deepest reason, the one its
+    # own line names or lists first, so its length does not grow with depth.
+    nested = sum(failure.startswith(_ALL_FAILED) for failure in failures)
+    if not nested:
+        raise ReductionError(_ALL_FAILED + f"{len(failures)}: " + "; ".join(sorted(set(failures))[:3]))
+    first = failures[0]
+    if first.startswith(_ALL_FAILED):
+        first = first.partition(_FIRST)[2] or first.split(": ", 2)[2].split("; ")[0]
+    raise ReductionError(_ALL_FAILED + f"{len(failures)}, {nested} after a deeper search" + _FIRST + first)
 
 
 @functools.cache

@@ -13,12 +13,23 @@ import subprocess
 import sys
 import typing
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from worldline import diagrams
-from worldline.cli import build_parser, main
+from worldline.cli import (
+    _fraction_argument,
+    _parse_exact,
+    _run_catalog,
+    _run_integral,
+    _run_measure_cancel,
+    _run_sphere,
+    _run_verify,
+    build_parser,
+    main,
+)
 from worldline.geometry import MetricModel
 from worldline.integrands import FINITE_ALIASES, NAMED_INTEGRALS
 from worldline.integration import RULESETS
@@ -353,6 +364,163 @@ def test_parser_choices_are_the_engine_tables(monkeypatch, capsys) -> None:
     )
 
 
+def _old_build_parser() -> argparse.ArgumentParser:
+    """``cli.build_parser`` as it was before the verb table, kept verbatim."""
+    parser = argparse.ArgumentParser(
+        prog="worldline",
+        description="One-dimensional sigma-model regularization toolkit.",
+    )
+    subparsers = parser.add_subparsers(dest="verb", required=True)
+
+    def add_common(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument(
+            "--ruleset",
+            choices=("dimreg", "modereg"),  # the keys of integration.RULESETS
+            default="dimreg",
+            help="regularization scheme (default: dimreg)",
+        )
+        sub.add_argument(
+            "--json", action="store_true", help="machine-readable output"
+        )
+
+    integral = subparsers.add_parser(
+        "integral", help="evaluate a named two-time integral"
+    )
+    integral.add_argument("name", help="integral name, for example I14")
+    add_common(integral)
+    integral.add_argument(
+        "--dump-moves", action="store_true", help="print the reduction move log"
+    )
+    integral.set_defaults(handler=_run_integral)
+
+    verify = subparsers.add_parser("verify", help="run consistency checks")
+    verify.add_argument(
+        "--case",
+        choices=("flat", "normal", "arbitrary", "seeley"),
+        default=None,
+        help="single check case (default: the whole battery)",
+    )
+    verify.add_argument(
+        "--order", type=int, choices=(1, 2), default=2, help="expansion order"
+    )
+    add_common(verify)
+    verify.add_argument(
+        "--dump-moves", action="store_true", help="print reduction move logs"
+    )
+    verify.set_defaults(handler=_run_verify)
+
+    catalog_verb = subparsers.add_parser(
+        "catalog", help="list the diagrams of a model"
+    )
+    catalog_verb.add_argument(
+        "--model", choices=("flat", "normal"), default="flat", help="metric model"
+    )
+    catalog_verb.add_argument(
+        "--order", type=int, choices=(1, 2), default=2, help="expansion order"
+    )
+    add_common(catalog_verb)
+    catalog_verb.set_defaults(handler=_run_catalog)
+
+    sphere = subparsers.add_parser("sphere", help="sphere spectrum cross-checks")
+    sphere.add_argument("--dimension", type=int, default=3, help="embedding dimension")
+    sphere.add_argument(
+        "--radius", type=_fraction_argument, default=Fraction(1), help="sphere radius"
+    )
+    sphere.add_argument(
+        "--beta",
+        type=_fraction_argument,
+        default=Fraction(1, 100),
+        help="propagation time (rational, for example 0.01 or 1/100)",
+    )
+    sphere.add_argument("--lmax", type=int, default=1000, help="spectrum cutoff")
+    sphere.add_argument(
+        "--tolerance", type=float, default=1e-6, help="relative deviation bound"
+    )
+    sphere.add_argument("--json", action="store_true", help="machine-readable output")
+    sphere.set_defaults(handler=_run_sphere)
+
+    measure = subparsers.add_parser(
+        "measure-cancel", help="measure cancellation rings"
+    )
+    measure.add_argument(
+        "--profile",
+        default=None,
+        help="mass profile formula (default: all known profiles)",
+    )
+    measure.add_argument(
+        "--max-order", type=int, default=6, help="highest ring order"
+    )
+    measure.add_argument("--json", action="store_true", help="machine-readable output")
+    measure.set_defaults(handler=_run_measure_cancel)
+
+    return parser
+
+
+def _captured(call, argv: list) -> tuple:
+    """(exit code, stdout, stderr) of ``call(argv)``, a SystemExit read as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exit_signal:
+            code = exit_signal.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_VERB_NAMES = ("integral", "verify", "catalog", "sphere", "measure-cancel")
+_HELPS = [["--help"], ["-h"], *([verb, "--help"] for verb in _VERB_NAMES)]
+_REFUSALS = [
+    [],  # no verb
+    ["bogus"],  # an unknown verb
+    ["--json", "sphere"],  # an option before the verb
+    ["verify", "--case", "spherical"],  # a bad choice
+    ["catalog", "--order", "3"],
+    ["sphere", "--lmax", "x"],  # a bad int
+    ["sphere", "--radius", "1/0"],
+    ["sphere", "--lmax"],  # a missing value
+    ["sphere", "--bogus"],  # an unknown option
+    ["integral"],  # a missing positional argument
+    ["integral", "I14", "I2"],
+]
+
+
+@pytest.mark.parametrize("argv", _HELPS + _REFUSALS, ids=" ".join)
+def test_help_and_refusals_print_what_the_old_parser_printed(argv: list, monkeypatch) -> None:
+    # Compared with the old parser at run time, not with stored text, since
+    # argparse words its help differently from one Python version to the next.
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _captured(lambda words: _old_build_parser().parse_args(words), argv)
+    assert want[0] == (0 if argv in _HELPS else 2)
+    assert _captured(main, argv) == want
+
+
+def test_an_abbreviated_option_still_works(capsys: pytest.CaptureFixture) -> None:
+    assert main(["integral", "I14", "--dump-moves"]) == 0
+    full = capsys.readouterr()
+    assert main(["integral", "I14", "--dump"]) == 0
+    assert capsys.readouterr() == full
+
+
+def _same_attributes(fast, slow) -> bool:
+    """Equal attributes, the handler by identity (repr tells nan from nan)."""
+    fast, slow = dict(vars(fast)), dict(vars(slow))
+    if fast.pop("handler") is not slow.pop("handler"):
+        return False
+    return repr(sorted(fast.items())) == repr(sorted(slow.items()))
+
+
+def test_every_reference_command_line_takes_the_table_parser() -> None:
+    # The benchmark's command lines never need argparse.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    indexes = sorted((root / "perfbench" / "reference").glob("*/index.json"))
+    argvs = [entry["argv"] for index in indexes for entry in json.loads(index.read_text())]
+    assert len(argvs) == 44
+    for argv in argvs:
+        fast = _parse_exact(argv)
+        assert fast is not None, argv
+        assert _same_attributes(fast, build_parser().parse_args(argv)), argv
+
+
 # ---------------------------------------------------------------------------
 # per-verb imports
 # ---------------------------------------------------------------------------
@@ -361,11 +529,14 @@ def test_parser_choices_are_the_engine_tables(monkeypatch, capsys) -> None:
 # exact set of package modules the process loads or the package modules it
 # must not load.  No case may load the standard library's dataclasses,
 # inspect or typing either: they cost a fresh process more than the smaller
-# verbs' own work.  The child runs under -S, as the CI stdlib-only step does,
-# so that no .pth hook of site imports them first.
+# verbs' own work.  A well-formed command line loads neither argparse nor
+# what it imports (gettext, locale), and json only under --json.  The child
+# runs under -S, as the CI stdlib-only step does, so that no .pth hook of
+# site imports them first.
 _IMPORT_CASES = {
     "parser": (None, {"cli"}, None),
     "sphere": (["sphere", "--json"], {"cli", "spectral", "reports"}, None),
+    "sphere-text": (["sphere"], {"cli", "spectral", "reports"}, None),
     "integral": (
         ["integral", "I14", "--json"],
         None,
@@ -380,18 +551,21 @@ _IMPORT_CASES = {
     "verify": (["verify", "--json"], None, set()),
 }
 
+# The script reads sys.modules before it imports json for its own output.
 _IMPORT_SCRIPT = r"""
-import contextlib, io, json, sys
+import contextlib, io, sys
 import worldline.cli
-worldline.cli.build_parser()
-argv = json.loads(sys.argv[1])
 code = None
-if argv is not None:
+if sys.argv[1] == "parser":
+    worldline.cli.build_parser()
+else:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = worldline.cli.main(argv)
+        code = worldline.cli.main(sys.argv[2:])
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "worldline")
-slow = sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))
-print(json.dumps({"exit": code, "loaded": loaded, "slow": slow}))
+watched = {"argparse", "dataclasses", "gettext", "inspect", "json", "locale", "typing"}
+stdlib = sorted(watched & set(sys.modules))
+import json
+print(json.dumps({"exit": code, "loaded": loaded, "stdlib": stdlib}))
 """
 
 
@@ -399,14 +573,20 @@ print(json.dumps({"exit": code, "loaded": loaded, "slow": slow}))
 def test_each_verb_imports_only_its_layers(case: str) -> None:
     argv, exactly, forbidden = _IMPORT_CASES[case]
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    words = ["parser"] if argv is None else ["run", *argv]
     run = subprocess.run(
-        [sys.executable, "-S", "-c", _IMPORT_SCRIPT, json.dumps(argv)],
+        [sys.executable, "-S", "-c", _IMPORT_SCRIPT, *words],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout)
     assert result["exit"] == (None if argv is None else 0)
-    assert result["slow"] == []
+    slow = {"dataclasses", "inspect", "typing"}
+    if argv is not None:
+        slow |= {"argparse", "gettext", "locale"}
+    if "--json" not in (argv or []):
+        slow.add("json")
+    assert not slow & set(result["stdlib"]), sorted(slow & set(result["stdlib"]))
     loaded = {name.partition(".")[2] for name in result["loaded"]} - {""}
     if exactly is not None:
         assert loaded == exactly
@@ -418,7 +598,7 @@ def test_each_verb_imports_only_its_layers(case: str) -> None:
 # fuzzing
 # ---------------------------------------------------------------------------
 
-_GARBAGE = ("", "x", "-1", "0", "1/0", "nan", "inf", "1e999")
+_GARBAGE = ("", "x", "-1", "-3", "-1/2", "-0.5", "0", "1/0", "nan", "inf", "1e999")
 
 
 def _values(*valid: str) -> st.SearchStrategy[str]:
@@ -474,11 +654,20 @@ def command_lines(draw) -> list:
     if verb == "integral":
         argv.append(draw(_values(*sorted(NAMED_INTEGRALS), *sorted(FINITE_ALIASES))))
     for option in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
-        argv.append(option)
-        if options[option] is not None:
-            argv.append(draw(options[option]))
+        # Most options are spelled out; some are abbreviated, given as
+        # --opt=value, or repeated, all of which argparse takes.
+        spelling = draw(st.sampled_from(("exact",) * 7 + ("abbreviated", "joined", "repeated")))
+        flag = option[: draw(st.integers(3, len(option) - 1))] if spelling == "abbreviated" else option
+        for _ in range(2 if spelling == "repeated" else 1):
+            if options[option] is None:
+                argv.append(flag)
+            elif spelling == "joined":
+                argv.append(f"{flag}={draw(options[option])}")
+            else:
+                argv += [flag, draw(options[option])]
     if draw(st.integers(0, 9)) == 0:
-        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(("--bogus", "x"))))
+        stray = st.sampled_from(("--bogus", "x", "-h", "--help", "-5"))
+        argv.insert(draw(st.integers(1, len(argv))), draw(stray))
     return argv
 
 
@@ -488,3 +677,13 @@ def test_main_returns_an_exit_code_and_never_raises(argv: list) -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2), argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_the_table_parser_agrees_with_argparse(argv: list) -> None:
+    # Wherever the table parser takes a command line, argparse takes it too
+    # and sets the same attributes.
+    fast = _parse_exact(argv)
+    if fast is not None:
+        assert _same_attributes(fast, build_parser().parse_args(argv)), argv
