@@ -289,7 +289,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parse_exact(argv)
     if args is None:
         try:
-            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+            args = build_parser().parse_args(argv)
         except SystemExit as exit_signal:
             code = exit_signal.code
             return code if isinstance(code, int) else 2
