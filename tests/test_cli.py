@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import typing
 from collections import Counter
 from fractions import Fraction
@@ -227,6 +229,33 @@ def test_sphere_small_cutoff_is_an_error(capsys: pytest.CaptureFixture) -> None:
 def test_sphere_rejects_non_rational_beta(capsys: pytest.CaptureFixture) -> None:
     assert main(["sphere", "--beta", "abc"]) == 2
     assert "not a rational number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, text", [("--radius", "1e40000000"), ("--beta", "1e-40000000")])
+def test_sphere_refuses_a_huge_exponent_at_once(
+    option: str, text: str, capsys: pytest.CaptureFixture
+) -> None:
+    # Fraction would spend minutes expanding 10**40000000 exactly.
+    start = time.perf_counter()
+    assert main(["sphere", option, text]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: worldline sphere ")
+    (refusal,) = [line for line in err.splitlines() if "error:" in line]
+    assert err.endswith(f"{refusal}\n")
+    assert refusal == (
+        f"worldline sphere: error: argument {option}: "
+        f"decimal exponent out of range [-1000, 1000]: '{text}'"
+    )
+
+
+def test_fraction_argument_takes_exponents_up_to_the_bound() -> None:
+    assert _fraction_argument("1e1000") == 10**1000
+    assert _fraction_argument("2.5E-1000") == Fraction(25, 10**1001)
+    assert _fraction_argument(" 1e+01 ") == 10
+    for text in ("1e1001", "1E-1001", "0.0e99999999999", "1e", "1e1.5", "e5"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _fraction_argument(text)
 
 
 @pytest.mark.parametrize(
@@ -592,6 +621,52 @@ def test_each_verb_imports_only_its_layers(case: str) -> None:
         assert loaded == exactly
     else:
         assert "cli" in loaded and not loaded & forbidden, sorted(loaded & forbidden)
+
+
+# ---------------------------------------------------------------------------
+# program entry point
+# ---------------------------------------------------------------------------
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_ENV = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+
+# main() without argv, as the worldline script calls it: the handler
+# registered before it must still run after the collector is frozen.
+_PROGRAM_SCRIPT = r"""
+import atexit, gc, sys
+import worldline.cli
+atexit.register(print, "atexit handler ran", file=sys.stderr)
+sys.argv = ["worldline", "sphere", "--json"]
+code = worldline.cli.main()
+print(f"frozen {gc.get_freeze_count()}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_main_without_argv_freezes_the_collector_and_exits_as_before() -> None:
+    run = subprocess.run([sys.executable, "-c", _PROGRAM_SCRIPT], capture_output=True, env=_ENV)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (_ROOT / "perfbench" / "reference" / "spectral" / "00.stdout").read_bytes()
+    frozen, marker = run.stderr.decode().splitlines()
+    assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+    assert marker == "atexit handler ran"
+
+
+def test_main_with_argv_freezes_nothing(capsys: pytest.CaptureFixture) -> None:
+    before = gc.get_freeze_count()
+    assert main(["sphere", "--json"]) == 0
+    assert main(["sphere", "--lmax", "x"]) == 2
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("workload", ["battery", "diagrams", "rings", "spectral"])
+def test_both_module_entry_points_print_the_reference(workload: str) -> None:
+    directory = _ROOT / "perfbench" / "reference" / workload
+    entry = json.loads((directory / "index.json").read_text())[0]
+    want = (entry["exit"], (directory / entry["stdout"]).read_bytes(), b"")
+    for module in ("worldline", "worldline.cli"):
+        run = subprocess.run([sys.executable, "-m", module, *entry["argv"]], capture_output=True, env=_ENV)
+        assert (run.returncode, run.stdout, run.stderr) == want, (module, entry["argv"])
 
 
 # ---------------------------------------------------------------------------
