@@ -22,9 +22,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .geometry import Vertex, measure_terms, vertices as model_vertices
-from .integrands import ParsedProduct
 from .integration import DIMREG, RuleSet
-from .reduction import reduce_terms
+from .reduction import ParsedProduct, reduce_terms
 from .tensors import invariant_coefficients
 from .values import RegValue
 

@@ -1,5 +1,24 @@
 """Exact one-dimensional integration of products of propagators.
 
+A propagator factor is one of four kinds, each named by its text: the
+two-point function of a free particle pinned to zero at both ends of
+[0, beta], and its left, right, and mixed time derivatives:
+
+    D(t, t')  = -eps(t - t')*(t - t')/2 + (t + t')/2 - t*t'/beta
+    Dl(t, t') = -eps(t - t')/2 + 1/2 - t'/beta          (derivative on t)
+    Dr(t, t') = +eps(t - t')/2 + 1/2 - t/beta           (derivative on t')
+    DD(t, t') = delta(t - t') - 1/beta                  (one derivative each)
+
+``eps`` is the sign function with eps(0) = 0, so the equal-time values of Dl
+and Dr are the averages 1/2 - t/beta.  DD never has a pointwise value: its
+delta part is kept as a singular atom and its equal-time substitute is the
+formal combination ``EQUAL_TIME_DD`` = delta0 - 1/beta.
+
+Each factor expands into pieces  delta0**k * poly(tau_1..tau_n) * product
+of atoms, where each atom is a power of eps(tau_i - tau_j) or
+delta(tau_i - tau_j); ``integrate_product`` multiplies the pieces of a
+product together and merges their atoms.
+
 ``integrate_product`` integrates a product of propagator factors over
 [0, beta]**n, one factor at a time.  Each partial term it ends with has its
 delta atoms resolved first, one connected component of the delta graph at
@@ -27,9 +46,157 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 
-from .integrands import SingularAtom, _components, _expand_factor, _merge_atoms
 from .polynomials import Poly
 from .values import RegValue
+
+# ---------------------------------------------------------------------------
+# atoms
+# ---------------------------------------------------------------------------
+
+
+# Value types are ``collections.namedtuple`` subclasses, cheap to define at
+# import.  A checked type runs its checks in ``__new__``; ``_make`` and
+# ``_replace`` skip them, so they take only fields that are already valid.
+
+
+class SingularAtom(namedtuple("SingularAtom", "kind i j power", defaults=(1,))):
+    """A power of eps(tau_i - tau_j) or delta(tau_i - tau_j), with i < j.
+
+    ``kind`` is "eps" or "delta"; ``power`` defaults to 1.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SingularAtom:
+        self = super().__new__(cls, *args, **kwargs)
+        if self.kind not in ("eps", "delta"):
+            raise ValueError(f"unknown atom kind {self.kind!r}")
+        if not 0 <= self.i < self.j:
+            raise ValueError("atom arguments must satisfy 0 <= i < j")
+        if self.power < 1:
+            raise ValueError("atom power must be positive")
+        return self
+
+
+_Piece = tuple[int, Poly, tuple[SingularAtom, ...]]
+
+
+# ---------------------------------------------------------------------------
+# propagator kinds
+# ---------------------------------------------------------------------------
+
+_HALF = Fraction(1, 2)
+
+# Smooth part and eps-coefficient of each kind over (t, t'), keyed (beta, t,
+# t') exponents: the docstring's closed forms.
+_SMOOTH: dict[str, Poly] = {
+    "D": Poly(2, {(0, 1, 0): _HALF, (0, 0, 1): _HALF, (-1, 1, 1): -1}),
+    "Dl": Poly(2, {(0, 0, 0): _HALF, (-1, 0, 1): -1}),
+    "Dr": Poly(2, {(0, 0, 0): _HALF, (-1, 1, 0): -1}),
+    "DD": Poly(2, {(-1, 0, 0): -1}),
+}
+
+_EPS_COEFF: dict[str, Poly] = {
+    "D": Poly(2, {(0, 1, 0): -_HALF, (0, 0, 1): _HALF}),
+    "Dl": Poly(2, {(0, 0, 0): -_HALF}),
+    "Dr": Poly(2, {(0, 0, 0): _HALF}),
+    "DD": Poly(2),
+}
+
+# The formal equal-time value of DD, which has no pointwise one.
+EQUAL_TIME_DD = RegValue.delta0() - RegValue.beta(-1)
+
+
+def _grade_pieces(value: RegValue, nvars: int) -> list[_Piece]:
+    """A ring value, one constant-polynomial piece per delta0 grade."""
+    grades: dict[int, Poly] = {}
+    for (beta_pow, delta0_pow), coeff in value.items():
+        const = Poly.const(nvars, coeff, beta_pow)
+        grades[delta0_pow] = grades[delta0_pow] + const if delta0_pow in grades else const
+    return [(k, poly, ()) for k, poly in grades.items()]
+
+
+def _expand_factor(kind: str, i: int, j: int, nvars: int) -> list[_Piece]:
+    """One propagator factor as a sum of (delta0 power, poly, atoms) pieces.
+
+    Equal arguments give the smooth part alone, since eps(0) = 0, with
+    DD(i,i) becoming the formal substitute ``EQUAL_TIME_DD``.
+    """
+    if kind not in _SMOOTH:
+        raise ValueError(f"unknown propagator kind {kind!r}")
+    if i == j:
+        if kind == "DD":
+            return _grade_pieces(EQUAL_TIME_DD, nvars)
+        return [(0, _SMOOTH[kind].remap((i, i), nvars), ())]
+
+    lo, hi = (i, j) if i < j else (j, i)
+    flip = i > j  # eps(tau_i - tau_j) = -eps(tau_lo - tau_hi) when i > j
+    out: list[_Piece] = [(0, _SMOOTH[kind].remap((i, j), nvars), ())]
+    eps_poly = _EPS_COEFF[kind].remap((i, j), nvars)
+    if eps_poly:
+        if flip:
+            eps_poly = -eps_poly
+        out.append((0, eps_poly, (SingularAtom._make(("eps", lo, hi, 1)),)))
+    if kind == "DD":
+        out.append((0, Poly.const(nvars, 1), (SingularAtom._make(("delta", lo, hi, 1)),)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# canonical form
+# ---------------------------------------------------------------------------
+
+
+def _components(atoms: tuple[SingularAtom, ...]) -> tuple[dict[int, int], dict[int, int]]:
+    """The connected components of the delta atoms' graph: (root, surplus).
+
+    ``root[v]``, for each variable a delta touches, is the smallest variable
+    joined to v by a path of deltas; ``surplus[r]`` is the delta power of
+    r's component minus its variable count.  A tree has surplus -1, one
+    cycle (a squared delta is a 2-cycle) 0, and a second cycle more.
+    """
+    root: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while root.setdefault(v, v) != v:
+            v = root[v]
+        return v
+
+    deltas = [atom for atom in atoms if atom.kind == "delta"]
+    for atom in deltas:
+        a, b = sorted((find(atom.i), find(atom.j)))
+        root[b] = a
+    surplus: dict[int, int] = {}
+    for v in root:
+        root[v] = r = find(v)
+        surplus[r] = surplus.get(r, 0) - 1
+    for atom in deltas:
+        surplus[root[atom.i]] += atom.power
+    return root, surplus
+
+
+def _merge_atoms(atoms: tuple[SingularAtom, ...]) -> tuple[SingularAtom, ...]:
+    powers: dict[tuple[str, int, int], int] = {}
+    for atom in atoms:
+        key = (atom.kind, atom.i, atom.j)
+        powers[key] = powers.get(key, 0) + atom.power
+    kinds = {kind for kind, _, _ in powers}
+    root = _components(atoms)[0] if len(kinds) == 2 else {}
+    merged: list[SingularAtom] = []
+    for (kind, i, j), power in powers.items():
+        if kind == "eps" and root.get(i, i) != root.get(j, j):
+            # Away from coincidence eps**2 = 1.  Unless a path of deltas
+            # joins i and j, tau_i = tau_j has measure zero.
+            if power % 2 == 0:
+                continue
+            power = 1
+        merged.append(SingularAtom._make((kind, i, j, power)))
+    return tuple(sorted(merged))
+
+
+# ---------------------------------------------------------------------------
+# rule sets
+# ---------------------------------------------------------------------------
 
 
 class UnreducedSingularStructureError(ValueError):

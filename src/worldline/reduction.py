@@ -8,7 +8,7 @@ may be substituted by DD's formal equal-time value.  Four moves then reduce
 the lifted term:
 
 * ``EqualTimeSubstitute``  -- the self-contracted equal-time factor becomes
-  the number ``integrands.EQUAL_TIME_DD``.
+  the number ``integration.EQUAL_TIME_DD``.
 * ``FieldEquation``        -- a twice-same-side-differentiated factor (the
   Laplacian tag) becomes -delta(tau_i - tau_j), or -delta0 at equal times.
 * ``PartialIntegration``   -- moves one derivative end off a factor onto
@@ -23,24 +23,153 @@ while one remains, and no move ever substitutes a delta for it.  Squared
 MuNu pairs are handled by one licensed composite: add and subtract the
 squared delta, then integrate the difference by parts (it is finite, so
 partial integration is safe there).
+
+The text grammar accepted by :func:`parse` writes products the way they are
+tabled, e.g. ``Dl(1,2)*Dr(1,2)*DD(1,2)`` with 1-based variable indices,
+rational prefactors, and ``d0`` for an explicit delta(0).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .integrands import (
-    EQUAL_TIME_DD,
-    ParsedProduct,
-    SingularAtom,
-    named_integral_text,
-    parse,
-)
-from .integration import RuleSet, DIMREG, _reads_rules, integrate_product
+from .integration import DIMREG, EQUAL_TIME_DD, RuleSet, SingularAtom, _reads_rules, integrate_product
 from .values import RegValue
+
+
+# ---------------------------------------------------------------------------
+# text grammar
+# ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<prop>DD|Dl|Dr|D)\((?P<i>\d+),(?P<j>\d+)\)"
+    r"|(?P<d0>d0)(?:\^(?P<d0pow>\d+))?"
+    r"|(?P<rat>\d+(?:/\d*[1-9]\d*)?)"
+    r"|(?P<op>[+*-]))"
+)
+
+
+class ParsedProduct(namedtuple("ParsedProduct", "coefficient factors nvars")):
+    """One summand of a parsed integrand: a RegValue, its (kind, i, j) factors, nvars."""
+
+    __slots__ = ()
+
+
+def parse(text: str) -> list[ParsedProduct]:
+    """Parse sums of propagator products, e.g. ``Dl(1,2)*Dr(1,2)*DD(1,2)``.
+
+    Each summand integrates over its own variables, so a sum may mix
+    products with different variable counts.  Indices are 1-based in the
+    text and remapped to a dense 0-based range per summand.
+    """
+    tokens: list[tuple[str, object]] = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if not match:
+            raise ValueError(f"cannot parse integrand text at: {text[pos:]!r}")
+        pos = match.end()
+        if match["prop"]:
+            tokens.append(("prop", (match["prop"], int(match["i"]), int(match["j"]))))
+        elif match["d0"]:
+            tokens.append(("d0", int(match["d0pow"] or 1)))
+        elif match["rat"]:
+            tokens.append(("rat", Fraction(match["rat"])))
+        else:
+            tokens.append(("op", match["op"]))
+    if text[pos:].strip():
+        raise ValueError(f"trailing input in integrand text: {text[pos:]!r}")
+
+    products: list[ParsedProduct] = []
+    sign = Fraction(1)
+    current: list[tuple[str, object]] | None = None
+
+    def flush() -> None:
+        nonlocal current
+        if current is None:
+            return
+        coeff = RegValue.rational(sign)
+        raw_factors: list[tuple[str, int, int]] = []
+        for token_kind, payload in current:
+            if token_kind == "rat":
+                coeff = coeff * payload
+            elif token_kind == "d0":
+                coeff = coeff * RegValue.delta0(payload)
+            else:
+                raw_factors.append(payload)
+        indices = sorted({idx for (_, i, j) in raw_factors for idx in (i, j)})
+        remap = {orig: new for new, orig in enumerate(indices)}
+        factors = tuple((k, remap[i], remap[j]) for (k, i, j) in raw_factors)
+        products.append(ParsedProduct(coeff, factors, len(indices)))
+        current = None
+
+    expecting_factor = True
+    for token_kind, payload in tokens:
+        if token_kind == "op" and payload in "+-" and not expecting_factor:
+            flush()
+            sign = Fraction(1) if payload == "+" else Fraction(-1)
+            expecting_factor = True
+            continue
+        if token_kind == "op":
+            if payload == "*" and not expecting_factor:
+                expecting_factor = True
+                continue
+            if payload == "-" and expecting_factor:
+                sign = -sign
+                continue
+            raise ValueError(f"misplaced operator {payload!r} in integrand text")
+        if current is None:
+            current = []
+        current.append((token_kind, payload))
+        expecting_factor = False
+    if expecting_factor and tokens:
+        raise ValueError("integrand text ends with a dangling operator")
+    flush()
+    if not products:
+        raise ValueError("empty integrand text")
+    return products
+
+
+# ---------------------------------------------------------------------------
+# named fixtures
+# ---------------------------------------------------------------------------
+
+# The recurring two-vertex integrals, written exactly as tabled.  Names with
+# an R suffix denote the finite (delta0-free) grade of the base integral.
+NAMED_INTEGRALS: dict[str, str] = {
+    "I2": "D(1,1)*DD(1,2)*DD(1,2)*D(2,2)",
+    "I4": "D(1,1)*Dl(1,2)*DD(1,2)*Dr(2,2)",
+    "I6": "Dl(1,1)*D(1,2)*DD(1,2)*Dr(2,2)",
+    "I7": "Dl(1,1)*Dl(1,2)*Dr(1,2)*Dr(2,2)",
+    "I8": "D(1,2)*D(1,2)*DD(1,2)*DD(1,2)",
+    "I9": "D(1,2)*Dl(1,2)*Dr(1,2)*DD(1,2)",
+    "I10": "Dl(1,2)*Dl(1,2)*Dr(1,2)*Dr(1,2)",
+    "I11": "DD(1,1)*D(1,2)*DD(2,2) - 2*d0*DD(1,1)*D(1,2) + d0^2*D(1,2)",
+    "I12": "Dl(1,1)*Dl(1,2)*DD(2,2) - d0*Dl(1,1)*Dl(1,2)",
+    "I13": "Dl(1,1)*Dr(2,2)*DD(1,2)",
+    "I14": "Dl(1,2)*Dr(1,2)*DD(1,2)",
+    "I15": "D(1,2)*DD(1,2)*DD(1,2)",
+}
+
+FINITE_ALIASES: dict[str, str] = {
+    "I2R": "I2",
+    "I8R": "I8",
+    "I15R": "I15",
+}
+
+
+def named_integral_text(name: str) -> tuple[str, bool]:
+    """Resolve a fixture name to (integrand text, finite_grade_only)."""
+    if name in NAMED_INTEGRALS:
+        return NAMED_INTEGRALS[name], False
+    if name in FINITE_ALIASES:
+        return NAMED_INTEGRALS[FINITE_ALIASES[name]], True
+    known = sorted(NAMED_INTEGRALS) + sorted(FINITE_ALIASES)
+    raise KeyError(f"unknown integral name {name!r}; known names: {', '.join(known)}")
 
 
 class ReductionError(ValueError):
@@ -381,8 +510,9 @@ _MAX_DEPTH = 6
 _ALL_FAILED = "no legal reduction: every candidate move failed; tried "
 _FIRST = "; the first failed with: "
 
-# A ``ReturnTo1D`` leaf: (factors, nvars, deltas), integrated at unit coefficient.
-_Leaf = tuple[tuple[tuple[str, int, int], ...], int, tuple[SingularAtom, ...]]
+# A ``ReturnTo1D`` leaf: (factors, nvars, deltas, whether it reads the rule
+# set), integrated at unit coefficient.
+_Leaf = tuple[tuple[tuple[str, int, int], ...], int, tuple[SingularAtom, ...], bool]
 
 
 def _record(log: list[dict], move: str, **info) -> None:
@@ -433,7 +563,7 @@ def _search(term: TTerm, depth: int, log: list[dict], leaves: list[tuple[RegValu
         )
         factors, extra = return_to_1d(term)
         # The search runs at unit coefficient (``_reduce_lifted``).
-        leaves.append((RegValue.one(), (tuple(factors), term.nvars, extra)))
+        leaves.append((RegValue.one(), (tuple(factors), term.nvars, extra, _reads_rules(factors, extra))))
         return
 
     for first, second in itertools.combinations(munu, 2):
@@ -559,8 +689,8 @@ def _integrate_leaves(rules: RuleSet, leaves: list[tuple[RegValue, _Leaf]], note
     set, so it is integrated once, under ``DIMREG``.
     """
     total = RegValue.zero()
-    for coefficient, (factors, nvars, deltas) in leaves:
-        key = rules if _reads_rules(factors, deltas) else DIMREG
+    for coefficient, (factors, nvars, deltas, reads) in leaves:
+        key = rules if reads else DIMREG
         value, found = _integrate_leaf(key, factors, nvars, deltas)
         notes.extend(found)
         total = total + coefficient * value

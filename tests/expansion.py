@@ -4,7 +4,7 @@
 at a time and integrates variables out on the way, so it never lists the
 expanded terms.  The tests keep the full expansion and the term-by-term
 route that integrates it: they state what the pieces of
-``worldline.integrands`` mean when multiplied out, and they are the oracle
+``worldline.integration`` mean when multiplied out, and they are the oracle
 the one-factor-at-a-time route must match.
 """
 
@@ -13,8 +13,15 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from worldline.integrands import SingularAtom, _expand_factor, _grade_pieces, _merge_atoms
-from worldline.integration import DIMREG, RuleSet, integrate_term
+from worldline.integration import (
+    DIMREG,
+    RuleSet,
+    SingularAtom,
+    _expand_factor,
+    _grade_pieces,
+    _merge_atoms,
+    integrate_term,
+)
 from worldline.polynomials import Poly
 from worldline.values import RegValue
 

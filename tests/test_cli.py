@@ -33,8 +33,8 @@ from worldline.cli import (
     main,
 )
 from worldline.geometry import MetricModel
-from worldline.integrands import FINITE_ALIASES, NAMED_INTEGRALS
 from worldline.integration import RULESETS
+from worldline.reduction import FINITE_ALIASES, NAMED_INTEGRALS
 
 # ---------------------------------------------------------------------------
 # integral verb
@@ -573,8 +573,8 @@ _IMPORT_CASES = {
     ),
     "measure-cancel": (
         ["measure-cancel", "--json", "--max-order", "2"],
+        {"cli", "rings", "integration", "polynomials", "values", "reports"},
         None,
-        {"diagrams", "reduction", "tensors", "checks", "spectral", "geometry"},
     ),
     "catalog": (["catalog", "--json", "--order", "1"], None, {"checks", "spectral", "rings"}),
     "verify": (["verify", "--json"], None, set()),

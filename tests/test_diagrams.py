@@ -32,9 +32,8 @@ from worldline.diagrams import (
     wick,
 )
 from worldline.geometry import FlatTransform, NormalCoords, Vertex, vertices
-from worldline.integrands import ParsedProduct
 from worldline.integration import DIMREG, MODEREG
-from worldline.reduction import reduce_terms
+from worldline.reduction import ParsedProduct, reduce_terms
 from worldline.tensors import PATTERNS, Pattern, _contraction_powers, invariant_coefficients
 from worldline.values import RegValue
 

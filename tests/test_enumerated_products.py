@@ -24,16 +24,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from worldline import reduction
-from worldline.integrands import ParsedProduct, SingularAtom
 from worldline.integration import (
     DIMREG,
     MODEREG,
     RuleSet,
+    SingularAtom,
     UnreducedSingularStructureError,
     _reads_rules,
     integrate_product,
 )
 from worldline.reduction import (
+    ParsedProduct,
     ReductionError,
     TProp,
     TTerm,
@@ -313,7 +314,17 @@ def test_the_leaf_check_flags_exactly_the_leaves_that_read_the_rule_set(monkeypa
         leaves.add((tuple(factors), term.nvars, deltas))
         return factors, deltas
 
+    # Each leaf that the search memo holds carries the check's flag with it.
+    held = set()
+    reduce_lifted = reduction._reduce_lifted
+
+    def holding(*args):
+        found = reduce_lifted(*args)
+        held.update(leaf for _, leaf in found[0])
+        return found
+
     monkeypatch.setattr(reduction, "return_to_1d", recording)
+    monkeypatch.setattr(reduction, "_reduce_lifted", holding)
     clear_memos()  # a memo hit reaches no leaf
     for factors, nvars in enumerated_products():
         try:
@@ -321,6 +332,8 @@ def test_the_leaf_check_flags_exactly_the_leaves_that_read_the_rule_set(monkeypa
         except ReductionError:
             pass
     clear_memos()
+    assert held and all(reads == _reads_rules(factors, deltas) for factors, _, deltas, reads in held)
+    assert {leaf[:3] for leaf in held} <= leaves
     monkeypatch.undo()
     lookups = []
     eps_power_delta_value = RuleSet.eps_power_delta_value

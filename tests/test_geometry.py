@@ -22,7 +22,7 @@ from worldline.geometry import (
     seeley_reference,
     vertices,
 )
-from worldline.integrands import named_integral_text
+from worldline.reduction import named_integral_text
 from worldline.spectral import _series_reference_coefficients
 from worldline.values import RegValue
 

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expansion import canonicalize, product
-from worldline.integrands import (
+from worldline.integration import SingularAtom
+from worldline.polynomials import Poly
+from worldline.reduction import (
     FINITE_ALIASES,
     NAMED_INTEGRALS,
-    SingularAtom,
     named_integral_text,
     parse,
+    reduce_terms,
 )
-from worldline.polynomials import Poly
-from worldline.reduction import reduce_terms
 from worldline.values import RegValue
 
 

@@ -10,17 +10,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 import worldline.integration
 from expansion import IntegrandTerm, canonicalize, integrate, product
-from worldline.integrands import NAMED_INTEGRALS, SingularAtom, _components, _merge_atoms, parse
 from worldline.integration import (
     DIMREG,
     MODEREG,
     RuleSet,
+    SingularAtom,
     UnreducedSingularStructureError,
+    _components,
     _integrate_regular,
+    _merge_atoms,
     _ring_chain,
     integrate_product,
 )
 from worldline.polynomials import Poly
+from worldline.reduction import NAMED_INTEGRALS, parse
 from worldline.rings import PROFILES, measure_cancellation
 from worldline.values import RegValue
 

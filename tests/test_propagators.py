@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from worldline.integrands import _EPS_COEFF, _SMOOTH, EQUAL_TIME_DD, _expand_factor
+from worldline.integration import _EPS_COEFF, _SMOOTH, EQUAL_TIME_DD, _expand_factor
 from worldline.polynomials import Poly
 from worldline.values import RegValue
 

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from worldline import reduction
-from worldline.integrands import NAMED_INTEGRALS, ParsedProduct, SingularAtom, parse
 from worldline.checks import run_standard_checks
-from worldline.integration import DIMREG, MODEREG, UnreducedSingularStructureError, integrate_product
+from worldline.integration import DIMREG, MODEREG, SingularAtom, UnreducedSingularStructureError, integrate_product
 from worldline.reduction import (
+    NAMED_INTEGRALS,
+    ParsedProduct,
     ReductionError,
     TProp,
     TTerm,
@@ -26,6 +27,7 @@ from worldline.reduction import (
     evaluate_named,
     field_equation,
     lift,
+    parse,
     partial_integration,
     reduce_terms,
     return_to_1d,

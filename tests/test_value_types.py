@@ -9,10 +9,9 @@ import pytest
 from worldline.diagrams import Diagram
 from worldline.geometry import FlatTransform, NormalCoords, Vertex
 from expansion import IntegrandTerm
-from worldline.integrands import ParsedProduct, SingularAtom
-from worldline.integration import RuleSet
+from worldline.integration import RuleSet, SingularAtom
 from worldline.polynomials import Poly
-from worldline.reduction import TProp, TTerm
+from worldline.reduction import ParsedProduct, TProp, TTerm
 from worldline.reports import CheckReport
 from worldline.tensors import Pattern
 from worldline.values import RegValue
