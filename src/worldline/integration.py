@@ -46,8 +46,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 
-from .polynomials import Poly
-from .values import RegValue
+from .values import Poly, RegValue
 
 # ---------------------------------------------------------------------------
 # atoms

@@ -6,9 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .integration import _ring_chain
-from .polynomials import Poly
 from .reports import CheckReport, finish_report
-from .values import RegValue
+from .values import Poly, RegValue
 
 
 # ---------------------------------------------------------------------------

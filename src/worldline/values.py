@@ -1,15 +1,24 @@
-"""Exact value ring for regularized one-dimensional integrals.
+"""Exact rings for regularized one-dimensional integrals.
 
 Every integral computed by this package lands in the ring of polynomials in
 the interval length ``beta`` (any integer power) and the formal coincidence
 symbol ``delta0`` standing for delta(0) (non-negative powers), with rational
-coefficients.  ``delta0`` is never assigned a number; it is carried
-algebraically until it cancels or is reported as a divergent grade.
+coefficients: a ``RegValue``.  ``delta0`` is never assigned a number; it is
+carried algebraically until it cancels or is reported as a divergent grade.
+
+The integrands are ``Poly``s, polynomials in ``nvars`` time variables with
+coefficients in Q[beta, 1/beta].  Monomials are read and written as the flat
+exponent tuple (beta_power, e_0, ..., e_{nvars-1}), and both rings share one
+sparse kernel: int numerators over one shared denominator, keyed by the tuple
+packed into one int.  All integration in the package reduces to two exact
+primitives on these polynomials: integration of each variable independently
+over [0, beta], and integration over an ordered sector
+tau_{s1} < tau_{s2} < ... < tau_{sn}.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -18,12 +27,15 @@ Rational = int | Fraction
 # A term key is (beta_power, delta0_power).
 Key = tuple[int, int]
 
+# Monomial key: (beta_power, exponent of variable 0, ..., of variable n-1).
+Monomial = tuple[int, ...]
+
 
 # -- the sparse kernel ----------------------------------------------------------
 #
-# Both exact rings of the package, RegValue here and Poly in polynomials.py,
-# subclass ``_Sparse``: a dict from packed int keys to nonzero int numerators
-# over one positive int denominator, with the ring operators written once.
+# Both exact rings of the package, RegValue and Poly below, subclass
+# ``_Sparse``: a dict from packed int keys to nonzero int numerators over
+# one positive int denominator, with the ring operators written once.
 # The key of an exponent tuple (beta, e_0, ..., e_{n-1}) holds each e_v in a
 # ``_FIELD_BITS``-bit field, e_0 highest, and the signed beta power above
 # them, so a product's key is the sum of its factors' keys and keys order as
@@ -40,7 +52,7 @@ _FIELD_BITS = 16
 _FIELD_MAX = (1 << _FIELD_BITS) - 1
 
 
-def merge(acc: dict, items: Iterable[tuple[int, int]]) -> dict:
+def _merge(acc: dict, items: Iterable[tuple[int, int]]) -> dict:
     """Add (key, numerator) pairs into ``acc``, dropping keys that cancel."""
     for key, coeff in items:
         if key in acc:
@@ -88,7 +100,7 @@ class _Sparse:
 
     def __init__(
         self,
-        terms: Mapping[tuple[int, ...], Rational] | Iterable[tuple[tuple[int, ...], Rational]] = (),
+        terms: Mapping[Monomial, Rational] | Iterable[tuple[Monomial, Rational]] = (),
     ) -> None:
         """Store (exponent tuple, int or Fraction) pairs as numerators over the lcm of their denominators."""
         width = self.nvars + 1
@@ -109,7 +121,7 @@ class _Sparse:
                 packed = packed << _FIELD_BITS | e
             items.append((packed, _checked(coeff)))
         den = lcm(*(coeff.denominator for _, coeff in items))
-        self._terms = merge({}, ((key, c.numerator * (den // c.denominator)) for key, c in items))
+        self._terms = _merge({}, ((key, c.numerator * (den // c.denominator)) for key, c in items))
         self._den = den
         self._top = _bounded(top)
 
@@ -130,12 +142,12 @@ class _Sparse:
         left, lden, right, rden = self._terms, self._den, other._terms, other._den
         top = max(self._top, other._top)
         if lden == rden:
-            return self._wrap(merge(dict(left), right.items()), lden, top)
+            return self._wrap(_merge(dict(left), right.items()), lden, top)
         g = gcd(lden, rden)
         lscale, rscale = rden // g, lden // g
         scaled = {key: coeff * lscale for key, coeff in left.items()}
         return self._wrap(
-            merge(scaled, ((key, coeff * rscale) for key, coeff in right.items())), lden * lscale, top
+            _merge(scaled, ((key, coeff * rscale) for key, coeff in right.items())), lden * lscale, top
         )
 
     __radd__ = __add__
@@ -166,7 +178,7 @@ class _Sparse:
             for k1, c1 in self._terms.items()
             for k2, c2 in other._terms.items()
         )
-        return self._wrap(merge({}, products), self._den * other._den, top)
+        return self._wrap(_merge({}, products), self._den * other._den, top)
 
     __rmul__ = __mul__
 
@@ -243,7 +255,7 @@ class RegValue(_Sparse):
     def items(self) -> list[tuple[Key, Fraction]]:
         """Terms sorted ascending by (beta_power, delta0_power)."""
         terms, den = self._terms, self._den
-        return [((key >> _FIELD_BITS, key & _FIELD_MAX), Fraction(terms[key], den)) for key in sorted(terms)]
+        return [(_unpack(key, 1), Fraction(terms[key], den)) for key in sorted(terms)]
 
     def grade(self, delta0_power: int) -> RegValue:
         """The part of the value proportional to delta0**delta0_power."""
@@ -286,3 +298,149 @@ class RegValue(_Sparse):
     def __repr__(self) -> str:
         return f"RegValue({self.text()!r})"
 
+
+def _shift(nvars: int, v: int) -> int:
+    """Bit offset of variable ``v``'s field in a packed key; ``v`` -1 is beta."""
+    return _FIELD_BITS * (nvars - 1 - v)
+
+
+def _unpack(key: int, nvars: int) -> Monomial:
+    """The exponent tuple of a packed key with ``nvars`` unsigned fields."""
+    return (key >> _shift(nvars, -1), *(key >> _shift(nvars, v) & _FIELD_MAX for v in range(nvars)))
+
+
+class Poly(_Sparse):
+    __slots__ = ("nvars",)
+
+    def __init__(
+        self,
+        nvars: int,
+        terms: Mapping[Monomial, Rational] | Iterable[tuple[Monomial, Rational]] = (),
+    ) -> None:
+        if nvars < 0:
+            raise ValueError("nvars must be non-negative")
+        self.nvars = nvars
+        super().__init__(terms)
+
+    def _wrap(self, terms: dict[int, int], den: int, top: int) -> Poly:
+        return _make(self.nvars, terms, den, top)
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def const(cls, nvars: int, coeff: Rational, beta_power: int = 0) -> Poly:
+        if type(coeff) is int and coeff and nvars >= 0 and type(beta_power) is int:  # a numerator over 1
+            return _make(nvars, {beta_power << _shift(nvars, -1): coeff}, 1, 0)
+        return cls(nvars, {(beta_power,) + (0,) * nvars: coeff})
+
+    @classmethod
+    def monomial(
+        cls, nvars: int, coeff: Rational, beta_power: int, exps: Sequence[int]
+    ) -> Poly:
+        return cls(nvars, {(beta_power, *exps): coeff})
+
+    def __repr__(self) -> str:
+        return f"Poly(nvars={self.nvars}, terms={sorted(self.terms().items())})"
+
+    def terms(self) -> dict[Monomial, Fraction]:
+        return {_unpack(key, self.nvars): Fraction(coeff, self._den) for key, coeff in self._terms.items()}
+
+    # -- variable manipulation ------------------------------------------------
+
+    def depends_on(self, index: int) -> bool:
+        field = _FIELD_MAX << _shift(self.nvars, index)
+        return any(key & field for key in self._terms)
+
+    def remap(self, targets: Sequence[int | None], nvars: int) -> Poly:
+        """Move variable v to slot ``targets[v]`` of an ``nvars``-variable poly.
+
+        Variables sent to one slot multiply, so their exponents add; their
+        sum is bounded like any key's, so no field overflows.  A ``None``
+        target drops a variable the polynomial must not depend on.
+        """
+        if len(targets) != self.nvars:
+            raise ValueError("remap needs one target per variable")
+        if nvars == self.nvars and list(targets) == list(range(nvars)):
+            return self  # no Poly is changed in place, so the identity can be shared
+        moves = []
+        for v, target in enumerate(targets):
+            if target is None:
+                if self.depends_on(v):
+                    raise ValueError("cannot drop a variable the polynomial depends on")
+            elif 0 <= target < nvars:
+                moves.append((_shift(self.nvars, v), _shift(nvars, target)))
+            else:
+                raise ValueError(f"remap target {target} is outside {nvars} variables")
+        beta_in, beta_out = _shift(self.nvars, -1), _shift(nvars, -1)
+
+        def move(key: int) -> int:
+            new = key >> beta_in << beta_out
+            for source, slot in moves:
+                new += (key >> source & _FIELD_MAX) << slot
+            return new
+
+        terms = _merge({}, ((move(k), c) for k, c in self._terms.items()))
+        return _make(nvars, terms, self._den, self._top)
+
+    # -- exact integration --------------------------------------------------------
+
+    def integrate_cube(self) -> RegValue:
+        """Integrate every variable independently over [0, beta]."""
+        terms, den, nvars = self._terms, self._den, self.nvars
+        for v in range(nvars):
+            terms, den = _integrate_step(terms, den, _shift(nvars, v), _shift(nvars, -1))
+        return _closed(terms, den, nvars)
+
+    def integrate_out(self, index: int) -> Poly:
+        """Integrate variable ``index`` over [0, beta]; the result no longer depends on it."""
+        nvars = self.nvars
+        terms, den = _integrate_step(self._terms, self._den, _shift(nvars, index), _shift(nvars, -1))
+        return _make(nvars, terms, den, self._top)
+
+    def integrate_sector(self, order: Sequence[int]) -> RegValue:
+        """Integrate over 0 < tau_{order[0]} < tau_{order[1]} < ... < beta.
+
+        ``order`` must list every variable exactly once, smallest first.
+        """
+        if sorted(order) != list(range(self.nvars)):
+            raise ValueError("order must be a permutation of all variables")
+        terms, den, nvars = self._terms, self._den, self.nvars
+        # Integrate variables from the innermost (smallest) outwards; each
+        # integral runs from 0 to the next variable in the ordering, which
+        # raises the exponent sum by one, the last from 0 to beta.
+        _bounded(self._top + nvars - 1)
+        for pos, var in enumerate(order):
+            upper = order[pos + 1] if pos + 1 < len(order) else -1
+            terms, den = _integrate_step(terms, den, _shift(nvars, var), _shift(nvars, upper))
+        return _closed(terms, den, nvars)
+
+
+def _closed(terms: dict[int, int], den: int, nvars: int) -> RegValue:
+    """A polynomial with every variable integrated out, as a reduced RegValue."""
+    beta = _shift(nvars, -1)
+    return RegValue._wrap(*_reduce({key >> beta << _FIELD_BITS: coeff for key, coeff in terms.items()}, den), 0)
+
+
+def _integrate_step(terms: dict[int, int], den: int, field: int, upper: int) -> tuple[dict, int]:
+    """Integrate the exponent at bit offset ``field`` from 0 to the one at ``upper``.
+
+    Each term divides by its new exponent; the numerators are scaled to the
+    lcm of those divisors, which multiplies the denominator.  The caller
+    checks that the field at ``upper`` can take the raised exponent.
+    """
+    scale = lcm(*{(key >> field & _FIELD_MAX) + 1 for key in terms})
+    items = []
+    for key, coeff in terms.items():
+        e = (key >> field & _FIELD_MAX) + 1
+        items.append((key - (e - 1 << field) + (e << upper), coeff * (scale // e)))
+    return _merge({}, items), den * scale
+
+
+def _make(nvars: int, terms: dict[int, int], den: int, top: int) -> Poly:
+    """Wrap a dict of nonzero numerators over the positive denominator ``den``."""
+    out = Poly.__new__(Poly)
+    out.nvars = nvars
+    out._terms = terms
+    out._den = den
+    out._top = top
+    return out

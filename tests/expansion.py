@@ -22,8 +22,7 @@ from worldline.integration import (
     _merge_atoms,
     integrate_term,
 )
-from worldline.polynomials import Poly
-from worldline.values import RegValue
+from worldline.values import Poly, RegValue
 
 
 class IntegrandTerm(namedtuple("IntegrandTerm", "delta0 nvars poly atoms")):

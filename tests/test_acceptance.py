@@ -17,11 +17,10 @@ from worldline.checks import check_flat, check_seeley
 from worldline.diagrams import catalog
 from worldline.geometry import FlatTransform
 from worldline.integration import DIMREG, MODEREG
-from worldline.polynomials import Poly
 from worldline.reduction import NAMED_INTEGRALS, ReductionError, evaluate_named, lift, parse, return_to_1d
 from worldline.rings import measure_cancellation
 from worldline.spectral import sphere_scaling_check, sphere_spectral_check, zeta_series_check
-from worldline.values import RegValue
+from worldline.values import Poly, RegValue
 
 
 def _criterion(

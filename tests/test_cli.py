@@ -573,7 +573,7 @@ _IMPORT_CASES = {
     ),
     "measure-cancel": (
         ["measure-cancel", "--json", "--max-order", "2"],
-        {"cli", "rings", "integration", "polynomials", "values", "reports"},
+        {"cli", "rings", "integration", "values", "reports"},
         None,
     ),
     "catalog": (["catalog", "--json", "--order", "1"], None, {"checks", "spectral", "rings"}),

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from expansion import canonicalize, product
 from worldline.integration import SingularAtom
-from worldline.polynomials import Poly
 from worldline.reduction import (
     FINITE_ALIASES,
     NAMED_INTEGRALS,
@@ -17,7 +16,7 @@ from worldline.reduction import (
     parse,
     reduce_terms,
 )
-from worldline.values import RegValue
+from worldline.values import Poly, RegValue
 
 
 def test_singular_atom_validation():

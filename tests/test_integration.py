@@ -22,10 +22,9 @@ from worldline.integration import (
     _ring_chain,
     integrate_product,
 )
-from worldline.polynomials import Poly
 from worldline.reduction import NAMED_INTEGRALS, parse
 from worldline.rings import PROFILES, measure_cancellation
-from worldline.values import RegValue
+from worldline.values import Poly, RegValue
 
 
 def beta(power, coeff):

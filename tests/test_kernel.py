@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fraction_ring as ref
-from worldline.polynomials import Poly
-from worldline.values import _FIELD_MAX, RegValue
+from worldline.values import _FIELD_MAX, Poly, RegValue
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 nonzero_rationals = rationals.filter(bool)

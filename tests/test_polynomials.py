@@ -10,8 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from worldline.polynomials import Poly
-from worldline.values import RegValue
+from worldline.values import Poly, RegValue
 
 
 def test_monomial_cube_oracle():

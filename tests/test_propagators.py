@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from worldline.integration import _EPS_COEFF, _SMOOTH, EQUAL_TIME_DD, _expand_factor
-from worldline.polynomials import Poly
-from worldline.values import RegValue
+from worldline.values import Poly, RegValue
 
 _HALF = Fraction(1, 2)
 

@@ -60,6 +60,27 @@ def test_readme_lists_exactly_the_public_names(module: str) -> None:
     assert without_aliases(_readme_names()[module]) == without_aliases(_defined_names(module))
 
 
+# The private names one package module imports from another, as
+# (importer, "module.name"); every other private name stays in its module.
+_PRIVATE_IMPORTS_ON_PURPOSE = {
+    ("reduction", "integration._reads_rules"),
+    ("rings", "integration._ring_chain"),
+}
+
+
+def test_no_private_name_crosses_between_modules() -> None:
+    crossing = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                crossing.update(
+                    (path.stem, f"{node.module}.{alias.name}")
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    assert crossing == _PRIVATE_IMPORTS_ON_PURPOSE
+
+
 def _readme_memos() -> set[str]:
     """The `module._name` that opens each bullet of README's memo list."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -106,7 +127,7 @@ _INVOCATIONS = (
 )
 
 # Read by the benchmark tracer (perfbench/tracer.py), which no verb runs.
-_UNREACHED_ON_PURPOSE = ["polynomials.Poly.terms"]
+_UNREACHED_ON_PURPOSE = ["values.Poly.terms"]
 
 _REACH_SCRIPT = r"""
 import contextlib, io, json, pathlib, sys, types

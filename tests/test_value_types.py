@@ -10,11 +10,10 @@ from worldline.diagrams import Diagram
 from worldline.geometry import FlatTransform, NormalCoords, Vertex
 from expansion import IntegrandTerm
 from worldline.integration import RuleSet, SingularAtom
-from worldline.polynomials import Poly
 from worldline.reduction import ParsedProduct, TProp, TTerm
 from worldline.reports import CheckReport
 from worldline.tensors import Pattern
-from worldline.values import RegValue
+from worldline.values import Poly, RegValue
 
 
 def _refusal(build) -> str:
