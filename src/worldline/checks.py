@@ -18,10 +18,9 @@ from .geometry import (
     GAMMA_PATTERNS,
     GAMMA_SQUARED_LINES,
     SECOND_DERIVATIVE_TERMS,
+    SEELEY,
     FlatTransform,
     NormalCoords,
-    measure_terms,
-    seeley_reference,
 )
 from .integration import DIMREG, RuleSet
 from .reduction import evaluate_named
@@ -154,9 +153,9 @@ def check_seeley(order: int, first: dict[str, RegValue] | None = None) -> CheckR
     model = NormalCoords()
     totals = dict(sum_order(model, order, DIMREG, first))
     if order == 1:
-        for label, value in measure_terms(model).items():
+        for label, value in model.measure_terms().items():
             totals[label] = totals.get(label, RegValue.zero()) + value
-    reference = seeley_reference(model, order)
+    reference = {label: RegValue.beta(order, coefficient) for label, coefficient in SEELEY[order].items()}
 
     expected: dict[str, str] = {}
     actual: dict[str, str] = {}

@@ -21,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .geometry import Vertex, measure_terms, vertices as model_vertices
+from .geometry import Vertex
 from .integration import DIMREG, RuleSet
 from .reduction import ParsedProduct, reduce_terms
 from .tensors import invariant_coefficients
@@ -253,20 +253,20 @@ def sum_order(
     At second order this includes the disconnected square of the complete
     first-order total (vertex diagrams plus the model's measure terms),
     which belongs to the amplitude at that order.  The first-order total
-    itself excludes the measure terms; they are reported separately by
-    the geometry layer.  ``first`` is ``sum_order(model, 1, rules)`` when
-    the caller has it already; it is not recomputed.
+    itself excludes the measure terms, the model's ``measure_terms()``.
+    ``first`` is ``sum_order(model, 1, rules)`` when the caller has it
+    already; it is not recomputed.
     """
 
     if order == 1 and first is not None:
         return first
     totals: dict[str, RegValue] = {}
-    for diagram in wick(model_vertices(model), order=order):
+    for diagram in wick(model.vertices(), order=order):
         label = diagram.tensor_label
         totals[label] = totals.get(label, RegValue.zero()) + evaluate_diagram(diagram, rules)
     if order == 2:
         first = dict(sum_order(model, 1, rules) if first is None else first)
-        for label, value in measure_terms(model).items():
+        for label, value in model.measure_terms().items():
             first[label] = first.get(label, RegValue.zero()) + value
         items = list(first.items())
         for label_a, value_a in items:
@@ -282,7 +282,7 @@ def catalog(model, order: int, rules: RuleSet = DIMREG) -> list[dict]:
     """JSON-ready listing of the order-``order`` diagram catalog."""
 
     entries = []
-    for diagram in wick(model_vertices(model), order=order):
+    for diagram in wick(model.vertices(), order=order):
         entries.append({
             "shape": classify(diagram),
             "vertices": [v.name for v in diagram.vertices],

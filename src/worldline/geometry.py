@@ -16,64 +16,6 @@ from .values import RegValue
 
 
 # ---------------------------------------------------------------------------
-# models
-# ---------------------------------------------------------------------------
-
-
-class FlatTransform(
-    namedtuple("FlatTransform", "f_coefficients", defaults=((Fraction(-1, 3), Fraction(1, 5)),))
-):
-    """Flat line reparametrized by an odd coordinate change.
-
-    The new coordinate q is related to the Cartesian one by
-    ``x = q + f_coefficients[0] q^3 + f_coefficients[1] q^5 + ...`` with
-    unit slope at the origin, so the metric is the square of the series
-    derivative and every curvature invariant vanishes identically.
-    """
-
-    __slots__ = ()
-
-
-class NormalCoords(namedtuple("NormalCoords", ())):
-    """Curved target in normal coordinates around the expansion point.
-
-    The metric expansion is organized through quartic order in the
-    fluctuation; results are polynomial in the curvature labels.
-    """
-
-    __slots__ = ()
-
-
-MetricModel = FlatTransform | NormalCoords
-
-
-# ---------------------------------------------------------------------------
-# metric series of the flat transform
-# ---------------------------------------------------------------------------
-
-
-def metric_series(model: FlatTransform) -> dict[int, Fraction]:
-    """Coefficients of the metric as an even power series in q, through q^4."""
-
-    slope: dict[int, Fraction] = {0: Fraction(1)}
-    for index, coefficient in enumerate(model.f_coefficients):
-        slope[2 * (index + 1)] = (2 * index + 3) * Fraction(coefficient)
-    series = dict.fromkeys((0, 2, 4), Fraction(0))
-    for pa, ca in slope.items():
-        for pb, cb in slope.items():
-            if pa + pb <= 4:
-                series[pa + pb] += ca * cb
-    return series
-
-
-def _log_series(series: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Logarithm of an even series with unit constant term, through q^4."""
-
-    u2, u4 = series[2], series[4]
-    return {2: u2, 4: u4 - u2 * u2 / 2}
-
-
-# ---------------------------------------------------------------------------
 # vertices
 # ---------------------------------------------------------------------------
 
@@ -127,124 +69,162 @@ class Vertex(
         return len(self.q_slots) + len(self.qdot_slots) + 2 * len(self.internal)
 
 
-def _flat_vertices(model: FlatTransform) -> list[Vertex]:
-    g = metric_series(model)
-    log_g = _log_series(g)
-    return [
-        Vertex(
-            name="kinetic_quadratic",
-            order_in_eps=1,
-            q_power=2,
-            qdot_power=2,
-            delta0_power=0,
-            coefficient=g[2] / 2,
-        ),
-        Vertex(
-            name="logdet_quadratic",
-            order_in_eps=1,
-            q_power=2,
-            qdot_power=0,
-            delta0_power=1,
-            coefficient=-log_g[2] / 2,
-        ),
-        Vertex(
-            name="kinetic_quartic",
-            order_in_eps=2,
-            q_power=4,
-            qdot_power=2,
-            delta0_power=0,
-            coefficient=g[4] / 2,
-        ),
-        Vertex(
-            name="logdet_quartic",
-            order_in_eps=2,
-            q_power=4,
-            qdot_power=0,
-            delta0_power=1,
-            coefficient=-log_g[4] / 2,
-        ),
-    ]
+# ---------------------------------------------------------------------------
+# metric series of the flat transform
+# ---------------------------------------------------------------------------
 
 
-def _normal_vertices() -> list[Vertex]:
-    # The quadratic coefficients are stored with the sign that combines
-    # with the curvature measure term into the heat-kernel value; the
-    # quartic vertices enter results squared or alone, with the written
-    # sign.  The measure vertex's Ricci factor is the Riemann pattern
-    # traced over its first and third slots, which is minus the Ricci
-    # tensor, so -1/6 ric(q, q) is written +1/6 with that trace.
-    return [
-        Vertex(
-            name="curvature_kinetic",
-            order_in_eps=1,
-            q_power=2,
-            qdot_power=2,
-            delta0_power=0,
-            coefficient=Fraction(-1, 6),
-            tensors=("riem",),
-            q_slots=(1, 3),
-            qdot_slots=(0, 2),
-        ),
-        Vertex(
-            name="curvature_measure",
-            order_in_eps=1,
-            q_power=2,
-            qdot_power=0,
-            delta0_power=1,
-            coefficient=Fraction(1, 6),
-            tensors=("riem",),
-            q_slots=(1, 3),
-            internal=((0, 2),),
-        ),
-        Vertex(
-            name="curvature_kinetic_quartic",
-            order_in_eps=2,
-            q_power=4,
-            qdot_power=2,
-            delta0_power=0,
-            coefficient=Fraction(1, 45),
-            tensors=("riem", "riem"),
-            q_slots=(0, 2, 4, 6),
-            qdot_slots=(1, 5),
-            internal=((3, 7),),
-        ),
-        Vertex(
-            name="curvature_measure_quartic",
-            order_in_eps=2,
-            q_power=4,
-            qdot_power=0,
-            delta0_power=1,
-            coefficient=Fraction(1, 180),
-            tensors=("riem", "riem"),
-            q_slots=(0, 2, 4, 6),
-            internal=((3, 5), (1, 7)),
-        ),
-    ]
+def metric_series(model: FlatTransform) -> dict[int, Fraction]:
+    """Coefficients of the metric as an even power series in q, through q^4."""
+
+    slope: dict[int, Fraction] = {0: Fraction(1)}
+    for index, coefficient in enumerate(model.f_coefficients):
+        slope[2 * (index + 1)] = (2 * index + 3) * Fraction(coefficient)
+    series = dict.fromkeys((0, 2, 4), Fraction(0))
+    for pa, ca in slope.items():
+        for pb, cb in slope.items():
+            if pa + pb <= 4:
+                series[pa + pb] += ca * cb
+    return series
 
 
-def vertices(model: MetricModel) -> list[Vertex]:
-    """Interaction vertices of a model through second order, first order first."""
+def _log_series(series: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Logarithm of an even series with unit constant term, through q^4."""
 
-    if isinstance(model, FlatTransform):
-        return _flat_vertices(model)
-    if isinstance(model, NormalCoords):
-        return _normal_vertices()
-    raise TypeError(f"unknown model {model!r}")
+    u2, u4 = series[2], series[4]
+    return {2: u2, 4: u4 - u2 * u2 / 2}
 
 
-def measure_terms(model: MetricModel) -> dict[str, RegValue]:
-    """Finite first-order measure contributions, by tensor label.
+# ---------------------------------------------------------------------------
+# models
+# ---------------------------------------------------------------------------
 
-    The flat models keep their measure inside the log-det vertices, so
-    only the normal-coordinate model has a nonvanishing entry; no model
-    has one at second order.
+
+class FlatTransform(
+    namedtuple("FlatTransform", "f_coefficients", defaults=((Fraction(-1, 3), Fraction(1, 5)),))
+):
+    """Flat line reparametrized by an odd coordinate change.
+
+    The new coordinate q is related to the Cartesian one by
+    ``x = q + f_coefficients[0] q^3 + f_coefficients[1] q^5 + ...`` with
+    unit slope at the origin, so the metric is the square of the series
+    derivative and every curvature invariant vanishes identically.
     """
 
-    if isinstance(model, NormalCoords):
-        return {"R": RegValue.beta(1, Fraction(1, 24))}
-    if isinstance(model, FlatTransform):
+    __slots__ = ()
+
+    def vertices(self) -> list[Vertex]:
+        """Interaction vertices through second order, first order first."""
+        g = metric_series(self)
+        log_g = _log_series(g)
+        return [
+            Vertex(
+                name="kinetic_quadratic",
+                order_in_eps=1,
+                q_power=2,
+                qdot_power=2,
+                delta0_power=0,
+                coefficient=g[2] / 2,
+            ),
+            Vertex(
+                name="logdet_quadratic",
+                order_in_eps=1,
+                q_power=2,
+                qdot_power=0,
+                delta0_power=1,
+                coefficient=-log_g[2] / 2,
+            ),
+            Vertex(
+                name="kinetic_quartic",
+                order_in_eps=2,
+                q_power=4,
+                qdot_power=2,
+                delta0_power=0,
+                coefficient=g[4] / 2,
+            ),
+            Vertex(
+                name="logdet_quartic",
+                order_in_eps=2,
+                q_power=4,
+                qdot_power=0,
+                delta0_power=1,
+                coefficient=-log_g[4] / 2,
+            ),
+        ]
+
+    def measure_terms(self) -> dict[str, RegValue]:
+        """None: the flat models keep their measure inside the log-det vertices."""
         return {}
-    raise TypeError(f"unknown model {model!r}")
+
+
+class NormalCoords(namedtuple("NormalCoords", ())):
+    """Curved target in normal coordinates around the expansion point.
+
+    The metric expansion is organized through quartic order in the
+    fluctuation; results are polynomial in the curvature labels.
+    """
+
+    __slots__ = ()
+
+    def vertices(self) -> list[Vertex]:
+        """Interaction vertices through second order, first order first."""
+        # The quadratic coefficients are stored with the sign that combines
+        # with the curvature measure term into the heat-kernel value; the
+        # quartic vertices enter results squared or alone, with the written
+        # sign.  The measure vertex's Ricci factor is the Riemann pattern
+        # traced over its first and third slots, which is minus the Ricci
+        # tensor, so -1/6 ric(q, q) is written +1/6 with that trace.
+        return [
+            Vertex(
+                name="curvature_kinetic",
+                order_in_eps=1,
+                q_power=2,
+                qdot_power=2,
+                delta0_power=0,
+                coefficient=Fraction(-1, 6),
+                tensors=("riem",),
+                q_slots=(1, 3),
+                qdot_slots=(0, 2),
+            ),
+            Vertex(
+                name="curvature_measure",
+                order_in_eps=1,
+                q_power=2,
+                qdot_power=0,
+                delta0_power=1,
+                coefficient=Fraction(1, 6),
+                tensors=("riem",),
+                q_slots=(1, 3),
+                internal=((0, 2),),
+            ),
+            Vertex(
+                name="curvature_kinetic_quartic",
+                order_in_eps=2,
+                q_power=4,
+                qdot_power=2,
+                delta0_power=0,
+                coefficient=Fraction(1, 45),
+                tensors=("riem", "riem"),
+                q_slots=(0, 2, 4, 6),
+                qdot_slots=(1, 5),
+                internal=((3, 7),),
+            ),
+            Vertex(
+                name="curvature_measure_quartic",
+                order_in_eps=2,
+                q_power=4,
+                qdot_power=0,
+                delta0_power=1,
+                coefficient=Fraction(1, 180),
+                tensors=("riem", "riem"),
+                q_slots=(0, 2, 4, 6),
+                internal=((3, 5), (1, 7)),
+            ),
+        ]
+
+    def measure_terms(self) -> dict[str, RegValue]:
+        """Finite first-order measure contributions, by tensor label; none at second order."""
+        return {"R": RegValue.beta(1, Fraction(1, 24))}
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +241,6 @@ SEELEY: dict[int, dict[str, Fraction]] = {
         "RicciSq": Fraction(-1, 720),
     },
 }
-
-
-def seeley_reference(model: MetricModel, order: int) -> dict[str, RegValue]:
-    """Expected heat-kernel term of a model at a given order."""
-
-    if order not in SEELEY:
-        raise ValueError("the heat-kernel reference is tabulated through second order")
-    if isinstance(model, NormalCoords):
-        return {
-            label: RegValue.beta(order, coefficient)
-            for label, coefficient in sorted(SEELEY[order].items())
-        }
-    if isinstance(model, FlatTransform):
-        return {}
-    raise TypeError(f"no heat-kernel reference for {model!r}")
 
 
 # ---------------------------------------------------------------------------

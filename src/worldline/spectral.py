@@ -157,6 +157,14 @@ _SCALING_BAND = (6.0, 10.0)
 _MAX_TRUNCATION_BOUND = 10_000
 
 
+def _brief(value: int | Fraction) -> str:
+    """``value`` exactly, or to four digits once a term of it has more than fifteen."""
+    value = Fraction(value)
+    if max(abs(value.numerator), value.denominator) < 10**15:
+        return str(value)
+    return f"{Decimal(value.numerator) / value.denominator:.3e}"
+
+
 def _sphere_inputs(
     dimension: int,
     radius: int | float | str | Fraction,
@@ -177,13 +185,13 @@ def _sphere_inputs(
         bound = math.isqrt(int(80 * radius * radius / beta)) + 1
         if bound > _MAX_TRUNCATION_BOUND:
             raise ValueError(
-                f"the truncation bound {bound} for beta {beta} and radius {radius} "
-                f"is above the largest supported bound {_MAX_TRUNCATION_BOUND}"
+                f"the truncation bound {_brief(bound)} for beta {_brief(beta)} and radius "
+                f"{_brief(radius)} is above the largest supported bound {_MAX_TRUNCATION_BOUND}"
             )
         if l_max < bound:
             raise ValueError(
-                f"l_max {l_max} is below the truncation bound {bound} "
-                f"for beta {beta} and radius {radius}"
+                f"l_max {_brief(l_max)} is below the truncation bound {bound} "
+                f"for beta {_brief(beta)} and radius {_brief(radius)}"
             )
     return radius, betas
 
@@ -233,7 +241,7 @@ def sphere_spectral_check(
         actual,
         tolerance=tolerance,
         details=(
-            f"dimension {dimension}, radius {radius}, beta {beta}, l_max {l_max}",
+            f"dimension {dimension}, radius {_brief(radius)}, beta {_brief(beta)}, l_max {_brief(l_max)}",
             precision_note,
         ),
         ok=deviation <= tolerance,
@@ -258,7 +266,7 @@ def sphere_scaling_check(
     except (ValueError, ZeroDivisionError, TypeError) as error:
         return error_report(name, band, str(error))
     deviations = []
-    details = [f"dimension {dimension}, radius {radius}, l_max {l_max}"]
+    details = [f"dimension {dimension}, radius {_brief(radius)}, l_max {_brief(l_max)}"]
     try:
         for beta in betas:
             deviation = _spectral_deviation_float(dimension, radius, beta, l_max)[0]

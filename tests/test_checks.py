@@ -14,7 +14,7 @@ from worldline import integration, reduction, spectral
 from worldline.checks import check_constraints, check_flat, check_seeley, run_standard_checks
 from worldline.cli import main
 from worldline.diagrams import sum_order
-from worldline.geometry import FlatTransform, NormalCoords, measure_terms, seeley_reference
+from worldline.geometry import SEELEY, FlatTransform, NormalCoords
 from worldline.integration import DIMREG, MODEREG, RuleSet
 from worldline.reduction import evaluate_named
 from worldline.reports import CheckReport
@@ -194,7 +194,10 @@ def test_the_battery_derives_that_eps_squared_delta_vanishes(monkeypatch) -> Non
     monkeypatch.setattr(RuleSet, "eps_power_delta_value", counted_value)
 
     model = NormalCoords()
-    reference = {order: seeley_reference(model, order) for order in (1, 2)}
+    reference = {
+        order: {label: RegValue.beta(order, c) for label, c in table.items()}
+        for order, table in SEELEY.items()
+    }
     zero = RegValue.zero()
     stated = {
         "I14 + I15R": RegValue.beta(1, Fraction(-1, 12)),
@@ -207,7 +210,7 @@ def test_the_battery_derives_that_eps_squared_delta_vanishes(monkeypatch) -> Non
         out = {f"flat order 1 {k}": v for k, v in flat.items()}
         out |= {f"flat order 2 {k}": v for k, v in sum_order(FlatTransform(), 2, rules, flat).items()}
         totals = {1: dict(normal), 2: sum_order(model, 2, rules, normal)}
-        for label, value in measure_terms(model).items():
+        for label, value in model.measure_terms().items():
             totals[1][label] = totals[1].get(label, zero) + value
         for order, total in totals.items():
             for k in set(total) | set(reference[order]):
@@ -530,6 +533,20 @@ def test_sphere_refuses_a_truncation_bound_above_the_cap(
         "is above the largest supported bound 10000"
     ]
     assert len(degeneracy_levels) < 2000
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--beta", "1e-1000"], 2), (["--radius", "1e1000"], 2), (["--radius", "1." + "0" * 300 + "1"], 0)],
+    ids=["beta 1e-1000", "radius 1e1000", "radius 1 + 1e-301"],
+)
+def test_sphere_reports_an_extreme_input_in_short_lines(capsys, argv, code) -> None:
+    # The exact bound, beta or radius of these inputs runs to hundreds of
+    # digits; a report gives such a number to four digits.
+    for output in ([], ["--json"]):
+        assert main(["sphere", *argv, *output]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and max(map(len, lines)) <= 200
 
 
 # Oracles: the two level sums as they stood before they stopped early, with

@@ -31,7 +31,7 @@ from worldline.diagrams import (
     sum_order,
     wick,
 )
-from worldline.geometry import FlatTransform, NormalCoords, Vertex, vertices
+from worldline.geometry import FlatTransform, NormalCoords, Vertex
 from worldline.integration import DIMREG, MODEREG
 from worldline.reduction import ParsedProduct, reduce_terms
 from worldline.tensors import PATTERNS, Pattern, _contraction_powers, invariant_coefficients
@@ -208,7 +208,7 @@ def _old_cycle_terms(factors, pairing):
 def _vertex_tuples(model):
     """(tuple, order) of every contraction a catalog of ``model`` makes."""
 
-    table = vertices(model)
+    table = model.vertices()
     first = [v for v in table if v.order_in_eps == 1]
     singles = [((v,), v.order_in_eps) for v in table]
     return singles + [((a, b), 2) for i, a in enumerate(first) for b in first[i:]]
@@ -320,7 +320,7 @@ def test_partner_walk_counts_the_cycles_of_the_rebuilt_graph(data):
 
 
 def test_flat_first_order_catalog():
-    diagrams = wick(vertices(FlatTransform()), order=1)
+    diagrams = wick(FlatTransform().vertices(), order=1)
     assert len(diagrams) == 3
     weights = {diagram.edges: diagram.weight for diagram in diagrams}
     loop = ((0, 0), "D")
@@ -339,7 +339,7 @@ def test_flat_first_order_sum_vanishes():
 
 
 def test_flat_second_order_shape_counts():
-    diagrams = wick(vertices(FlatTransform()), order=2)
+    diagrams = wick(FlatTransform().vertices(), order=2)
     counts = Counter(classify(diagram) for diagram in diagrams)
     assert counts == {
         "single_vertex": 3,
@@ -389,7 +389,7 @@ def test_flat_pairs_match_independent_enumeration(
     # joins its two fields pairwise in 2 ways.  The delta0 pairs therefore
     # give 3 + 1 = 4 measure_pair topologies; K x K gives 10 (the 7
     # three_bubble and 3 watermelon entries).
-    by_name = {v.name: v for v in vertices(FlatTransform())}
+    by_name = {v.name: v for v in FlatTransform().vertices()}
     pair = tuple(by_name[name] for name in names)
     identical = pair[0] == pair[1]
     fields = [
@@ -415,7 +415,7 @@ def test_flat_pairs_match_independent_enumeration(
     assert len(multiplicity) == topologies
 
     generated = {}
-    for diagram in wick(vertices(FlatTransform()), order=2):
+    for diagram in wick(FlatTransform().vertices(), order=2):
         if tuple(v.name for v in diagram.vertices) == names:
             edges = [
                 ((a, _KIND_ENDS[kind][0]), (b, _KIND_ENDS[kind][1]))
@@ -432,7 +432,7 @@ def test_flat_pairs_match_independent_enumeration(
 
 
 def test_flat_single_vertex_weights():
-    diagrams = _by_shape(wick(vertices(FlatTransform()), order=2))
+    diagrams = _by_shape(wick(FlatTransform().vertices(), order=2))
     weights = Counter(d.weight for d in diagrams["single_vertex"])
     assert weights == Counter(
         [
@@ -444,7 +444,7 @@ def test_flat_single_vertex_weights():
 
 
 def test_flat_measure_pair_weights():
-    diagrams = _by_shape(wick(vertices(FlatTransform()), order=2))
+    diagrams = _by_shape(wick(FlatTransform().vertices(), order=2))
     weights = Counter(d.weight for d in diagrams["measure_pair"])
     assert weights == Counter(
         [
@@ -457,7 +457,7 @@ def test_flat_measure_pair_weights():
 
 
 def test_flat_three_bubble_weights():
-    diagrams = _by_shape(wick(vertices(FlatTransform()), order=2))
+    diagrams = _by_shape(wick(FlatTransform().vertices(), order=2))
     weights = Counter(d.weight for d in diagrams["three_bubble"])
     assert weights == Counter(
         RegValue.rational(w) for w in (2, 1, 1, 8, 8, 8, 8)
@@ -465,13 +465,13 @@ def test_flat_three_bubble_weights():
 
 
 def test_flat_watermelon_weights():
-    diagrams = _by_shape(wick(vertices(FlatTransform()), order=2))
+    diagrams = _by_shape(wick(FlatTransform().vertices(), order=2))
     weights = Counter(d.weight for d in diagrams["watermelon"])
     assert weights == Counter(RegValue.rational(w) for w in (2, 8, 2))
 
 
 def test_flat_family_totals():
-    diagrams = wick(vertices(FlatTransform()), order=2)
+    diagrams = wick(FlatTransform().vertices(), order=2)
     assert _family_total(diagrams, "single_vertex") == RegValue.delta0(
         coeff=Fraction(-1, 10)
     ) * RegValue.beta(3)
@@ -535,7 +535,7 @@ def test_flat_second_order_mode_regularization_residual():
 
 
 def test_curved_first_order_class_weights():
-    diagrams = wick(vertices(NormalCoords()), order=1)
+    diagrams = wick(NormalCoords().vertices(), order=1)
     assert len(diagrams) == 3
     assert {d.tensor_label for d in diagrams} == {"R"}
     weights = {diagram.edges: diagram.weight for diagram in diagrams}
@@ -566,7 +566,7 @@ def test_curved_second_order_divergences_cancel_per_label():
 
 
 def test_curved_watermelon_total_is_pure_divergence():
-    diagrams = wick(vertices(NormalCoords()), order=2)
+    diagrams = wick(NormalCoords().vertices(), order=2)
     total = _family_total(diagrams, "watermelon")
     assert total == RegValue.term(Fraction(1, 720), 3, 1)
 
@@ -578,7 +578,7 @@ def test_curved_quartic_kinetic_vertex_alone():
     # the label split.
     diagrams = [
         d
-        for d in wick(vertices(NormalCoords()), order=2)
+        for d in wick(NormalCoords().vertices(), order=2)
         if classify(d) == "single_vertex"
     ]
     labels = Counter(d.tensor_label for d in diagrams)
@@ -637,7 +637,7 @@ def test_wick_multiplies_values_once_per_catalog_entry(monkeypatch):
     for model in (NormalCoords(), FlatTransform()):
         products.clear()
         contractions.clear()
-        diagrams = wick(vertices(model), 2)
+        diagrams = wick(model.vertices(), 2)
         assert len(products) == len(diagrams)
         assert sum(len(made) for *_, made in contractions) == 17
         assert sum(sum(made) for *_, made in contractions) == 128
@@ -660,7 +660,7 @@ def test_wick_multiplies_values_once_per_catalog_entry(monkeypatch):
 
 def test_evaluate_diagram_applies_weight():
     diagram = Diagram(
-        vertices=tuple(vertices(FlatTransform())[:1]),
+        vertices=tuple(FlatTransform().vertices()[:1]),
         edges=(((0, 0), "D"), ((0, 0), "DD")),
         weight=RegValue.rational(6),
         tensor_label="one",
@@ -684,7 +684,7 @@ def _random_weight(rng: random.Random) -> RegValue:
 )
 def test_evaluate_diagram_equals_direct_weighted_reduction(model, rules):
     rng = random.Random(f"{type(model).__name__}/{rules.name}")
-    for diagram in wick(vertices(model), order=2):
+    for diagram in wick(model.vertices(), order=2):
         for weight in (diagram.weight, _random_weight(rng), _random_weight(rng)):
             weighted = diagram._replace(weight=weight)
             direct = reduce_terms(
@@ -740,7 +740,7 @@ def test_catalogs_refuse_orders_other_than_one_and_two(order):
         with pytest.raises(ValueError, match=refusal):
             catalog(model, order)
         with pytest.raises(ValueError, match=refusal):
-            wick(vertices(model), order)
+            wick(model.vertices(), order)
 
 
 def test_catalog_is_deterministic_and_serializable():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from worldline.checks import check_seeley
 from worldline.geometry import (
     CURVATURE_DICTIONARY,
     GAMMA_PATTERNS,
@@ -17,10 +18,7 @@ from worldline.geometry import (
     SEELEY,
     FlatTransform,
     NormalCoords,
-    measure_terms,
     metric_series,
-    seeley_reference,
-    vertices,
 )
 from worldline.reduction import named_integral_text
 from worldline.spectral import _series_reference_coefficients
@@ -55,7 +53,7 @@ def test_identity_transform_has_every_even_power():
 
 
 def test_flat_vertices_default_coefficients():
-    table = {v.name: v for v in vertices(FlatTransform())}
+    table = {v.name: v for v in FlatTransform().vertices()}
     assert table["kinetic_quadratic"].coefficient == -1
     assert table["kinetic_quadratic"].qdot_power == 2
     assert table["kinetic_quartic"].coefficient == Fraction(3, 2)
@@ -66,7 +64,7 @@ def test_flat_vertices_default_coefficients():
 
 def test_flat_vertices_first_order_only():
     # First-order vertices come first, so catalog ties keep their order.
-    listing = vertices(FlatTransform())
+    listing = FlatTransform().vertices()
     assert [v.name for v in listing if v.order_in_eps == 1] == [
         "kinetic_quadratic",
         "logdet_quadratic",
@@ -80,7 +78,7 @@ def test_flat_vertices_first_order_only():
 
 
 def test_normal_vertex_table():
-    table = {v.name: v for v in vertices(NormalCoords())}
+    table = {v.name: v for v in NormalCoords().vertices()}
     kinetic = table["curvature_kinetic"]
     assert kinetic.coefficient == Fraction(-1, 6)
     assert kinetic.tensors == ("riem",)
@@ -102,27 +100,16 @@ def test_normal_vertex_table():
     assert measure4.internal == ((3, 5), (1, 7))
 
 
-def test_vertices_validation():
-    # Only the two metric models have vertices, measure terms or a
-    # heat-kernel reference.
-    with pytest.raises(TypeError, match="unknown model"):
-        vertices(object())
-    with pytest.raises(TypeError, match="unknown model"):
-        measure_terms(object())
-    with pytest.raises(TypeError, match="no heat-kernel reference"):
-        seeley_reference(object(), 1)
-
-
 # ---------------------------------------------------------------------------
 # measure terms
 # ---------------------------------------------------------------------------
 
 
 def test_measure_terms():
-    assert measure_terms(NormalCoords()) == {
+    assert NormalCoords().measure_terms() == {
         "R": RegValue.beta(1, Fraction(1, 24))
     }
-    assert measure_terms(FlatTransform()) == {}
+    assert FlatTransform().measure_terms() == {}
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +141,16 @@ def test_sphere_tensors_examples():
 
 
 def test_seeley_reference_tables():
-    assert seeley_reference(NormalCoords(), 1) == {
-        "R": RegValue.beta(1, Fraction(1, 12))
+    assert SEELEY == {
+        1: {"R": Fraction(1, 12)},
+        2: {"RicciSq": Fraction(-1, 720), "RiemannSq": Fraction(1, 720), "Rsq": Fraction(1, 288)},
     }
-    assert seeley_reference(NormalCoords(), 2) == {
-        "RicciSq": RegValue.beta(2, Fraction(-1, 720)),
-        "RiemannSq": RegValue.beta(2, Fraction(1, 720)),
-        "Rsq": RegValue.beta(2, Fraction(1, 288)),
-    }
-    assert seeley_reference(FlatTransform(), 2) == {}
-    for order in (0, 3):
-        with pytest.raises(ValueError):
-            seeley_reference(NormalCoords(), order)
+    # The heat-kernel check expects SEELEY[order] * beta**order, label by label.
+    for order, table in SEELEY.items():
+        expected = check_seeley(order).expected
+        assert {label: text for label, text in expected.items() if "[" not in label} == {
+            label: RegValue.beta(order, coefficient).text() for label, coefficient in table.items()
+        }
 
 
 def test_two_sphere_series_coefficients():

@@ -54,7 +54,7 @@ def test_readme_lists_exactly_the_public_names(module: str) -> None:
     namespace = vars(importlib.import_module(f"worldline.{module}"))
 
     def without_aliases(names: set[str]) -> set[str]:
-        # Type aliases such as MetricModel are exempt either way.
+        # Type aliases such as geometry's GammaLine are exempt either way.
         return {n for n in names if typing.get_origin(namespace.get(n)) is None}
 
     assert without_aliases(_readme_names()[module]) == without_aliases(_defined_names(module))
@@ -123,6 +123,7 @@ _INVOCATIONS = (
     (["verify", "--case", "bogus"], 2),
     (["catalog", "--order", "3"], 2),
     (["sphere", "--dimension", "400"], 2),
+    (["sphere", "--beta", "1e-1000"], 2),
     (["measure-cancel", "--max-order", "9"], 2),
 )
 

@@ -494,8 +494,8 @@ def test_modereg_after_dimreg_searches_only_the_terms_that_read_the_rule_set(nam
 
 
 def test_a_cold_modereg_battery_integrates_at_most_32_leaves(searched, monkeypatch):
-    # 57 without the leaf memo, 40 of which never read the rule set.  They
-    # are 26 distinct leaves, and 6 of those read it under both schemes,
+    # 98 without the leaf memo, 77 of which never read the rule set.  They
+    # are 26 distinct leaves, and 3 of those read it under both schemes,
     # since the heat-kernel checks run in DimReg.
     leaves = []
     monkeypatch.setattr(
@@ -503,6 +503,38 @@ def test_a_cold_modereg_battery_integrates_at_most_32_leaves(searched, monkeypat
     )
     run_standard_checks(MODEREG)
     assert 0 < len(leaves) <= 32
+
+
+def _memo_work(searched, run) -> tuple[int, int]:
+    """(leaf integrations, lifted-term searches) that ``run()`` makes."""
+    integrations, searches = _integrate_leaf.cache_info().misses, sum(searched.values())
+    run()
+    return _integrate_leaf.cache_info().misses - integrations, sum(searched.values()) - searches
+
+
+@pytest.mark.parametrize(
+    "first, second, cold, after",
+    [(DIMREG, MODEREG, (26, 76), (4, 0)), (MODEREG, DIMREG, (29, 76), (1, 0))],
+    ids=["DimReg first", "ModeReg first"],
+)
+def test_the_battery_memo_figures(first, second, cold, after, searched):
+    # The figures README states.  The second scheme searches nothing, and
+    # integrates again only the leaves that read the rule set.
+    assert _memo_work(searched, lambda: run_standard_checks(first)) == cold
+    assert _memo_work(searched, lambda: run_standard_checks(second)) == after
+
+
+def test_the_search_of_i8_reaches_7_leaves_and_integrates_4(searched, monkeypatch):
+    leaves = []
+    integrate_leaves = reduction._integrate_leaves
+
+    def counted(rules, found, notes):
+        leaves.extend(leaf for _, leaf in found)
+        return integrate_leaves(rules, found, notes)
+
+    monkeypatch.setattr(reduction, "_integrate_leaves", counted)
+    integrations, _ = _memo_work(searched, lambda: evaluate_named("I8", DIMREG))
+    assert (len(leaves), len(set(leaves)), integrations) == (7, 4, 4)
 
 
 def test_the_slow_refusal_searches_each_term_once(searched):
