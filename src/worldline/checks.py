@@ -18,7 +18,6 @@ from .geometry import (
     GAMMA_PATTERNS,
     GAMMA_SQUARED_LINES,
     SECOND_DERIVATIVE_TERMS,
-    SEELEY,
     FlatTransform,
     NormalCoords,
 )
@@ -26,7 +25,7 @@ from .integration import DIMREG, RuleSet
 from .reduction import evaluate_named
 from .reports import CheckReport, finish_report
 from .rings import PROFILES, measure_cancellation
-from .spectral import sphere_scaling_check, sphere_spectral_check, zeta_series_check
+from .spectral import SEELEY, sphere_scaling_check, sphere_spectral_check, zeta_series_check
 from .values import RegValue
 
 
@@ -142,19 +141,13 @@ def check_constraints(rules: RuleSet = DIMREG) -> CheckReport:
 
 
 def check_seeley(order: int, first: dict[str, RegValue] | None = None) -> CheckReport:
-    """Normal-coordinate totals against the heat-kernel coefficients.
+    """The normal-coordinate amplitude against the heat-kernel coefficients.
 
-    First order adds the curvature measure term to the diagram total;
-    second order already contains the disconnected square of the complete
-    first-order value.  Divergent grades must vanish label by label.
-    ``first`` is the order-1 diagram total, if the caller has it.
+    Divergent grades must vanish label by label.  ``first`` is the
+    order-1 amplitude, if the caller has it.
     """
 
-    model = NormalCoords()
-    totals = dict(sum_order(model, order, DIMREG, first))
-    if order == 1:
-        for label, value in model.measure_terms().items():
-            totals[label] = totals.get(label, RegValue.zero()) + value
+    totals = sum_order(NormalCoords(), order, DIMREG, first)
     reference = {label: RegValue.beta(order, coefficient) for label, coefficient in SEELEY[order].items()}
 
     expected: dict[str, str] = {}

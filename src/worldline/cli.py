@@ -15,13 +15,15 @@ go through ``build_parser``, the argparse parser of the same table, so
 only they load argparse.  Each handler imports only the layers its verb
 runs, so parsing loads no engine module.
 
-Exit codes: 0 when everything passes, 1 when a check fails, 2 for
-invalid input or a check that could not run.
+Exit codes: 0 when everything passes, 1 when a check fails or the
+reader closes the pipe early, 2 for invalid input or a check that could
+not run.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -306,7 +308,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     if argv is None:
         try:
-            return main(sys.argv[1:])
+            code = main(sys.argv[1:])
+            # A closed pipe raises here, not at exit; print skips a closed stdout.
+            print(end="", flush=True)
+            return code
+        except BrokenPipeError:
+            # The exit flushes stdout again: send it nowhere.
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            return 1
         finally:
             gc.freeze()
     argv = list(argv)

@@ -248,27 +248,22 @@ def _label_product(left: str, right: str) -> str:
 def sum_order(
     model, order: int, rules: RuleSet = DIMREG, first: dict[str, RegValue] | None = None
 ) -> dict[str, RegValue]:
-    """Total of all order-``order`` diagrams of a model, by tensor label.
+    """The complete order-``order`` amplitude of a model, by tensor label.
 
-    At second order this includes the disconnected square of the complete
-    first-order total (vertex diagrams plus the model's measure terms),
-    which belongs to the amplitude at that order.  The first-order total
-    itself excludes the measure terms, the model's ``measure_terms()``.
-    ``first`` is ``sum_order(model, 1, rules)`` when the caller has it
-    already; it is not recomputed.
+    First order adds the model's ``measure_terms()`` to its diagrams.
+    Second order adds the disconnected square of the first-order amplitude
+    to its own diagrams.  ``first`` is ``sum_order(model, 1, rules)`` when
+    the caller has it already; it is not recomputed.
     """
 
     if order == 1 and first is not None:
         return first
-    totals: dict[str, RegValue] = {}
+    totals = model.measure_terms() if order == 1 else {}
     for diagram in wick(model.vertices(), order=order):
         label = diagram.tensor_label
         totals[label] = totals.get(label, RegValue.zero()) + evaluate_diagram(diagram, rules)
     if order == 2:
-        first = dict(sum_order(model, 1, rules) if first is None else first)
-        for label, value in model.measure_terms().items():
-            first[label] = first.get(label, RegValue.zero()) + value
-        items = list(first.items())
+        items = list(sum_order(model, 1, rules, first).items())
         for label_a, value_a in items:
             for label_b, value_b in items:
                 label = _label_product(label_a, label_b)

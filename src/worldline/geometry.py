@@ -1,10 +1,9 @@
 """Target-space models and their expansion data.
 
 Each model fixes a metric in the neighborhood of the expansion point and
-yields the interaction vertices of the transformed action, the measure
-terms that accompany them, and reference values to compare totals
-against: the flat models must sum to zero, the curved ones to the
-heat-kernel coefficients.
+yields the interaction vertices of the transformed action and the
+measure terms that accompany them.  The flat models must sum to zero,
+the curved ones to the heat-kernel coefficients ``spectral.SEELEY``.
 """
 
 from __future__ import annotations
@@ -225,22 +224,6 @@ class NormalCoords(namedtuple("NormalCoords", ())):
     def measure_terms(self) -> dict[str, RegValue]:
         """Finite first-order measure contributions, by tensor label; none at second order."""
         return {"R": RegValue.beta(1, Fraction(1, 24))}
-
-
-# ---------------------------------------------------------------------------
-# heat-kernel reference
-# ---------------------------------------------------------------------------
-
-
-# Heat-kernel expansion coefficients in the curvature-label basis, by order.
-SEELEY: dict[int, dict[str, Fraction]] = {
-    1: {"R": Fraction(1, 12)},
-    2: {
-        "Rsq": Fraction(1, 288),
-        "RiemannSq": Fraction(1, 720),
-        "RicciSq": Fraction(-1, 720),
-    },
-}
 
 
 # ---------------------------------------------------------------------------

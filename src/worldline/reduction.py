@@ -67,8 +67,8 @@ def parse(text: str) -> list[ParsedProduct]:
     text and remapped to a dense 0-based range per summand.
     """
     tokens: list[tuple[str, object]] = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         match = _TOKEN.match(text, pos)
         if not match:
             raise ValueError(f"cannot parse integrand text at: {text[pos:]!r}")
@@ -81,8 +81,6 @@ def parse(text: str) -> list[ParsedProduct]:
             tokens.append(("rat", Fraction(match["rat"])))
         else:
             tokens.append(("op", match["op"]))
-    if text[pos:].strip():
-        raise ValueError(f"trailing input in integrand text: {text[pos:]!r}")
 
     products: list[ParsedProduct] = []
     sign = Fraction(1)

@@ -1,6 +1,7 @@
-"""The sphere's numerical and zeta routes to the heat kernel.
+"""The heat-kernel coefficients, and the sphere's numerical and zeta routes to them.
 
-Neither sphere route touches products of distributions or the move search.
+The Wick totals of :mod:`.checks` meet the same table.  Neither sphere
+route touches products of distributions or the move search.
 """
 
 from __future__ import annotations
@@ -12,6 +13,21 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from .reports import CheckReport, error_report, finish_report
+
+
+# ---------------------------------------------------------------------------
+# heat-kernel coefficients
+# ---------------------------------------------------------------------------
+
+# Heat-kernel expansion coefficients in the curvature-label basis, by order.
+SEELEY: dict[int, dict[str, Fraction]] = {
+    1: {"R": Fraction(1, 12)},
+    2: {
+        "Rsq": Fraction(1, 288),
+        "RiemannSq": Fraction(1, 720),
+        "RicciSq": Fraction(-1, 720),
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -41,14 +57,18 @@ def _degeneracy(dimension: int, level: int) -> int:
 def _series_reference_coefficients(
     dimension: int, radius: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Heat-kernel coefficients c1 and c2 of the sphere of dimension ``dimension - 1``."""
+    """c1 and c2 of the sphere of dimension ``dimension - 1``: ``SEELEY`` on its invariants."""
 
-    d = dimension
+    n = dimension - 1
     r2 = radius * radius
-    return (
-        Fraction((d - 1) * (d - 2), 12) / r2,
-        Fraction((d - 1) * (d - 2) * (5 * d * d - 17 * d + 18), 1440) / (r2 * r2),
-    )
+    scalar = Fraction(n * (n - 1)) / r2
+    invariants = {
+        "R": scalar,
+        "Rsq": scalar * scalar,
+        "RicciSq": scalar * (n - 1) / r2,
+        "RiemannSq": 2 * scalar / r2,
+    }
+    return tuple(sum(c * invariants[label] for label, c in SEELEY[order].items()) for order in (1, 2))
 
 
 def _spectral_deviation_float(

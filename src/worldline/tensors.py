@@ -26,7 +26,6 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 Edge = tuple[int, int]
-Branch = tuple[int, tuple[Edge, ...]]
 
 
 # ---------------------------------------------------------------------------

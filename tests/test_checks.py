@@ -14,12 +14,13 @@ from worldline import integration, reduction, spectral
 from worldline.checks import check_constraints, check_flat, check_seeley, run_standard_checks
 from worldline.cli import main
 from worldline.diagrams import sum_order
-from worldline.geometry import SEELEY, FlatTransform, NormalCoords
+from worldline.geometry import FlatTransform, NormalCoords
 from worldline.integration import DIMREG, MODEREG, RuleSet
 from worldline.reduction import evaluate_named
 from worldline.reports import CheckReport
 from worldline.rings import PROFILES, measure_cancellation, resolve_profile
 from worldline.spectral import (
+    SEELEY,
     ZETA_AT_NEGATIVE_INTEGERS,
     _degeneracy,
     _regularized_sum,
@@ -209,9 +210,7 @@ def test_the_battery_derives_that_eps_squared_delta_vanishes(monkeypatch) -> Non
         flat, normal = sum_order(FlatTransform(), 1, rules), sum_order(model, 1, rules)
         out = {f"flat order 1 {k}": v for k, v in flat.items()}
         out |= {f"flat order 2 {k}": v for k, v in sum_order(FlatTransform(), 2, rules, flat).items()}
-        totals = {1: dict(normal), 2: sum_order(model, 2, rules, normal)}
-        for label, value in model.measure_terms().items():
-            totals[1][label] = totals[1].get(label, zero) + value
+        totals = {1: normal, 2: sum_order(model, 2, rules, normal)}
         for order, total in totals.items():
             for k in set(total) | set(reference[order]):
                 out[f"heat kernel order {order} {k}"] = total.get(k, zero) - reference[order].get(k, zero)
@@ -290,6 +289,25 @@ def test_seeley_order_two() -> None:
 def test_seeley_rejects_other_orders() -> None:
     with pytest.raises(ValueError):
         check_seeley(3)
+
+
+_SEELEY_CHECKS = {
+    "heat_kernel_order2": lambda: check_seeley(2),
+    "sphere_scaling": sphere_scaling_check,
+    "zeta_series": zeta_series_check,
+}
+
+
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(-1, 1080)])
+@pytest.mark.parametrize("label", ["Rsq", "RiemannSq", "RicciSq"])
+def test_a_wrong_order_two_seeley_entry_fails_the_wick_and_both_sphere_routes(
+    monkeypatch, label: str, value: Fraction
+) -> None:
+    # One table feeds the Wick comparison and both sphere references, so a
+    # wrong entry is caught by routes that share no other number.
+    assert {name: check().status for name, check in _SEELEY_CHECKS.items()} == dict.fromkeys(_SEELEY_CHECKS, "pass")
+    monkeypatch.setitem(SEELEY[2], label, value)
+    assert {name: check().status for name, check in _SEELEY_CHECKS.items()} == dict.fromkeys(_SEELEY_CHECKS, "fail")
 
 
 # ---------------------------------------------------------------------------

@@ -668,6 +668,22 @@ def test_both_module_entry_points_print_the_reference(workload: str) -> None:
         assert (run.returncode, run.stdout, run.stderr) == want, (module, entry["argv"])
 
 
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("module", ["worldline", "worldline.cli"])
+def test_a_closed_pipe_ends_with_exit_1_and_no_traceback(module: str, buffered: bool) -> None:
+    # The reader is gone before the child starts, so its first write, or
+    # with buffered stdout its flush, meets a broken pipe every time.
+    read, write = os.pipe()
+    os.close(read)
+    env = {key: value for key, value in _ENV.items() if key != "PYTHONUNBUFFERED"}
+    flags = ["-X", "dev"] if buffered else ["-X", "dev", "-u"]
+    try:
+        run = subprocess.run([sys.executable, *flags, "-m", module, "sphere"], stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr.decode()) == (1, "")
+
+
 # ---------------------------------------------------------------------------
 # fuzzing
 # ---------------------------------------------------------------------------

@@ -546,7 +546,13 @@ def test_curved_first_order_class_weights():
 
 
 def test_curved_first_order_sum():
-    assert sum_order(NormalCoords(), 1) == {"R": RegValue.beta(1, Fraction(1, 24))}
+    # The amplitude is R beta/12: beta/24 from the diagrams plus beta/24
+    # from the measure term.
+    model = NormalCoords()
+    diagrams = sum((evaluate_diagram(d) for d in wick(model.vertices(), order=1)), RegValue.zero())
+    assert diagrams == RegValue.beta(1, Fraction(1, 24))
+    assert model.measure_terms() == {"R": RegValue.beta(1, Fraction(1, 24))}
+    assert sum_order(model, 1) == {"R": RegValue.beta(1, Fraction(1, 12))}
 
 
 def test_curved_second_order_sum_is_heat_kernel():

@@ -15,13 +15,12 @@ from worldline.geometry import (
     GAMMA_PATTERNS,
     GAMMA_SQUARED_LINES,
     SECOND_DERIVATIVE_TERMS,
-    SEELEY,
     FlatTransform,
     NormalCoords,
     metric_series,
 )
 from worldline.reduction import named_integral_text
-from worldline.spectral import _series_reference_coefficients
+from worldline.spectral import SEELEY, _series_reference_coefficients
 from worldline.values import RegValue
 
 fraction_values = st.fractions(min_value=-2, max_value=2, max_denominator=6)
@@ -157,14 +156,15 @@ def test_two_sphere_series_coefficients():
     assert _series_reference_coefficients(3, Fraction(1)) == (Fraction(1, 6), Fraction(1, 60))
 
 
-@pytest.mark.parametrize("dimension", range(2, 11))
+@pytest.mark.parametrize("dimension", range(2, 12))
 @pytest.mark.parametrize("radius", [Fraction(1), Fraction(1, 2), Fraction(3)])
 def test_sphere_reference_matches_label_contraction(dimension, radius):
-    # The spectral checks' closed forms against SEELEY times the invariants.
-    invariants = sphere_tensors(dimension, radius)
-    first = sum(c * invariants[label] for label, c in SEELEY[1].items())
-    second = sum(c * invariants[label] for label, c in SEELEY[2].items())
-    assert _series_reference_coefficients(dimension, radius) == (first, second)
+    # SEELEY on the round sphere against the closed forms of its heat-kernel
+    # coefficients (Bastianelli & van Nieuwenhuizen, CUP 2006).
+    d, r2 = dimension, radius * radius
+    c1 = Fraction((d - 1) * (d - 2), 12) / r2
+    c2 = Fraction((d - 1) * (d - 2) * (5 * d * d - 17 * d + 18), 1440) / (r2 * r2)
+    assert _series_reference_coefficients(dimension, radius) == (c1, c2)
 
 
 # ---------------------------------------------------------------------------

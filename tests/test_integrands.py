@@ -144,6 +144,12 @@ def test_parse_rejects_garbage():
         parse("D(1,2) *")
 
 
+def test_parse_accepts_whitespace_at_either_end():
+    assert parse("D(1,2) ") == parse(" D(1,2)\t\n") == parse("D(1,2)")
+    with pytest.raises(ValueError, match=r"^cannot parse integrand text at: ' x'$"):
+        parse("D(1,2) x")
+
+
 @pytest.mark.parametrize("route", [parse, reduce_terms], ids=lambda f: f.__name__)
 def test_zero_denominator_is_a_parse_error(route):
     # A zero denominator is not a rational token, so the text stops parsing
