@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import factorial
 
 from .values import RegValue
 
@@ -69,34 +70,35 @@ class Vertex(
 
 
 # ---------------------------------------------------------------------------
-# metric series of the flat transform
+# models
 # ---------------------------------------------------------------------------
 
+# (order, q power, qdot power, delta0 power) of the kinetic and the measure
+# vertex at q^2, then at q^4; each model names them in this order.
+_SHAPES = ((1, 2, 2, 0), (1, 2, 0, 1), (2, 4, 2, 0), (2, 4, 0, 1))
 
-def metric_series(model: FlatTransform) -> dict[int, Fraction]:
-    """Coefficients of the metric as an even power series in q, through q^4."""
 
-    slope: dict[int, Fraction] = {0: Fraction(1)}
-    for index, coefficient in enumerate(model.f_coefficients):
-        slope[2 * (index + 1)] = (2 * index + 3) * Fraction(coefficient)
+def metric_series(model: FlatTransform | NormalCoords) -> dict[int, Fraction]:
+    """The model's metric g = s^2 as an even power series, through q^4."""
+
     series = dict.fromkeys((0, 2, 4), Fraction(0))
-    for pa, ca in slope.items():
-        for pb, cb in slope.items():
+    root = model._root_series()
+    for pa, ca in root.items():
+        for pb, cb in root.items():
             if pa + pb <= 4:
                 series[pa + pb] += ca * cb
     return series
 
 
-def _log_series(series: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Logarithm of an even series with unit constant term, through q^4."""
+def _vertices(model: FlatTransform | NormalCoords) -> list[Vertex]:
+    """The kinetic vertices g/2 and the measure vertices -(log g)/2 of the model's metric."""
 
-    u2, u4 = series[2], series[4]
-    return {2: u2, 4: u4 - u2 * u2 / 2}
-
-
-# ---------------------------------------------------------------------------
-# models
-# ---------------------------------------------------------------------------
+    g = metric_series(model)
+    log_g = {2: g[2], 4: g[4] - g[2] * g[2] / 2}
+    return [
+        Vertex(name, order, q, qdot, delta0, g[q] / 2 if qdot else -log_g[q] / 2, *slots)
+        for (name, *slots), (order, q, qdot, delta0) in zip(model._vertex_table, _SHAPES)
+    ]
 
 
 class FlatTransform(
@@ -111,45 +113,18 @@ class FlatTransform(
     """
 
     __slots__ = ()
+    _vertex_table = (("kinetic_quadratic",), ("logdet_quadratic",), ("kinetic_quartic",), ("logdet_quartic",))
+
+    def _root_series(self) -> dict[int, Fraction]:
+        """The slope dx/dq."""
+        slope = {0: Fraction(1)}
+        for index, coefficient in enumerate(self.f_coefficients):
+            slope[2 * (index + 1)] = (2 * index + 3) * Fraction(coefficient)
+        return slope
 
     def vertices(self) -> list[Vertex]:
         """Interaction vertices through second order, first order first."""
-        g = metric_series(self)
-        log_g = _log_series(g)
-        return [
-            Vertex(
-                name="kinetic_quadratic",
-                order_in_eps=1,
-                q_power=2,
-                qdot_power=2,
-                delta0_power=0,
-                coefficient=g[2] / 2,
-            ),
-            Vertex(
-                name="logdet_quadratic",
-                order_in_eps=1,
-                q_power=2,
-                qdot_power=0,
-                delta0_power=1,
-                coefficient=-log_g[2] / 2,
-            ),
-            Vertex(
-                name="kinetic_quartic",
-                order_in_eps=2,
-                q_power=4,
-                qdot_power=2,
-                delta0_power=0,
-                coefficient=g[4] / 2,
-            ),
-            Vertex(
-                name="logdet_quartic",
-                order_in_eps=2,
-                q_power=4,
-                qdot_power=0,
-                delta0_power=1,
-                coefficient=-log_g[4] / 2,
-            ),
-        ]
+        return _vertices(self)
 
     def measure_terms(self) -> dict[str, RegValue]:
         """None: the flat models keep their measure inside the log-det vertices."""
@@ -159,67 +134,28 @@ class FlatTransform(
 class NormalCoords(namedtuple("NormalCoords", ())):
     """Curved target in normal coordinates around the expansion point.
 
-    The metric expansion is organized through quartic order in the
-    fluctuation; results are polynomial in the curvature labels.
+    The metric and the slot trace follow README "Metric convention",
+    through quartic order in the fluctuation; results are polynomial in
+    the curvature labels.
     """
 
     __slots__ = ()
+    # The riem factors, the slot of each q and each qdot, and the slot pairs
+    # traced inside the vertex: qdot M qdot, tr M, qdot M^2 qdot, tr M^2.
+    _vertex_table = (
+        ("curvature_kinetic", ("riem",), (1, 3), (0, 2)),
+        ("curvature_measure", ("riem",), (1, 3), (), ((0, 2),)),
+        ("curvature_kinetic_quartic", ("riem", "riem"), (0, 2, 4, 6), (1, 5), ((3, 7),)),
+        ("curvature_measure_quartic", ("riem", "riem"), (0, 2, 4, 6), (), ((3, 5), (1, 7))),
+    )
+
+    def _root_series(self) -> dict[int, Fraction]:
+        """sin z / z, with z^2 = M."""
+        return {2 * k: Fraction((-1) ** k, factorial(2 * k + 1)) for k in range(3)}
 
     def vertices(self) -> list[Vertex]:
         """Interaction vertices through second order, first order first."""
-        # The quadratic coefficients are stored with the sign that combines
-        # with the curvature measure term into the heat-kernel value; the
-        # quartic vertices enter results squared or alone, with the written
-        # sign.  The measure vertex's Ricci factor is the Riemann pattern
-        # traced over its first and third slots, which is minus the Ricci
-        # tensor, so -1/6 ric(q, q) is written +1/6 with that trace.
-        return [
-            Vertex(
-                name="curvature_kinetic",
-                order_in_eps=1,
-                q_power=2,
-                qdot_power=2,
-                delta0_power=0,
-                coefficient=Fraction(-1, 6),
-                tensors=("riem",),
-                q_slots=(1, 3),
-                qdot_slots=(0, 2),
-            ),
-            Vertex(
-                name="curvature_measure",
-                order_in_eps=1,
-                q_power=2,
-                qdot_power=0,
-                delta0_power=1,
-                coefficient=Fraction(1, 6),
-                tensors=("riem",),
-                q_slots=(1, 3),
-                internal=((0, 2),),
-            ),
-            Vertex(
-                name="curvature_kinetic_quartic",
-                order_in_eps=2,
-                q_power=4,
-                qdot_power=2,
-                delta0_power=0,
-                coefficient=Fraction(1, 45),
-                tensors=("riem", "riem"),
-                q_slots=(0, 2, 4, 6),
-                qdot_slots=(1, 5),
-                internal=((3, 7),),
-            ),
-            Vertex(
-                name="curvature_measure_quartic",
-                order_in_eps=2,
-                q_power=4,
-                qdot_power=0,
-                delta0_power=1,
-                coefficient=Fraction(1, 180),
-                tensors=("riem", "riem"),
-                q_slots=(0, 2, 4, 6),
-                internal=((3, 5), (1, 7)),
-            ),
-        ]
+        return _vertices(self)
 
     def measure_terms(self) -> dict[str, RegValue]:
         """Finite first-order measure contributions, by tensor label; none at second order."""

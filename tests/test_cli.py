@@ -199,10 +199,18 @@ def test_catalog_json_is_deterministic(capsys: pytest.CaptureFixture) -> None:
 def test_catalog_json_keeps_its_output(
     model: str, order: str, ruleset: str, digest: str, capsys: pytest.CaptureFixture
 ) -> None:
-    # The stored references hold only the order-2 catalogs; these hashes pin
-    # all eight listings, row order included.
+    # perfbench's references hold the order-2 catalogs and tests/catalogs the
+    # order-1 ones; these hashes pin all eight listings, row order included.
     assert main(["catalog", "--json", "--model", model, "--order", order, "--ruleset", ruleset]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("ruleset", ["dimreg", "modereg"])
+@pytest.mark.parametrize("model", ["flat", "normal"])
+def test_order1_catalogs_match_their_stored_files(model: str, ruleset: str, capsys: pytest.CaptureFixture) -> None:
+    assert main(["catalog", "--json", "--model", model, "--order", "1", "--ruleset", ruleset]) == 0
+    stored = pathlib.Path(__file__).parent / "catalogs" / f"order1-{model}-{ruleset}.json"
+    assert capsys.readouterr().out.encode() == stored.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,44 @@ def test_normal_vertex_table():
     assert measure4.internal == ((3, 5), (1, 7))
 
 
+@pytest.mark.parametrize("model", [FlatTransform(), FlatTransform((Fraction(2, 3), Fraction(-5, 4))), NormalCoords()])
+def test_vertices_are_the_kinetic_and_measure_terms_of_the_metric(model):
+    g = metric_series(model)
+    assert g[0] == 1
+    # log(1 + u) = u - u^2/2 + ..., with u = g[2] q^2 + g[4] q^4
+    log_g = {2: g[2], 4: g[4] - g[2] ** 2 / 2}
+    listing = model.vertices()
+    assert [(v.q_power, v.qdot_power, v.delta0_power) for v in listing] == [
+        (2, 2, 0), (2, 0, 1), (4, 2, 0), (4, 0, 1)
+    ]
+    for vertex in listing:
+        if vertex.qdot_power:
+            assert vertex.coefficient == g[vertex.q_power] / 2
+        else:
+            assert vertex.coefficient == -log_g[vertex.q_power] / 2
+
+
+def test_normal_metric_is_the_squared_sine_series():
+    # g = (sin z / z)^2 with z^2 = M: 1 - M/3 + 2 M^2/45
+    assert metric_series(NormalCoords()) == {0: 1, 2: Fraction(-1, 3), 4: Fraction(2, 45)}
+
+
+@pytest.mark.parametrize(
+    "root, order1_passes",
+    [
+        (lambda self: {0: Fraction(1), 2: Fraction(1, 6), 4: Fraction(1, 120)}, False),
+        (lambda self: {0: Fraction(1), 2: Fraction(-1, 6), 4: Fraction(0)}, True),
+        (lambda self: {0: Fraction(1), 2: Fraction(-1, 6), 4: Fraction(1, 60)}, True),
+    ],
+    ids=["sinh", "z4-zero", "z4-1/60"],
+)
+def test_the_heat_kernel_checks_see_every_series_term(monkeypatch, root, order1_passes):
+    assert check_seeley(1).status == "pass" and check_seeley(2).status == "pass"
+    monkeypatch.setattr(NormalCoords, "_root_series", root)
+    assert (check_seeley(1).status == "pass") is order1_passes
+    assert check_seeley(2).status == "fail"
+
+
 # ---------------------------------------------------------------------------
 # measure terms
 # ---------------------------------------------------------------------------
