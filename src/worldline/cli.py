@@ -121,11 +121,7 @@ def _run_integral(args: SimpleNamespace) -> int:
 
     rules = RULESETS[args.ruleset]
     log: list[dict] | None = [] if args.dump_moves else None
-    try:
-        value = evaluate_named(args.name, rules, log=log)
-    except KeyError as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
+    value = evaluate_named(args.name, rules, log=log)
     if args.json:
         payload: dict[str, object] = {"name": args.name, "ruleset": rules.name, "value": value.text()}
         if log is not None:

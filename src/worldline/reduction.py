@@ -26,7 +26,10 @@ partial integration is safe there).
 
 The text grammar accepted by :func:`parse` writes products the way they are
 tabled, e.g. ``Dl(1,2)*Dr(1,2)*DD(1,2)`` with 1-based variable indices,
-rational prefactors, and ``d0`` for an explicit delta(0).
+rational prefactors, and ``d0`` for an explicit delta(0).  A text is a sum
+``['-'] product (('+'|'-') product)*`` with ``product := factor ('*'
+factor)*``: only the first product takes a sign, and no two factors stand
+side by side without a ``*``.
 """
 
 from __future__ import annotations
@@ -60,75 +63,51 @@ class ParsedProduct(namedtuple("ParsedProduct", "coefficient factors nvars")):
 
 
 def parse(text: str) -> list[ParsedProduct]:
-    """Parse sums of propagator products, e.g. ``Dl(1,2)*Dr(1,2)*DD(1,2)``.
+    """Parse a sum of propagator products, e.g. ``Dl(1,2)*Dr(1,2)*DD(1,2)``.
 
     Each summand integrates over its own variables, so a sum may mix
     products with different variable counts.  Indices are 1-based in the
     text and remapped to a dense 0-based range per summand.
     """
-    tokens: list[tuple[str, object]] = []
+    tokens: list[re.Match] = []
     pos, end = 0, len(text.rstrip())
     while pos < end:
         match = _TOKEN.match(text, pos)
         if not match:
             raise ValueError(f"cannot parse integrand text at: {text[pos:]!r}")
+        tokens.append(match)
         pos = match.end()
-        if match["prop"]:
-            tokens.append(("prop", (match["prop"], int(match["i"]), int(match["j"]))))
-        elif match["d0"]:
-            tokens.append(("d0", int(match["d0pow"] or 1)))
-        elif match["rat"]:
-            tokens.append(("rat", Fraction(match["rat"])))
-        else:
-            tokens.append(("op", match["op"]))
+    if not tokens:
+        raise ValueError("empty integrand text")
+
+    # Past an optional leading '-', factors and operators alternate, and
+    # '+' or '-' opens the next summand: [coefficient, raw factors].
+    leading_minus = tokens[0]["op"] == "-"
+    body = tokens[leading_minus:]
+    summands = [[RegValue.rational(-1 if leading_minus else 1), []]]
+    for position, token in enumerate(body):
+        op, summand = token["op"], summands[-1]
+        if op and position % 2 == 0:
+            raise ValueError(f"misplaced operator {op!r} in integrand text")
+        if not op and position % 2:
+            raise ValueError(f"missing operator before {token[0].lstrip()!r} in integrand text")
+        if op in ("+", "-"):
+            summands.append([RegValue.rational(-1 if op == "-" else 1), []])
+        elif token["prop"]:
+            summand[1].append((token["prop"], int(token["i"]), int(token["j"])))
+        elif token["d0"]:
+            summand[0] = summand[0] * RegValue.delta0(int(token["d0pow"] or 1))
+        elif token["rat"]:
+            summand[0] = summand[0] * Fraction(token["rat"])
+    if len(body) % 2 == 0:
+        raise ValueError("integrand text ends with a dangling operator")
 
     products: list[ParsedProduct] = []
-    sign = Fraction(1)
-    current: list[tuple[str, object]] | None = None
-
-    def flush() -> None:
-        nonlocal current
-        if current is None:
-            return
-        coeff = RegValue.rational(sign)
-        raw_factors: list[tuple[str, int, int]] = []
-        for token_kind, payload in current:
-            if token_kind == "rat":
-                coeff = coeff * payload
-            elif token_kind == "d0":
-                coeff = coeff * RegValue.delta0(payload)
-            else:
-                raw_factors.append(payload)
+    for coefficient, raw_factors in summands:
         indices = sorted({idx for (_, i, j) in raw_factors for idx in (i, j)})
         remap = {orig: new for new, orig in enumerate(indices)}
         factors = tuple((k, remap[i], remap[j]) for (k, i, j) in raw_factors)
-        products.append(ParsedProduct(coeff, factors, len(indices)))
-        current = None
-
-    expecting_factor = True
-    for token_kind, payload in tokens:
-        if token_kind == "op" and payload in "+-" and not expecting_factor:
-            flush()
-            sign = Fraction(1) if payload == "+" else Fraction(-1)
-            expecting_factor = True
-            continue
-        if token_kind == "op":
-            if payload == "*" and not expecting_factor:
-                expecting_factor = True
-                continue
-            if payload == "-" and expecting_factor:
-                sign = -sign
-                continue
-            raise ValueError(f"misplaced operator {payload!r} in integrand text")
-        if current is None:
-            current = []
-        current.append((token_kind, payload))
-        expecting_factor = False
-    if expecting_factor and tokens:
-        raise ValueError("integrand text ends with a dangling operator")
-    flush()
-    if not products:
-        raise ValueError("empty integrand text")
+        products.append(ParsedProduct(coefficient, factors, len(indices)))
     return products
 
 
@@ -158,16 +137,6 @@ FINITE_ALIASES: dict[str, str] = {
     "I8R": "I8",
     "I15R": "I15",
 }
-
-
-def named_integral_text(name: str) -> tuple[str, bool]:
-    """Resolve a fixture name to (integrand text, finite_grade_only)."""
-    if name in NAMED_INTEGRALS:
-        return NAMED_INTEGRALS[name], False
-    if name in FINITE_ALIASES:
-        return NAMED_INTEGRALS[FINITE_ALIASES[name]], True
-    known = sorted(NAMED_INTEGRALS) + sorted(FINITE_ALIASES)
-    raise KeyError(f"unknown integral name {name!r}; known names: {', '.join(known)}")
 
 
 class ReductionError(ValueError):
@@ -741,7 +710,10 @@ def reduce_terms(
 def evaluate_named(
     name: str, rules: RuleSet = DIMREG, log: list[dict] | None = None
 ) -> RegValue:
-    """Value of a named fixture integral under the given rule set."""
-    text, finite_only = named_integral_text(name)
-    value = reduce_terms(text, rules, log)
-    return value.finite_part() if finite_only else value
+    """Value of a named fixture integral; an alias gives its base's finite grade."""
+    base = FINITE_ALIASES.get(name, name)
+    if base not in NAMED_INTEGRALS:
+        known = sorted(NAMED_INTEGRALS) + sorted(FINITE_ALIASES)
+        raise ValueError(f"unknown integral name {name!r}; known names: {', '.join(known)}")
+    value = reduce_terms(NAMED_INTEGRALS[base], rules, log)
+    return value.finite_part() if name in FINITE_ALIASES else value

@@ -50,12 +50,21 @@ def test_integral_honors_the_ruleset(capsys: pytest.CaptureFixture) -> None:
     assert capsys.readouterr().out == "I15R = -1/4 * beta\n"
 
 
+_UNKNOWN_I99 = (
+    "unknown integral name 'I99'; known names: "
+    "I10, I11, I12, I13, I14, I15, I2, I4, I6, I7, I8, I9, I15R, I2R, I8R\n"
+)
+
+
 def test_integral_rejects_unknown_names(capsys: pytest.CaptureFixture) -> None:
-    code = main(["integral", "I99"])
+    # Refused on main's one path for bad input: one line, exit 2.
+    assert main(["integral", "I99"]) == 2
     captured = capsys.readouterr()
-    assert code == 2
-    assert "unknown integral name" in captured.err
-    assert captured.out == ""
+    assert (captured.out, captured.err) == ("", _UNKNOWN_I99)
+    run = subprocess.run(
+        [sys.executable, "-m", "worldline", "integral", "I99"], capture_output=True, text=True, env=_ENV
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", _UNKNOWN_I99)
 
 
 def test_integral_json_is_deterministic(capsys: pytest.CaptureFixture) -> None:

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from expansion import canonicalize, product
 from worldline.integration import SingularAtom
 from worldline.reduction import (
+    _TOKEN,
     FINITE_ALIASES,
     NAMED_INTEGRALS,
-    named_integral_text,
+    ParsedProduct,
+    evaluate_named,
     parse,
     reduce_terms,
 )
@@ -179,6 +183,155 @@ def test_parse_returns_or_raises_value_error(pieces):
         pass
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2", "missing operator before '2' in integrand text"),
+        ("D(1,2)D(1,3)", "missing operator before 'D(1,3)' in integrand text"),
+        ("d0 d0", "missing operator before 'd0' in integrand text"),
+        ("--D(1,2)", "misplaced operator '-' in integrand text"),
+        ("D(1,2)*-D(1,3)", "misplaced operator '-' in integrand text"),
+        ("D(1,2)+-D(1,3)", "misplaced operator '-' in integrand text"),
+    ],
+)
+def test_parse_refuses_juxtaposed_factors_and_inner_signs(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse(text)
+
+
+def _old_parse(text: str) -> list[ParsedProduct]:
+    """``reduction.parse`` as it was before the strict grammar, kept verbatim.
+
+    It also took two factors side by side as a product, and a ``-`` in
+    front of any factor as a sign flip.
+    """
+    tokens: list[tuple[str, object]] = []
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        match = _TOKEN.match(text, pos)
+        if not match:
+            raise ValueError(f"cannot parse integrand text at: {text[pos:]!r}")
+        pos = match.end()
+        if match["prop"]:
+            tokens.append(("prop", (match["prop"], int(match["i"]), int(match["j"]))))
+        elif match["d0"]:
+            tokens.append(("d0", int(match["d0pow"] or 1)))
+        elif match["rat"]:
+            tokens.append(("rat", Fraction(match["rat"])))
+        else:
+            tokens.append(("op", match["op"]))
+
+    products: list[ParsedProduct] = []
+    sign = Fraction(1)
+    current: list[tuple[str, object]] | None = None
+
+    def flush() -> None:
+        nonlocal current
+        if current is None:
+            return
+        coeff = RegValue.rational(sign)
+        raw_factors: list[tuple[str, int, int]] = []
+        for token_kind, payload in current:
+            if token_kind == "rat":
+                coeff = coeff * payload
+            elif token_kind == "d0":
+                coeff = coeff * RegValue.delta0(payload)
+            else:
+                raw_factors.append(payload)
+        indices = sorted({idx for (_, i, j) in raw_factors for idx in (i, j)})
+        remap = {orig: new for new, orig in enumerate(indices)}
+        factors = tuple((k, remap[i], remap[j]) for (k, i, j) in raw_factors)
+        products.append(ParsedProduct(coeff, factors, len(indices)))
+        current = None
+
+    expecting_factor = True
+    for token_kind, payload in tokens:
+        if token_kind == "op" and payload in "+-" and not expecting_factor:
+            flush()
+            sign = Fraction(1) if payload == "+" else Fraction(-1)
+            expecting_factor = True
+            continue
+        if token_kind == "op":
+            if payload == "*" and not expecting_factor:
+                expecting_factor = True
+                continue
+            if payload == "-" and expecting_factor:
+                sign = -sign
+                continue
+            raise ValueError(f"misplaced operator {payload!r} in integrand text")
+        if current is None:
+            current = []
+        current.append((token_kind, payload))
+        expecting_factor = False
+    if expecting_factor and tokens:
+        raise ValueError("integrand text ends with a dangling operator")
+    flush()
+    if not products:
+        raise ValueError("empty integrand text")
+    return products
+
+
+# The two reasons the strict grammar adds, for texts the old parser took.
+_NEW_REASON = re.compile(r"missing operator before '.+' in integrand text|misplaced operator '-' in integrand text")
+_TERM = st.one_of(_FACTOR, _RATIONAL, _NUMBER, st.just("d0"), st.builds("d0^{}".format, _NUMBER))
+_JOIN = st.sampled_from(["*", " * ", "+", " + ", "-", " - ", " ", "", "--", "*-", "+-"])
+# Sums of whole terms, mostly well formed, so that most draws parse.
+_SUM = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "-", " -", "+"]),
+    st.lists(_TERM, min_size=1, max_size=6).flatmap(
+        lambda terms: st.lists(_JOIN, min_size=len(terms) - 1, max_size=len(terms) - 1).map(
+            lambda joins: "".join(term + join for term, join in zip(terms, joins + [""]))
+        )
+    ),
+    st.sampled_from(["", " ", "*", " -"]),
+)
+
+
+def _outcome(route, text):
+    try:
+        return route(text), None
+    except ValueError as error:
+        return None, str(error)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_SUM, st.lists(_PIECE, max_size=24).map("".join)))
+def test_strict_parse_differs_from_the_old_parse_only_by_the_new_refusals(text):
+    # What the new parser takes, the old one took as the same products; every
+    # refusal is the old one's, or one of the two new reasons.
+    old, old_error = _outcome(_old_parse, text)
+    new, new_error = _outcome(parse, text)
+    if new_error is None:
+        assert new == old
+    else:
+        assert new_error == old_error or _NEW_REASON.fullmatch(new_error)
+
+
+@pytest.mark.parametrize("text", sorted(NAMED_INTEGRALS.values()))
+def test_strict_parse_reads_every_registry_text_as_before(text):
+    assert parse(text) == _old_parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("D(1,2) x", "cannot parse integrand text at: ' x'"),
+        ("1/0*D(1,2)", "cannot parse integrand text at: '/0*D(1,2)'"),
+        ("D(1,2) *", "integrand text ends with a dangling operator"),
+        ("-", "integrand text ends with a dangling operator"),
+        ("D(1,2) + ", "integrand text ends with a dangling operator"),
+        ("", "empty integrand text"),
+        (" \t\n", "empty integrand text"),
+        ("+D(1,2)", "misplaced operator '+' in integrand text"),
+        ("D(1,2)**D(1,3)", "misplaced operator '*' in integrand text"),
+    ],
+)
+def test_strict_parse_keeps_the_old_refusals(text, message):
+    assert _outcome(_old_parse, text) == (None, message)
+    assert _outcome(parse, text) == (None, message)
+
+
 def test_named_registry_contents():
     expected = {
         "I2",
@@ -195,15 +348,11 @@ def test_named_registry_contents():
         "I15",
     }
     assert expected <= set(NAMED_INTEGRALS)
-    assert set(FINITE_ALIASES) == {"I2R", "I8R", "I15R"}
-    text, finite = named_integral_text("I14")
-    assert text == NAMED_INTEGRALS["I14"]
-    assert finite is False
-    text, finite = named_integral_text("I15R")
-    assert text == NAMED_INTEGRALS["I15"]
-    assert finite is True
+    assert FINITE_ALIASES == {"I2R": "I2", "I8R": "I8", "I15R": "I15"}
+    assert evaluate_named("I15R") == evaluate_named("I15").finite_part()
 
 
 def test_named_integral_unknown():
-    with pytest.raises(KeyError, match="I14"):
-        named_integral_text("I999")
+    known = "I10, I11, I12, I13, I14, I15, I2, I4, I6, I7, I8, I9, I15R, I2R, I8R"
+    with pytest.raises(ValueError, match=f"^unknown integral name 'I999'; known names: {known}$"):
+        evaluate_named("I999")

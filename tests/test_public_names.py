@@ -127,7 +127,8 @@ _INVOCATIONS = (
     (["measure-cancel", "--max-order", "9"], 2),
 )
 
-# Read by the benchmark tracer (perfbench/tracer.py), which no verb runs.
+# Read only by Poly.__repr__ and the tests: the benchmark tracer's layer that
+# read it, polynomials.Poly.mul, names a module that no longer exists.
 _UNREACHED_ON_PURPOSE = ["values.Poly.terms"]
 
 _REACH_SCRIPT = r"""
