@@ -2,7 +2,9 @@
 
 A propagator factor is one of four kinds, each named by its text: the
 two-point function of a free particle pinned to zero at both ends of
-[0, beta], and its left, right, and mixed time derivatives:
+[0, beta], and its left, right, and mixed time derivatives.  Only D is
+typed; ``_rows`` derives the others with two distributional identities,
+d/dt eps(t - t') = 2 delta(t - t') and x delta(x) = 0:
 
     D(t, t')  = -eps(t - t')*(t - t')/2 + (t + t')/2 - t*t'/beta
     Dl(t, t') = -eps(t - t')/2 + 1/2 - t'/beta          (derivative on t)
@@ -86,59 +88,57 @@ _Piece = tuple[int, Poly, tuple[SingularAtom, ...]]
 
 _HALF = Fraction(1, 2)
 
-# Smooth part and eps-coefficient of each kind over (t, t'), keyed (beta, t,
-# t') exponents: the docstring's closed forms.
-_SMOOTH: dict[str, Poly] = {
-    "D": Poly(2, {(0, 1, 0): _HALF, (0, 0, 1): _HALF, (-1, 1, 1): -1}),
-    "Dl": Poly(2, {(0, 0, 0): _HALF, (-1, 0, 1): -1}),
-    "Dr": Poly(2, {(0, 0, 0): _HALF, (-1, 1, 0): -1}),
-    "DD": Poly(2, {(-1, 0, 0): -1}),
-}
 
-_EPS_COEFF: dict[str, Poly] = {
-    "D": Poly(2, {(0, 1, 0): -_HALF, (0, 0, 1): _HALF}),
-    "Dl": Poly(2, {(0, 0, 0): -_HALF}),
-    "Dr": Poly(2, {(0, 0, 0): _HALF}),
-    "DD": Poly(2),
-}
+def _rows(smooth: Poly, eps: Poly) -> dict[str, tuple[Poly, Poly, Poly]]:
+    """Each kind's row from D's: Dl = dD/dt, Dr = dD/dt' and DD = dDl/dt'.
 
-# The formal equal-time value of DD, which has no pointwise one.
-EQUAL_TIME_DD = RegValue.delta0() - RegValue.beta(-1)
+    A row is a smooth part and the coefficients of eps(t - t') and delta(t - t'),
+    keyed (beta, t, t') exponents.  By the two identities of the module docstring,
+    a derivative's delta coefficient is +-2 times the eps coefficient at t' = t,
+    which is 0 for D, so Dl has no delta part to differentiate.
+    """
+
+    def derivative(smooth: Poly, eps: Poly, slot: int) -> tuple[Poly, Poly, Poly]:
+        def d(poly: Poly) -> Poly:
+            terms = [(k, c * k[slot]) for k, c in poly.terms().items() if k[slot]]
+            return Poly(2, [((*k[:slot], k[slot] - 1, *k[slot + 1 :]), c) for k, c in terms])
+
+        return d(smooth), d(eps), eps.remap((0, 0), 2) * (2 if slot == 1 else -2)
+
+    dl, dr = derivative(smooth, eps, 1), derivative(smooth, eps, 2)
+    return {"D": (smooth, eps, Poly(2)), "Dl": dl, "Dr": dr, "DD": derivative(*dl[:2], 2)}
 
 
-def _grade_pieces(value: RegValue, nvars: int) -> list[_Piece]:
-    """A ring value, one constant-polynomial piece per delta0 grade."""
-    grades: dict[int, Poly] = {}
-    for (beta_pow, delta0_pow), coeff in value.items():
-        const = Poly.const(nvars, coeff, beta_pow)
-        grades[delta0_pow] = grades[delta0_pow] + const if delta0_pow in grades else const
-    return [(k, poly, ()) for k, poly in grades.items()]
+# D's row, the module docstring's closed form: the one typed propagator.
+_ROWS = _rows(
+    Poly(2, {(0, 1, 0): _HALF, (0, 0, 1): _HALF, (-1, 1, 1): -1}),
+    Poly(2, {(0, 1, 0): -_HALF, (0, 0, 1): _HALF}),
+)
 
 
 def _expand_factor(kind: str, i: int, j: int, nvars: int) -> list[_Piece]:
     """One propagator factor as a sum of (delta0 power, poly, atoms) pieces.
 
-    Equal arguments give the smooth part alone, since eps(0) = 0, with
-    DD(i,i) becoming the formal substitute ``EQUAL_TIME_DD``.
+    Equal arguments drop the eps part, since eps(0) = 0, and turn the delta
+    part into a delta0 piece, so DD(i,i) is ``EQUAL_TIME_DD``.
     """
-    if kind not in _SMOOTH:
+    if kind not in _ROWS:
         raise ValueError(f"unknown propagator kind {kind!r}")
+    smooth, eps, delta = (part.remap((i, j), nvars) for part in _ROWS[kind])
+    out: list[_Piece] = [(0, smooth, ())]
     if i == j:
-        if kind == "DD":
-            return _grade_pieces(EQUAL_TIME_DD, nvars)
-        return [(0, _SMOOTH[kind].remap((i, i), nvars), ())]
+        return out + [(1, delta, ())] if delta else out
+    lo, hi = sorted((i, j))  # eps(tau_i - tau_j) = -eps(tau_lo - tau_hi) when i > j
+    parts = (("eps", -eps if i > j else eps), ("delta", delta))
+    return out + [(0, poly, (SingularAtom._make((name, lo, hi, 1)),)) for name, poly in parts if poly]
 
-    lo, hi = (i, j) if i < j else (j, i)
-    flip = i > j  # eps(tau_i - tau_j) = -eps(tau_lo - tau_hi) when i > j
-    out: list[_Piece] = [(0, _SMOOTH[kind].remap((i, j), nvars), ())]
-    eps_poly = _EPS_COEFF[kind].remap((i, j), nvars)
-    if eps_poly:
-        if flip:
-            eps_poly = -eps_poly
-        out.append((0, eps_poly, (SingularAtom._make(("eps", lo, hi, 1)),)))
-    if kind == "DD":
-        out.append((0, Poly.const(nvars, 1), (SingularAtom._make(("delta", lo, hi, 1)),)))
-    return out
+
+# The formal equal-time value of DD, which has no pointwise one: the sum of
+# its pieces at i = j, each a constant.
+EQUAL_TIME_DD = RegValue(
+    ((b, k), c) for k, poly, _ in _expand_factor("DD", 0, 0, 1)
+    for (b,), c in poly.remap((None,), 0).terms().items()
+)
 
 
 # ---------------------------------------------------------------------------

@@ -303,19 +303,18 @@ def _with_label(prop: TProp, side: int, label: str) -> TProp | None:
 
 
 def _product_rule(
-    props: tuple[TProp, ...], var: int, label: str, refusal: str, skip: int | None = None
+    props: tuple[TProp, ...], var: int, label: str, refusal: str, skip: tuple[int, int] | None = None
 ) -> list[tuple[TProp, ...]]:
     """Every props tuple with ``label`` added to one end at ``var``.
 
-    Factor ``skip`` is left alone.  An end that cannot take the label makes
-    the whole rule illegal; ``refusal`` names that factor via ``{}``.
+    The end ``skip``, a (factor index, side) pair, is left alone; the other
+    end of an equal-time factor is not.  An end that cannot take the label
+    makes the whole rule illegal; ``refusal`` names that factor via ``{}``.
     """
     out: list[tuple[TProp, ...]] = []
     for idx, prop in enumerate(props):
-        if idx == skip:
-            continue
         for side, arg in ((0, prop.i), (1, prop.j)):
-            if arg != var:
+            if arg != var or (idx, side) == skip:
                 continue
             grown = _with_label(prop, side, label)
             if grown is None:
@@ -381,7 +380,7 @@ def partial_integration(term: TTerm, index: int, side: int) -> list[TTerm]:
             f"{var + 1} leaves a nonzero endpoint term"
         )
     refusal = "partial integration would pile a third derivative onto {}"
-    grown = _product_rule(reduced.props, var, label, refusal, skip=index)
+    grown = _product_rule(reduced.props, var, label, refusal, skip=(index, side))
     negated = term.coefficient * Fraction(-1)
     return [reduced._replace(coefficient=negated, props=props) for props in grown]
 

@@ -18,7 +18,6 @@ from worldline.integration import (
     RuleSet,
     SingularAtom,
     _expand_factor,
-    _grade_pieces,
     _merge_atoms,
     integrate_term,
 )
@@ -58,6 +57,15 @@ def canonicalize(terms: list[IntegrandTerm]) -> list[IntegrandTerm]:
             # The atoms are merged already; the constructor would merge them again.
             out.append(IntegrandTerm._make((delta0, nvars, poly, atoms)))
     return out
+
+
+def _grade_pieces(value: RegValue, nvars: int) -> list[tuple[int, Poly, tuple[SingularAtom, ...]]]:
+    """A ring value, one constant-polynomial piece per delta0 grade."""
+    grades: dict[int, Poly] = {}
+    for (beta_pow, delta0_pow), coeff in value.items():
+        const = Poly.const(nvars, coeff, beta_pow)
+        grades[delta0_pow] = grades[delta0_pow] + const if delta0_pow in grades else const
+    return [(k, poly, ()) for k, poly in grades.items()]
 
 
 def product(

@@ -258,6 +258,27 @@ def test_move_search_falls_back_to_a_later_candidate(rules):
     assert value == beta(1, "1/12") == reduce_terms("Dl(1,1)*Dr(1,2)*DD(1,2)", rules)
 
 
+@pytest.mark.parametrize("rules", [DIMREG, MODEREG], ids=lambda r: r.name)
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("D(1,1)*Dl(1,1)*Dl(3,3)*DD(1,2)*DD(2,3)", beta(2, "1/120")),
+        ("Dl(1,1)*Dl(1,1)*Dl(2,2)*Dl(3,4)*DD(2,3)", beta(3, "1/144")),
+    ],
+)
+def test_partial_integration_on_an_equal_time_factor_differentiates_its_other_end(rules, text, expected):
+    # d/dt F(t,t) = (d1 + d2) F, so moving a derivative off one end of an
+    # equal-time factor puts it on every other end at t, this factor's other
+    # end too.  Skipping that end gave -beta^2/60 and beta^3/72.  Neither
+    # product holds an eps atom on a delta's pair, so the direct route is exact.
+    (parsed,) = parse(text)
+    log = []
+    assert reduce_terms(text, rules, log) == expected
+    assert integrate_product(list(parsed.factors), parsed.nvars, rules) == expected
+    moved = [entry["factor"] for entry in log if entry["move"] == "PartialIntegration"]
+    assert any(factor.endswith("(1,1)") for factor in moved)
+
+
 # -- refusals of the public moves ----------------------------------------------
 
 MU_NU = TProp(0, 1, ("mu",), ("nu",))
